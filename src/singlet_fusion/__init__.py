@@ -12,7 +12,8 @@ Layers (one module each):
 * :mod:`~singlet_fusion.catalog` -- indecomposables, composition series,
   Loewy diagrams, duals, Jordan Fock matrices;
 * :mod:`~singlet_fusion.fusion_closed` -- closed-form fusion products;
-* :mod:`~singlet_fusion.fusion_oracle` -- the independent recursion oracle;
+* :mod:`~singlet_fusion.fusion_oracle` -- the generator rules and the
+  independent recursion oracle built on them alone;
 * :mod:`~singlet_fusion.triplet` -- induction and triplet fusion;
 * :mod:`~singlet_fusion.bpz` -- Frobenius bases and connection matrices;
 * :mod:`~singlet_fusion.verify` / :mod:`~singlet_fusion.cli` -- invariant
@@ -23,6 +24,7 @@ from .catalog import (
     FormalSum,
     Indecomposable,
     LoewyDiagram,
+    UnsupportedFusion,
     composition_factors,
     dual,
     fock,
@@ -35,9 +37,7 @@ from .catalog import (
     virasoro_decomposition,
 )
 from .fusion_closed import (
-    UnsupportedFusion,
     fuse,
-    fuse_generators,
     fuse_mm,
     fuse_pm,
     fuse_pp,
@@ -45,7 +45,9 @@ from .fusion_closed import (
 )
 from .fusion_oracle import (
     NegativeMultiplicityError,
+    fuse_generators,
     ks_subtract,
+    oracle_fuse,
     oracle_fuse_mm,
     oracle_fuse_p,
     oracle_fuse_with_column,
@@ -94,6 +96,7 @@ __all__ = [
     "fuse_generators",
     "grothendieck_product",
     "ks_subtract",
+    "oracle_fuse",
     "oracle_fuse_mm",
     "oracle_fuse_p",
     "oracle_fuse_with_column",

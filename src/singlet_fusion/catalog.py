@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
-from .labels import Params, alpha_coordinate, weight
+from .labels import Params, _check_s, alpha_coordinate, weight
 
 __all__ = [
     "SIMPLE",
@@ -37,6 +37,7 @@ __all__ = [
     "FormalSum",
     "LoewyDiagram",
     "UnsupportedOperation",
+    "UnsupportedFusion",
     "simple",
     "projective",
     "fock",
@@ -59,6 +60,10 @@ JORDAN_FOCK = "FJ"
 
 class UnsupportedOperation(ValueError):
     """Raised when an operation is not defined for a label kind."""
+
+
+class UnsupportedFusion(ValueError):
+    """Raised for products the catalog does not define (e.g. ``F x F``)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -120,11 +125,6 @@ def normalize(params: Params, x: Indecomposable) -> Indecomposable:
             raise ValueError(f"Jordan Fock labels require s = p, got s={x.s}")
         return jordan_fock(params, x.r, x.n)
     raise ValueError(f"unknown label kind {x.kind!r}")
-
-
-def _check_s(params: Params, s: int) -> None:
-    if not 1 <= s <= params.p:
-        raise ValueError(f"module label needs 1 <= s <= {params.p}, got s={s}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
 to stderr.  Exit codes: 0 success, 2 usage or validation failure, 3
 verification failure or engine mismatch.  Runs are deterministic: row
 order is lexicographic, floats are printed with 12 significant digits, and
-nothing is randomized (the ``SINGLET_FUSION_SEED`` environment variable is
-reserved but unused).
+nothing is randomized.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog, fusion_closed, fusion_oracle, triplet, verify
-from .catalog import FormalSum, Indecomposable
-from .fusion_closed import UnsupportedFusion
+from .catalog import FormalSum, Indecomposable, UnsupportedFusion
 from .labels import Params
 
 __all__ = ["main", "entrypoint", "parse_label", "format_sum", "format_float"]
@@ -112,20 +110,7 @@ def _fuse_with_engine(
     if engine in ("closed", "both"):
         closed = fusion_closed.fuse(params, left, right)
     if engine in ("oracle", "both"):
-        kinds = (left.kind, right.kind)
-        if kinds == (catalog.SIMPLE, catalog.SIMPLE):
-            oracle = fusion_oracle.oracle_fuse_mm(params, left, right)
-        elif left.kind == catalog.PROJECTIVE and right.kind in (
-            catalog.SIMPLE,
-            catalog.PROJECTIVE,
-        ):
-            oracle = fusion_oracle.oracle_fuse_p(params, left, right)
-        elif right.kind == catalog.PROJECTIVE and left.kind == catalog.SIMPLE:
-            oracle = fusion_oracle.oracle_fuse_p(params, right, left)
-        else:
-            raise UnsupportedFusion(
-                f"the recursion oracle covers M/P labels only, got {left} x {right}"
-            )
+        oracle = fusion_oracle.oracle_fuse(params, left, right)
     return closed, oracle
 
 
@@ -173,21 +158,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     labels = _table_labels(params, args.rmin, args.rmax)
     rows = []
     mismatches = 0
-
-    def one(pair: Tuple[Indecomposable, Indecomposable]):
-        left, right = pair
+    for left, right in ((a, b) for a in labels for b in labels):
         closed, oracle = _fuse_with_engine(params, args.engine, left, right)
-        return left, right, closed, oracle
-
-    pairs = [(a, b) for a in labels for b in labels]
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(pair) for pair in pairs]
-    for left, right, closed, oracle in results:
         primary = closed if closed is not None else oracle
         row = {
             "left": str(left),
@@ -231,7 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise LabelSyntaxError(f"cannot parse p list {args.p!r}")
     if not p_values:
         raise LabelSyntaxError("empty p list")
-    report = verify.run_suites(names, p_values, rwin=args.rwin, jobs=args.jobs)
+    report = verify.run_suites(names, p_values, rwin=args.rwin)
     suites_doc = {}
     total_checks = total_failures = 0
     for name, per_p in report.items():
@@ -297,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--rmax", type=int, default=1)
     table.add_argument("--engine", choices=("closed", "oracle", "both"), default="closed")
     table.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    table.add_argument("--jobs", type=int, default=1)
     table.add_argument("--out", default=None)
     table.set_defaults(func=_cmd_table)
 
@@ -309,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--p", default="2,3", help="comma-separated p values")
     ver.add_argument("--rwin", type=int, default=3)
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=_cmd_verify)
 

@@ -6,11 +6,10 @@ integer window with a parity constraint, and is empty whenever its lower
 bound exceeds its upper bound.  ``P(r, p)`` normalizes to ``M(r, p)`` inside
 every sum, so the formulas compose without case splits.
 
-:func:`fuse_generators` is the separate transcription of the generator
-rules (fusion with the simple currents ``M_{2n+1,1}`` and ``M_{2,1}``, and
-with ``M_{1,2}``); the recursion oracle in :mod:`.fusion_oracle` is built
-on those rules alone and never touches the closed forms, which is what
-makes the two routes independent.
+The generator rules (fusion with the simple currents ``M_{2n+1,1}`` and
+``M_{2,1}``, and with ``M_{1,2}``) live in :mod:`.fusion_oracle`, which is
+built on them alone.  Neither module imports the other, which is what makes
+the two routes independent.
 """
 
 from __future__ import annotations
@@ -24,32 +23,33 @@ from .catalog import (
     SIMPLE,
     FormalSum,
     Indecomposable,
+    UnsupportedFusion,
     composition_factors,
     fock,
     projective,
     simple,
 )
-from .labels import Params
+from .labels import Params, _check_s
 
 __all__ = [
     "UnsupportedFusion",
     "fuse_mm",
     "fuse_pm",
     "fuse_pp",
-    "fuse_generators",
     "fuse",
     "flatten",
     "grothendieck_product",
 ]
 
 
-class UnsupportedFusion(ValueError):
-    """Raised for products the catalog does not define (e.g. ``F x F``)."""
-
-
 def _require(x: Indecomposable, kind: str, what: str) -> None:
     if x.kind != kind:
         raise UnsupportedFusion(f"{what} expected a {kind} label, got {x}")
+
+
+def _require_simple(params: Params, x: Indecomposable, what: str) -> None:
+    _require(x, SIMPLE, what)
+    _check_s(params, x.s)
 
 
 def _require_proj(params: Params, x: Indecomposable, what: str) -> None:
@@ -67,8 +67,8 @@ def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     projective part: ``P_{r+r'-1, l}`` for ``l = 2p+1-s-s' .. p``; both with
     ``l + s + s'`` odd.
     """
-    _require(a, SIMPLE, "fuse_mm")
-    _require(b, SIMPLE, "fuse_mm")
+    _require_simple(params, a, "fuse_mm")
+    _require_simple(params, b, "fuse_mm")
     p = params.p
     r = a.r + b.r - 1
     s, t = a.s, b.s
@@ -92,7 +92,7 @@ def fuse_pm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     ``l+p+s+s'`` odd.
     """
     _require_proj(params, a, "fuse_pm")
-    _require(b, SIMPLE, "fuse_pm")
+    _require_simple(params, b, "fuse_pm")
     p = params.p
     r = a.r + b.r - 1
     s, t = a.s, b.s
@@ -156,83 +156,6 @@ def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     return FormalSum(pairs)
 
 
-def fuse_generators(
-    params: Params, g: Indecomposable, x: Indecomposable
-) -> FormalSum:
-    """Fusion with one of the generators ``M_{2n+1,1}``, ``M_{2,1}``, ``M_{1,2}``.
-
-    The rules, by generator:
-
-    * ``M_{2n+1,1}`` (odd simple currents): shift ``r`` by ``2n`` on simples,
-      projectives, and Fock modules alike.
-    * ``M_{2,1}`` (simple current): shift ``r`` by one on simples and
-      projectives; not defined on Fock modules.
-    * ``M_{1,2}``: on ``M_{r,s}`` gives ``M_{r,2}`` (s = 1),
-      ``M_{r,s-1} + M_{r,s+1}`` (1 < s < p), ``P_{r,p-1}`` (s = p).  On
-      ``P_{r,s}`` gives, for p >= 3: ``P_{r,2} + M_{r+1,p} + M_{r-1,p}``
-      (s = 1), ``P_{r,s-1} + P_{r,s+1}`` (1 < s < p-1),
-      ``P_{r,p-2} + 2 M_{r,p}`` (s = p-1); for p = 2:
-      ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.
-
-    Anything else raises :class:`UnsupportedFusion`.
-    """
-    p = params.p
-    if g.kind != SIMPLE:
-        raise UnsupportedFusion(f"unsupported generator {g}")
-    if x.kind == JORDAN_FOCK:
-        raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x})")
-
-    if g.s == 1 and g.r % 2 == 1:
-        shift = g.r - 1
-        if x.kind == SIMPLE:
-            return FormalSum.of(simple(params, x.r + shift, x.s))
-        if x.kind == PROJECTIVE:
-            return FormalSum.of(projective(params, x.r + shift, x.s))
-        if x.kind == FOCK:
-            return FormalSum.of(fock(params, x.r + shift, x.s))
-
-    if (g.r, g.s) == (2, 1):
-        if x.kind == SIMPLE:
-            return FormalSum.of(simple(params, x.r + 1, x.s))
-        if x.kind == PROJECTIVE:
-            return FormalSum.of(projective(params, x.r + 1, x.s))
-        raise UnsupportedFusion(f"M:2,1 fusion is not defined on {x}")
-
-    if (g.r, g.s) == (1, 2):
-        if x.kind == SIMPLE:
-            if x.s == p:
-                return FormalSum.of(projective(params, x.r, p - 1))
-            if x.s == 1:
-                return FormalSum.of(simple(params, x.r, 2))
-            return FormalSum.of(simple(params, x.r, x.s - 1), simple(params, x.r, x.s + 1))
-        if x.kind == PROJECTIVE:  # stored projectives always have s <= p-1
-            if p == 2:
-                return FormalSum.of(
-                    projective(params, x.r + 1, 2),
-                    projective(params, x.r, 2),
-                    projective(params, x.r, 2),
-                    projective(params, x.r - 1, 2),
-                )
-            if x.s == 1:
-                return FormalSum.of(
-                    projective(params, x.r, 2),
-                    projective(params, x.r + 1, p),
-                    projective(params, x.r - 1, p),
-                )
-            if x.s == p - 1:
-                return FormalSum.of(
-                    projective(params, x.r, p - 2),
-                    projective(params, x.r, p),
-                    projective(params, x.r, p),
-                )
-            return FormalSum.of(
-                projective(params, x.r, x.s - 1), projective(params, x.r, x.s + 1)
-            )
-        raise UnsupportedFusion(f"M:1,2 fusion is not defined on {x}")
-
-    raise UnsupportedFusion(f"unsupported generator {g}")
-
-
 _SumLike = Union[FormalSum, Indecomposable]
 
 
@@ -240,6 +163,9 @@ def _as_sum(x: _SumLike) -> FormalSum:
     if isinstance(x, Indecomposable):
         return FormalSum.of(x)
     return x
+
+
+_KINDS = (SIMPLE, PROJECTIVE, FOCK, JORDAN_FOCK)
 
 
 def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSum:
@@ -252,12 +178,16 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
         return fuse_pm(params, y, x)
     if kx == PROJECTIVE and ky == PROJECTIVE:
         return fuse_pp(params, x, y)
+    for k in (kx, ky):
+        if k not in _KINDS:
+            raise UnsupportedFusion(f"unknown label kind {k!r} in {x} x {y}")
     if JORDAN_FOCK in (kx, ky):
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
-    # exactly one side is a Fock module: only odd simple currents act on it
+    # exactly one side is a Fock module: the odd simple current M(2n+1, 1)
+    # shifts its r by 2n
     g, f = (y, x) if kx == FOCK else (x, y)
     if f.kind == FOCK and g.kind == SIMPLE and g.s == 1 and g.r % 2 == 1:
-        return fuse_generators(params, g, f)
+        return FormalSum.of(fock(params, f.r + g.r - 1, f.s))
     raise UnsupportedFusion(
         f"{x} x {y}: Fock modules fuse only with the odd simple currents M(2n+1, 1)"
     )

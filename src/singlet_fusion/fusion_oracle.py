@@ -2,7 +2,7 @@
 
 Products are rebuilt from scratch with only three ingredients:
 
-1. the generator rules (:func:`.fusion_closed.fuse_generators`),
+1. the generator rules (:func:`fuse_generators`, defined here),
 2. the column recursion
    ``X x M_{1,s+1} = M_{1,2} x (X x M_{1,s})  -  X x M_{1,s-1}``,
    which follows from ``M_{1,2} x M_{1,s} = M_{1,s-1} + M_{1,s+1}`` by
@@ -17,8 +17,9 @@ projectives use the split reduction
     ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``:
 
 tensoring with the projective ``P`` splits the socle filtration of the
-other factor.  The closed forms :func:`~.fusion_closed.fuse_mm`,
-:func:`~.fusion_closed.fuse_pm`, :func:`~.fusion_closed.fuse_pp` are never
+other factor.  :func:`oracle_fuse` dispatches a pair of ``M``/``P`` labels
+to these routes.  This module imports only :mod:`.catalog` and
+:mod:`.labels`: the closed forms in :mod:`.fusion_closed` are never
 consulted, so agreement between the two routes is a genuine cross-check.
 
 All functions are pure; the internal memo table only caches results of
@@ -31,21 +32,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import (
+    FOCK,
+    JORDAN_FOCK,
     PROJECTIVE,
     SIMPLE,
     FormalSum,
     Indecomposable,
+    UnsupportedFusion,
     fock,
     projective,
     simple,
 )
-from .fusion_closed import UnsupportedFusion, fuse_generators
 from .labels import Params
 
 __all__ = [
     "KSLedger",
     "NegativeMultiplicityError",
+    "fuse_generators",
     "ks_subtract",
+    "oracle_fuse",
     "oracle_fuse_with_column",
     "oracle_fuse_mm",
     "oracle_fuse_p",
@@ -75,6 +80,83 @@ class NegativeMultiplicityError(ArithmeticError):
             f"subtracting {ledger.subtrahend} from {ledger.minuend} "
             f"drives {label} negative"
         )
+
+
+def fuse_generators(
+    params: Params, g: Indecomposable, x: Indecomposable
+) -> FormalSum:
+    """Fusion with one of the generators ``M_{2n+1,1}``, ``M_{2,1}``, ``M_{1,2}``.
+
+    The rules, by generator:
+
+    * ``M_{2n+1,1}`` (odd simple currents): shift ``r`` by ``2n`` on simples,
+      projectives, and Fock modules alike.
+    * ``M_{2,1}`` (simple current): shift ``r`` by one on simples and
+      projectives; not defined on Fock modules.
+    * ``M_{1,2}``: on ``M_{r,s}`` gives ``M_{r,2}`` (s = 1),
+      ``M_{r,s-1} + M_{r,s+1}`` (1 < s < p), ``P_{r,p-1}`` (s = p).  On
+      ``P_{r,s}`` gives, for p >= 3: ``P_{r,2} + M_{r+1,p} + M_{r-1,p}``
+      (s = 1), ``P_{r,s-1} + P_{r,s+1}`` (1 < s < p-1),
+      ``P_{r,p-2} + 2 M_{r,p}`` (s = p-1); for p = 2:
+      ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.
+
+    Anything else raises :class:`UnsupportedFusion`.
+    """
+    p = params.p
+    if g.kind != SIMPLE:
+        raise UnsupportedFusion(f"unsupported generator {g}")
+    if x.kind == JORDAN_FOCK:
+        raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x})")
+
+    if g.s == 1 and g.r % 2 == 1:
+        shift = g.r - 1
+        if x.kind == SIMPLE:
+            return FormalSum.of(simple(params, x.r + shift, x.s))
+        if x.kind == PROJECTIVE:
+            return FormalSum.of(projective(params, x.r + shift, x.s))
+        if x.kind == FOCK:
+            return FormalSum.of(fock(params, x.r + shift, x.s))
+
+    if (g.r, g.s) == (2, 1):
+        if x.kind == SIMPLE:
+            return FormalSum.of(simple(params, x.r + 1, x.s))
+        if x.kind == PROJECTIVE:
+            return FormalSum.of(projective(params, x.r + 1, x.s))
+        raise UnsupportedFusion(f"M:2,1 fusion is not defined on {x}")
+
+    if (g.r, g.s) == (1, 2):
+        if x.kind == SIMPLE:
+            if x.s == p:
+                return FormalSum.of(projective(params, x.r, p - 1))
+            if x.s == 1:
+                return FormalSum.of(simple(params, x.r, 2))
+            return FormalSum.of(simple(params, x.r, x.s - 1), simple(params, x.r, x.s + 1))
+        if x.kind == PROJECTIVE:  # stored projectives always have s <= p-1
+            if p == 2:
+                return FormalSum.of(
+                    projective(params, x.r + 1, 2),
+                    projective(params, x.r, 2),
+                    projective(params, x.r, 2),
+                    projective(params, x.r - 1, 2),
+                )
+            if x.s == 1:
+                return FormalSum.of(
+                    projective(params, x.r, 2),
+                    projective(params, x.r + 1, p),
+                    projective(params, x.r - 1, p),
+                )
+            if x.s == p - 1:
+                return FormalSum.of(
+                    projective(params, x.r, p - 2),
+                    projective(params, x.r, p),
+                    projective(params, x.r, p),
+                )
+            return FormalSum.of(
+                projective(params, x.r, x.s - 1), projective(params, x.r, x.s + 1)
+            )
+        raise UnsupportedFusion(f"M:1,2 fusion is not defined on {x}")
+
+    raise UnsupportedFusion(f"unsupported generator {g}")
 
 
 def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
@@ -190,3 +272,21 @@ def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> Forma
             + oracle_fuse_p(params, a, simple(params, b.r - 1, p - b.s))
         )
     raise UnsupportedFusion(f"oracle_fuse_p cannot fuse against {b}")
+
+
+def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
+    """``a x b`` for two ``M``/``P`` labels, by the recursion alone.
+
+    ``M x M`` goes to :func:`oracle_fuse_mm`; ``P x M`` and ``P x P`` go to
+    :func:`oracle_fuse_p`, and ``M x P`` to the same with the factors
+    swapped.  Any other kind raises :class:`UnsupportedFusion`.
+    """
+    if a.kind == SIMPLE and b.kind == SIMPLE:
+        return oracle_fuse_mm(params, a, b)
+    if a.kind == PROJECTIVE and b.kind in (SIMPLE, PROJECTIVE):
+        return oracle_fuse_p(params, a, b)
+    if a.kind == SIMPLE and b.kind == PROJECTIVE:
+        return oracle_fuse_p(params, b, a)
+    raise UnsupportedFusion(
+        f"the recursion oracle covers M/P labels only, got {a} x {b}"
+    )

@@ -81,7 +81,7 @@ def lowest_weight_of_simple(params: Params, r: int, s: int) -> Fraction:
     Equals ``h_{r,s}`` for ``r >= 1`` and ``h_{2-r,s}`` for ``r <= 0``; the
     two branches agree when ``s = p``.
     """
-    _check_module_label(params, r, s)
+    _check_s(params, s)
     if r >= 1:
         return weight(params, r, s)
     return weight(params, 2 - r, s)
@@ -133,7 +133,7 @@ def weight_coset_diff(params: Params, a: KacLabel, b: KacLabel) -> Fraction:
     return (weight(params, rb, sb) - weight(params, ra, sa)) % 1
 
 
-def _check_module_label(params: Params, r: int, s: int) -> None:
+def _check_s(params: Params, s: int) -> None:
+    """Reject a module label's ``s`` outside ``1..p`` (``r`` is unrestricted)."""
     if not 1 <= s <= params.p:
         raise ValueError(f"module label needs 1 <= s <= {params.p}, got s={s}")
-    del r  # r is unrestricted

@@ -2,13 +2,12 @@
 
 Each suite replays the defining identities of one layer of the package and
 returns ``(checks, failures)`` where ``failures`` is a list of human-readable
-messages (empty on success).  The suites are deterministic and pure, so they
-can be fanned out over label pairs and merged in any order.
+messages (empty on success).  The suites are deterministic and pure.
+:data:`SUITES` is the registry :func:`run_suite` dispatches through.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -68,38 +67,24 @@ def _projectives(params: Params, rwin: int) -> List[catalog.Indecomposable]:
     ]
 
 
-def fusion_suite(params: Params, rwin: int = 3, jobs: int = 1) -> Result:
+def fusion_suite(params: Params, rwin: int = 3) -> Result:
     """Oracle equivalence plus the ring identities on a label window."""
     rec = _Recorder()
     simples = _simples(params, rwin)
     projectives = _projectives(params, rwin)
-
-    def check_pair(pair) -> Tuple[bool, str]:
-        a, b = pair
-        if a.kind == catalog.SIMPLE and b.kind == catalog.SIMPLE:
-            closed = fusion_closed.fuse_mm(params, a, b)
-            oracle = fusion_oracle.oracle_fuse_mm(params, a, b)
-        elif a.kind == catalog.PROJECTIVE and b.kind == catalog.SIMPLE:
-            closed = fusion_closed.fuse_pm(params, a, b)
-            oracle = fusion_oracle.oracle_fuse_p(params, a, b)
-        else:
-            closed = fusion_closed.fuse_pp(params, a, b)
-            oracle = fusion_oracle.oracle_fuse_p(params, a, b)
-        ok = closed == oracle
-        return ok, f"oracle mismatch at {a} x {b}: closed {closed} vs oracle {oracle}"
 
     pairs = (
         [(a, b) for a in simples for b in simples]
         + [(a, b) for a in projectives for b in simples]
         + [(a, b) for a in projectives for b in projectives]
     )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(check_pair, pairs))
-    else:
-        outcomes = [check_pair(pair) for pair in pairs]
-    for ok, message in outcomes:
-        rec.check(ok, message)
+    for a, b in pairs:
+        closed = fusion_closed.fuse(params, a, b)
+        oracle = fusion_oracle.oracle_fuse(params, a, b)
+        rec.check(
+            closed == oracle,
+            f"oracle mismatch at {a} x {b}: closed {closed} vs oracle {oracle}",
+        )
 
     unit = catalog.simple(params, 1, 1)
     for x in simples + projectives:
@@ -183,11 +168,15 @@ def triplet_suite(params: Params, rwin: int = 3) -> Result:
     return rec.result()
 
 
-def bpz_suite(params: Params, n_terms: int = 200) -> Result:
+#: Series length of the Frobenius bases in :func:`bpz_suite`.
+N_TERMS = 200
+
+
+def bpz_suite(params: Params) -> Result:
     """Residual, connection, and rigidity checks for one value of p."""
     rec = _Recorder()
-    phi1, phi2 = bpz.phi_basis(params, n_terms)
-    psi1, psi2 = bpz.psi_basis(params, n_terms)
+    phi1, phi2 = bpz.phi_basis(params, N_TERMS)
+    psi1, psi2 = bpz.psi_basis(params, N_TERMS)
     grid_phi = [0.05 + 0.05 * i for i in range(12)]  # (0.05, 0.6)
     grid_psi = [0.40 + 0.05 * i for i in range(12)]  # (0.4, 0.95)
     for f, grid, name in (
@@ -202,10 +191,10 @@ def bpz_suite(params: Params, n_terms: int = 200) -> Result:
             rh = abs(bpz.hypergeometric_residual(params, f, x))
             rec.check(rh < 1e-8, f"{name} hypergeometric residual {rh:.3e} at x={x}")
     closed = bpz.connection_closed(params).as_array()
-    numeric = bpz.connection_numeric(params, n_terms)
+    numeric = bpz.connection_numeric(params, N_TERMS)
     diff = abs(numeric.as_array() - closed).max()
     rec.check(diff < 1e-8, f"connection numeric/closed gap {diff:.3e}")
-    backward = bpz.connection_numeric(params, n_terms, reverse=True)
+    backward = bpz.connection_numeric(params, N_TERMS, reverse=True)
     roundtrip = numeric.as_array() @ backward.as_array()
     gap = abs(roundtrip - [[1.0, 0.0], [0.0, 1.0]]).max()
     rec.check(gap < 1e-7, f"roundtrip identity gap {gap:.3e}")
@@ -335,37 +324,30 @@ def _mat_commutes(a, b) -> bool:
     return catalog._mul(a, b) == catalog._mul(b, a)
 
 
-SUITES: Dict[str, Callable[..., Result]] = {
+#: Every suite, called as ``SUITES[name](params, rwin)``.
+SUITES: Dict[str, Callable[[Params, int], Result]] = {
     "fusion": fusion_suite,
     "triplet": triplet_suite,
-    "bpz": bpz_suite,
+    "bpz": lambda params, rwin: bpz_suite(params),  # no label window
     "catalog": catalog_suite,
     "labels": labels_suite,
 }
 
 
-def run_suite(name: str, params: Params, rwin: int = 3, jobs: int = 1) -> Result:
+def run_suite(name: str, params: Params, rwin: int = 3) -> Result:
     """Run one named suite for one value of p."""
-    if name == "fusion":
-        return fusion_suite(params, rwin, jobs)
-    if name == "triplet":
-        return triplet_suite(params, rwin)
-    if name == "bpz":
-        return bpz_suite(params)
-    if name == "catalog":
-        return catalog_suite(params, rwin)
-    if name == "labels":
-        return labels_suite(params, rwin)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](params, rwin)
 
 
 def run_suites(
-    names: Sequence[str], p_values: Iterable[int], rwin: int = 3, jobs: int = 1
+    names: Sequence[str], p_values: Iterable[int], rwin: int = 3
 ) -> Dict[str, Dict[int, Result]]:
     """Run several suites over several values of p."""
     report: Dict[str, Dict[int, Result]] = {}
     for name in names:
         report[name] = {}
         for p in p_values:
-            report[name][p] = run_suite(name, Params(p), rwin=rwin, jobs=jobs)
+            report[name][p] = run_suite(name, Params(p), rwin=rwin)
     return report

@@ -142,14 +142,6 @@ def test_cli_rejects_bad_p(capsys):
     assert "p must be" in err
 
 
-def test_table_jobs_matches_serial(capsys):
-    _, serial, _ = run(capsys, "table", "--p", "3", "--rmin", "0", "--rmax", "1")
-    _, parallel, _ = run(
-        capsys, "table", "--p", "3", "--rmin", "0", "--rmax", "1", "--jobs", "4"
-    )
-    assert serial == parallel
-
-
 def test_verify_command(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "fusion", "--p", "2", "--rwin", "2"
@@ -161,12 +153,7 @@ def test_verify_command(capsys):
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setitem(
-        cli.verify.SUITES, "fusion", lambda params, rwin=3, jobs=1: (1, ["boom"])
-    )
-    monkeypatch.setattr(
-        cli.verify, "run_suite", lambda name, params, rwin=3, jobs=1: (1, ["boom"])
-    )
+    monkeypatch.setitem(cli.verify.SUITES, "fusion", lambda params, rwin: (1, ["boom"]))
     code, out, _ = run(capsys, "verify", "--suite", "fusion", "--p", "2")
     assert code == 3
     assert json.loads(out)["total_failures"] == 1

@@ -4,17 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlet_fusion.catalog import FormalSum, fock, jordan_fock, projective, simple
+from singlet_fusion.catalog import (
+    FormalSum,
+    Indecomposable,
+    fock,
+    jordan_fock,
+    projective,
+    simple,
+)
 from singlet_fusion.fusion_closed import (
     UnsupportedFusion,
     flatten,
     fuse,
-    fuse_generators,
     fuse_mm,
     fuse_pm,
     fuse_pp,
     grothendieck_product,
 )
+from singlet_fusion.fusion_oracle import fuse_generators
 from singlet_fusion.labels import Params
 
 P2 = Params(2)
@@ -206,6 +213,25 @@ def test_fuse_dispatch_rejections():
     # odd simple currents are the one legal Fock pairing, either side
     assert fuse(P3, fock(P3, 1, 1), simple(P3, 3, 1)) == FormalSum.of(fock(P3, 3, 1))
     assert fuse(P3, simple(P3, 3, 1), fock(P3, 1, 1)) == FormalSum.of(fock(P3, 3, 1))
+
+
+def test_closed_forms_reject_out_of_range_simples():
+    # raw labels skip the constructors' check; the closed forms must not
+    # answer for them (M:1,4 x M:1,1 used to give P:1,2, M:1,0 gave 0)
+    for bad in (Indecomposable("M", 1, 4), Indecomposable("M", 1, 0)):
+        with pytest.raises(ValueError, match="1 <= s <= 3"):
+            fuse(P3, bad, simple(P3, 1, 1))
+        with pytest.raises(ValueError, match="1 <= s <= 3"):
+            fuse(P3, simple(P3, 1, 1), bad)
+        with pytest.raises(ValueError, match="1 <= s <= 3"):
+            fuse(P3, projective(P3, 1, 1), bad)
+
+
+def test_fuse_names_an_unknown_kind():
+    bad = Indecomposable("Q", 1, 1)
+    for a, b in ((bad, simple(P3, 1, 1)), (projective(P3, 1, 1), bad)):
+        with pytest.raises(UnsupportedFusion, match="unknown label kind 'Q'"):
+            fuse(P3, a, b)
 
 
 # --- associativity and Grothendieck shadow ---------------------------------------------

@@ -1,13 +1,17 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlet_fusion import fusion_closed
-from singlet_fusion.catalog import FormalSum, projective, simple
+from singlet_fusion.catalog import FormalSum, fock, jordan_fock, projective, simple
 from singlet_fusion.fusion_closed import UnsupportedFusion
 from singlet_fusion.fusion_oracle import (
     NegativeMultiplicityError,
     ks_subtract,
+    oracle_fuse,
     oracle_fuse_mm,
     oracle_fuse_p,
     oracle_fuse_with_column,
@@ -72,8 +76,6 @@ def test_column_examples():
 def test_column_validates_inputs():
     with pytest.raises(ValueError):
         oracle_fuse_with_column(P2, FormalSum.of(simple(P2, 1, 1)), 3)
-    from singlet_fusion.catalog import fock
-
     with pytest.raises(UnsupportedFusion):
         oracle_fuse_with_column(P3, FormalSum.of(fock(P3, 1, 1)), 2)
 
@@ -109,6 +111,11 @@ def test_oracle_p_examples():
 def test_oracle_p_requires_projective():
     with pytest.raises(UnsupportedFusion):
         oracle_fuse_p(P3, simple(P3, 1, 1), simple(P3, 1, 1))
+    # the dispatcher covers M/P only, on either side
+    for bad in (fock(P3, 1, 1), jordan_fock(P3, 1, 2)):
+        for a, b in ((bad, simple(P3, 1, 1)), (projective(P3, 1, 1), bad)):
+            with pytest.raises(UnsupportedFusion, match="M/P labels only"):
+                oracle_fuse(P3, a, b)
 
 
 @given(params_st, st.data())
@@ -119,9 +126,12 @@ def test_oracle_equivalence_sampled(params, data):
     sb = data.draw(st.integers(min_value=1, max_value=params.p))
     a, b = simple(params, ra, sa), simple(params, rb, sb)
     assert oracle_fuse_mm(params, a, b) == fusion_closed.fuse_mm(params, a, b)
+    assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
     if sa <= params.p - 1:
         pa = projective(params, ra, sa)
         assert oracle_fuse_p(params, pa, b) == fusion_closed.fuse_pm(params, pa, b)
+        assert oracle_fuse(params, b, pa) == oracle_fuse(params, pa, b)
+        assert oracle_fuse(params, b, pa) == fusion_closed.fuse(params, b, pa)
         if sb <= params.p - 1:
             pb = projective(params, rb, sb)
             assert oracle_fuse_p(params, pa, pb) == fusion_closed.fuse_pp(
@@ -146,6 +156,41 @@ def test_oracle_never_touches_closed_forms(monkeypatch):
     got_mm = oracle_fuse_mm(P2, simple(P2, 1, 2), simple(P2, 1, 2))
     assert got_mm == FormalSum.of(projective(P2, 1, 1))
     oracle_mod._column.cache_clear()
+
+
+def _package_imports():
+    """Module -> names it imports, read with ``ast`` so nothing is executed.
+
+    Relative imports come back as ``singlet_fusion.<module>``.
+    """
+    package = Path(fusion_closed.__file__).parent
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    names.add(f"singlet_fusion.{node.module}")
+                else:
+                    names.update(f"singlet_fusion.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module)
+        graph[path.stem] = names
+    return graph
+
+
+def test_import_graph_keeps_the_routes_independent():
+    graph = _package_imports()
+    assert "singlet_fusion.fusion_closed" not in graph["fusion_oracle"]
+    assert "singlet_fusion.fusion_oracle" not in graph["fusion_closed"]
+    internal = {n for n in graph["fusion_oracle"] if n.startswith("singlet_fusion")}
+    assert internal == {"singlet_fusion.catalog", "singlet_fusion.labels"}
+    for module, names in graph.items():
+        assert not any(
+            n == "concurrent" or n.startswith("concurrent.") for n in names
+        ), module
 
 
 def test_concurrent_calls_match_serial_results():
