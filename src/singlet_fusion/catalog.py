@@ -15,16 +15,17 @@ FJ    Jordan Fock module F^{(n)}     s = p forced; n = 1 -> M(r, p)
 Two labels are equal exactly when their normal forms are equal, so the
 aliases ``P_{r,p} = F_{alpha_{r,p}} = M_{r,p}`` hold on the nose.  Always
 build labels through :func:`simple`, :func:`projective`, :func:`fock`,
-:func:`jordan_fock` (or :func:`normalize`); the raw dataclass constructor
-performs no normalization.
+:func:`jordan_fock` (or :func:`normalize`); calling :class:`Indecomposable`
+directly performs no normalization.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .labels import Params, _check_s, alpha_coordinate, weight
 
@@ -50,6 +51,7 @@ __all__ = [
     "virasoro_decomposition",
     "jordan_fock_matrices",
     "RationalMatrix",
+    "matmul",
 ]
 
 SIMPLE = "M"
@@ -66,8 +68,7 @@ class UnsupportedFusion(ValueError):
     """Raised for products the catalog does not define (e.g. ``F x F``)."""
 
 
-@dataclass(frozen=True, order=True)
-class Indecomposable:
+class Indecomposable(NamedTuple):
     """An indecomposable module label.  ``n`` is the Jordan size (FJ only)."""
 
     kind: str
@@ -150,8 +151,12 @@ class FormalSum:
 
     def __init__(self, terms: _TermsArg = ()) -> None:
         acc: Dict[object, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for label, mult in items:
+        # the exact-type test spares plain dicts the slow ABC check
+        if type(terms) is dict or isinstance(terms, Mapping):
+            terms = terms.items()
+        for label, mult in terms:
+            if type(mult) is not int:  # refuses bool and float too
+                raise TypeError(f"multiplicity {mult!r} of {label} is not an int")
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} for {label}")
             if mult:
@@ -167,6 +172,15 @@ class FormalSum:
     def of(cls, *labels: object) -> "FormalSum":
         """Sum of the given labels, each with multiplicity one (repeats add)."""
         return cls((lab, 1) for lab in labels)
+
+    @classmethod
+    def combine(cls, scaled: Iterable[Tuple[int, "FormalSum"]]) -> "FormalSum":
+        """``sum(k * x for k, x in scaled)``, accumulated in one dict."""
+        acc: Dict[object, int] = {}
+        for k, x in scaled:
+            for label, mult in x._key:
+                acc[label] = acc.get(label, 0) + k * mult
+        return cls(acc)
 
     @property
     def terms(self) -> Tuple[Tuple[object, int], ...]:
@@ -190,14 +204,14 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return FormalSum(list(self._key) + list(other._key))
+        return FormalSum(self._key + other._key)
 
     def __mul__(self, k: int) -> "FormalSum":
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("multiplicities must stay nonnegative")
-        return FormalSum((lab, k * mult) for lab, mult in self._key)
+        return FormalSum({lab: k * mult for lab, mult in self._key})
 
     __rmul__ = __mul__
 
@@ -250,10 +264,7 @@ class LoewyDiagram:
 
     def factors(self) -> FormalSum:
         """All composition factors, layers flattened together."""
-        acc = FormalSum.zero()
-        for layer in self.layers:
-            acc = acc + layer
-        return acc
+        return FormalSum.combine((1, layer) for layer in self.layers)
 
 
 def composition_factors(params: Params, x: Indecomposable) -> FormalSum:
@@ -397,8 +408,8 @@ def _add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     )
 
 
-def _mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    n = len(a)
+def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The exact matrix product ``a b`` of two rational matrices."""
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -443,9 +454,9 @@ def jordan_fock_matrices(
         )
         for i in range(n)
     )
-    l0 = _add(_scale(Fraction(1, 4 * p), _mul(a, a)), _scale(Fraction(-(p - 1), 2 * p), a))
+    l0 = _add(_scale(Fraction(1, 4 * p), matmul(a, a)), _scale(Fraction(-(p - 1), 2 * p), a))
     h0 = _identity(n)
     for j in range(2 * p - 1):
-        h0 = _mul(h0, _add(a, _scale(Fraction(-j), _identity(n))))
+        h0 = matmul(h0, _add(a, _scale(Fraction(-j), _identity(n))))
     h0 = _scale(Fraction(1, math.factorial(2 * p - 1)), h0)
     return a, l0, h0

@@ -199,19 +199,17 @@ def fuse(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
     Dispatches each term pair to the appropriate closed form.  Fock modules
     fuse only with odd simple currents; Jordan Fock labels never fuse.
     """
-    acc = FormalSum.zero()
-    for x, mx in _as_sum(a):
-        for y, my in _as_sum(b):
-            acc = acc + (mx * my) * _fuse_pair(params, x, y)
-    return acc
+    b = _as_sum(b)
+    return FormalSum.combine(
+        (mx * my, _fuse_pair(params, x, y)) for x, mx in _as_sum(a) for y, my in b
+    )
 
 
 def flatten(params: Params, a: _SumLike) -> FormalSum:
     """Composition factors of a formal sum, extended linearly."""
-    acc = FormalSum.zero()
-    for x, m in _as_sum(a):
-        acc = acc + m * composition_factors(params, x)
-    return acc
+    return FormalSum.combine(
+        (m, composition_factors(params, x)) for x, m in _as_sum(a)
+    )
 
 
 def grothendieck_product(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
@@ -222,8 +220,9 @@ def grothendieck_product(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
     this agrees with ``flatten(fuse(a, b))``, which is the consistency check
     the verification suite runs.
     """
-    acc = FormalSum.zero()
-    for x, mx in flatten(params, a):
-        for y, my in flatten(params, b):
-            acc = acc + (mx * my) * flatten(params, fuse_mm(params, x, y))
-    return acc
+    fa, fb = flatten(params, a), flatten(params, b)
+    return FormalSum.combine(
+        (mx * my, flatten(params, fuse_mm(params, x, y)))
+        for x, mx in fa
+        for y, my in fb
+    )

@@ -39,7 +39,7 @@ from .catalog import (
     FormalSum,
     Indecomposable,
     UnsupportedFusion,
-    fock,
+    normalize,
     projective,
     simple,
 )
@@ -108,20 +108,12 @@ def fuse_generators(
     if x.kind == JORDAN_FOCK:
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x})")
 
-    if g.s == 1 and g.r % 2 == 1:
-        shift = g.r - 1
-        if x.kind == SIMPLE:
-            return FormalSum.of(simple(params, x.r + shift, x.s))
-        if x.kind == PROJECTIVE:
-            return FormalSum.of(projective(params, x.r + shift, x.s))
-        if x.kind == FOCK:
-            return FormalSum.of(fock(params, x.r + shift, x.s))
+    if g.s == 1 and g.r % 2 == 1 and x.kind in (SIMPLE, PROJECTIVE, FOCK):
+        return FormalSum.of(normalize(params, x._replace(r=x.r + g.r - 1)))
 
     if (g.r, g.s) == (2, 1):
-        if x.kind == SIMPLE:
-            return FormalSum.of(simple(params, x.r + 1, x.s))
-        if x.kind == PROJECTIVE:
-            return FormalSum.of(projective(params, x.r + 1, x.s))
+        if x.kind in (SIMPLE, PROJECTIVE):
+            return FormalSum.of(normalize(params, x._replace(r=x.r + 1)))
         raise UnsupportedFusion(f"M:2,1 fusion is not defined on {x}")
 
     if (g.r, g.s) == (1, 2):
@@ -164,21 +156,15 @@ def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
     for label, mult in b:
         if a.multiplicity(label) < mult:
             raise NegativeMultiplicityError(KSLedger(a, b), label)
-    out = []
-    for label, mult in a:
-        rest = mult - b.multiplicity(label)
-        if rest:
-            out.append((label, rest))
-    return FormalSum(out)
+    return FormalSum({label: mult - b.multiplicity(label) for label, mult in a})
 
 
 def _m12_product(params: Params, x: FormalSum) -> FormalSum:
     """``M_{1,2} x X``, termwise through the generator rules only."""
     m12 = simple(params, 1, 2)
-    acc = FormalSum.zero()
-    for label, mult in x:
-        acc = acc + mult * fuse_generators(params, m12, label)
-    return acc
+    return FormalSum.combine(
+        (mult, fuse_generators(params, m12, label)) for label, mult in x
+    )
 
 
 @lru_cache(maxsize=None)
@@ -216,15 +202,7 @@ def _shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
     even shifts, one extra ``M_{2,1}`` for odd ones), which acts on labels
     exactly this way.
     """
-
-    def shifted(label: Indecomposable) -> Indecomposable:
-        if label.kind == SIMPLE:
-            return simple(params, label.r + delta, label.s)
-        if label.kind == PROJECTIVE:
-            return projective(params, label.r + delta, label.s)
-        return fock(params, label.r + delta, label.s)
-
-    return x.map_labels(shifted)
+    return x.map_labels(lambda lab: normalize(params, lab._replace(r=lab.r + delta)))
 
 
 def oracle_fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -260,6 +238,9 @@ def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> Forma
     if a.kind != PROJECTIVE:
         raise UnsupportedFusion(f"oracle_fuse_p expects a projective first factor, got {a}")
     p = params.p
+    for x in (a, b):
+        if x.kind == PROJECTIVE and not 1 <= x.s <= p - 1:  # P(r, p) is M(r, p)
+            raise UnsupportedFusion(f"oracle_fuse_p got an unnormalized projective {x}")
     if b.kind == SIMPLE:
         col = oracle_fuse_with_column(
             params, FormalSum.of(projective(params, a.r, a.s)), b.s

@@ -94,12 +94,13 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
         )
     for a in simples + projectives:
         for b in simples + projectives:
+            ab = fusion_closed.fuse(params, a, b)
             rec.check(
-                fusion_closed.fuse(params, a, b) == fusion_closed.fuse(params, b, a),
+                ab == fusion_closed.fuse(params, b, a),
                 f"commutativity failure at {a} x {b}",
             )
             rec.check(
-                fusion_closed.flatten(params, fusion_closed.fuse(params, a, b))
+                fusion_closed.flatten(params, ab)
                 == fusion_closed.grothendieck_product(params, a, b),
                 f"Grothendieck consistency failure at {a} x {b}",
             )
@@ -316,12 +317,12 @@ def _mat_is_nilpotent(m) -> bool:
     for _ in range(n):
         if _mat_is_zero(power):
             return True
-        power = catalog._mul(power, m)
+        power = catalog.matmul(power, m)
     return _mat_is_zero(power)
 
 
 def _mat_commutes(a, b) -> bool:
-    return catalog._mul(a, b) == catalog._mul(b, a)
+    return catalog.matmul(a, b) == catalog.matmul(b, a)
 
 
 #: Every suite, called as ``SUITES[name](params, rwin)``.

@@ -290,7 +290,7 @@ def test_criterion_09_jordan_fock_structure():
             for n in (2, 3):
                 a, l0, h0 = jordan_fock_matrices(params, r, n)
                 ident = catalog._identity(n)
-                if catalog._mul(l0, h0) != catalog._mul(h0, l0):
+                if catalog.matmul(l0, h0) != catalog.matmul(h0, l0):
                     ok = False
                     details.append(f"commutator p={p} r={r} n={n}")
                 if r != 1:
@@ -310,7 +310,7 @@ def test_criterion_09_jordan_fock_structure():
                 )
                 h = weight(params, 1, p)
                 if catalog._add(l0, catalog._scale(-h, ident)) != catalog._scale(
-                    Fraction(1, p), catalog._mul(nilp, nilp)
+                    Fraction(1, p), catalog.matmul(nilp, nilp)
                 ):
                     ok = False
                     details.append(f"L0-h=N^2/p p={p} n={n}")
@@ -328,7 +328,7 @@ def test_criterion_09_jordan_fock_corrected_dichotomy():
         for r in (-1, 0, 1, 2):
             for n in (2, 3):
                 _, l0, h0 = jordan_fock_matrices(params, r, n)
-                ok &= catalog._mul(l0, h0) == catalog._mul(h0, l0)
+                ok &= catalog.matmul(l0, h0) == catalog.matmul(h0, l0)
                 nil = catalog._add(
                     l0, catalog._scale(-l0[0][0], catalog._identity(n))
                 )
@@ -386,5 +386,5 @@ def _is_nilpotent(m):
     for _ in range(len(m)):
         if _is_zero(power):
             return True
-        power = catalog._mul(power, m)
+        power = catalog.matmul(power, m)
     return _is_zero(power)

@@ -21,7 +21,7 @@ from singlet_fusion.catalog import (
     simple,
     virasoro_decomposition,
 )
-from singlet_fusion.labels import Params
+from singlet_fusion.labels import Params, alpha_coordinate, weight
 
 P2 = Params(2)
 P3 = Params(3)
@@ -66,6 +66,52 @@ def test_label_validation():
 def test_label_string_forms():
     assert str(simple(P2, -1, 2)) == "M:-1,2"
     assert str(jordan_fock(P2, 1, 3)) == "FJ:1,2,3"
+    assert str(projective(P3, 0, 1)) == "P:0,1"
+    assert str(fock(P3, 2, 1)) == "F:2,1"
+    assert repr(simple(P2, -1, 2)) == "Indecomposable(kind='M', r=-1, s=2, n=1)"
+    assert repr(projective(P3, 0, 1)) == "Indecomposable(kind='P', r=0, s=1, n=1)"
+    assert repr(fock(P3, 2, 1)) == "Indecomposable(kind='F', r=2, s=1, n=1)"
+    assert repr(jordan_fock(P2, 1, 3)) == "Indecomposable(kind='FJ', r=1, s=2, n=3)"
+
+
+def test_label_sort_order():
+    # kind first (F < FJ < M < P), then r, s, n
+    labels = [
+        projective(P3, 0, 1),
+        simple(P3, 1, 1),
+        simple(P3, 0, 2),
+        jordan_fock(P3, -1, 3),
+        jordan_fock(P3, -1, 2),
+        fock(P3, 2, 1),
+        fock(P3, -2, 2),
+        simple(P3, 0, 1),
+    ]
+    assert [str(x) for x in sorted(labels)] == [
+        "F:-2,2",
+        "F:2,1",
+        "FJ:-1,3,2",
+        "FJ:-1,3,3",
+        "M:0,1",
+        "M:0,2",
+        "M:1,1",
+        "P:0,1",
+    ]
+    assert [lab for lab, _ in FormalSum.of(*labels).terms] == sorted(labels)
+
+
+def test_label_aliases_are_equal_and_hash_equal():
+    m = simple(P3, 2, 3)
+    for alias in (projective(P3, 2, 3), fock(P3, 2, 3), jordan_fock(P3, 2, 1)):
+        assert alias == m and hash(alias) == hash(m)
+    assert len({m, projective(P3, 2, 3), fock(P3, 2, 3)}) == 1
+    assert projective(P3, 2, 2) != simple(P3, 2, 2)
+
+
+def test_labels_are_immutable():
+    x = simple(P3, 1, 2)
+    with pytest.raises(AttributeError):
+        x.r = 5
+    assert x == simple(P3, 1, 2)
 
 
 # --- formal sums --------------------------------------------------------------
@@ -81,6 +127,23 @@ def test_formal_sum_basics():
     assert not FormalSum.zero()
     assert str(FormalSum.zero()) == "0"
     assert str(s) == "M:0,1 + 2*M:1,1"
+
+
+def test_formal_sum_from_dict_equals_from_pairs():
+    a, b = simple(P3, 1, 1), projective(P3, 0, 2)
+    from_dict = FormalSum({a: 2, b: 1, simple(P3, 0, 1): 0})
+    from_pairs = FormalSum([(b, 1), (a, 1), (a, 1)])
+    assert from_dict == from_pairs and hash(from_dict) == hash(from_pairs)
+    assert from_dict.terms == ((a, 2), (b, 1))
+
+
+def test_formal_sum_rejects_non_integer_multiplicities():
+    a = simple(P3, 1, 1)
+    for bad in (1.5, 2.0, True, Fraction(1)):
+        with pytest.raises(TypeError):
+            FormalSum([(a, bad)])
+        with pytest.raises(TypeError):
+            FormalSum({a: bad})
 
 
 def test_formal_sum_rejects_negative():
@@ -228,7 +291,7 @@ def _is_nilpotent(m):
     for _ in range(len(m)):
         if _is_zero(power):
             return True
-        power = catalog._mul(power, m)
+        power = catalog.matmul(power, m)
     return _is_zero(power)
 
 
@@ -255,8 +318,8 @@ def test_jordan_matrices_need_n_at_least_2():
 @pytest.mark.parametrize("n", [2, 3])
 def test_jordan_matrices_structure(p, r, n):
     params = Params(p)
-    _, l0, h0 = jordan_fock_matrices(params, r, n)
-    assert catalog._mul(l0, h0) == catalog._mul(h0, l0)
+    a, l0, h0 = jordan_fock_matrices(params, r, n)
+    assert catalog.matmul(l0, h0) == catalog.matmul(h0, l0)
     if r != 1:
         # the Jordan block survives in L0: a full-rank nilpotent part
         assert not _is_scalar(l0)
@@ -264,13 +327,18 @@ def test_jordan_matrices_structure(p, r, n):
         assert all(off[i][i + 1] != 0 for i in range(n - 1))
     else:
         assert _is_nilpotent(h0) and not _is_zero(h0)
-        if n == 2:
-            assert _is_scalar(l0)
-        else:
-            # at the critical point the linear term vanishes but the
-            # quadratic one does not: L0 - h*(Id) = N^2/p for r = 1, so the
-            # action stops being scalar as soon as n >= 3
-            assert not _is_scalar(l0)
+        # at the critical point k = alpha_{1,p} the linear term vanishes but
+        # the quadratic one does not: exactly L0 - h_{1,p} Id = N^2/p with
+        # N = (A - k Id)/2, so the action stops being scalar once n >= 3
+        ident = catalog._identity(n)
+        k = alpha_coordinate(params, 1, p)
+        nilp = catalog._scale(
+            Fraction(1, 2), catalog._add(a, catalog._scale(Fraction(-k), ident))
+        )
+        assert catalog._add(l0, catalog._scale(-weight(params, 1, p), ident)) == (
+            catalog._scale(Fraction(1, p), catalog.matmul(nilp, nilp))
+        )
+        assert _is_scalar(l0) == (n == 2)
 
 
 def test_jordan_scalar_part_is_the_module_weight():

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlet_fusion import fusion_closed
-from singlet_fusion.catalog import FormalSum, fock, jordan_fock, projective, simple
+from singlet_fusion.catalog import (
+    PROJECTIVE,
+    FormalSum,
+    Indecomposable,
+    fock,
+    jordan_fock,
+    projective,
+    simple,
+)
 from singlet_fusion.fusion_closed import UnsupportedFusion
 from singlet_fusion.fusion_oracle import (
     NegativeMultiplicityError,
@@ -33,6 +41,7 @@ def test_ks_subtract_examples():
     b = FormalSum.of(simple(P3, 1, 3))
     assert ks_subtract(a, b) == FormalSum.of(simple(P3, 1, 1), simple(P3, 1, 3))
     assert ks_subtract(a, a) == FormalSum.zero()
+    assert not ks_subtract(a, a)
 
 
 def test_ks_subtract_raises_and_reports():
@@ -118,6 +127,25 @@ def test_oracle_p_requires_projective():
                 oracle_fuse(P3, a, b)
 
 
+def test_oracle_rejects_unnormalized_projectives():
+    # P(r, p) is stored as M(r, p), so a raw P label at s = p (or s = 0) was
+    # built around the constructors; both routes refuse it rather than
+    # answer for an alias
+    unit = simple(P3, 1, 1)
+    for raw in (Indecomposable(PROJECTIVE, 1, 3), Indecomposable(PROJECTIVE, 1, 0)):
+        for a, b in (
+            (raw, unit),
+            (unit, raw),
+            (projective(P3, 1, 1), raw),
+            (raw, projective(P3, 1, 1)),
+        ):
+            for route in (fusion_closed.fuse, oracle_fuse):
+                with pytest.raises(UnsupportedFusion, match="unnormalized projective"):
+                    route(P3, a, b)
+        with pytest.raises(UnsupportedFusion, match="unnormalized projective"):
+            oracle_fuse_p(P3, raw, unit)
+
+
 @given(params_st, st.data())
 @settings(max_examples=120)
 def test_oracle_equivalence_sampled(params, data):
@@ -181,8 +209,38 @@ def _package_imports():
     return graph
 
 
+def _private_reads():
+    """Module -> ``alias._name`` reads of another package module's private names.
+
+    Package modules are those bound by ``from . import x`` or
+    ``from singlet_fusion import x``; dunder names are not private.
+    """
+    package = Path(fusion_closed.__file__).parent
+    reads = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level and not node.module or node.module == "singlet_fusion")
+            for alias in node.names
+        }
+        reads[path.stem] = {
+            f"{node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        }
+    return reads
+
+
 def test_import_graph_keeps_the_routes_independent():
     graph = _package_imports()
+    assert {m: names for m, names in _private_reads().items() if names} == {}
     assert "singlet_fusion.fusion_closed" not in graph["fusion_oracle"]
     assert "singlet_fusion.fusion_oracle" not in graph["fusion_closed"]
     internal = {n for n in graph["fusion_oracle"] if n.startswith("singlet_fusion")}
