@@ -128,6 +128,13 @@ def normalize(params: Params, x: Indecomposable) -> Indecomposable:
     raise ValueError(f"unknown label kind {x.kind!r}")
 
 
+def _check_normal_form(params: Params, x: Indecomposable, what: str) -> None:
+    """Reject a ``P``/``F`` label built around the constructors (``s`` outside ``1..p-1``)."""
+    if x.kind in (PROJECTIVE, FOCK) and not 1 <= x.s <= params.p - 1:
+        name = "projective" if x.kind == PROJECTIVE else "Fock module"
+        raise UnsupportedFusion(f"{what} got an unnormalized {name} {x}")
+
+
 # ---------------------------------------------------------------------------
 # Formal sums
 # ---------------------------------------------------------------------------

@@ -203,6 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise LabelSyntaxError(f"cannot parse p list {args.p!r}")
     if not p_values:
         raise LabelSyntaxError("empty p list")
+    if args.rwin < 0:
+        raise LabelSyntaxError(f"--rwin must be >= 0, got {args.rwin}")
     report = verify.run_suites(names, p_values, rwin=args.rwin)
     suites_doc = {}
     total_checks = total_failures = 0

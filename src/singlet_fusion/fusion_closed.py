@@ -24,6 +24,7 @@ from .catalog import (
     FormalSum,
     Indecomposable,
     UnsupportedFusion,
+    _check_normal_form,
     composition_factors,
     fock,
     projective,
@@ -42,22 +43,11 @@ __all__ = [
 ]
 
 
-def _require(x: Indecomposable, kind: str, what: str) -> None:
+def _require(params: Params, x: Indecomposable, kind: str, what: str) -> None:
     if x.kind != kind:
         raise UnsupportedFusion(f"{what} expected a {kind} label, got {x}")
-
-
-def _require_simple(params: Params, x: Indecomposable, what: str) -> None:
-    _require(x, SIMPLE, what)
+    _check_normal_form(params, x, what)  # first, so P(r, p) is named an alias
     _check_s(params, x.s)
-
-
-def _require_proj(params: Params, x: Indecomposable, what: str) -> None:
-    _require(x, PROJECTIVE, what)
-    if not 1 <= x.s <= params.p - 1:
-        # P(r, p) aliases M(r, p); a stored P label outside 1..p-1 was
-        # built around the normalizing constructors
-        raise UnsupportedFusion(f"{what} got an unnormalized projective {x}")
 
 
 def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -67,8 +57,8 @@ def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     projective part: ``P_{r+r'-1, l}`` for ``l = 2p+1-s-s' .. p``; both with
     ``l + s + s'`` odd.
     """
-    _require_simple(params, a, "fuse_mm")
-    _require_simple(params, b, "fuse_mm")
+    _require(params, a, SIMPLE, "fuse_mm")
+    _require(params, b, SIMPLE, "fuse_mm")
     p = params.p
     r = a.r + b.r - 1
     s, t = a.s, b.s
@@ -91,8 +81,8 @@ def fuse_pm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p+s-s'+1 .. p`` with
     ``l+p+s+s'`` odd.
     """
-    _require_proj(params, a, "fuse_pm")
-    _require_simple(params, b, "fuse_pm")
+    _require(params, a, PROJECTIVE, "fuse_pm")
+    _require(params, b, SIMPLE, "fuse_pm")
     p = params.p
     r = a.r + b.r - 1
     s, t = a.s, b.s
@@ -124,8 +114,8 @@ def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
 
     Symmetric under swapping the two factors.
     """
-    _require_proj(params, a, "fuse_pp")
-    _require_proj(params, b, "fuse_pp")
+    _require(params, a, PROJECTIVE, "fuse_pp")
+    _require(params, b, PROJECTIVE, "fuse_pp")
     p = params.p
     rr = a.r + b.r
     s, t = a.s, b.s
@@ -183,6 +173,8 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
             raise UnsupportedFusion(f"unknown label kind {k!r} in {x} x {y}")
     if JORDAN_FOCK in (kx, ky):
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
+    _check_normal_form(params, x, "fuse")
+    _check_normal_form(params, y, "fuse")
     # exactly one side is a Fock module: the odd simple current M(2n+1, 1)
     # shifts its r by 2n
     g, f = (y, x) if kx == FOCK else (x, y)

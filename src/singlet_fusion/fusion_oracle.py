@@ -22,14 +22,20 @@ to these routes.  This module imports only :mod:`.catalog` and
 :mod:`.labels`: the closed forms in :mod:`.fusion_closed` are never
 consulted, so agreement between the two routes is a genuine cross-check.
 
-All functions are pure; the internal memo table only caches results of
-pure calls, so concurrent use returns the same values as sequential use.
+Every route works at ``r = 1`` and shifts ``r`` once at the end through
+the simple currents.  The recursion is one loop that keeps only the last
+two columns, so it has no depth limit.  Its results are memoized in
+``_column`` by ``(params, kind, s, s_target)``, where ``kind_{1,s}`` is the
+left factor: at most ``(2p-1) p`` entries for each ``p``, whatever ``r``
+the callers use.  All functions are pure, so concurrent use returns the
+same values as sequential use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Dict, Tuple
 
 from .catalog import (
     FOCK,
@@ -39,11 +45,12 @@ from .catalog import (
     FormalSum,
     Indecomposable,
     UnsupportedFusion,
+    _check_normal_form,
     normalize,
     projective,
     simple,
 )
-from .labels import Params
+from .labels import Params, _check_s
 
 __all__ = [
     "KSLedger",
@@ -82,6 +89,25 @@ class NegativeMultiplicityError(ArithmeticError):
         )
 
 
+def _m12_terms(params: Params, x: Indecomposable) -> Tuple[Indecomposable, ...]:
+    """Summands of ``M_{1,2} x x``, repeats included (rules in :func:`fuse_generators`)."""
+    p, r, s = params.p, x.r, x.s
+    if x.kind == SIMPLE:
+        if s == p:
+            return (projective(params, r, p - 1),)
+        if s == 1:
+            return (simple(params, r, 2),)
+        return (simple(params, r, s - 1), simple(params, r, s + 1))
+    if x.kind == PROJECTIVE:  # normalized: 1 <= s <= p-1
+        # P_{r,s-1} + P_{r,s+1}, where P_{r,0} reads M_{r+1,p} + M_{r-1,p}
+        # and P_{r,p} reads 2 M_{r,p}
+        upper = (projective(params, r, s + 1),) if s < p - 1 else (simple(params, r, p),) * 2
+        if s > 1:
+            return (projective(params, r, s - 1),) + upper
+        return (simple(params, r + 1, p), simple(params, r - 1, p)) + upper
+    raise UnsupportedFusion(f"M:1,2 fusion is not defined on {x}")
+
+
 def fuse_generators(
     params: Params, g: Indecomposable, x: Indecomposable
 ) -> FormalSum:
@@ -100,55 +126,23 @@ def fuse_generators(
       ``P_{r,p-2} + 2 M_{r,p}`` (s = p-1); for p = 2:
       ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.
 
-    Anything else raises :class:`UnsupportedFusion`.
+    An unnormalized ``P``/``F`` label (``s`` outside ``1..p-1``) and anything
+    else not listed raise :class:`UnsupportedFusion`.
     """
-    p = params.p
     if g.kind != SIMPLE:
         raise UnsupportedFusion(f"unsupported generator {g}")
     if x.kind == JORDAN_FOCK:
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x})")
-
-    if g.s == 1 and g.r % 2 == 1 and x.kind in (SIMPLE, PROJECTIVE, FOCK):
-        return FormalSum.of(normalize(params, x._replace(r=x.r + g.r - 1)))
-
-    if (g.r, g.s) == (2, 1):
-        if x.kind in (SIMPLE, PROJECTIVE):
-            return FormalSum.of(normalize(params, x._replace(r=x.r + 1)))
-        raise UnsupportedFusion(f"M:2,1 fusion is not defined on {x}")
+    _check_normal_form(params, x, "fuse_generators")
 
     if (g.r, g.s) == (1, 2):
-        if x.kind == SIMPLE:
-            if x.s == p:
-                return FormalSum.of(projective(params, x.r, p - 1))
-            if x.s == 1:
-                return FormalSum.of(simple(params, x.r, 2))
-            return FormalSum.of(simple(params, x.r, x.s - 1), simple(params, x.r, x.s + 1))
-        if x.kind == PROJECTIVE:  # stored projectives always have s <= p-1
-            if p == 2:
-                return FormalSum.of(
-                    projective(params, x.r + 1, 2),
-                    projective(params, x.r, 2),
-                    projective(params, x.r, 2),
-                    projective(params, x.r - 1, 2),
-                )
-            if x.s == 1:
-                return FormalSum.of(
-                    projective(params, x.r, 2),
-                    projective(params, x.r + 1, p),
-                    projective(params, x.r - 1, p),
-                )
-            if x.s == p - 1:
-                return FormalSum.of(
-                    projective(params, x.r, p - 2),
-                    projective(params, x.r, p),
-                    projective(params, x.r, p),
-                )
-            return FormalSum.of(
-                projective(params, x.r, x.s - 1), projective(params, x.r, x.s + 1)
-            )
-        raise UnsupportedFusion(f"M:1,2 fusion is not defined on {x}")
-
-    raise UnsupportedFusion(f"unsupported generator {g}")
+        return FormalSum.of(*_m12_terms(params, x))
+    if g.s != 1 or (g.r % 2 == 0 and g.r != 2):
+        raise UnsupportedFusion(f"unsupported generator {g}")
+    # the simple currents M_{r_g,1} shift r by r_g - 1
+    if x.kind not in (SIMPLE, PROJECTIVE, FOCK) or (x.kind == FOCK and g.r == 2):
+        raise UnsupportedFusion(f"{g} fusion is not defined on {x}")
+    return FormalSum.of(normalize(params, x._replace(r=x.r + g.r - 1)))
 
 
 def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
@@ -159,40 +153,20 @@ def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
     return FormalSum({label: mult - b.multiplicity(label) for label, mult in a})
 
 
-def _m12_product(params: Params, x: FormalSum) -> FormalSum:
-    """``M_{1,2} x X``, termwise through the generator rules only."""
-    m12 = simple(params, 1, 2)
-    return FormalSum.combine(
-        (mult, fuse_generators(params, m12, label)) for label, mult in x
-    )
-
-
 @lru_cache(maxsize=None)
-def _column(params: Params, x: FormalSum, s_target: int) -> FormalSum:
-    if s_target == 1:
-        return x
-    if s_target == 2:
-        return _m12_product(params, x)
-    prev2 = _column(params, x, s_target - 2)
-    prev1 = _column(params, x, s_target - 1)
-    return ks_subtract(_m12_product(params, prev1), prev2)
+def _column(params: Params, kind: str, s: int, s_target: int) -> FormalSum:
+    """``X x M_{1,s_target}`` for ``X = kind_{1,s}``, one column per step.
 
-
-def oracle_fuse_with_column(params: Params, x: FormalSum, s_target: int) -> FormalSum:
-    """``X x M_{1,s_target}`` via the column recursion.
-
-    ``X`` may contain simples and projectives (the kinds the ``M_{1,2}``
-    generator rules accept).  Base cases are ``X x M_{1,1} = X`` and the
-    generator product for ``M_{1,2}``; higher columns come from the
-    recursion plus Krull-Schmidt cancellation.  No closed-form product
-    formula is ever used.
+    Starts from ``X x M_{1,0} = 0`` and ``X x M_{1,1} = X``; callers check the labels.
     """
-    if not 1 <= s_target <= params.p:
-        raise ValueError(f"column index must satisfy 1 <= s <= {params.p}")
-    for label, _ in x:
-        if label.kind not in (SIMPLE, PROJECTIVE):
-            raise UnsupportedFusion(f"column recursion accepts M/P terms only, got {label}")
-    return _column(params, x, s_target)
+    prev, col = FormalSum(), FormalSum.of(Indecomposable(kind, 1, s))
+    for _ in range(1, s_target):
+        acc: Dict[Indecomposable, int] = {}
+        for label, mult in col:
+            for term in _m12_terms(params, label):
+                acc[term] = acc.get(term, 0) + mult
+        prev, col = col, ks_subtract(FormalSum(acc), prev)
+    return col
 
 
 def _shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
@@ -205,6 +179,28 @@ def _shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
     return x.map_labels(lambda lab: normalize(params, lab._replace(r=lab.r + delta)))
 
 
+def oracle_fuse_with_column(params: Params, x: FormalSum, s_target: int) -> FormalSum:
+    """``X x M_{1,s_target}`` via the column recursion.
+
+    ``X`` may contain simples and projectives (the kinds the ``M_{1,2}``
+    generator rules accept).  Each term ``kind_{r,s}`` reads the ``r = 1``
+    column of ``kind_{1,s}`` and shifts it by ``r - 1``; the base cases are
+    ``X x M_{1,1} = X`` and the generator product for ``M_{1,2}``.  No
+    closed-form product formula is ever used.
+    """
+    if not 1 <= s_target <= params.p:
+        raise ValueError(f"column index must satisfy 1 <= s <= {params.p}")
+    for label, _ in x:
+        if label.kind not in (SIMPLE, PROJECTIVE):
+            raise UnsupportedFusion(f"column recursion accepts M/P terms only, got {label}")
+        _check_normal_form(params, label, "oracle_fuse_with_column")
+        _check_s(params, label.s)
+    return FormalSum.combine(
+        (mult, _shift_r(params, _column(params, lab.kind, lab.s, s_target), lab.r - 1))
+        for lab, mult in x
+    )
+
+
 def oracle_fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """``M_{r,s} x M_{r',s'}`` from generator rules and the column recursion.
 
@@ -213,10 +209,9 @@ def oracle_fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> Form
     """
     if a.kind != SIMPLE or b.kind != SIMPLE:
         raise UnsupportedFusion("oracle_fuse_mm takes two simple labels")
-    col = oracle_fuse_with_column(
-        params, FormalSum.of(simple(params, 1, a.s)), b.s
-    )
-    return _shift_r(params, col, (a.r - 1) + (b.r - 1))
+    _check_s(params, a.s)
+    _check_s(params, b.s)
+    return _shift_r(params, _column(params, SIMPLE, a.s, b.s), (a.r - 1) + (b.r - 1))
 
 
 def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -225,7 +220,7 @@ def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> Forma
     For ``b`` simple, commutativity puts the simple in the column slot and
     the recursion does the rest:
 
-        ``P_{r,s} x M_{r',s'} = shift_{r'-1}(P_{r,s} x M_{1,s'})``.
+        ``P_{r,s} x M_{r',s'} = shift_{(r-1)+(r'-1)}(P_{1,s} x M_{1,s'})``.
 
     For ``b`` projective the split reduction decomposes the *second* factor
     against the projective first one (tensoring with a projective splits
@@ -233,26 +228,24 @@ def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> Forma
 
         ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``,
 
-    landing in the simple case.
+    landing in the simple case: two ``r = 1`` columns, ``s'`` and ``p-s'``.
     """
     if a.kind != PROJECTIVE:
         raise UnsupportedFusion(f"oracle_fuse_p expects a projective first factor, got {a}")
-    p = params.p
     for x in (a, b):
-        if x.kind == PROJECTIVE and not 1 <= x.s <= p - 1:  # P(r, p) is M(r, p)
-            raise UnsupportedFusion(f"oracle_fuse_p got an unnormalized projective {x}")
+        _check_normal_form(params, x, "oracle_fuse_p")
     if b.kind == SIMPLE:
-        col = oracle_fuse_with_column(
-            params, FormalSum.of(projective(params, a.r, a.s)), b.s
+        _check_s(params, b.s)
+        col = _column(params, PROJECTIVE, a.s, b.s)
+    elif b.kind == PROJECTIVE:
+        split = _column(params, PROJECTIVE, a.s, params.p - b.s)
+        col = FormalSum.combine(
+            [(2, _column(params, PROJECTIVE, a.s, b.s))]
+            + [(1, _shift_r(params, split, delta)) for delta in (1, -1)]
         )
-        return _shift_r(params, col, b.r - 1)
-    if b.kind == PROJECTIVE:
-        return (
-            2 * oracle_fuse_p(params, a, simple(params, b.r, b.s))
-            + oracle_fuse_p(params, a, simple(params, b.r + 1, p - b.s))
-            + oracle_fuse_p(params, a, simple(params, b.r - 1, p - b.s))
-        )
-    raise UnsupportedFusion(f"oracle_fuse_p cannot fuse against {b}")
+    else:
+        raise UnsupportedFusion(f"oracle_fuse_p cannot fuse against {b}")
+    return _shift_r(params, col, (a.r - 1) + (b.r - 1))
 
 
 def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:

@@ -165,6 +165,13 @@ def test_verify_bad_p_list(capsys):
     assert "p list" in err
 
 
+def test_verify_rejects_negative_rwin(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "fusion", "--p", "3", "--rwin", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--rwin" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(

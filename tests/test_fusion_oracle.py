@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlet_fusion import fusion_closed
+from singlet_fusion import cli, fusion_closed
+from singlet_fusion import fusion_oracle as oracle_mod
 from singlet_fusion.catalog import (
+    FOCK,
     PROJECTIVE,
+    SIMPLE,
     FormalSum,
     Indecomposable,
     fock,
@@ -18,6 +21,7 @@ from singlet_fusion.catalog import (
 from singlet_fusion.fusion_closed import UnsupportedFusion
 from singlet_fusion.fusion_oracle import (
     NegativeMultiplicityError,
+    fuse_generators,
     ks_subtract,
     oracle_fuse,
     oracle_fuse_mm,
@@ -144,6 +148,58 @@ def test_oracle_rejects_unnormalized_projectives():
                     route(P3, a, b)
         with pytest.raises(UnsupportedFusion, match="unnormalized projective"):
             oracle_fuse_p(P3, raw, unit)
+
+
+def test_generators_and_fock_fusion_reject_unnormalized_labels():
+    # F(r, p) and P(r, p) are stored as M(r, p); a raw F/P label at s = p
+    # (or s = 0) is refused by the Fock branch of fuse and by every
+    # generator rule instead of answering for the alias
+    odd_current, current, m12 = simple(P3, 3, 1), simple(P3, 2, 1), simple(P3, 1, 2)
+    for s in (0, 3):
+        raw_f, raw_p = Indecomposable(FOCK, 1, s), Indecomposable(PROJECTIVE, 1, s)
+        for a, b in ((raw_f, odd_current), (odd_current, raw_f), (raw_p, fock(P3, 1, 1))):
+            with pytest.raises(UnsupportedFusion, match="unnormalized"):
+                fusion_closed.fuse(P3, a, b)
+        for g, x in ((odd_current, raw_f), (odd_current, raw_p), (current, raw_p), (m12, raw_p)):
+            with pytest.raises(UnsupportedFusion, match="unnormalized"):
+                fuse_generators(P3, g, x)
+
+
+def test_oracle_rejects_out_of_range_simples():
+    # the column loop must never see a raw s = 0 or s = p + 1: s = 0 would
+    # run no step and return the left factor unchanged
+    unit, proj = simple(P3, 1, 1), projective(P3, 1, 1)
+    for s in (0, P3.p + 1):
+        raw = Indecomposable(SIMPLE, 1, s)
+        for a, b in ((raw, unit), (unit, raw)):
+            for route in (oracle_fuse_mm, oracle_fuse):
+                with pytest.raises(ValueError):
+                    route(P3, a, b)
+        for a, b in ((proj, raw), (raw, proj)):
+            for route in (oracle_fuse_p, oracle_fuse):
+                with pytest.raises(ValueError):
+                    route(P3, a, b)
+
+
+def test_oracle_mm_at_p1200(capsys):
+    # the column loop has no recursion depth; the recursive memo raised
+    # RecursionError here
+    argv = ["fuse", "--p", "1200", "M:1,1200", "M:1,1200", "--engine", "both"]
+    assert cli.main(argv) == 0
+    assert '"match": true' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("left, right", [(simple, simple), (projective, simple), (projective, projective)])
+def test_column_memo_does_not_grow_with_r(left, right):
+    params = Params(5)
+    oracle_mod._column.cache_clear()
+    b = right(params, 1, 3)
+    oracle_fuse(params, left(params, 1, 2), b)
+    size = oracle_mod._column.cache_info().currsize
+    for r in range(-50, 50):
+        a = left(params, r, 2)
+        assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
+    assert oracle_mod._column.cache_info().currsize == size
 
 
 @given(params_st, st.data())
