@@ -50,7 +50,6 @@ from .fusion_oracle import (
     oracle_fuse,
     oracle_fuse_mm,
     oracle_fuse_p,
-    oracle_fuse_with_column,
 )
 from .labels import (
     Params,
@@ -99,7 +98,6 @@ __all__ = [
     "oracle_fuse",
     "oracle_fuse_mm",
     "oracle_fuse_p",
-    "oracle_fuse_with_column",
     "induce",
     "induce_sum",
     "derived_triplet_fuse",

@@ -44,6 +44,7 @@ __all__ = [
     "fock",
     "jordan_fock",
     "normalize",
+    "shift_r",
     "composition_factors",
     "loewy",
     "loewy_maximal_submodule",
@@ -129,8 +130,15 @@ def normalize(params: Params, x: Indecomposable) -> Indecomposable:
 
 
 def _check_normal_form(params: Params, x: Indecomposable, what: str) -> None:
-    """Reject a ``P``/``F`` label built around the constructors (``s`` outside ``1..p-1``)."""
-    if x.kind in (PROJECTIVE, FOCK) and not 1 <= x.s <= params.p - 1:
+    """Reject a label built around the constructors.
+
+    An ``M`` label with ``s`` outside ``1..p`` raises :class:`ValueError`; a
+    ``P``/``F`` label with ``s`` outside ``1..p-1`` raises
+    :class:`UnsupportedFusion`, naming it unnormalized.
+    """
+    if x.kind == SIMPLE:
+        _check_s(params, x.s)
+    elif x.kind in (PROJECTIVE, FOCK) and not 1 <= x.s <= params.p - 1:
         name = "projective" if x.kind == PROJECTIVE else "Fock module"
         raise UnsupportedFusion(f"{what} got an unnormalized {name} {x}")
 
@@ -201,9 +209,6 @@ class FormalSum:
         """Total multiplicity (number of indecomposable summands)."""
         return sum(self._terms.values())
 
-    def labels(self) -> Tuple[object, ...]:
-        return tuple(lab for lab, _ in self._key)
-
     def map_labels(self, fn: Callable[[object], object]) -> "FormalSum":
         """Relabel every term through ``fn`` (multiplicities accumulate)."""
         return FormalSum((fn(lab), mult) for lab, mult in self._key)
@@ -249,6 +254,16 @@ class FormalSum:
 
     def __repr__(self) -> str:
         return f"FormalSum({self._key!r})"
+
+
+def shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
+    """Relabel ``r -> r + delta`` on every term of ``x``, in normal form.
+
+    This is fusion with the invertible simple currents (``M_{2n+1,1}`` for
+    even shifts, one extra ``M_{2,1}`` for odd ones), which acts on labels
+    exactly this way.
+    """
+    return x.map_labels(lambda lab: normalize(params, lab._replace(r=lab.r + delta)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ the two routes independent.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Union
 
 from .catalog import (
     FOCK,
@@ -26,11 +26,11 @@ from .catalog import (
     UnsupportedFusion,
     _check_normal_form,
     composition_factors,
-    fock,
     projective,
+    shift_r,
     simple,
 )
-from .labels import Params, _check_s
+from .labels import Params
 
 __all__ = [
     "UnsupportedFusion",
@@ -46,8 +46,7 @@ __all__ = [
 def _require(params: Params, x: Indecomposable, kind: str, what: str) -> None:
     if x.kind != kind:
         raise UnsupportedFusion(f"{what} expected a {kind} label, got {x}")
-    _check_normal_form(params, x, what)  # first, so P(r, p) is named an alias
-    _check_s(params, x.s)
+    _check_normal_form(params, x, what)
 
 
 def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -72,6 +71,23 @@ def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     return FormalSum.of(*out)
 
 
+def _pm_windows(params: Params, rr: int, s: int, t: int) -> List[Indecomposable]:
+    """Summands of ``P_{r,s} x M_{r',s'}`` (``rr = r + r'``, ``t = s'``), repeats included."""
+    p = params.p
+    out = []
+    for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, rr - 1, ell))
+    for ell in range(2 * p + 1 - s - t, p + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, rr - 1, ell))
+    for ell in range(p + s - t + 1, p + 1):
+        if (ell + p + s + t) % 2 == 1:
+            out.append(projective(params, rr, ell))
+            out.append(projective(params, rr - 2, ell))
+    return out
+
+
 def fuse_pm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """Fusion ``P_{r,s} x M_{r',s'}`` with ``1 <= s <= p-1``.
 
@@ -83,21 +99,7 @@ def fuse_pm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """
     _require(params, a, PROJECTIVE, "fuse_pm")
     _require(params, b, SIMPLE, "fuse_pm")
-    p = params.p
-    r = a.r + b.r - 1
-    s, t = a.s, b.s
-    out = []
-    for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, r, ell))
-    for ell in range(2 * p + 1 - s - t, p + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, r, ell))
-    for ell in range(p + s - t + 1, p + 1):
-        if (ell + p + s + t) % 2 == 1:
-            out.append(projective(params, a.r + b.r, ell))
-            out.append(projective(params, a.r + b.r - 2, ell))
-    return FormalSum.of(*out)
+    return FormalSum.of(*_pm_windows(params, a.r + b.r, a.s, b.s))
 
 
 def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -119,17 +121,7 @@ def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     p = params.p
     rr = a.r + b.r
     s, t = a.s, b.s
-    pairs = []  # (label, multiplicity)
-    for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
-        if (ell + s + t) % 2 == 1:
-            pairs.append((projective(params, rr - 1, ell), 2))
-    for ell in range(2 * p + 1 - s - t, p + 1):
-        if (ell + s + t) % 2 == 1:
-            pairs.append((projective(params, rr - 1, ell), 2))
-    for ell in range(p + s - t + 1, p + 1):
-        if (ell + p + s + t) % 2 == 1:
-            pairs.append((projective(params, rr, ell), 2))
-            pairs.append((projective(params, rr - 2, ell), 2))
+    pairs = [(label, 2) for label in _pm_windows(params, rr, s, t)]
     for ell in range(abs(s + t - p) + 1, min(s - t + p - 1, p) + 1):
         if (ell + p + s + t) % 2 == 1:
             pairs.append((projective(params, rr, ell), 1))
@@ -179,7 +171,7 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
     # shifts its r by 2n
     g, f = (y, x) if kx == FOCK else (x, y)
     if f.kind == FOCK and g.kind == SIMPLE and g.s == 1 and g.r % 2 == 1:
-        return FormalSum.of(fock(params, f.r + g.r - 1, f.s))
+        return shift_r(params, FormalSum.of(f), g.r - 1)
     raise UnsupportedFusion(
         f"{x} x {y}: Fock modules fuse only with the odd simple currents M(2n+1, 1)"
     )

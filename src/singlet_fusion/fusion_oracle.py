@@ -11,24 +11,30 @@ Products are rebuilt from scratch with only three ingredients:
    indecomposables are unique, so the subtraction in (2) is well defined.
 
 The column recursion is valid for any left factor ``X`` (simple or
-projective), which settles products with one projective.  Products of two
-projectives use the split reduction
+projective).  Every irreducible module has a projective cover, so
+``P x -`` is exact and ``P x Y`` depends only on the composition factors
+of ``Y``.  Every product therefore takes one route: put the projective
+factor (if any) on the left, read its ``r = 1`` column against each
+composition factor ``M_{r',t}`` of the right factor, shift that column
+once by ``(r-1) + (r'-1)`` through the simple currents
+(:func:`.catalog.shift_r`), and sum.  A simple right factor is its own only
+composition factor; a projective ``P_{r',s'}`` gives the split reduction
 
-    ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``:
+    ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``.
 
-tensoring with the projective ``P`` splits the socle filtration of the
-other factor.  :func:`oracle_fuse` dispatches a pair of ``M``/``P`` labels
-to these routes.  This module imports only :mod:`.catalog` and
-:mod:`.labels`: the closed forms in :mod:`.fusion_closed` are never
-consulted, so agreement between the two routes is a genuine cross-check.
+:func:`oracle_fuse` dispatches a pair of ``M``/``P`` labels to the kind
+gates :func:`oracle_fuse_mm` and :func:`oracle_fuse_p`, which share one
+operand check and take this route.  This module imports only
+:mod:`.catalog` and :mod:`.labels`: the closed forms in
+:mod:`.fusion_closed` are never consulted, so agreement between the two
+routes is a genuine cross-check.
 
-Every route works at ``r = 1`` and shifts ``r`` once at the end through
-the simple currents.  The recursion is one loop that keeps only the last
-two columns, so it has no depth limit.  Its results are memoized in
-``_column`` by ``(params, kind, s, s_target)``, where ``kind_{1,s}`` is the
-left factor: at most ``(2p-1) p`` entries for each ``p``, whatever ``r``
-the callers use.  All functions are pure, so concurrent use returns the
-same values as sequential use.
+The recursion is one loop that keeps only the last two columns, so it has
+no depth limit.  Its results are memoized in ``_column`` by
+``(params, kind, s, s_target)``, where ``kind_{1,s}`` is the left factor:
+at most ``(2p-1) p`` entries for each ``p``, whatever ``r`` the callers
+use.  All functions are pure, so concurrent use returns the same values as
+sequential use.
 """
 
 from __future__ import annotations
@@ -46,11 +52,12 @@ from .catalog import (
     Indecomposable,
     UnsupportedFusion,
     _check_normal_form,
-    normalize,
+    composition_factors,
     projective,
+    shift_r,
     simple,
 )
-from .labels import Params, _check_s
+from .labels import Params
 
 __all__ = [
     "KSLedger",
@@ -58,7 +65,6 @@ __all__ = [
     "fuse_generators",
     "ks_subtract",
     "oracle_fuse",
-    "oracle_fuse_with_column",
     "oracle_fuse_mm",
     "oracle_fuse_p",
 ]
@@ -142,7 +148,7 @@ def fuse_generators(
     # the simple currents M_{r_g,1} shift r by r_g - 1
     if x.kind not in (SIMPLE, PROJECTIVE, FOCK) or (x.kind == FOCK and g.r == 2):
         raise UnsupportedFusion(f"{g} fusion is not defined on {x}")
-    return FormalSum.of(normalize(params, x._replace(r=x.r + g.r - 1)))
+    return shift_r(params, FormalSum.of(x), g.r - 1)
 
 
 def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
@@ -169,83 +175,47 @@ def _column(params: Params, kind: str, s: int, s_target: int) -> FormalSum:
     return col
 
 
-def _shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
-    """Relabel ``r -> r + delta`` on every term.
+def _route(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
+    """``a x b`` for checked ``M``/``P`` labels; ``a`` is projective if ``b`` is.
 
-    This is fusion with the invertible simple currents (``M_{2n+1,1}`` for
-    even shifts, one extra ``M_{2,1}`` for odd ones), which acts on labels
-    exactly this way.
+    ``a x b`` is the sum over the composition factors ``M_{r',t}`` of ``b``
+    of the ``r = 1`` column ``a_{1,s} x M_{1,t}`` shifted by
+    ``(r-1) + (r'-1)``.  A simple ``b`` is its own only factor.
     """
-    return x.map_labels(lambda lab: normalize(params, lab._replace(r=lab.r + delta)))
-
-
-def oracle_fuse_with_column(params: Params, x: FormalSum, s_target: int) -> FormalSum:
-    """``X x M_{1,s_target}`` via the column recursion.
-
-    ``X`` may contain simples and projectives (the kinds the ``M_{1,2}``
-    generator rules accept).  Each term ``kind_{r,s}`` reads the ``r = 1``
-    column of ``kind_{1,s}`` and shifts it by ``r - 1``; the base cases are
-    ``X x M_{1,1} = X`` and the generator product for ``M_{1,2}``.  No
-    closed-form product formula is ever used.
-    """
-    if not 1 <= s_target <= params.p:
-        raise ValueError(f"column index must satisfy 1 <= s <= {params.p}")
-    for label, _ in x:
-        if label.kind not in (SIMPLE, PROJECTIVE):
-            raise UnsupportedFusion(f"column recursion accepts M/P terms only, got {label}")
-        _check_normal_form(params, label, "oracle_fuse_with_column")
-        _check_s(params, label.s)
+    if b.kind == SIMPLE:
+        return shift_r(params, _column(params, a.kind, a.s, b.s), a.r + b.r - 2)
     return FormalSum.combine(
-        (mult, _shift_r(params, _column(params, lab.kind, lab.s, s_target), lab.r - 1))
-        for lab, mult in x
+        (mult, shift_r(params, _column(params, a.kind, a.s, y.s), a.r + y.r - 2))
+        for y, mult in composition_factors(params, b)
     )
 
 
-def oracle_fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """``M_{r,s} x M_{r',s'}`` from generator rules and the column recursion.
+def _check_operands(params: Params, a: Indecomposable, b: Indecomposable, what: str) -> None:
+    for x in (a, b):
+        _check_normal_form(params, x, what)
 
-    Computes ``M_{1,s} x M_{1,s'}`` by the column recursion and then shifts
-    ``r`` by ``(r-1) + (r'-1)`` via the simple currents.
-    """
+
+def oracle_fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
+    """``M_{r,s} x M_{r',s'}``: the column ``M_{1,s} x M_{1,s'}`` shifted by ``(r-1) + (r'-1)``."""
     if a.kind != SIMPLE or b.kind != SIMPLE:
         raise UnsupportedFusion("oracle_fuse_mm takes two simple labels")
-    _check_s(params, a.s)
-    _check_s(params, b.s)
-    return _shift_r(params, _column(params, SIMPLE, a.s, b.s), (a.r - 1) + (b.r - 1))
+    _check_operands(params, a, b, "oracle_fuse_mm")
+    return _route(params, a, b)
 
 
 def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """``P_{r,s} x b`` via the column recursion plus the split reduction.
+    """``P_{r,s} x b`` for ``b`` simple or projective.
 
-    For ``b`` simple, commutativity puts the simple in the column slot and
-    the recursion does the rest:
-
-        ``P_{r,s} x M_{r',s'} = shift_{(r-1)+(r'-1)}(P_{1,s} x M_{1,s'})``.
-
-    For ``b`` projective the split reduction decomposes the *second* factor
-    against the projective first one (tensoring with a projective splits
-    the socle filtration of the other factor):
-
-        ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``,
-
-    landing in the simple case: two ``r = 1`` columns, ``s'`` and ``p-s'``.
+    A simple ``b = M_{r',s'}`` reads the column ``P_{1,s} x M_{1,s'}``
+    shifted by ``(r-1) + (r'-1)``; a projective ``b`` sums such columns over
+    its composition factors (the split reduction in the module docstring).
     """
     if a.kind != PROJECTIVE:
         raise UnsupportedFusion(f"oracle_fuse_p expects a projective first factor, got {a}")
-    for x in (a, b):
-        _check_normal_form(params, x, "oracle_fuse_p")
-    if b.kind == SIMPLE:
-        _check_s(params, b.s)
-        col = _column(params, PROJECTIVE, a.s, b.s)
-    elif b.kind == PROJECTIVE:
-        split = _column(params, PROJECTIVE, a.s, params.p - b.s)
-        col = FormalSum.combine(
-            [(2, _column(params, PROJECTIVE, a.s, b.s))]
-            + [(1, _shift_r(params, split, delta)) for delta in (1, -1)]
-        )
-    else:
+    _check_operands(params, a, b, "oracle_fuse_p")
+    if b.kind not in (SIMPLE, PROJECTIVE):
         raise UnsupportedFusion(f"oracle_fuse_p cannot fuse against {b}")
-    return _shift_r(params, col, (a.r - 1) + (b.r - 1))
+    return _route(params, a, b)
 
 
 def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:

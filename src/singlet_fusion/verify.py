@@ -336,9 +336,11 @@ SUITES: Dict[str, Callable[[Params, int], Result]] = {
 
 
 def run_suite(name: str, params: Params, rwin: int = 3) -> Result:
-    """Run one named suite for one value of p."""
+    """Run one named suite for one value of p; ``rwin`` must be ``>= 0``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if rwin < 0:
+        raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
     return SUITES[name](params, rwin)
 
 

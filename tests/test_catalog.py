@@ -159,6 +159,17 @@ def test_formal_sum_hashable():
     assert len({a, FormalSum.of(simple(P2, 1, 1))}) == 1
 
 
+def test_shift_r_moves_every_term_and_composes():
+    x = FormalSum([(simple(P3, 1, 3), 2), (projective(P3, 0, 1), 1), (fock(P3, 2, 2), 1)])
+    shifted = catalog.shift_r(P3, x, 3)
+    assert shifted == FormalSum(
+        [(simple(P3, 4, 3), 2), (projective(P3, 3, 1), 1), (fock(P3, 5, 2), 1)]
+    )
+    assert catalog.shift_r(P3, shifted, -3) == x
+    assert catalog.shift_r(P3, x, 0) == x
+    assert not catalog.shift_r(P3, FormalSum(), 5)
+
+
 # --- composition factors and Loewy data ---------------------------------------
 
 

@@ -172,6 +172,18 @@ def test_verify_rejects_negative_rwin(capsys):
     assert "--rwin" in err
 
 
+def test_run_suites_rejects_negative_rwin():
+    with pytest.raises(ValueError, match="--rwin"):
+        cli.verify.run_suites(["fusion", "triplet"], [3], rwin=-1)
+
+
+@pytest.mark.parametrize("p", ["7", "11", "16"])
+def test_table_engines_agree_beyond_the_acceptance_window(p, capsys):
+    # every M/P pair at r = 0..1; the acceptance suite stops at p = 6
+    code, _, _ = run(capsys, "table", "--p", p, "--rmin", "0", "--rmax", "1", "--engine", "both")
+    assert code == 0
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(
@@ -182,9 +194,3 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["terms"] == [
         {"kind": "P", "mult": 1, "r": 1, "s": 1}
     ]
-
-
-def test_float_formatting_helper():
-    # 12 significant digits, fixed across runs
-    assert cli.format_float(1 / 3) == "0.333333333333"
-    assert cli.format_float(2.0) == "2"

@@ -26,7 +26,6 @@ from singlet_fusion.fusion_oracle import (
     oracle_fuse,
     oracle_fuse_mm,
     oracle_fuse_p,
-    oracle_fuse_with_column,
 )
 from singlet_fusion.labels import Params
 
@@ -74,23 +73,23 @@ def test_ks_subtract_roundtrip(params, data):
 @given(params_st, st.data())
 def test_column_on_unit_gives_the_column(params, data):
     s = data.draw(st.integers(min_value=1, max_value=params.p))
-    got = oracle_fuse_with_column(params, FormalSum.of(simple(params, 1, 1)), s)
+    got = oracle_fuse(params, simple(params, 1, 1), simple(params, 1, s))
     assert got == FormalSum.of(simple(params, 1, s))
 
 
 def test_column_examples():
-    got = oracle_fuse_with_column(P3, FormalSum.of(simple(P3, 1, 2)), 3)
+    got = oracle_fuse(P3, simple(P3, 1, 2), simple(P3, 1, 3))
     assert got == fusion_closed.fuse_mm(P3, simple(P3, 1, 2), simple(P3, 1, 3))
     assert got == FormalSum.of(projective(P3, 1, 2))
-    got = oracle_fuse_with_column(P2, FormalSum.of(projective(P2, 1, 1)), 2)
+    got = oracle_fuse(P2, projective(P2, 1, 1), simple(P2, 1, 2))
     assert got == fusion_closed.fuse_pm(P2, projective(P2, 1, 1), simple(P2, 1, 2))
 
 
 def test_column_validates_inputs():
     with pytest.raises(ValueError):
-        oracle_fuse_with_column(P2, FormalSum.of(simple(P2, 1, 1)), 3)
+        oracle_fuse(P2, simple(P2, 1, 1), Indecomposable(SIMPLE, 1, 3))
     with pytest.raises(UnsupportedFusion):
-        oracle_fuse_with_column(P3, FormalSum.of(fock(P3, 1, 1)), 2)
+        oracle_fuse(P3, fock(P3, 1, 1), simple(P3, 1, 2))
 
 
 # --- oracle vs closed forms -------------------------------------------------------
