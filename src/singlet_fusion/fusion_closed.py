@@ -10,11 +10,15 @@ The generator rules (fusion with the simple currents ``M_{2n+1,1}`` and
 ``M_{2,1}``, and with ``M_{1,2}``) live in :mod:`.fusion_oracle`, which is
 built on them alone.  Neither module imports the other, which is what makes
 the two routes independent.
+
+:func:`flatten` and :func:`grothendieck_product` are re-exported from
+:mod:`.catalog`, which builds the ring of composition-factor classes from
+its presentation and imports neither route.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List
 
 from .catalog import (
     FOCK,
@@ -25,7 +29,10 @@ from .catalog import (
     Indecomposable,
     UnsupportedFusion,
     _check_normal_form,
-    composition_factors,
+    _pairs,
+    _SumLike,
+    flatten,
+    grothendieck_product,
     projective,
     shift_r,
     simple,
@@ -138,15 +145,6 @@ def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     return FormalSum(pairs)
 
 
-_SumLike = Union[FormalSum, Indecomposable]
-
-
-def _as_sum(x: _SumLike) -> FormalSum:
-    if isinstance(x, Indecomposable):
-        return FormalSum.of(x)
-    return x
-
-
 _KINDS = (SIMPLE, PROJECTIVE, FOCK, JORDAN_FOCK)
 
 
@@ -183,30 +181,10 @@ def fuse(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
     Dispatches each term pair to the appropriate closed form.  Fock modules
     fuse only with odd simple currents; Jordan Fock labels never fuse.
     """
-    b = _as_sum(b)
+    if isinstance(a, Indecomposable) and isinstance(b, Indecomposable):
+        return _fuse_pair(params, a, b)
     return FormalSum.combine(
-        (mx * my, _fuse_pair(params, x, y)) for x, mx in _as_sum(a) for y, my in b
-    )
-
-
-def flatten(params: Params, a: _SumLike) -> FormalSum:
-    """Composition factors of a formal sum, extended linearly."""
-    return FormalSum.combine(
-        (m, composition_factors(params, x)) for x, m in _as_sum(a)
-    )
-
-
-def grothendieck_product(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
-    """Product of composition-factor classes in the Grothendieck ring.
-
-    Both inputs are flattened to simples first and multiplied there (via
-    :func:`fuse_mm`, then flattened again).  Because fusion is bi-exact,
-    this agrees with ``flatten(fuse(a, b))``, which is the consistency check
-    the verification suite runs.
-    """
-    fa, fb = flatten(params, a), flatten(params, b)
-    return FormalSum.combine(
-        (mx * my, flatten(params, fuse_mm(params, x, y)))
-        for x, mx in fa
-        for y, my in fb
+        (mx * my, _fuse_pair(params, x, y))
+        for x, mx in _pairs(a)
+        for y, my in _pairs(b)
     )

@@ -51,6 +51,12 @@ class _Recorder:
         return self.checks, self.failures
 
 
+def _check_rwin(rwin: int) -> None:
+    """Reject a negative label window; every windowed suite calls this first."""
+    if rwin < 0:
+        raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
+
+
 def _simples(params: Params, rwin: int) -> List[catalog.Indecomposable]:
     return [
         catalog.simple(params, r, s)
@@ -69,6 +75,7 @@ def _projectives(params: Params, rwin: int) -> List[catalog.Indecomposable]:
 
 def fusion_suite(params: Params, rwin: int = 3) -> Result:
     """Oracle equivalence plus the ring identities on a label window."""
+    _check_rwin(rwin)
     rec = _Recorder()
     simples = _simples(params, rwin)
     projectives = _projectives(params, rwin)
@@ -129,6 +136,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
 
 def triplet_suite(params: Params, rwin: int = 3) -> Result:
     """Generator agreement, preimage independence, exactness bookkeeping."""
+    _check_rwin(rwin)
     rec = _Recorder()
     p = params.p
     w21 = triplet.simple_w(params, 2, 1)
@@ -208,6 +216,7 @@ def bpz_suite(params: Params) -> Result:
 
 def catalog_suite(params: Params, rwin: int = 4) -> Result:
     """Normalization, Loewy flattening, duals, and Jordan Fock structure."""
+    _check_rwin(rwin)
     rec = _Recorder()
     p = params.p
     labels = []
@@ -269,6 +278,7 @@ def catalog_suite(params: Params, rwin: int = 4) -> Result:
 
 def labels_suite(params: Params, rwin: int = 4) -> Result:
     """Weight identities: periodicity, Fock consistency, congruence, bound."""
+    _check_rwin(rwin)
     rec = _Recorder()
     p = params.p
     for r in range(-rwin, rwin + 1):
@@ -329,7 +339,8 @@ def _mat_commutes(a, b) -> bool:
 SUITES: Dict[str, Callable[[Params, int], Result]] = {
     "fusion": fusion_suite,
     "triplet": triplet_suite,
-    "bpz": lambda params, rwin: bpz_suite(params),  # no label window
+    # no label window, but the same rwin check as the others
+    "bpz": lambda params, rwin: _check_rwin(rwin) or bpz_suite(params),
     "catalog": catalog_suite,
     "labels": labels_suite,
 }
@@ -339,8 +350,6 @@ def run_suite(name: str, params: Params, rwin: int = 3) -> Result:
     """Run one named suite for one value of p; ``rwin`` must be ``>= 0``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    if rwin < 0:
-        raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
     return SUITES[name](params, rwin)
 
 

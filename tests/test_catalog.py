@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from singlet_fusion.catalog import (
     UnsupportedOperation,
     composition_factors,
     dual,
+    flatten,
     fock,
+    grothendieck_product,
     jordan_fock,
     jordan_fock_matrices,
     loewy,
@@ -363,3 +367,31 @@ def test_jordan_scalar_part_is_the_module_weight():
             # lowest weight for either sign of r
             assert l0[0][0] == weight(params, r, params.p)
             assert l0[0][0] == lowest_weight_of_simple(params, r, params.p)
+
+
+def _verlinde(params, theta, total):
+    """Image of a sum of simples under ``[M_{r,s}] -> e^{ip(r-1)theta} sin(s theta)/sin(theta)``.
+
+    This sends ``x = [M_{2,1}]`` to ``e^{ip theta}`` and ``y = [M_{1,2}]`` to
+    ``2 cos(theta)``, a ring map out of ``Z[x^{+-1}, y] / (U_p - U_{p-2} - x - 1/x)``.
+    """
+    return sum(
+        m
+        * cmath.exp(1j * params.p * (lab.r - 1) * theta)
+        * math.sin(lab.s * theta)
+        / math.sin(theta)
+        for lab, m in total
+    )
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_grothendieck_product_matches_the_verlinde_picture(p):
+    params = Params(p)
+    labels = [simple(params, r, s) for r in range(-1, 3) for s in range(1, p + 1)]
+    labels += [projective(params, r, s) for r in range(-1, 3) for s in range(1, p)]
+    for theta in (0.3, 1.1, 2.0):
+        value = {x: _verlinde(params, theta, flatten(params, x)) for x in labels}
+        for a in labels:
+            for b in labels:
+                got = _verlinde(params, theta, grothendieck_product(params, a, b))
+                assert abs(got - value[a] * value[b]) < 1e-9, (a, b, theta)

@@ -177,6 +177,14 @@ def test_run_suites_rejects_negative_rwin():
         cli.verify.run_suites(["fusion", "triplet"], [3], rwin=-1)
 
 
+@pytest.mark.parametrize("name", sorted(cli.verify.SUITES))
+def test_every_suite_rejects_negative_rwin(name):
+    # called directly, not through run_suite: a windowed suite with a
+    # negative window would otherwise run an empty or partial window
+    with pytest.raises(ValueError, match="--rwin"):
+        cli.verify.SUITES[name](Params(3), -1)
+
+
 @pytest.mark.parametrize("p", ["7", "11", "16"])
 def test_table_engines_agree_beyond_the_acceptance_window(p, capsys):
     # every M/P pair at r = 0..1; the acceptance suite stops at p = 6

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlet_fusion import fusion_closed, verify
 from singlet_fusion.catalog import (
     FormalSum,
     Indecomposable,
@@ -297,3 +298,33 @@ def test_grothendieck_commutes_with_fusion(pair, data):
     rhs = grothendieck_product(params, a, b)
     assert lhs == rhs
     assert rhs == grothendieck_product(params, b, a)
+
+
+def test_grothendieck_check_catches_a_wrong_fuse_mm(monkeypatch):
+    # drop one copy of the largest-s simple summand from every M x M product;
+    # the ring product does not go through fuse_mm, so the fusion suite's
+    # Grothendieck check must flag every pair whose product changed
+    params = Params(4)
+    right = fusion_closed.fuse_mm
+
+    def wrong(params, a, b):
+        out = right(params, a, b)
+        simples = [lab for lab, _ in out if lab.kind == "M"]
+        if not simples:
+            return out
+        top = max(simples, key=lambda lab: lab.s)
+        return FormalSum((lab, m - (lab == top)) for lab, m in out)
+
+    labels = [simple(params, r, s) for r in range(-1, 2) for s in range(1, 5)]
+    changed = {
+        f"{a} x {b}"
+        for a in labels
+        for b in labels
+        if wrong(params, a, b) != right(params, a, b)
+    }
+    assert len(changed) == 117
+    monkeypatch.setattr(fusion_closed, "fuse_mm", wrong)
+    _, failures = verify.fusion_suite(params, 1)
+    prefix = "Grothendieck consistency failure at "
+    flagged = {msg[len(prefix):] for msg in failures if msg.startswith(prefix)}
+    assert flagged == changed

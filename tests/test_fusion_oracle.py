@@ -300,6 +300,10 @@ def test_import_graph_keeps_the_routes_independent():
     assert "singlet_fusion.fusion_oracle" not in graph["fusion_closed"]
     internal = {n for n in graph["fusion_oracle"] if n.startswith("singlet_fusion")}
     assert internal == {"singlet_fusion.catalog", "singlet_fusion.labels"}
+    # the Grothendieck ring product lives in catalog, which both routes share,
+    # so it must reach neither of them
+    internal = {n for n in graph["catalog"] if n.startswith("singlet_fusion")}
+    assert internal == {"singlet_fusion.labels"}
     for module, names in graph.items():
         assert not any(
             n == "concurrent" or n.startswith("concurrent.") for n in names
