@@ -15,7 +15,9 @@ evaluates the closed-form change of basis between them, re-derives the same
 matrix numerically by matching series on the overlap, and exposes the
 non-vanishing coefficient that the rigidity argument needs.  Everything is
 series-based: the matching interval lies inside both disks of convergence,
-so no integration across singular points is ever attempted.
+so no integration across singular points is ever attempted.  Residuals and
+matching use only the exact series derivatives of
+:meth:`FrobeniusSolution.derivatives`.
 
 For ``p >= 3`` the exponents at 0 are ``1/(2p)`` and ``1 - 3/(2p)``:
 
@@ -32,23 +34,40 @@ The ``ln(x/4)`` normalization (rather than bare ``ln x``) is the one that
 realizes the standard connection pair ``(ln4/pi, -1/pi)``; shifting the log
 solution by multiples of ``phi_1`` is the only freedom, and this choice
 pins it.
+
+Three module constants fix the numerics for every caller:
+
+* ``N_TERMS = 200`` -- the series length of every basis.  The series
+  converge geometrically in the local coordinate ``u``.  The package
+  evaluates them at ``u <= 0.7`` and its tests at ``u <= 0.85``, where the
+  truncation error (about ``0.85^200 ~ 1e-14``) is already at double
+  precision, so no caller needs another length.
+* ``MATCH_POINTS = (0.6, 0.7)`` -- where :func:`connection_numeric` matches
+  values and first derivatives.  Both lie in ``(1/2, 1)``, inside both disks
+  of convergence and away from the singular points, so both bases are
+  accurate there.
+* ``MAX_CONDITION = 1e9`` -- the largest condition number of the matching
+  system that :func:`connection_numeric` accepts before raising
+  :class:`IllConditionedMatching`.  The systems at these points stay below
+  3 for p = 2..120, so the cap only trips when the bases are broken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .labels import Params
 
 __all__ = [
+    "N_TERMS",
+    "MATCH_POINTS",
+    "MAX_CONDITION",
     "IllConditionedMatching",
-    "NonConvergentSeries",
     "h12",
-    "gauss_2f1",
     "FrobeniusSolution",
     "phi_basis",
     "psi_basis",
@@ -60,9 +79,12 @@ __all__ = [
     "rigidity_coefficient",
 ]
 
-
-class NonConvergentSeries(ValueError):
-    """Hypergeometric series parameters outside the convergent regime."""
+#: Series length of every Frobenius basis.
+N_TERMS = 200
+#: Overlap points where :func:`connection_numeric` matches the two bases.
+MATCH_POINTS = (0.6, 0.7)
+#: Largest accepted condition number of the matching system.
+MAX_CONDITION = 1e9
 
 
 class IllConditionedMatching(RuntimeError):
@@ -74,40 +96,11 @@ def h12(params: Params) -> float:
     return 3.0 / (4.0 * params.p) - 0.5
 
 
-def gauss_2f1(
-    a: float, b: float, c: float, x: float, tol: float = 1e-14, max_terms: int = 10000
-) -> float:
-    """Gauss hypergeometric series ``2F1(a, b; c; x)`` for ``|x| < 1``.
-
-    Adaptive truncation: once the term ratio is bounded below one, the tail
-    is dominated by a geometric series and summation stops when that bound
-    drops under ``tol`` (absolute).  Terminating cases (``a`` or ``b`` a
-    non-positive integer) are exact.
-    """
-    if c <= 0 and c == int(c):
-        raise NonConvergentSeries(f"c = {c} is a non-positive integer")
-    if not abs(x) < 1:
-        raise NonConvergentSeries(f"need |x| < 1, got x = {x}")
-    total = 1.0
-    term = 1.0
-    settle = int(max(abs(a), abs(b), abs(c))) + 2
-    for k in range(max_terms):
-        term *= (k + a) * (k + b) / ((k + c) * (k + 1)) * x
-        total += term
-        if term == 0.0:
-            return total
-        if k >= settle:
-            ratio = abs((k + 1 + a) * (k + 1 + b) / ((k + 1 + c) * (k + 2)) * x)
-            if ratio < 1 and abs(term) * ratio / (1 - ratio) < tol:
-                return total
-    raise NonConvergentSeries(f"2F1({a}, {b}; {c}; {x}) did not converge")
-
-
-def _hyp_series_coeffs(a: float, b: float, c: float, n_terms: int) -> np.ndarray:
-    """First ``n_terms`` Taylor coefficients of ``2F1(a, b; c; x)``."""
-    out = np.empty(n_terms)
+def _hyp_series_coeffs(a: float, b: float, c: float) -> np.ndarray:
+    """First ``N_TERMS`` Taylor coefficients of ``2F1(a, b; c; x)``."""
+    out = np.empty(N_TERMS)
     out[0] = 1.0
-    for k in range(n_terms - 1):
+    for k in range(N_TERMS - 1):
         out[k + 1] = out[k] * (k + a) * (k + b) / ((k + c) * (k + 1))
     return out
 
@@ -137,13 +130,33 @@ def _poly_eval(c: np.ndarray, u: float) -> float:
     return acc
 
 
+def _times_power(
+    e_near: float, e_far: float, u: float, up: float, s0: float, s1: float, s2: float
+) -> Tuple[float, float, float]:
+    """Value and x-derivatives of ``u^{e_near} (1-u)^{e_far} S``.
+
+    ``u`` is ``x`` (``up = 1``) or ``1 - x`` (``up = -1``); ``s0, s1, s2``
+    are ``S`` and its first two x-derivatives at the same point.
+    """
+    v = 1.0 - u
+    w = u**e_near * v**e_far
+    wl = up * (e_near / u - e_far / v)  # (log w)'
+    dwl = -(e_near / u**2 + e_far / v**2)  # (log w)''
+    return (
+        w * s0,
+        w * (wl * s0 + s1),
+        w * ((wl * wl + dwl) * s0 + 2.0 * wl * s1 + s2),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class _Component:
-    """One additive piece ``u^{e_near} v^{e_far} S(u) (ln u + k)^m``.
+    """One additive piece ``u^{e_near} v^{e_far} S(u) (ln u + log_const)^m``.
 
     ``u`` is the local coordinate at the expansion point, ``v = 1 - u`` the
-    coordinate at the other singular point; ``m`` is 0 or 1.  ``d1``/``d2``
-    hold the coefficient arrays of ``S'(u)`` and ``S''(u)``.
+    coordinate at the other singular point; ``m`` is 0 when ``log_const`` is
+    ``None`` and 1 otherwise.  ``d1``/``d2`` hold the coefficient arrays of
+    ``S'(u)`` and ``S''(u)``.
     """
 
     e_near: float
@@ -151,22 +164,16 @@ class _Component:
     series: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    log_power: int
-    log_const: float
+    log_const: Optional[float]
 
 
 def _component(
-    e_near: float,
-    e_far: float,
-    coeffs: np.ndarray,
-    log_power: int = 0,
-    log_const: float = 0.0,
+    e_near: float, e_far: float, coeffs: np.ndarray, log_const: Optional[float] = None
 ) -> _Component:
-    c = np.asarray(coeffs, dtype=float)
-    n = np.arange(len(c), dtype=float)
-    d1 = (c * n)[1:]
-    d2 = (c * n * (n - 1.0))[2:]
-    return _Component(e_near, e_far, c, d1, d2, log_power, log_const)
+    n = np.arange(len(coeffs), dtype=float)
+    d1 = (coeffs * n)[1:]
+    d2 = (coeffs * n * (n - 1.0))[2:]
+    return _Component(e_near, e_far, coeffs, d1, d2, log_const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +183,10 @@ class FrobeniusSolution:
     ``exponent`` is the leading power at the expansion point (0 or 1);
     ``coefficients`` is the truncated power series in the local coordinate
     (for the logarithmic solution, the non-log series ``G``); ``log_flag``
-    marks the ``p = 2`` logarithmic companion.  Instances are callable, and
-    :meth:`derivatives` supplies exact series derivatives for residual and
-    matching work.
+    marks the ``p = 2`` logarithmic companion.  :meth:`derivatives` supplies
+    exact series derivatives for residual and matching work.
     """
 
-    p: int
     expansion_point: int
     exponent: float
     log_flag: bool
@@ -196,19 +201,18 @@ class FrobeniusSolution:
             u, up = x, 1.0
         else:
             u, up = 1.0 - x, -1.0
-        v = 1.0 - u
         f = fd1 = fd2 = 0.0
         for comp in self.components:
-            w = u**comp.e_near * v**comp.e_far
-            wl = up * (comp.e_near / u - comp.e_far / v)
-            dwl = -(comp.e_near / u**2 + comp.e_far / v**2)
-            s0 = _poly_eval(comp.series, u)
-            s1 = up * _poly_eval(comp.d1, u)  # dS/dx
-            s2 = _poly_eval(comp.d2, u)  # d2S/dx2 (up^2 = 1)
-            val = w * s0
-            der = w * (wl * s0 + s1)
-            der2 = w * ((wl * wl + dwl) * s0 + 2.0 * wl * s1 + s2)
-            if comp.log_power == 0:
+            val, der, der2 = _times_power(
+                comp.e_near,
+                comp.e_far,
+                u,
+                up,
+                _poly_eval(comp.series, u),
+                up * _poly_eval(comp.d1, u),  # dS/dx
+                _poly_eval(comp.d2, u),  # d2S/dx2 (up^2 = 1)
+            )
+            if comp.log_const is None:
                 f += val
                 fd1 += der
                 fd2 += der2
@@ -221,98 +225,65 @@ class FrobeniusSolution:
                 fd2 += der2 * lg + 2.0 * der * lg1 + val * lg2
         return f, fd1, fd2
 
-    def __call__(self, x: float) -> float:
-        return self.derivatives(x)[0]
 
-
-def _basis(params: Params, n_terms: int, point: int) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
+def _basis(params: Params, point: int) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
     p = params.p
-    if n_terms < 16:
-        raise ValueError(f"need n_terms >= 16, got {n_terms}")
     e = 1.0 / (2.0 * p)
     if p >= 3:
-        ca = _hyp_series_coeffs(1.0 / p, 3.0 / p - 1.0, 2.0 / p, n_terms)
-        cb = _hyp_series_coeffs(1.0 - 1.0 / p, 1.0 / p, 2.0 - 2.0 / p, n_terms)
-        sol1 = FrobeniusSolution(
-            p, point, e, False, ca, (_component(e, e, ca),)
-        )
+        ca = _hyp_series_coeffs(1.0 / p, 3.0 / p - 1.0, 2.0 / p)
+        cb = _hyp_series_coeffs(1.0 - 1.0 / p, 1.0 / p, 2.0 - 2.0 / p)
         e2 = 1.0 - 3.0 / (2.0 * p)
-        sol2 = FrobeniusSolution(
-            p, point, e2, False, cb, (_component(e2, e, cb),)
+        return (
+            FrobeniusSolution(point, e, False, ca, (_component(e, e, ca),)),
+            FrobeniusSolution(point, e2, False, cb, (_component(e2, e, cb),)),
         )
-        return sol1, sol2
-    ca = _hyp_series_coeffs(0.5, 0.5, 1.0, n_terms)
+    ca = _hyp_series_coeffs(0.5, 0.5, 1.0)
     cg = _log_companion_coeffs(ca)
-    sol1 = FrobeniusSolution(p, point, e, False, ca, (_component(e, e, ca),))
-    sol2 = FrobeniusSolution(
-        p,
-        point,
-        e,
-        True,
-        cg,
-        (
-            _component(e, e, ca, log_power=1, log_const=-math.log(4.0)),
-            _component(e, e, cg),
-        ),
+    log_part = _component(e, e, ca, log_const=-math.log(4.0))
+    return (
+        FrobeniusSolution(point, e, False, ca, (_component(e, e, ca),)),
+        FrobeniusSolution(point, e, True, cg, (log_part, _component(e, e, cg))),
     )
-    return sol1, sol2
 
 
-def phi_basis(params: Params, n_terms: int = 200) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
+def phi_basis(params: Params) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
     """Solution basis ``(phi_1, phi_2)`` expanded at ``x = 0``."""
-    return _basis(params, n_terms, 0)
+    return _basis(params, 0)
 
 
-def psi_basis(params: Params, n_terms: int = 200) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
+def psi_basis(params: Params) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
     """Solution basis ``(psi_1, psi_2)`` expanded at ``x = 1`` (mirror of phi)."""
-    return _basis(params, n_terms, 1)
+    return _basis(params, 1)
 
 
-_FuncLike = Union[FrobeniusSolution, Callable[[float], float]]
-
-
-def _derivatives(f: _FuncLike, x: float) -> Tuple[float, float, float]:
-    if isinstance(f, FrobeniusSolution):
-        return f.derivatives(x)
-    h = 1e-5
-    f0 = f(x)
-    fp, fm = f(x + h), f(x - h)
-    return f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
-
-
-def ode_residual(params: Params, f: _FuncLike, x: float) -> float:
-    """Residual of ``p x(1-x) f'' + (1-2x) f' - h_{1,2}/(x(1-x)) f`` at ``x``.
-
-    ``f`` is either a :class:`FrobeniusSolution` (exact series derivatives)
-    or a plain callable (central differences).  Used as the validity check
-    on every constructed solution; keep ``x`` at least ``1e-6`` away from
-    the singular points.
-    """
+def _check_interior(x: float) -> None:
     if not 1e-6 <= x <= 1 - 1e-6:
         raise ValueError(f"x must stay away from the singular points, got {x}")
-    f0, f1, f2 = _derivatives(f, x)
+
+
+def ode_residual(params: Params, f: FrobeniusSolution, x: float) -> float:
+    """Residual of ``p x(1-x) f'' + (1-2x) f' - h_{1,2}/(x(1-x)) f`` at ``x``.
+
+    Used as the validity check on every constructed solution; keep ``x`` at
+    least ``1e-6`` away from the singular points.
+    """
+    _check_interior(x)
+    f0, f1, f2 = f.derivatives(x)
     p = params.p
     return p * x * (1 - x) * f2 + (1 - 2 * x) * f1 - h12(params) / (x * (1 - x)) * f0
 
 
-def hypergeometric_residual(params: Params, f: _FuncLike, x: float) -> float:
+def hypergeometric_residual(params: Params, f: FrobeniusSolution, x: float) -> float:
     """Residual of the substituted function in the hypergeometric equation.
 
-    Forms ``g = x^{-1/2p} (1-x)^{-1/2p} f`` (derivatives by product rule) and
-    returns ``p x(1-x) g'' + 2(1-2x) g' + (1 - 3/p) g``; small residuals
-    witness that the substitution maps ODE solutions to hypergeometric ones.
+    Forms ``g = x^{-1/2p} (1-x)^{-1/2p} f`` and returns
+    ``p x(1-x) g'' + 2(1-2x) g' + (1 - 3/p) g``; small residuals witness
+    that the substitution maps ODE solutions to hypergeometric ones.
     """
-    if not 1e-6 <= x <= 1 - 1e-6:
-        raise ValueError(f"x must stay away from the singular points, got {x}")
+    _check_interior(x)
     p = params.p
     a = 1.0 / (2.0 * p)
-    f0, f1, f2 = _derivatives(f, x)
-    w = x ** (-a) * (1 - x) ** (-a)
-    wl = -a / x + a / (1 - x)
-    dwl = a / x**2 + a / (1 - x) ** 2
-    g0 = w * f0
-    g1 = w * (wl * f0 + f1)
-    g2 = w * ((wl * wl + dwl) * f0 + 2 * wl * f1 + f2)
+    g0, g1, g2 = _times_power(-a, -a, x, 1.0, *f.derivatives(x))
     return p * x * (1 - x) * g2 + 2 * (1 - 2 * x) * g1 + (1 - 3.0 / p) * g0
 
 
@@ -372,44 +343,33 @@ def connection_closed(params: Params) -> ConnectionMatrix:
     return ConnectionMatrix(((a, b), (d1, -a)))
 
 
-def connection_numeric(
-    params: Params,
-    n_terms: int = 200,
-    points: Sequence[float] = (0.6, 0.7),
-    reverse: bool = False,
-    max_condition: float = 1e9,
-) -> ConnectionMatrix:
+def connection_numeric(params: Params, reverse: bool = False) -> ConnectionMatrix:
     """Connection matrix recovered by matching the bases on the overlap.
 
-    Evaluates values and first derivatives of both bases at the given
-    points (all inside ``(0.55, 0.75)`` by default, where both series
-    converge fast) and solves the resulting least-squares system for each
+    Evaluates values and first derivatives of both bases at
+    ``MATCH_POINTS`` and solves the resulting least-squares system for each
     row.  Raises :class:`IllConditionedMatching` when the matching system's
-    condition number exceeds ``max_condition`` (the usual symptom of
-    too few series terms).
+    condition number exceeds ``MAX_CONDITION``.
 
     With ``reverse=True`` the roles are swapped and the psi basis is
     expressed in the phi basis.
     """
-    for x in points:
-        if not 0.5 < x < 1.0:
-            raise ValueError(f"matching points must lie in (1/2, 1), got {x}")
-    phis = phi_basis(params, n_terms)
-    psis = psi_basis(params, n_terms)
+    phis = phi_basis(params)
+    psis = psi_basis(params)
     source, target = (psis, phis) if not reverse else (phis, psis)
     rows_a = []
-    for x in points:
+    for x in MATCH_POINTS:
         d0 = [source[0].derivatives(x), source[1].derivatives(x)]
         rows_a.append([d0[0][0], d0[1][0]])
         rows_a.append([d0[0][1], d0[1][1]])
     a = np.array(rows_a)
     cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > max_condition:
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedMatching(f"matching system condition {cond:.3e}")
     matrix = []
     for sol in target:
         rhs = []
-        for x in points:
+        for x in MATCH_POINTS:
             f0, f1, _ = sol.derivatives(x)
             rhs.extend([f0, f1])
         coeffs, *_ = np.linalg.lstsq(a, np.array(rhs), rcond=None)
@@ -417,7 +377,7 @@ def connection_numeric(
     return ConnectionMatrix((matrix[0], matrix[1]), condition=cond)
 
 
-def rigidity_coefficient(params: Params, n_terms: int = 200) -> float:
+def rigidity_coefficient(params: Params) -> float:
     """The non-vanishing coefficient underlying rigidity of ``M_{1,2}``.
 
     For ``p >= 4`` this is the ratio ``|c_2/d| = 1/(2 cos(pi/p))`` coming
@@ -432,7 +392,7 @@ def rigidity_coefficient(params: Params, n_terms: int = 200) -> float:
         return 1.0 / math.pi
     if p >= 4:
         return 1.0 / (2.0 * math.cos(math.pi / p))
-    psi1, psi2 = psi_basis(params, n_terms)
+    psi1, psi2 = psi_basis(params)
     x = 0.6
     f0, f1, _ = psi1.derivatives(x)
     g0, g1, _ = psi2.derivatives(x)

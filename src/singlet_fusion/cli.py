@@ -10,9 +10,10 @@ Subcommands:
 Labels are written ``KIND:r,s`` with ``KIND`` in ``{M, P, F, FJ}`` (Jordan
 Fock labels take a third component, ``FJ:r,s,n``).  Output is JSON on
 stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
-to stderr.  Exit codes: 0 success, 2 usage or validation failure, 3
-verification failure or engine mismatch.  Runs are deterministic: row
-order is lexicographic, JSON keys are sorted, and nothing is randomized.
+to stderr.  Exit codes: 0 success, 2 usage or validation failure
+(including an ``--out`` path that cannot be written), 3 verification
+failure or engine mismatch.  Runs are deterministic: row order is
+lexicographic, JSON keys are sorted, and nothing is randomized.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LabelSyntaxError, UnsupportedFusion, ValueError) as exc:
+    except (LabelSyntaxError, UnsupportedFusion, ValueError, OSError) as exc:
         print(f"singlet-fusion: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

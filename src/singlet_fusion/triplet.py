@@ -75,6 +75,20 @@ def _check(params: Params, rb: int, s: int, s_max: int) -> None:
         raise ValueError(f"triplet label needs 1 <= s <= {s_max}, got s={s}")
 
 
+def _check_label(params: Params, t: TripletIndec) -> None:
+    """Reject an unknown kind, ``rbar`` outside {1, 2}, or ``s`` out of range.
+
+    ``W`` takes ``1 <= s <= p``; ``V`` and ``R`` take ``1 <= s <= p-1``.
+    """
+    if t.kind == SIMPLE_W:
+        s_max = params.p
+    elif t.kind in (LATTICE_V, PROJ_R):
+        s_max = params.p - 1
+    else:
+        raise ValueError(f"unknown triplet kind {t.kind!r} in {t}")
+    _check(params, t.rbar, t.s, s_max)
+
+
 def simple_w(params: Params, rb: int, s: int) -> TripletIndec:
     """The simple triplet module ``W_{rbar,s}``, ``1 <= s <= p``."""
     _check(params, rb, s, params.p)
@@ -101,6 +115,7 @@ def projective_r(params: Params, rb: int, s: int) -> TripletIndec:
 
 def is_extrapolated(params: Params, t: TripletIndec) -> bool:
     """True for R-labels with ``s < p-1``, which exist only by parity collapse."""
+    _check_label(params, t)
     return t.kind == PROJ_R and t.s < params.p - 1
 
 
@@ -134,6 +149,7 @@ def preimage(params: Params, t: TripletIndec, r_shift: int = 0) -> Indecomposabl
     moves the choice along the simple-current orbit, which induction
     forgets.
     """
+    _check_label(params, t)
     if r_shift % 2 != 0:
         raise ValueError("preimage shifts must be even to preserve parity")
     r = t.rbar + r_shift
@@ -156,6 +172,8 @@ def triplet_fuse_generator(
 
     Defined on simple second factors only.
     """
+    _check_label(params, g)
+    _check_label(params, x)
     if x.kind != SIMPLE_W:
         raise UnsupportedFusion(f"triplet generator rules take simple W labels, got {x}")
     p = params.p
@@ -185,14 +203,11 @@ def derived_triplet_fuse(
     which must not change the answer), fuses them on the singlet side, and
     induces the result termwise.  Defined for simple and projective labels.
     """
+    left = preimage(params, a, shift_a)  # preimage validates both labels
+    right = preimage(params, b, shift_b)
     if a.kind == LATTICE_V or b.kind == LATTICE_V:
         raise UnsupportedFusion("lattice modules have no derived fusion here")
-    prod = fuse(
-        params,
-        preimage(params, a, shift_a),
-        preimage(params, b, shift_b),
-    )
-    return induce_sum(params, prod)
+    return induce_sum(params, fuse(params, left, right))
 
 
 def composition_factors(params: Params, t: TripletIndec) -> FormalSum:
@@ -202,6 +217,7 @@ def composition_factors(params: Params, t: TripletIndec) -> FormalSum:
     projective cover ``R_{r,p-1}`` has ``2 W_{r,p-1} + 2 W_{3-r,1}``.
     Extrapolated R-labels carry no composition data and are rejected.
     """
+    _check_label(params, t)
     if t.kind == SIMPLE_W:
         return FormalSum.of(t)
     if t.kind == LATTICE_V:
@@ -220,6 +236,7 @@ def composition_factors(params: Params, t: TripletIndec) -> FormalSum:
 
 def loewy(params: Params, t: TripletIndec) -> LoewyDiagram:
     """Loewy diagram of a triplet label (W, V, or the constructed R)."""
+    _check_label(params, t)
     p = params.p
     if t.kind == SIMPLE_W:
         return LoewyDiagram((FormalSum.of(t),), ())
@@ -246,6 +263,7 @@ def virasoro_decomposition(
     entry is ``(h_{rbar+2n, s}, rbar+2n)``.  In particular the lowest weight
     space is ``rbar``-dimensional.
     """
+    _check_label(params, t)
     if t.kind != SIMPLE_W:
         raise UnsupportedOperation(f"Virasoro decomposition only for W labels, got {t}")
     if n_max < 0:

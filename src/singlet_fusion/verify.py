@@ -177,15 +177,11 @@ def triplet_suite(params: Params, rwin: int = 3) -> Result:
     return rec.result()
 
 
-#: Series length of the Frobenius bases in :func:`bpz_suite`.
-N_TERMS = 200
-
-
 def bpz_suite(params: Params) -> Result:
     """Residual, connection, and rigidity checks for one value of p."""
     rec = _Recorder()
-    phi1, phi2 = bpz.phi_basis(params, N_TERMS)
-    psi1, psi2 = bpz.psi_basis(params, N_TERMS)
+    phi1, phi2 = bpz.phi_basis(params)
+    psi1, psi2 = bpz.psi_basis(params)
     grid_phi = [0.05 + 0.05 * i for i in range(12)]  # (0.05, 0.6)
     grid_psi = [0.40 + 0.05 * i for i in range(12)]  # (0.4, 0.95)
     for f, grid, name in (
@@ -200,10 +196,10 @@ def bpz_suite(params: Params) -> Result:
             rh = abs(bpz.hypergeometric_residual(params, f, x))
             rec.check(rh < 1e-8, f"{name} hypergeometric residual {rh:.3e} at x={x}")
     closed = bpz.connection_closed(params).as_array()
-    numeric = bpz.connection_numeric(params, N_TERMS)
+    numeric = bpz.connection_numeric(params)
     diff = abs(numeric.as_array() - closed).max()
     rec.check(diff < 1e-8, f"connection numeric/closed gap {diff:.3e}")
-    backward = bpz.connection_numeric(params, N_TERMS, reverse=True)
+    backward = bpz.connection_numeric(params, reverse=True)
     roundtrip = numeric.as_array() @ backward.as_array()
     gap = abs(roundtrip - [[1.0, 0.0], [0.0, 1.0]]).max()
     rec.check(gap < 1e-7, f"roundtrip identity gap {gap:.3e}")

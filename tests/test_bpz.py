@@ -10,42 +10,6 @@ from singlet_fusion.labels import Params
 P_VALUES = (2, 3, 4, 5, 7)
 
 
-# --- series evaluation ---------------------------------------------------------
-
-
-def test_gauss_2f1_at_zero():
-    assert bpz.gauss_2f1(0.3, -1.7, 0.9, 0.0) == 1.0
-
-
-def test_gauss_2f1_log_closed_form():
-    # 2F1(1, 1; 2; x) = -ln(1-x)/x
-    got = bpz.gauss_2f1(1, 1, 2, 0.5)
-    assert abs(got - 2 * math.log(2)) < 1e-12
-
-
-def test_gauss_2f1_terminating():
-    assert bpz.gauss_2f1(1 / 3, 0, 2 / 3, 0.7) == 1.0
-    assert bpz.gauss_2f1(-2, 0.5, 0.25, 0.9) == pytest.approx(
-        hyp2f1(-2, 0.5, 0.25, 0.9), abs=1e-12
-    )
-
-
-@pytest.mark.parametrize("x", [-0.8, -0.3, 0.2, 0.6, 0.85])
-@pytest.mark.parametrize("abc", [(0.5, 0.5, 1.0), (0.25, -0.4, 0.4), (1.2, 0.3, 2.5)])
-def test_gauss_2f1_against_scipy(abc, x):
-    a, b, c = abc
-    assert bpz.gauss_2f1(a, b, c, x) == pytest.approx(hyp2f1(a, b, c, x), abs=1e-12)
-
-
-def test_gauss_2f1_rejects_bad_inputs():
-    with pytest.raises(bpz.NonConvergentSeries):
-        bpz.gauss_2f1(1, 1, 0, 0.5)
-    with pytest.raises(bpz.NonConvergentSeries):
-        bpz.gauss_2f1(1, 1, -3, 0.5)
-    with pytest.raises(bpz.NonConvergentSeries):
-        bpz.gauss_2f1(1, 1, 2, 1.0)
-
-
 # --- Frobenius bases ---------------------------------------------------------------
 
 
@@ -58,11 +22,6 @@ def test_phi_exponents():
     phi1, phi2 = bpz.phi_basis(Params(2))
     assert phi1.exponent == phi2.exponent == pytest.approx(1 / 4)
     assert phi2.log_flag
-
-
-def test_basis_needs_enough_terms():
-    with pytest.raises(ValueError):
-        bpz.phi_basis(Params(3), n_terms=8)
 
 
 def test_log_companion_series_has_zero_constant_term():
@@ -84,16 +43,42 @@ def test_ode_residuals_on_grids(p):
             assert abs(bpz.ode_residual(params, f, float(x))) < 1e-8
 
 
-def test_residual_of_non_solution():
-    # constants fail the ODE by exactly the potential term
-    params = Params(2)
-    assert bpz.ode_residual(params, lambda x: 1.0, 0.5) == pytest.approx(0.5, abs=1e-9)
+def _closed_forms(p, x):
+    """``(phi_1, phi_2)`` at ``x`` through scipy's 2F1 (``p >= 3`` for ``phi_2``)."""
+    e = 1 / (2 * p)
+    phi1 = x**e * (1 - x) ** e * hyp2f1(1 / p, 3 / p - 1, 2 / p, x)
+    phi2 = x ** (1 - 3 * e) * (1 - x) ** e * hyp2f1(1 - 1 / p, 1 / p, 2 - 2 / p, x)
+    return phi1, phi2
+
+
+@pytest.mark.parametrize("p", (2, 3, 4, 7))
+def test_bases_match_hyp2f1_closed_forms(p):
+    # p = 2 has a log companion with no plain 2F1 form: compare phi_1, psi_1 only
+    count = 1 if p == 2 else 2
+    phis = bpz.phi_basis(Params(p))
+    psis = bpz.psi_basis(Params(p))
+    for x in (0.15, 0.35, 0.55, 0.75):
+        at_x, at_mirror = _closed_forms(p, x), _closed_forms(p, 1 - x)
+        for i in range(count):
+            assert phis[i].derivatives(x)[0] == pytest.approx(at_x[i], abs=1e-12)
+            assert psis[i].derivatives(x)[0] == pytest.approx(at_mirror[i], abs=1e-12)
+
+
+def test_residuals_reject_the_wrong_equation():
+    # the p = 3 basis does not solve the p = 4 equation
+    wrong = Params(4)
+    for f in bpz.phi_basis(Params(3)) + bpz.psi_basis(Params(3)):
+        for x in (0.25, 0.5, 0.75):
+            assert abs(bpz.ode_residual(wrong, f, x)) > 1e-3
+            assert abs(bpz.hypergeometric_residual(wrong, f, x)) > 1e-3
 
 
 def test_residual_input_validation():
-    with pytest.raises(ValueError):
-        bpz.ode_residual(Params(2), lambda x: 1.0, 1e-9)
     phi1, _ = bpz.phi_basis(Params(2))
+    with pytest.raises(ValueError):
+        bpz.ode_residual(Params(2), phi1, 1e-9)
+    with pytest.raises(ValueError):
+        bpz.hypergeometric_residual(Params(2), phi1, 1 - 1e-9)
     with pytest.raises(ValueError):
         phi1.derivatives(1.5)
 
@@ -151,14 +136,10 @@ def test_connection_matrix_is_involution(p):
     assert np.max(np.abs(m @ m - np.eye(2))) < 1e-12
 
 
-def test_connection_numeric_validates_points():
-    with pytest.raises(ValueError):
-        bpz.connection_numeric(Params(3), points=(0.25, 0.7))
-
-
-def test_connection_numeric_condition_guard():
+def test_connection_numeric_condition_guard(monkeypatch):
+    monkeypatch.setattr(bpz, "MAX_CONDITION", 1.0)
     with pytest.raises(bpz.IllConditionedMatching):
-        bpz.connection_numeric(Params(3), max_condition=1.0)
+        bpz.connection_numeric(Params(3))
 
 
 # --- rigidity coefficient -----------------------------------------------------------------

@@ -202,3 +202,14 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["terms"] == [
         {"kind": "P", "mult": 1, "r": 1, "s": 1}
     ]
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "result.json"
+    code, out, err = run(
+        capsys, "fuse", "--p", "3", "M:1,1", "M:1,2", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("singlet-fusion: ") and str(target) in err
+    assert not target.exists()

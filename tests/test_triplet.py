@@ -36,6 +36,39 @@ def test_extrapolated_flag():
     assert not triplet.is_extrapolated(P3, triplet.simple_w(P3, 1, 1))
 
 
+BAD_LABELS = [
+    triplet.TripletIndec("X", 1, 1),  # unknown kind
+    triplet.TripletIndec("W", 3, 1),  # rbar outside {1, 2}
+    triplet.TripletIndec("R", 0, 1),
+    triplet.TripletIndec("W", 1, 0),  # s below range
+    triplet.TripletIndec("W", 1, 4),  # W needs s <= p
+    triplet.TripletIndec("V", 1, 3),  # V and R need s <= p-1
+    triplet.TripletIndec("R", 1, 3),
+    triplet.TripletIndec("W", 5, 9),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_LABELS, ids=str)
+def test_public_functions_reject_bad_labels(bad):
+    good = triplet.simple_w(P3, 1, 2)
+    calls = [
+        lambda: triplet.is_extrapolated(P3, bad),
+        lambda: triplet.preimage(P3, bad),
+        lambda: triplet.triplet_fuse_generator(P3, bad, good),
+        lambda: triplet.triplet_fuse_generator(P3, good, bad),
+        lambda: triplet.derived_triplet_fuse(P3, bad, good),
+        lambda: triplet.derived_triplet_fuse(P3, good, bad),
+        lambda: triplet.composition_factors(P3, bad),
+        lambda: triplet.loewy(P3, bad),
+        lambda: triplet.virasoro_decomposition(P3, bad, 2),
+    ]
+    for call in calls:
+        # the label check itself, not a later UnsupportedFusion/UnsupportedOperation
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert excinfo.type is ValueError
+
+
 # --- induction ------------------------------------------------------------------
 
 
