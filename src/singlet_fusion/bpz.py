@@ -35,6 +35,15 @@ realizes the standard connection pair ``(ln4/pi, -1/pi)``; shifting the log
 solution by multiples of ``phi_1`` is the only freedom, and this choice
 pins it.
 
+The series coefficients are built and evaluated as plain Python floats
+(lists in Horner order, highest degree first), not as numpy arrays.  The
+IEEE operations and their order are the same as with ``np.float64``
+scalars, so every float this module returns is the same bit for bit, but
+each Horner step skips numpy's per-scalar boxing, which is where almost all
+of the evaluation time went.  Summing ``c_k u^k`` forward, ``cumprod`` in the
+recurrences or a dot product with powers of ``u`` would round differently;
+``tests/bpz_pins.json`` pins the values with ``float.hex``.
+
 Three module constants fix the numerics for every caller:
 
 * ``N_TERMS = 200`` -- the series length of every basis.  The series
@@ -56,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -96,16 +105,15 @@ def h12(params: Params) -> float:
     return 3.0 / (4.0 * params.p) - 0.5
 
 
-def _hyp_series_coeffs(a: float, b: float, c: float) -> np.ndarray:
+def _hyp_series_coeffs(a: float, b: float, c: float) -> List[float]:
     """First ``N_TERMS`` Taylor coefficients of ``2F1(a, b; c; x)``."""
-    out = np.empty(N_TERMS)
-    out[0] = 1.0
+    out = [1.0]
     for k in range(N_TERMS - 1):
-        out[k + 1] = out[k] * (k + a) * (k + b) / ((k + c) * (k + 1))
+        out.append(out[k] * (k + a) * (k + b) / ((k + c) * (k + 1)))
     return out
 
 
-def _log_companion_coeffs(base: np.ndarray) -> np.ndarray:
+def _log_companion_coeffs(base: List[float]) -> List[float]:
     """Repeated-root Frobenius series ``G`` for the ``p = 2`` log solution.
 
     With ``L[g] = x(1-x)g'' + (1-2x)g' - g/4`` (the ``p = 2`` hypergeometric
@@ -114,18 +122,19 @@ def _log_companion_coeffs(base: np.ndarray) -> np.ndarray:
 
         ``d_{n+1} = ((n+1/2)^2 d_n + (2n+1) c_n - 2(n+1) c_{n+1}) / (n+1)^2``.
     """
-    n_terms = len(base)
-    d = np.zeros(n_terms)
-    for n in range(n_terms - 1):
-        d[n + 1] = (
-            (n + 0.5) ** 2 * d[n] + (2 * n + 1) * base[n] - 2 * (n + 1) * base[n + 1]
-        ) / (n + 1) ** 2
+    d = [0.0]
+    for n in range(len(base) - 1):
+        d.append(
+            ((n + 0.5) ** 2 * d[n] + (2 * n + 1) * base[n] - 2 * (n + 1) * base[n + 1])
+            / (n + 1) ** 2
+        )
     return d
 
 
-def _poly_eval(c: np.ndarray, u: float) -> float:
+def _poly_eval(c: List[float], u: float) -> float:
+    """Horner evaluation of ``c``, highest degree first."""
     acc = 0.0
-    for v in c[::-1]:
+    for v in c:
         acc = acc * u + v
     return acc
 
@@ -155,42 +164,44 @@ class _Component:
 
     ``u`` is the local coordinate at the expansion point, ``v = 1 - u`` the
     coordinate at the other singular point; ``m`` is 0 when ``log_const`` is
-    ``None`` and 1 otherwise.  ``d1``/``d2`` hold the coefficient arrays of
-    ``S'(u)`` and ``S''(u)``.
+    ``None`` and 1 otherwise.  ``series``, ``d1`` and ``d2`` hold the
+    coefficients of ``S(u)``, ``S'(u)`` and ``S''(u)`` in Horner order
+    (highest degree first).
     """
 
     e_near: float
     e_far: float
-    series: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    series: List[float]
+    d1: List[float]
+    d2: List[float]
     log_const: Optional[float]
 
 
 def _component(
-    e_near: float, e_far: float, coeffs: np.ndarray, log_const: Optional[float] = None
+    e_near: float, e_far: float, coeffs: List[float], log_const: Optional[float] = None
 ) -> _Component:
-    n = np.arange(len(coeffs), dtype=float)
-    d1 = (coeffs * n)[1:]
-    d2 = (coeffs * n * (n - 1.0))[2:]
-    return _Component(e_near, e_far, coeffs, d1, d2, log_const)
+    top = len(coeffs) - 1
+    return _Component(
+        e_near,
+        e_far,
+        coeffs[::-1],
+        [coeffs[k] * k for k in range(top, 0, -1)],
+        [coeffs[k] * k * (k - 1.0) for k in range(top, 1, -1)],
+        log_const,
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class FrobeniusSolution:
     """A Frobenius solution of the degenerate-field ODE.
 
-    ``exponent`` is the leading power at the expansion point (0 or 1);
-    ``coefficients`` is the truncated power series in the local coordinate
-    (for the logarithmic solution, the non-log series ``G``); ``log_flag``
-    marks the ``p = 2`` logarithmic companion.  :meth:`derivatives` supplies
-    exact series derivatives for residual and matching work.
+    The solution is the sum of its ``components`` around
+    ``expansion_point`` (0 or 1); the ``p = 2`` logarithmic companion has
+    two, one of them carrying the log.  :meth:`derivatives` supplies exact
+    series derivatives for residual and matching work.
     """
 
     expansion_point: int
-    exponent: float
-    log_flag: bool
-    coefficients: np.ndarray
     components: Tuple[_Component, ...]
 
     def derivatives(self, x: float) -> Tuple[float, float, float]:
@@ -234,15 +245,15 @@ def _basis(params: Params, point: int) -> Tuple[FrobeniusSolution, FrobeniusSolu
         cb = _hyp_series_coeffs(1.0 - 1.0 / p, 1.0 / p, 2.0 - 2.0 / p)
         e2 = 1.0 - 3.0 / (2.0 * p)
         return (
-            FrobeniusSolution(point, e, False, ca, (_component(e, e, ca),)),
-            FrobeniusSolution(point, e2, False, cb, (_component(e2, e, cb),)),
+            FrobeniusSolution(point, (_component(e, e, ca),)),
+            FrobeniusSolution(point, (_component(e2, e, cb),)),
         )
     ca = _hyp_series_coeffs(0.5, 0.5, 1.0)
     cg = _log_companion_coeffs(ca)
     log_part = _component(e, e, ca, log_const=-math.log(4.0))
     return (
-        FrobeniusSolution(point, e, False, ca, (_component(e, e, ca),)),
-        FrobeniusSolution(point, e, True, cg, (log_part, _component(e, e, cg))),
+        FrobeniusSolution(point, (_component(e, e, ca),)),
+        FrobeniusSolution(point, (log_part, _component(e, e, cg))),
     )
 
 

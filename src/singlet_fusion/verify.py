@@ -42,10 +42,11 @@ class _Recorder:
         self.checks = 0
         self.failures: List[str] = []
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message: Callable[[], str]) -> None:
+        """Count one check; ``message()`` builds its text only on failure."""
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message())
 
     def result(self) -> Result:
         return self.checks, self.failures
@@ -90,26 +91,26 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
         oracle = fusion_oracle.oracle_fuse(params, a, b)
         rec.check(
             closed == oracle,
-            f"oracle mismatch at {a} x {b}: closed {closed} vs oracle {oracle}",
+            lambda: f"oracle mismatch at {a} x {b}: closed {closed} vs oracle {oracle}",
         )
 
     unit = catalog.simple(params, 1, 1)
     for x in simples + projectives:
         rec.check(
             fusion_closed.fuse(params, unit, x) == FormalSum.of(x),
-            f"unit failure at {x}",
+            lambda: f"unit failure at {x}",
         )
     for a in simples + projectives:
         for b in simples + projectives:
             ab = fusion_closed.fuse(params, a, b)
             rec.check(
                 ab == fusion_closed.fuse(params, b, a),
-                f"commutativity failure at {a} x {b}",
+                lambda: f"commutativity failure at {a} x {b}",
             )
             rec.check(
                 fusion_closed.flatten(params, ab)
                 == fusion_closed.grothendieck_product(params, a, b),
-                f"Grothendieck consistency failure at {a} x {b}",
+                lambda: f"Grothendieck consistency failure at {a} x {b}",
             )
     for a in simples:
         d = catalog.dual(params, a)
@@ -121,7 +122,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
         )
         rec.check(
             product.multiplicity(expected) == 1,
-            f"duality multiplicity failure at {a}: {product}",
+            lambda: f"duality multiplicity failure at {a}: {product}",
         )
     for r in range(-rwin, rwin + 1):
         rec.check(
@@ -129,7 +130,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
                 params, catalog.simple(params, r, 1), catalog.simple(params, 2 - r, 1)
             )
             == FormalSum.of(unit),
-            f"simple-current invertibility failure at r={r}",
+            lambda: f"simple-current invertibility failure at r={r}",
         )
     return rec.result()
 
@@ -148,7 +149,7 @@ def triplet_suite(params: Params, rwin: int = 3) -> Result:
                 rec.check(
                     triplet.derived_triplet_fuse(params, g, x)
                     == triplet.triplet_fuse_generator(params, g, x),
-                    f"generator agreement failure at {g} x {x}",
+                    lambda: f"generator agreement failure at {g} x {x}",
                 )
     labels = [
         triplet.simple_w(params, rb, s) for rb in (1, 2) for s in range(1, p + 1)
@@ -160,7 +161,9 @@ def triplet_suite(params: Params, rwin: int = 3) -> Result:
                 for sb in (-2, 0, 2):
                     rec.check(
                         triplet.derived_triplet_fuse(params, a, b, sa, sb) == base,
-                        f"preimage dependence at {a} x {b} with shifts {(sa, sb)}",
+                        lambda: (
+                            f"preimage dependence at {a} x {b} with shifts {(sa, sb)}"
+                        ),
                     )
     for r in range(-rwin, rwin + 1):
         induced = triplet.induce_sum(
@@ -172,7 +175,7 @@ def triplet_suite(params: Params, rwin: int = 3) -> Result:
         ).factors()
         rec.check(
             induced == target,
-            f"exactness bookkeeping failure at r={r}: {induced} vs {target}",
+            lambda: f"exactness bookkeeping failure at r={r}: {induced} vs {target}",
         )
     return rec.result()
 
@@ -192,20 +195,23 @@ def bpz_suite(params: Params) -> Result:
     ):
         for x in grid:
             r = abs(bpz.ode_residual(params, f, x))
-            rec.check(r < 1e-8, f"{name} residual {r:.3e} at x={x}")
+            rec.check(r < 1e-8, lambda: f"{name} residual {r:.3e} at x={x}")
             rh = abs(bpz.hypergeometric_residual(params, f, x))
-            rec.check(rh < 1e-8, f"{name} hypergeometric residual {rh:.3e} at x={x}")
+            rec.check(
+                rh < 1e-8,
+                lambda: f"{name} hypergeometric residual {rh:.3e} at x={x}",
+            )
     closed = bpz.connection_closed(params).as_array()
     numeric = bpz.connection_numeric(params)
     diff = abs(numeric.as_array() - closed).max()
-    rec.check(diff < 1e-8, f"connection numeric/closed gap {diff:.3e}")
+    rec.check(diff < 1e-8, lambda: f"connection numeric/closed gap {diff:.3e}")
     backward = bpz.connection_numeric(params, reverse=True)
     roundtrip = numeric.as_array() @ backward.as_array()
     gap = abs(roundtrip - [[1.0, 0.0], [0.0, 1.0]]).max()
-    rec.check(gap < 1e-7, f"roundtrip identity gap {gap:.3e}")
+    rec.check(gap < 1e-7, lambda: f"roundtrip identity gap {gap:.3e}")
     rec.check(
         abs(bpz.rigidity_coefficient(params)) > 1e-10,
-        "rigidity coefficient vanished",
+        lambda: "rigidity coefficient vanished",
     )
     return rec.result()
 
@@ -229,46 +235,51 @@ def catalog_suite(params: Params, rwin: int = 4) -> Result:
     for x in labels:
         rec.check(
             catalog.normalize(params, x) == x,
-            f"normalization not idempotent at {x}",
+            lambda: f"normalization not idempotent at {x}",
         )
         if x.kind != catalog.JORDAN_FOCK:
             rec.check(
                 catalog.loewy(params, x).factors()
                 == catalog.composition_factors(params, x),
-                f"Loewy layers disagree with composition factors at {x}",
+                lambda: f"Loewy layers disagree with composition factors at {x}",
             )
         if x.kind in (catalog.SIMPLE, catalog.PROJECTIVE):
             d = catalog.dual(params, x)
             rec.check(
-                catalog.dual(params, d) == x, f"dual not an involution at {x}"
+                catalog.dual(params, d) == x, lambda: f"dual not an involution at {x}"
             )
-            rec.check(d.kind == x.kind and d.s == x.s, f"dual changed shape at {x}")
             rec.check(
-                (d == x) == (x.r == 1), f"dual fixed-point criterion failed at {x}"
+                d.kind == x.kind and d.s == x.s,
+                lambda: f"dual changed shape at {x}",
+            )
+            rec.check(
+                (d == x) == (x.r == 1),
+                lambda: f"dual fixed-point criterion failed at {x}",
             )
     for r in range(-rwin, rwin + 1):
         for s in range(1, p):
             rec.check(
                 catalog.composition_factors(params, catalog.projective(params, r, s)).total()
                 == 4,
-                f"projective length != 4 at P:{r},{s}",
+                lambda: f"projective length != 4 at P:{r},{s}",
             )
     for r in (-1, 0, 1, 2):
         for n in (2, 3):
             _, l0, h0 = catalog.jordan_fock_matrices(params, r, n)
             comm_zero = _mat_commutes(l0, h0)
-            rec.check(comm_zero, f"[L0, H0] != 0 at r={r}, n={n}")
+            rec.check(comm_zero, lambda: f"[L0, H0] != 0 at r={r}, n={n}")
             if r != 1:
                 rec.check(
-                    not _mat_is_scalar(l0), f"L0 unexpectedly scalar at r={r}, n={n}"
+                    not _mat_is_scalar(l0),
+                    lambda: f"L0 unexpectedly scalar at r={r}, n={n}",
                 )
             else:
                 rec.check(
                     _mat_is_nilpotent(h0) and not _mat_is_zero(h0),
-                    f"H0 not nilpotent nonzero at r=1, n={n}",
+                    lambda: f"H0 not nilpotent nonzero at r=1, n={n}",
                 )
                 if n == 2:
-                    rec.check(_mat_is_scalar(l0), "L0 not scalar at r=1, n=2")
+                    rec.check(_mat_is_scalar(l0), lambda: "L0 not scalar at r=1, n=2")
     return rec.result()
 
 
@@ -281,29 +292,29 @@ def labels_suite(params: Params, rwin: int = 4) -> Result:
         for s in range(1, 2 * p + 1):
             rec.check(
                 alpha_coordinate(params, r + 1, s + p) == alpha_coordinate(params, r, s),
-                f"alpha periodicity failure at ({r},{s})",
+                lambda: f"alpha periodicity failure at ({r},{s})",
             )
         for s in range(1, p + 1):
             rec.check(
                 fock_weight(params, alpha_coordinate(params, r, s))
                 == weight(params, r, s),
-                f"Fock/Kac weight mismatch at ({r},{s})",
+                lambda: f"Fock/Kac weight mismatch at ({r},{s})",
             )
             wt = weight(params, r, s)
             rec.check(
                 (4 * p) % wt.denominator == 0,
-                f"weight denominator does not divide 4p at ({r},{s})",
+                lambda: f"weight denominator does not divide 4p at ({r},{s})",
             )
             rec.check(
                 lowest_weight_of_simple(params, r, s) >= params.weight_lower_bound,
-                f"weight lower bound violated at ({r},{s})",
+                lambda: f"weight lower bound violated at ({r},{s})",
             )
         for n in range(-3, 4):
             for s in range(2, p):
                 got = weight_coset_diff(params, (r + 2 * n, s - 1), (r, s + 1))
                 rec.check(
                     got == Fraction(s, p),
-                    f"coset congruence failure at r={r}, n={n}, s={s}: {got}",
+                    lambda: f"coset congruence failure at r={r}, n={n}, s={s}: {got}",
                 )
     return rec.result()
 

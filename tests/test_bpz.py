@@ -1,5 +1,8 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import hyp2f1
@@ -13,21 +16,28 @@ P_VALUES = (2, 3, 4, 5, 7)
 # --- Frobenius bases ---------------------------------------------------------------
 
 
+def _has_log(f):
+    return any(comp.log_const is not None for comp in f.components)
+
+
 def test_phi_exponents():
     p3 = Params(3)
     phi1, phi2 = bpz.phi_basis(p3)
-    assert phi1.exponent == pytest.approx(1 / 6)
-    assert phi2.exponent == pytest.approx(1 / 2)
-    assert not phi1.log_flag and not phi2.log_flag
+    assert [comp.e_near for comp in phi1.components] == [pytest.approx(1 / 6)]
+    assert [comp.e_near for comp in phi2.components] == [pytest.approx(1 / 2)]
+    assert not _has_log(phi1) and not _has_log(phi2)
     phi1, phi2 = bpz.phi_basis(Params(2))
-    assert phi1.exponent == phi2.exponent == pytest.approx(1 / 4)
-    assert phi2.log_flag
+    exponents = [comp.e_near for comp in phi1.components + phi2.components]
+    assert exponents == [pytest.approx(1 / 4)] * 3
+    assert not _has_log(phi1) and _has_log(phi2)
 
 
 def test_log_companion_series_has_zero_constant_term():
     _, phi2 = bpz.phi_basis(Params(2))
-    assert phi2.coefficients[0] == 0.0
-    assert phi2.coefficients[1] == pytest.approx(0.5)  # d_1 from the recurrence
+    (companion,) = [comp for comp in phi2.components if comp.log_const is None]
+    # series is in Horner order: the constant term d_0 comes last
+    assert companion.series[-1] == 0.0
+    assert companion.series[-2] == pytest.approx(0.5)  # d_1 from the recurrence
 
 
 @pytest.mark.parametrize("p", P_VALUES)
@@ -154,3 +164,76 @@ def test_rigidity_values():
 @pytest.mark.parametrize("p", P_VALUES)
 def test_rigidity_nonvanishing(p):
     assert abs(bpz.rigidity_coefficient(Params(p))) > 1e-10
+
+
+# --- mpmath cross-check ------------------------------------------------------------------
+
+
+def _mp_g_basis(p):
+    """``(g_1, g_2)`` at 30 digits, with ``phi_i = x^{1/2p} (1-x)^{1/2p} g_i``.
+
+    For ``p = 2`` the log companion ``F ln x + G`` is ``-d/dc`` at ``c = 1`` of
+    ``x^{1-c} 2F1(a-c+1, b-c+1; 2-c; x) - 2F1(a, b; c; x)``, ``a = b = 1/2``.
+    """
+    one = mpmath.mpf(1)
+    if p >= 3:
+        return (
+            lambda x: mpmath.hyp2f1(one / p, 3 * one / p - 1, 2 * one / p, x),
+            lambda x: x ** (1 - 2 * one / p)
+            * mpmath.hyp2f1(1 - one / p, one / p, 2 - 2 * one / p, x),
+        )
+    half = one / 2
+
+    def log_companion(x):
+        return -mpmath.diff(
+            lambda c: x ** (1 - c) * mpmath.hyp2f1(1.5 - c, 1.5 - c, 2 - c, x)
+            - mpmath.hyp2f1(half, half, c, x),
+            1,
+        )
+
+    def g1(x):
+        return mpmath.hyp2f1(half, half, 1, x)
+
+    return g1, lambda x: log_companion(x) - mpmath.log(4) * g1(x)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_connection_closed_matches_mpmath(p):
+    # psi_k(x) = phi_k(1 - x); the common x^{1/2p} (1-x)^{1/2p} cancels
+    with mpmath.workdps(30):
+        g = _mp_g_basis(p)
+        points = (mpmath.mpf("0.4"), mpmath.mpf("0.6"))
+        psi = mpmath.matrix([[gk(1 - x) for gk in g] for x in points])
+        rows = [mpmath.lu_solve(psi, [gi(x) for x in points]) for gi in g]
+        expected = [[float(row[k]) for k in range(2)] for row in rows]
+    closed = bpz.connection_closed(Params(p)).as_array()
+    assert np.max(np.abs(closed - np.array(expected))) < 1e-12
+
+
+# --- bit-identity pins ----------------------------------------------------------------
+
+
+# float.hex of values captured when the series were still evaluated on numpy
+# scalars; any change in the order or kind of float operations shows here
+PINS = json.loads(Path(__file__).with_name("bpz_pins.json").read_text())
+
+
+@pytest.mark.parametrize("p", sorted({row[0] for row in PINS["derivatives"]}))
+def test_floats_pinned_bit_for_bit(p):
+    params = Params(p)
+    bases = {"phi": bpz.phi_basis(params), "psi": bpz.psi_basis(params)}
+    for pin_p, name, x, expected in PINS["derivatives"]:
+        if pin_p == p:
+            f = bases[name[:3]][int(name[3]) - 1]
+            got = [float.hex(v) for v in f.derivatives(x)]
+            assert got == expected, (name, x)
+    for pin_p, reverse, matrix, condition in PINS["connection"]:
+        if pin_p == p:
+            got = bpz.connection_numeric(params, reverse=reverse)
+            assert [[float.hex(v) for v in row] for row in got.matrix] == matrix
+            assert float.hex(got.condition) == condition
+
+
+def test_rigidity_coefficient_pinned_bit_for_bit():
+    got = bpz.rigidity_coefficient(Params(3))
+    assert float.hex(got) == PINS["rigidity_p3"]

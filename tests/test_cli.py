@@ -107,6 +107,30 @@ def test_table_empty_range(capsys):
     assert out.strip().splitlines() == ["left\tright\tresult"]
 
 
+def test_table_over_the_row_cap_exits_2_before_any_product(capsys, monkeypatch):
+    def no_products(*args):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(cli.fusion_closed, "fuse", no_products)
+    code, out, err = run(capsys, "table", "--p", "6", "--rmin", "0", "--rmax", "100000")
+    assert code == 2
+    assert out == ""
+    assert f"table would have {(100001 * 11) ** 2} rows" in err
+
+
+def test_table_row_cap_boundary(capsys, monkeypatch):
+    # the table-both benchmark window (9 801 rows) stays far under the cap
+    assert 9801 * 20 < cli.MAX_TABLE_ROWS
+    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 9801)
+    code, out, _ = run(capsys, "table", "--p", "6", "--rmin", "-4", "--rmax", "4")
+    assert code == 0
+    assert len(out.splitlines()) == 9802
+    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 9800)
+    code, out, err = run(capsys, "table", "--p", "6", "--rmin", "-4", "--rmax", "4")
+    assert (code, out) == (2, "")
+    assert "table would have 9801 rows, more than 9800" in err
+
+
 def test_table_json_engine_both(capsys):
     code, out, _ = run(
         capsys,
