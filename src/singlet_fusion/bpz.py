@@ -44,6 +44,18 @@ of the evaluation time went.  Summing ``c_k u^k`` forward, ``cumprod`` in the
 recurrences or a dot product with powers of ``u`` would round differently;
 ``tests/bpz_pins.json`` pins the values with ``float.hex``.
 
+Everything one value of p needs is built once, in one private memo keyed
+on the int ``p``: the series of every component, and the values and first
+two derivatives of all four basis functions at ``MATCH_POINTS``.  Psi is
+phi mirrored, so both bases share the same immutable components
+(``series``, ``d1`` and ``d2`` are tuples), and both directions of
+:func:`connection_numeric` solve from the same match-point values.
+:func:`residuals` gives the ODE and hypergeometric residuals from one
+evaluation of the solution.  The memo holds a single p: ``verify --suite
+bpz`` finishes all its work at one p before it moves to the next, so a
+larger memo would hit no more often and would only keep the series of
+earlier p alive, growing with the length of the p list.
+
 Three module constants fix the numerics for every caller:
 
 * ``N_TERMS = 200`` -- the series length of every basis.  The series
@@ -65,7 +77,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +93,7 @@ __all__ = [
     "FrobeniusSolution",
     "phi_basis",
     "psi_basis",
+    "residuals",
     "ode_residual",
     "hypergeometric_residual",
     "ConnectionMatrix",
@@ -131,7 +145,7 @@ def _log_companion_coeffs(base: List[float]) -> List[float]:
     return d
 
 
-def _poly_eval(c: List[float], u: float) -> float:
+def _poly_eval(c: Tuple[float, ...], u: float) -> float:
     """Horner evaluation of ``c``, highest degree first."""
     acc = 0.0
     for v in c:
@@ -166,14 +180,15 @@ class _Component:
     coordinate at the other singular point; ``m`` is 0 when ``log_const`` is
     ``None`` and 1 otherwise.  ``series``, ``d1`` and ``d2`` hold the
     coefficients of ``S(u)``, ``S'(u)`` and ``S''(u)`` in Horner order
-    (highest degree first).
+    (highest degree first); they are tuples because the phi and psi bases
+    of one p share each component.
     """
 
     e_near: float
     e_far: float
-    series: List[float]
-    d1: List[float]
-    d2: List[float]
+    series: Tuple[float, ...]
+    d1: Tuple[float, ...]
+    d2: Tuple[float, ...]
     log_const: Optional[float]
 
 
@@ -184,9 +199,9 @@ def _component(
     return _Component(
         e_near,
         e_far,
-        coeffs[::-1],
-        [coeffs[k] * k for k in range(top, 0, -1)],
-        [coeffs[k] * k * (k - 1.0) for k in range(top, 1, -1)],
+        tuple(coeffs[::-1]),
+        tuple([coeffs[k] * k for k in range(top, 0, -1)]),
+        tuple([coeffs[k] * k * (k - 1.0) for k in range(top, 1, -1)]),
         log_const,
     )
 
@@ -237,39 +252,85 @@ class FrobeniusSolution:
         return f, fd1, fd2
 
 
-def _basis(params: Params, point: int) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
-    p = params.p
+_Basis = Tuple[FrobeniusSolution, FrobeniusSolution]
+#: ``(f, f', f'')`` of one basis function at each of ``MATCH_POINTS``.
+_MatchValues = Tuple[Tuple[float, float, float], ...]
+
+
+class _PerP(NamedTuple):
+    phi: _Basis
+    psi: _Basis
+    # [0] phi, [1] psi; then one entry per basis function
+    at_match: Tuple[Tuple[_MatchValues, ...], ...]
+
+
+@lru_cache(maxsize=1)
+def _frobenius(p: int) -> _PerP:
+    """Both bases for one p, sharing their components, and their match values."""
     e = 1.0 / (2.0 * p)
     if p >= 3:
         ca = _hyp_series_coeffs(1.0 / p, 3.0 / p - 1.0, 2.0 / p)
         cb = _hyp_series_coeffs(1.0 - 1.0 / p, 1.0 / p, 2.0 - 2.0 / p)
         e2 = 1.0 - 3.0 / (2.0 * p)
-        return (
-            FrobeniusSolution(point, (_component(e, e, ca),)),
-            FrobeniusSolution(point, (_component(e2, e, cb),)),
-        )
-    ca = _hyp_series_coeffs(0.5, 0.5, 1.0)
-    cg = _log_companion_coeffs(ca)
-    log_part = _component(e, e, ca, log_const=-math.log(4.0))
-    return (
-        FrobeniusSolution(point, (_component(e, e, ca),)),
-        FrobeniusSolution(point, (log_part, _component(e, e, cg))),
+        components = ((_component(e, e, ca),), (_component(e2, e, cb),))
+    else:
+        ca = _hyp_series_coeffs(0.5, 0.5, 1.0)
+        cg = _log_companion_coeffs(ca)
+        log_part = _component(e, e, ca, log_const=-math.log(4.0))
+        components = ((_component(e, e, ca),), (log_part, _component(e, e, cg)))
+    phi = tuple(FrobeniusSolution(0, c) for c in components)
+    psi = tuple(FrobeniusSolution(1, c) for c in components)
+    at_match = tuple(
+        tuple(tuple(f.derivatives(x) for x in MATCH_POINTS) for f in basis)
+        for basis in (phi, psi)
     )
+    return _PerP(phi, psi, at_match)
 
 
-def phi_basis(params: Params) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
+def phi_basis(params: Params) -> _Basis:
     """Solution basis ``(phi_1, phi_2)`` expanded at ``x = 0``."""
-    return _basis(params, 0)
+    return _frobenius(params.p).phi
 
 
-def psi_basis(params: Params) -> Tuple[FrobeniusSolution, FrobeniusSolution]:
+def psi_basis(params: Params) -> _Basis:
     """Solution basis ``(psi_1, psi_2)`` expanded at ``x = 1`` (mirror of phi)."""
-    return _basis(params, 1)
+    return _frobenius(params.p).psi
 
 
 def _check_interior(x: float) -> None:
     if not 1e-6 <= x <= 1 - 1e-6:
         raise ValueError(f"x must stay away from the singular points, got {x}")
+
+
+def _ode_residual_at(
+    params: Params, x: float, derivs: Tuple[float, float, float]
+) -> float:
+    f0, f1, f2 = derivs
+    p = params.p
+    return p * x * (1 - x) * f2 + (1 - 2 * x) * f1 - h12(params) / (x * (1 - x)) * f0
+
+
+def _hypergeometric_residual_at(
+    params: Params, x: float, derivs: Tuple[float, float, float]
+) -> float:
+    p = params.p
+    a = 1.0 / (2.0 * p)
+    g0, g1, g2 = _times_power(-a, -a, x, 1.0, *derivs)
+    return p * x * (1 - x) * g2 + 2 * (1 - 2 * x) * g1 + (1 - 3.0 / p) * g0
+
+
+def residuals(params: Params, f: FrobeniusSolution, x: float) -> Tuple[float, float]:
+    """``(ode_residual, hypergeometric_residual)`` of ``f`` at ``x``.
+
+    Evaluates ``f`` once for both; each value is the same float the single
+    function returns.
+    """
+    _check_interior(x)
+    derivs = f.derivatives(x)
+    return (
+        _ode_residual_at(params, x, derivs),
+        _hypergeometric_residual_at(params, x, derivs),
+    )
 
 
 def ode_residual(params: Params, f: FrobeniusSolution, x: float) -> float:
@@ -279,9 +340,7 @@ def ode_residual(params: Params, f: FrobeniusSolution, x: float) -> float:
     least ``1e-6`` away from the singular points.
     """
     _check_interior(x)
-    f0, f1, f2 = f.derivatives(x)
-    p = params.p
-    return p * x * (1 - x) * f2 + (1 - 2 * x) * f1 - h12(params) / (x * (1 - x)) * f0
+    return _ode_residual_at(params, x, f.derivatives(x))
 
 
 def hypergeometric_residual(params: Params, f: FrobeniusSolution, x: float) -> float:
@@ -292,10 +351,7 @@ def hypergeometric_residual(params: Params, f: FrobeniusSolution, x: float) -> f
     that the substitution maps ODE solutions to hypergeometric ones.
     """
     _check_interior(x)
-    p = params.p
-    a = 1.0 / (2.0 * p)
-    g0, g1, g2 = _times_power(-a, -a, x, 1.0, *f.derivatives(x))
-    return p * x * (1 - x) * g2 + 2 * (1 - 2 * x) * g1 + (1 - 3.0 / p) * g0
+    return _hypergeometric_residual_at(params, x, f.derivatives(x))
 
 
 @dataclass(frozen=True)
@@ -365,24 +421,18 @@ def connection_numeric(params: Params, reverse: bool = False) -> ConnectionMatri
     With ``reverse=True`` the roles are swapped and the psi basis is
     expressed in the phi basis.
     """
-    phis = phi_basis(params)
-    psis = psi_basis(params)
+    phis, psis = _frobenius(params.p).at_match
     source, target = (psis, phis) if not reverse else (phis, psis)
-    rows_a = []
-    for x in MATCH_POINTS:
-        d0 = [source[0].derivatives(x), source[1].derivatives(x)]
-        rows_a.append([d0[0][0], d0[1][0]])
-        rows_a.append([d0[0][1], d0[1][1]])
-    a = np.array(rows_a)
+    # rows: value, then first derivative, at each match point in turn
+    a = np.array(
+        [[f[j][k] for f in source] for j in range(len(MATCH_POINTS)) for k in (0, 1)]
+    )
     cond = float(np.linalg.cond(a))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedMatching(f"matching system condition {cond:.3e}")
     matrix = []
-    for sol in target:
-        rhs = []
-        for x in MATCH_POINTS:
-            f0, f1, _ = sol.derivatives(x)
-            rhs.extend([f0, f1])
+    for f in target:
+        rhs = [v for triple in f for v in triple[:2]]
         coeffs, *_ = np.linalg.lstsq(a, np.array(rhs), rcond=None)
         matrix.append((float(coeffs[0]), float(coeffs[1])))
     return ConnectionMatrix((matrix[0], matrix[1]), condition=cond)
@@ -403,7 +453,7 @@ def rigidity_coefficient(params: Params) -> float:
         return 1.0 / math.pi
     if p >= 4:
         return 1.0 / (2.0 * math.cos(math.pi / p))
-    psi1, psi2 = psi_basis(params)
+    psi1, psi2 = _frobenius(p).psi
     x = 0.6
     f0, f1, _ = psi1.derivatives(x)
     g0, g1, _ = psi2.derivatives(x)

@@ -11,8 +11,10 @@ Labels are written ``KIND:r,s`` with ``KIND`` in ``{M, P, F, FJ}`` (Jordan
 Fock labels take a third component, ``FJ:r,s,n``).  Output is JSON on
 stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
 to stderr.  Exit codes: 0 success, 2 usage or validation failure
-(including an ``--out`` path that cannot be written and a ``table`` of more
-than ``MAX_TABLE_ROWS`` rows), 3 verification failure or engine mismatch.
+(including an ``--out`` path that cannot be written, a ``table`` of more
+than ``MAX_TABLE_ROWS`` rows and a ``verify`` fusion window of more than
+``verify.MAX_FUSION_PAIRS`` ordered pairs), 3 verification failure or
+engine mismatch.
 Runs are deterministic: row order is lexicographic, JSON keys are sorted,
 and nothing is randomized.
 """

@@ -36,6 +36,13 @@ __all__ = [
 
 Result = Tuple[int, List[str]]
 
+#: Most ordered label pairs :func:`fusion_suite` will check at one p.  Its
+#: loops walk all ``((2 rwin + 1)(2p - 1))^2`` ordered pairs of the window:
+#: at p = 6, ``--rwin 1000`` would be about 4.8e8 of them, enough to exhaust
+#: memory.  The same cap as ``cli.MAX_TABLE_ROWS``; the largest benchmarked
+#: window has 3 025 pairs.
+MAX_FUSION_PAIRS = 250_000
+
 
 class _Recorder:
     def __init__(self) -> None:
@@ -58,6 +65,18 @@ def _check_rwin(rwin: int) -> None:
         raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
 
 
+def _check_fusion_window(params: Params, rwin: int) -> None:
+    """Reject a window that is negative or has more than ``MAX_FUSION_PAIRS``
+    ordered pairs, before any label is built."""
+    _check_rwin(rwin)
+    pairs = ((2 * rwin + 1) * (2 * params.p - 1)) ** 2
+    if pairs > MAX_FUSION_PAIRS:
+        raise ValueError(
+            f"fusion window at p={params.p}, rwin={rwin} has {pairs} ordered pairs, "
+            f"more than {MAX_FUSION_PAIRS}; narrow --rwin"
+        )
+
+
 def _simples(params: Params, rwin: int) -> List[catalog.Indecomposable]:
     return [
         catalog.simple(params, r, s)
@@ -76,7 +95,7 @@ def _projectives(params: Params, rwin: int) -> List[catalog.Indecomposable]:
 
 def fusion_suite(params: Params, rwin: int = 3) -> Result:
     """Oracle equivalence plus the ring identities on a label window."""
-    _check_rwin(rwin)
+    _check_fusion_window(params, rwin)
     rec = _Recorder()
     simples = _simples(params, rwin)
     projectives = _projectives(params, rwin)
@@ -194,9 +213,8 @@ def bpz_suite(params: Params) -> Result:
         (psi2, grid_psi, "psi2"),
     ):
         for x in grid:
-            r = abs(bpz.ode_residual(params, f, x))
+            r, rh = (abs(v) for v in bpz.residuals(params, f, x))
             rec.check(r < 1e-8, lambda: f"{name} residual {r:.3e} at x={x}")
-            rh = abs(bpz.hypergeometric_residual(params, f, x))
             rec.check(
                 rh < 1e-8,
                 lambda: f"{name} hypergeometric residual {rh:.3e} at x={x}",
@@ -363,7 +381,15 @@ def run_suite(name: str, params: Params, rwin: int = 3) -> Result:
 def run_suites(
     names: Sequence[str], p_values: Iterable[int], rwin: int = 3
 ) -> Dict[str, Dict[int, Result]]:
-    """Run several suites over several values of p."""
+    """Run several suites over several values of p.
+
+    Every fusion window is checked against ``MAX_FUSION_PAIRS`` before the
+    first suite runs, so a too-wide window fails at once.
+    """
+    p_values = list(p_values)
+    if "fusion" in names:
+        for p in p_values:
+            _check_fusion_window(Params(p), rwin)
     report: Dict[str, Dict[int, Result]] = {}
     for name in names:
         report[name] = {}

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import mpmath
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import hyp2f1
 
-from singlet_fusion import bpz
+from singlet_fusion import bpz, verify
 from singlet_fusion.labels import Params
 
 P_VALUES = (2, 3, 4, 5, 7)
@@ -208,6 +209,55 @@ def test_connection_closed_matches_mpmath(p):
         expected = [[float(row[k]) for k in range(2)] for row in rows]
     closed = bpz.connection_closed(Params(p)).as_array()
     assert np.max(np.abs(closed - np.array(expected))) < 1e-12
+
+
+# --- work per p ---------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, series", [(2, 1), (5, 2)])
+def test_bpz_suite_builds_each_series_and_value_once(monkeypatch, p, series):
+    builds = _count_calls(monkeypatch, bpz, "_hyp_series_coeffs")
+    evals = _count_calls(monkeypatch, bpz.FrobeniusSolution, "derivatives")
+    bpz._frobenius.cache_clear()
+    assert verify.bpz_suite(Params(p)) == (99, [])
+    assert builds[0] == series
+    # 4 functions x 12 residual grid points, 4 functions x 2 match points
+    assert evals[0] == 4 * 12 + 4 * len(bpz.MATCH_POINTS)
+
+
+def _phi_values(p):
+    return [v.hex() for f in bpz.phi_basis(Params(p)) for v in f.derivatives(0.3)]
+
+
+def _connection(p):
+    m = bpz.connection_numeric(Params(p), reverse=p % 2 == 1)
+    return [v.hex() for row in m.matrix for v in row] + [m.condition.hex()]
+
+
+def test_memo_depends_on_p_alone_and_holds_one_p():
+    calls = [(fn, p) for fn in (_phi_values, _connection) for p in range(2, 10)]
+    expected = {}
+    for fn, p in calls:
+        bpz._frobenius.cache_clear()
+        expected[fn, p] = fn(p)
+    order = calls * 3
+    random.Random(0).shuffle(order)
+    for fn, p in order:
+        assert fn(p) == expected[fn, p]
+        assert bpz._frobenius.cache_info().currsize == 1
+    assert bpz._frobenius.cache_info().maxsize == 1
 
 
 # --- bit-identity pins ----------------------------------------------------------------

@@ -196,6 +196,17 @@ def test_verify_rejects_negative_rwin(capsys):
     assert "--rwin" in err
 
 
+def test_verify_over_the_pair_cap_exits_2_before_any_label(capsys, monkeypatch):
+    def no_labels(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(cli.verify.catalog, "simple", no_labels)
+    code, out, err = run(capsys, "verify", "--suite", "fusion", "--p", "6", "--rwin", "1000")
+    assert (code, out) == (2, "")
+    assert f"has {(2001 * 11) ** 2} ordered pairs, more than 250000" in err
+    assert "Traceback" not in err
+
+
 def test_run_suites_rejects_negative_rwin():
     with pytest.raises(ValueError, match="--rwin"):
         cli.verify.run_suites(["fusion", "triplet"], [3], rwin=-1)

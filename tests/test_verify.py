@@ -1,5 +1,7 @@
 """Failure messages of the verify suites: built only on failure, text unchanged."""
 
+import pytest
+
 from singlet_fusion import bpz, catalog, fusion_oracle, verify
 from singlet_fusion.catalog import FormalSum
 from singlet_fusion.labels import Params
@@ -18,8 +20,8 @@ def test_passing_check_never_builds_its_message():
 def test_bpz_failure_message_text(monkeypatch):
     monkeypatch.setattr(
         bpz,
-        "hypergeometric_residual",
-        lambda params, f, x: -1.23456e-6 if x > 0.9 else 0.0,
+        "residuals",
+        lambda params, f, x: (0.0, -1.23456e-6 if x > 0.9 else 0.0),
     )
     assert verify.bpz_suite(Params(3)) == (
         99,
@@ -46,3 +48,34 @@ def test_fusion_failure_message_text(monkeypatch):
             "closed P:-2,1 + 2*P:-1,1 + P:0,1 vs oracle M:9,1"
         ],
     )
+
+
+def test_fusion_window_cap_boundary(monkeypatch):
+    # p = 6 has 11 labels per r: rwin 22 gives 495^2 = 245 025 ordered pairs,
+    # rwin 23 gives 517^2 = 267 289
+    assert verify.MAX_FUSION_PAIRS == 250_000
+    verify._check_fusion_window(Params(6), 22)
+
+    def no_labels(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(catalog, "simple", no_labels)
+    with pytest.raises(ValueError, match="has 267289 ordered pairs"):
+        verify.fusion_suite(Params(6), 23)
+    with pytest.raises(ValueError, match=f"has {(2001 * 11) ** 2} ordered pairs"):
+        verify.fusion_suite(Params(6), 1000)
+
+
+def test_run_suites_checks_every_fusion_window_first(monkeypatch):
+    def no_suite(params, rwin):
+        raise AssertionError("a suite ran before the window check")
+
+    monkeypatch.setitem(verify.SUITES, "labels", no_suite)
+    # p = 2 fits (141^2 pairs), p = 6 does not
+    with pytest.raises(ValueError, match="p=6, rwin=23"):
+        verify.run_suites(["labels", "fusion"], [2, 6], rwin=23)
+
+
+def test_bpz_suite_has_no_window_cap():
+    checks, failures = verify.run_suites(["bpz"], [120], rwin=1000)["bpz"][120]
+    assert (checks, failures) == (99, [])
