@@ -28,6 +28,7 @@ from .catalog import (
     composition_factors,
     dual,
     fock,
+    grothendieck_product,
     jordan_fock,
     jordan_fock_matrices,
     loewy,
@@ -41,7 +42,6 @@ from .fusion_closed import (
     fuse_mm,
     fuse_pm,
     fuse_pp,
-    grothendieck_product,
 )
 from .fusion_oracle import (
     NegativeMultiplicityError,

@@ -89,13 +89,10 @@ __all__ = [
     "MATCH_POINTS",
     "MAX_CONDITION",
     "IllConditionedMatching",
-    "h12",
     "FrobeniusSolution",
     "phi_basis",
     "psi_basis",
     "residuals",
-    "ode_residual",
-    "hypergeometric_residual",
     "ConnectionMatrix",
     "connection_closed",
     "connection_numeric",
@@ -114,7 +111,7 @@ class IllConditionedMatching(RuntimeError):
     """Basis matching produced an unusable linear system (too few terms?)."""
 
 
-def h12(params: Params) -> float:
+def _h12(params: Params) -> float:
     """The degenerate weight ``h_{1,2} = 3/(4p) - 1/2`` as a float."""
     return 3.0 / (4.0 * params.p) - 0.5
 
@@ -297,61 +294,25 @@ def psi_basis(params: Params) -> _Basis:
     return _frobenius(params.p).psi
 
 
-def _check_interior(x: float) -> None:
+def residuals(params: Params, f: FrobeniusSolution, x: float) -> Tuple[float, float]:
+    """The ODE and hypergeometric residuals of ``f`` at ``x``, from one evaluation.
+
+    The first is ``p x(1-x) f'' + (1-2x) f' - h_{1,2}/(x(1-x)) f``.  The
+    second forms ``g = x^{-1/2p} (1-x)^{-1/2p} f`` and returns
+    ``p x(1-x) g'' + 2(1-2x) g' + (1 - 3/p) g``; small values witness that
+    the substitution maps ODE solutions to hypergeometric ones.  ``x`` must
+    stay at least ``1e-6`` away from the singular points.
+    """
     if not 1e-6 <= x <= 1 - 1e-6:
         raise ValueError(f"x must stay away from the singular points, got {x}")
-
-
-def _ode_residual_at(
-    params: Params, x: float, derivs: Tuple[float, float, float]
-) -> float:
-    f0, f1, f2 = derivs
-    p = params.p
-    return p * x * (1 - x) * f2 + (1 - 2 * x) * f1 - h12(params) / (x * (1 - x)) * f0
-
-
-def _hypergeometric_residual_at(
-    params: Params, x: float, derivs: Tuple[float, float, float]
-) -> float:
+    f0, f1, f2 = derivs = f.derivatives(x)
     p = params.p
     a = 1.0 / (2.0 * p)
     g0, g1, g2 = _times_power(-a, -a, x, 1.0, *derivs)
-    return p * x * (1 - x) * g2 + 2 * (1 - 2 * x) * g1 + (1 - 3.0 / p) * g0
-
-
-def residuals(params: Params, f: FrobeniusSolution, x: float) -> Tuple[float, float]:
-    """``(ode_residual, hypergeometric_residual)`` of ``f`` at ``x``.
-
-    Evaluates ``f`` once for both; each value is the same float the single
-    function returns.
-    """
-    _check_interior(x)
-    derivs = f.derivatives(x)
     return (
-        _ode_residual_at(params, x, derivs),
-        _hypergeometric_residual_at(params, x, derivs),
+        p * x * (1 - x) * f2 + (1 - 2 * x) * f1 - _h12(params) / (x * (1 - x)) * f0,
+        p * x * (1 - x) * g2 + 2 * (1 - 2 * x) * g1 + (1 - 3.0 / p) * g0,
     )
-
-
-def ode_residual(params: Params, f: FrobeniusSolution, x: float) -> float:
-    """Residual of ``p x(1-x) f'' + (1-2x) f' - h_{1,2}/(x(1-x)) f`` at ``x``.
-
-    Used as the validity check on every constructed solution; keep ``x`` at
-    least ``1e-6`` away from the singular points.
-    """
-    _check_interior(x)
-    return _ode_residual_at(params, x, f.derivatives(x))
-
-
-def hypergeometric_residual(params: Params, f: FrobeniusSolution, x: float) -> float:
-    """Residual of the substituted function in the hypergeometric equation.
-
-    Forms ``g = x^{-1/2p} (1-x)^{-1/2p} f`` and returns
-    ``p x(1-x) g'' + 2(1-2x) g' + (1 - 3/p) g``; small residuals witness
-    that the substitution maps ODE solutions to hypergeometric ones.
-    """
-    _check_interior(x)
-    return _hypergeometric_residual_at(params, x, f.derivatives(x))
 
 
 @dataclass(frozen=True)

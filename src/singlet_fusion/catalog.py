@@ -53,7 +53,6 @@ __all__ = [
     "flatten",
     "grothendieck_product",
     "loewy",
-    "loewy_maximal_submodule",
     "dual",
     "virasoro_decomposition",
     "jordan_fock_matrices",
@@ -161,8 +160,8 @@ class FormalSum:
 
     This is the value type of every fusion product: a Krull-Schmidt
     decomposition recorded as ``label -> multiplicity``.  Sums are immutable,
-    hashable, and support ``+`` and integer scaling.  The empty sum is the
-    zero object and is falsy.
+    hashable, and support ``+`` and integer scaling.  The empty sum
+    ``FormalSum()`` is the zero object and is falsy.
 
     Any orderable, hashable label type works; singlet sums hold
     :class:`Indecomposable`, triplet sums hold ``TripletIndec``.
@@ -184,10 +183,6 @@ class FormalSum:
                 acc[label] = acc.get(label, 0) + mult
         self._terms: Dict[object, int] = acc
         self._key = tuple(sorted(acc.items()))
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
 
     @classmethod
     def of(cls, *labels: object) -> "FormalSum":
@@ -428,24 +423,6 @@ def loewy(params: Params, x: Indecomposable) -> LoewyDiagram:
             ((0, top, left), (0, top, right), (1, left, top), (1, right, top)),
         )
     raise UnsupportedOperation(f"no Loewy data for {x}")
-
-
-def loewy_maximal_submodule(params: Params, r: int, s: int) -> LoewyDiagram:
-    """Loewy diagram of ``Z_{r,s}``, the unique maximal submodule of ``P_{r,s}``.
-
-    Two layers: ``[M_{r-1,p-s} + M_{r+1,p-s}]`` over the socle ``[M_{r,s}]``.
-    Defined for ``1 <= s <= p-1``.
-    """
-    p = params.p
-    if not 1 <= s <= p - 1:
-        raise ValueError(f"maximal submodules Z_{{r,s}} need 1 <= s <= p-1, got s={s}")
-    left = simple(params, r - 1, p - s)
-    right = simple(params, r + 1, p - s)
-    soc = simple(params, r, s)
-    return LoewyDiagram(
-        (FormalSum.of(left, right), FormalSum.of(soc)),
-        ((0, left, soc), (0, right, soc)),
-    )
 
 
 def dual(params: Params, x: Indecomposable) -> Indecomposable:

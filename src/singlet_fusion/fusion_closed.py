@@ -9,11 +9,9 @@ every sum, so the formulas compose without case splits.
 The generator rules (fusion with the simple currents ``M_{2n+1,1}`` and
 ``M_{2,1}``, and with ``M_{1,2}``) live in :mod:`.fusion_oracle`, which is
 built on them alone.  Neither module imports the other, which is what makes
-the two routes independent.
-
-:func:`flatten` and :func:`grothendieck_product` are re-exported from
-:mod:`.catalog`, which builds the ring of composition-factor classes from
-its presentation and imports neither route.
+the two routes independent.  The Grothendieck ring that checks both
+(:func:`.catalog.flatten`, :func:`.catalog.grothendieck_product`) lives in
+:mod:`.catalog`, which imports neither route.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from .catalog import (
     _check_normal_form,
     _pairs,
     _SumLike,
-    flatten,
-    grothendieck_product,
     projective,
     shift_r,
     simple,
@@ -45,8 +41,6 @@ __all__ = [
     "fuse_pm",
     "fuse_pp",
     "fuse",
-    "flatten",
-    "grothendieck_product",
 ]
 
 

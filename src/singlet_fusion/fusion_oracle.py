@@ -9,6 +9,9 @@ Products are rebuilt from scratch with only three ingredients:
    associativity, and
 3. Krull-Schmidt cancellation (:func:`ks_subtract`): decompositions into
    indecomposables are unique, so the subtraction in (2) is well defined.
+   A subtraction that would go negative raises
+   :class:`NegativeMultiplicityError`, whose fields ``minuend``,
+   ``subtrahend`` and ``label`` record the failed step.
 
 The column recursion is valid for any left factor ``X`` (simple or
 projective).  Every irreducible module has a projective cover, so
@@ -23,8 +26,8 @@ composition factor; a projective ``P_{r',s'}`` gives the split reduction
     ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``.
 
 :func:`oracle_fuse` dispatches a pair of ``M``/``P`` labels to the kind
-gates :func:`oracle_fuse_mm` and :func:`oracle_fuse_p`, which share one
-operand check and take this route.  This module imports only
+gates :func:`oracle_fuse_mm` and :func:`oracle_fuse_p`, which check
+both operands and take this route.  This module imports only
 :mod:`.catalog` and :mod:`.labels`: the closed forms in
 :mod:`.fusion_closed` are never consulted, so agreement between the two
 routes is a genuine cross-check.
@@ -39,7 +42,6 @@ sequential use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -60,7 +62,6 @@ from .catalog import (
 from .labels import Params
 
 __all__ = [
-    "KSLedger",
     "NegativeMultiplicityError",
     "fuse_generators",
     "ks_subtract",
@@ -70,29 +71,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KSLedger:
-    """Record of one Krull-Schmidt cancellation step."""
-
-    minuend: FormalSum
-    subtrahend: FormalSum
-
-
 class NegativeMultiplicityError(ArithmeticError):
-    """A Krull-Schmidt subtraction went negative.
+    """A Krull-Schmidt subtraction ``minuend - subtrahend`` went negative at ``label``.
 
     This never happens on consistent inputs; seeing it means either a bug or
     a genuine inconsistency between the closed forms and the recursion, so it
-    is surfaced rather than clamped.
+    is surfaced rather than clamped.  ``minuend``, ``subtrahend`` and
+    ``label`` are kept as fields.
     """
 
-    def __init__(self, ledger: KSLedger, label: object) -> None:
-        self.ledger = ledger
+    def __init__(self, minuend: FormalSum, subtrahend: FormalSum, label: object) -> None:
+        self.minuend = minuend
+        self.subtrahend = subtrahend
         self.label = label
-        super().__init__(
-            f"subtracting {ledger.subtrahend} from {ledger.minuend} "
-            f"drives {label} negative"
-        )
+        super().__init__(f"subtracting {subtrahend} from {minuend} drives {label} negative")
 
 
 def _m12_terms(params: Params, x: Indecomposable) -> Tuple[Indecomposable, ...]:
@@ -155,7 +147,7 @@ def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
     """Exact multiset difference ``a - b``; requires ``b <= a`` termwise."""
     for label, mult in b:
         if a.multiplicity(label) < mult:
-            raise NegativeMultiplicityError(KSLedger(a, b), label)
+            raise NegativeMultiplicityError(a, b, label)
     return FormalSum({label: mult - b.multiplicity(label) for label, mult in a})
 
 
@@ -190,16 +182,12 @@ def _route(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     )
 
 
-def _check_operands(params: Params, a: Indecomposable, b: Indecomposable, what: str) -> None:
-    for x in (a, b):
-        _check_normal_form(params, x, what)
-
-
 def oracle_fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """``M_{r,s} x M_{r',s'}``: the column ``M_{1,s} x M_{1,s'}`` shifted by ``(r-1) + (r'-1)``."""
     if a.kind != SIMPLE or b.kind != SIMPLE:
         raise UnsupportedFusion("oracle_fuse_mm takes two simple labels")
-    _check_operands(params, a, b, "oracle_fuse_mm")
+    for x in (a, b):
+        _check_normal_form(params, x, "oracle_fuse_mm")
     return _route(params, a, b)
 
 
@@ -212,7 +200,8 @@ def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> Forma
     """
     if a.kind != PROJECTIVE:
         raise UnsupportedFusion(f"oracle_fuse_p expects a projective first factor, got {a}")
-    _check_operands(params, a, b, "oracle_fuse_p")
+    for x in (a, b):
+        _check_normal_form(params, x, "oracle_fuse_p")
     if b.kind not in (SIMPLE, PROJECTIVE):
         raise UnsupportedFusion(f"oracle_fuse_p cannot fuse against {b}")
     return _route(params, a, b)

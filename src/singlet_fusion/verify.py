@@ -3,13 +3,13 @@
 Each suite replays the defining identities of one layer of the package and
 returns ``(checks, failures)`` where ``failures`` is a list of human-readable
 messages (empty on success).  The suites are deterministic and pure.
-:data:`SUITES` is the registry :func:`run_suite` dispatches through.
+:data:`SUITES` is the registry :func:`run_suites` dispatches through.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import bpz, catalog, fusion_closed, fusion_oracle, triplet
 from .catalog import FormalSum
@@ -25,7 +25,6 @@ from .labels import (
 
 __all__ = [
     "SUITES",
-    "run_suite",
     "run_suites",
     "fusion_suite",
     "triplet_suite",
@@ -127,8 +126,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
                 lambda: f"commutativity failure at {a} x {b}",
             )
             rec.check(
-                fusion_closed.flatten(params, ab)
-                == fusion_closed.grothendieck_product(params, a, b),
+                catalog.flatten(params, ab) == catalog.grothendieck_product(params, a, b),
                 lambda: f"Grothendieck consistency failure at {a} x {b}",
             )
     for a in simples:
@@ -234,23 +232,22 @@ def bpz_suite(params: Params) -> Result:
     return rec.result()
 
 
+def _catalog_labels(params: Params, rwin: int) -> Iterator[catalog.Indecomposable]:
+    """Every M, P and F label and one Jordan Fock label per r, built one at a time."""
+    for r in range(-rwin, rwin + 1):
+        for s in range(1, params.p + 1):
+            yield catalog.simple(params, r, s)
+            yield catalog.projective(params, r, s)
+            yield catalog.fock(params, r, s)
+        yield catalog.jordan_fock(params, r, 2)
+
+
 def catalog_suite(params: Params, rwin: int = 4) -> Result:
     """Normalization, Loewy flattening, duals, and Jordan Fock structure."""
     _check_rwin(rwin)
     rec = _Recorder()
     p = params.p
-    labels = []
-    for r in range(-rwin, rwin + 1):
-        for s in range(1, p + 1):
-            labels.extend(
-                [
-                    catalog.simple(params, r, s),
-                    catalog.projective(params, r, s),
-                    catalog.fock(params, r, s),
-                ]
-            )
-        labels.append(catalog.jordan_fock(params, r, 2))
-    for x in labels:
+    for x in _catalog_labels(params, rwin):
         rec.check(
             catalog.normalize(params, x) == x,
             lambda: f"normalization not idempotent at {x}",
@@ -371,28 +368,20 @@ SUITES: Dict[str, Callable[[Params, int], Result]] = {
 }
 
 
-def run_suite(name: str, params: Params, rwin: int = 3) -> Result:
-    """Run one named suite for one value of p; ``rwin`` must be ``>= 0``."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](params, rwin)
-
-
 def run_suites(
     names: Sequence[str], p_values: Iterable[int], rwin: int = 3
 ) -> Dict[str, Dict[int, Result]]:
-    """Run several suites over several values of p.
+    """Run several suites over several values of p, each p once.
 
-    Every fusion window is checked against ``MAX_FUSION_PAIRS`` before the
-    first suite runs, so a too-wide window fails at once.
+    Repeated values of p are dropped, keeping the first of each.  Unknown
+    suite names, and every fusion window over ``MAX_FUSION_PAIRS``, are
+    rejected before the first suite runs, so a bad request fails at once.
     """
-    p_values = list(p_values)
+    p_values = list(dict.fromkeys(p_values))
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
     if "fusion" in names:
         for p in p_values:
             _check_fusion_window(Params(p), rwin)
-    report: Dict[str, Dict[int, Result]] = {}
-    for name in names:
-        report[name] = {}
-        for p in p_values:
-            report[name][p] = run_suite(name, Params(p), rwin=rwin)
-    return report
+    return {name: {p: SUITES[name](Params(p), rwin) for p in p_values} for name in names}

@@ -48,10 +48,10 @@ def test_ode_residuals_on_grids(p):
     psis = bpz.psi_basis(params)
     for f in phis:
         for x in np.linspace(0.05, 0.6, 12):
-            assert abs(bpz.ode_residual(params, f, float(x))) < 1e-8
+            assert abs(bpz.residuals(params, f, float(x))[0]) < 1e-8
     for f in psis:
         for x in np.linspace(0.4, 0.95, 12):
-            assert abs(bpz.ode_residual(params, f, float(x))) < 1e-8
+            assert abs(bpz.residuals(params, f, float(x))[0]) < 1e-8
 
 
 def _closed_forms(p, x):
@@ -80,16 +80,17 @@ def test_residuals_reject_the_wrong_equation():
     wrong = Params(4)
     for f in bpz.phi_basis(Params(3)) + bpz.psi_basis(Params(3)):
         for x in (0.25, 0.5, 0.75):
-            assert abs(bpz.ode_residual(wrong, f, x)) > 1e-3
-            assert abs(bpz.hypergeometric_residual(wrong, f, x)) > 1e-3
+            ode, hyp = bpz.residuals(wrong, f, x)
+            assert abs(ode) > 1e-3
+            assert abs(hyp) > 1e-3
 
 
 def test_residual_input_validation():
     phi1, _ = bpz.phi_basis(Params(2))
     with pytest.raises(ValueError):
-        bpz.ode_residual(Params(2), phi1, 1e-9)
+        bpz.residuals(Params(2), phi1, 1e-9)
     with pytest.raises(ValueError):
-        bpz.hypergeometric_residual(Params(2), phi1, 1 - 1e-9)
+        bpz.residuals(Params(2), phi1, 1 - 1e-9)
     with pytest.raises(ValueError):
         phi1.derivatives(1.5)
 
@@ -99,7 +100,7 @@ def test_substitution_maps_to_hypergeometric(p):
     params = Params(p)
     for f in bpz.phi_basis(params) + bpz.psi_basis(params):
         for x in (0.15, 0.35, 0.55, 0.75):
-            assert abs(bpz.hypergeometric_residual(params, f, x)) < 1e-8
+            assert abs(bpz.residuals(params, f, x)[1]) < 1e-8
 
 
 # --- connection matrices --------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_run_suites_rejects_negative_rwin():
 
 @pytest.mark.parametrize("name", sorted(cli.verify.SUITES))
 def test_every_suite_rejects_negative_rwin(name):
-    # called directly, not through run_suite: a windowed suite with a
+    # called directly, not through run_suites: a windowed suite with a
     # negative window would otherwise run an empty or partial window
     with pytest.raises(ValueError, match="--rwin"):
         cli.verify.SUITES[name](Params(3), -1)

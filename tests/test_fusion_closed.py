@@ -8,19 +8,19 @@ from singlet_fusion import fusion_closed, verify
 from singlet_fusion.catalog import (
     FormalSum,
     Indecomposable,
+    flatten,
     fock,
+    grothendieck_product,
     jordan_fock,
     projective,
     simple,
 )
 from singlet_fusion.fusion_closed import (
     UnsupportedFusion,
-    flatten,
     fuse,
     fuse_mm,
     fuse_pm,
     fuse_pp,
-    grothendieck_product,
 )
 from singlet_fusion.fusion_oracle import fuse_generators
 from singlet_fusion.labels import Params
@@ -193,7 +193,7 @@ def test_generators_agree_with_closed_forms(params, r, data):
 
 
 def test_fuse_bilinear():
-    zero = FormalSum.zero()
+    zero = FormalSum()
     assert fuse(P2, zero, FormalSum.of(simple(P2, 1, 1))) == zero
     two_units = FormalSum([(simple(P2, 1, 1), 2)])
     x = projective(P2, 0, 1)

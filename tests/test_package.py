@@ -1,0 +1,33 @@
+"""Every exported name resolves, and every package re-export is its home module's object."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import singlet_fusion
+
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(singlet_fusion.__path__) if m.name != "__main__"
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_all_resolves(module):
+    mod = importlib.import_module(f"singlet_fusion.{module}")
+    names = mod.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(mod, n)] == []
+
+
+def test_package_all_reexports_home_objects():
+    names = singlet_fusion.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        obj = getattr(singlet_fusion, name)
+        if name == "__version__":
+            continue
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("singlet_fusion."), name
+        assert getattr(home, name) is obj, name
+        assert name in home.__all__, name

@@ -97,7 +97,7 @@ def test_induce_collapses_parity_only(params, r, data):
 
 
 def test_induce_sum_termwise():
-    assert triplet.induce_sum(P3, FormalSum.zero()) == FormalSum.zero()
+    assert triplet.induce_sum(P3, FormalSum()) == FormalSum()
     xs = FormalSum.of(catalog.simple(P3, 1, 2), catalog.simple(P3, 2, 2))
     assert triplet.induce_sum(P3, xs) == FormalSum.of(
         triplet.simple_w(P3, 1, 2), triplet.simple_w(P3, 2, 2)

@@ -1,5 +1,7 @@
 """Failure messages of the verify suites: built only on failure, text unchanged."""
 
+import tracemalloc
+
 import pytest
 
 from singlet_fusion import bpz, catalog, fusion_oracle, verify
@@ -79,3 +81,40 @@ def test_run_suites_checks_every_fusion_window_first(monkeypatch):
 def test_bpz_suite_has_no_window_cap():
     checks, failures = verify.run_suites(["bpz"], [120], rwin=1000)["bpz"][120]
     assert (checks, failures) == (99, [])
+
+
+def test_run_suites_runs_each_p_once(monkeypatch):
+    runs = []
+    for name in list(verify.SUITES):
+
+        def suite(params, rwin, name=name):
+            runs.append((name, params.p))
+            return 1, []
+
+        monkeypatch.setitem(verify.SUITES, name, suite)
+    report = verify.run_suites(list(verify.SUITES), [2, 3, 2], rwin=0)
+    assert runs == [(name, p) for name in verify.SUITES for p in (2, 3)]
+    assert all(list(per_p) == [2, 3] for per_p in report.values())
+
+
+def test_run_suites_rejects_unknown_names_before_any_suite(monkeypatch):
+    def no_suite(params, rwin):
+        raise AssertionError("a suite ran before the name check")
+
+    monkeypatch.setitem(verify.SUITES, "labels", no_suite)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suites(["labels", "nope"], [2])
+
+
+def _catalog_suite_peak(rwin):
+    tracemalloc.start()
+    try:
+        verify.catalog_suite(Params(2), rwin)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_catalog_suite_memory_does_not_grow_with_rwin():
+    _catalog_suite_peak(2)  # warm imports and caches
+    assert _catalog_suite_peak(2000) <= 2 * _catalog_suite_peak(200)
