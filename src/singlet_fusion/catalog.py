@@ -185,6 +185,15 @@ class FormalSum:
         self._key = tuple(sorted(acc.items()))
 
     @classmethod
+    def _from_sorted(cls, key: Tuple[Tuple[object, int], ...]) -> "FormalSum":
+        """A sum from pairs already in ``terms`` form: sorted, distinct labels,
+        positive int multiplicities.  Nothing is checked or sorted."""
+        x = cls.__new__(cls)
+        x._terms = dict(key)
+        x._key = key
+        return x
+
+    @classmethod
     def of(cls, *labels: object) -> "FormalSum":
         """Sum of the given labels, each with multiplicity one (repeats add)."""
         return cls((lab, 1) for lab in labels)
@@ -263,7 +272,34 @@ def shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
     This is fusion with the invertible simple currents (``M_{2n+1,1}`` for
     even shifts, one extra ``M_{2,1}`` for odd ones), which acts on labels
     exactly this way.
+
+    Normalization only looks at ``kind``, ``s`` and ``n``, so the shift
+    commutes with :func:`normalize`.  When every term is already in normal
+    form (``M``: ``1 <= s <= p``, ``n = 1``; ``P``, ``F``: ``1 <= s <= p-1``,
+    ``n = 1``; ``FJ``: ``s = p``, ``n >= 2``), a common shift keeps every
+    label in normal form, keeps the sorted ``(kind, r, s, n)`` order and
+    merges no terms, so the shifted terms are built directly and ``x`` itself
+    is returned for ``delta = 0``.  Any other term sends the whole sum
+    through ``normalize``.
     """
+    p = params.p
+    new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
+    key = []
+    for lab, mult in x._key:
+        if type(lab) is not Indecomposable:
+            break
+        kind, r, s, n = lab
+        if kind == SIMPLE:
+            normal = n == 1 and 1 <= s <= p
+        elif kind == PROJECTIVE or kind == FOCK:
+            normal = n == 1 and 1 <= s <= p - 1
+        else:
+            normal = kind == JORDAN_FOCK and s == p and n >= 2
+        if not normal:
+            break
+        key.append((new(Indecomposable, (kind, r + delta, s, n)), mult))
+    else:
+        return FormalSum._from_sorted(tuple(key)) if delta else x
     return x.map_labels(lambda lab: normalize(params, lab._replace(r=lab.r + delta)))
 
 

@@ -6,6 +6,17 @@ integer window with a parity constraint, and is empty whenever its lower
 bound exceeds its upper bound.  ``P(r, p)`` normalizes to ``M(r, p)`` inside
 every sum, so the formulas compose without case splits.
 
+The formulas depend on ``r`` and ``r'`` only through ``r + r'``: the simple
+currents ``M_{2n+1,1}`` and ``M_{2,1}`` act on every label as a plain shift
+of ``r``.  So each formula is written once at ``r = r' = 1`` (a private
+template), and every other product is that template shifted by
+``r + r' - 2`` through :func:`.catalog.shift_r`.  The templates are memoized
+in ``_template`` by ``(params, form, s, s')``, with ``s <= s'`` for the
+symmetric ``M x M`` and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever
+``r`` the callers use.  The memo holds at most 1 024 templates (LRU), each
+of at most ``3p/2 + 2`` distinct terms, so it stays bounded when a caller
+sweeps large ``p`` (``2p^2 - p`` is already 79 800 at ``p = 200``).
+
 The generator rules (fusion with the simple currents ``M_{2n+1,1}`` and
 ``M_{2,1}``, and with ``M_{1,2}``) live in :mod:`.fusion_oracle`, which is
 built on them alone.  Neither module imports the other, which is what makes
@@ -16,7 +27,8 @@ the two routes independent.  The Grothendieck ring that checks both
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from .catalog import (
     FOCK,
@@ -50,6 +62,66 @@ def _require(params: Params, x: Indecomposable, kind: str, what: str) -> None:
     _check_normal_form(params, x, what)
 
 
+def _mm_terms(params: Params, s: int, t: int) -> List[Indecomposable]:
+    """Summands of ``M_{1,s} x M_{1,t}``."""
+    p = params.p
+    out = []
+    for ell in range(abs(s - t) + 1, min(s + t - 1, 2 * p - 1 - s - t) + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(simple(params, 1, ell))
+    for ell in range(2 * p + 1 - s - t, p + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, 1, ell))
+    return out
+
+
+def _pm_windows(params: Params, s: int, t: int) -> List[Indecomposable]:
+    """Summands of ``P_{1,s} x M_{1,t}``, repeats included."""
+    p = params.p
+    out = []
+    for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, 1, ell))
+    for ell in range(2 * p + 1 - s - t, p + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, 1, ell))
+    for ell in range(p + s - t + 1, p + 1):
+        if (ell + p + s + t) % 2 == 1:
+            out.append(projective(params, 2, ell))
+            out.append(projective(params, 0, ell))
+    return out
+
+
+def _pp_pairs(params: Params, s: int, t: int) -> List[Tuple[Indecomposable, int]]:
+    """``(summand, multiplicity)`` pairs of ``P_{1,s} x P_{1,t}``, repeats included."""
+    p = params.p
+    pairs = [(label, 2) for label in _pm_windows(params, s, t)]
+    for ell in range(abs(s + t - p) + 1, min(s - t + p - 1, p) + 1):
+        if (ell + p + s + t) % 2 == 1:
+            pairs.append((projective(params, 2, ell), 1))
+            pairs.append((projective(params, 0, ell), 1))
+    for ell in range(p - s + t + 1, p + 1):
+        if (ell + p + s + t) % 2 == 1:
+            pairs.append((projective(params, 2, ell), 1))
+            pairs.append((projective(params, 0, ell), 1))
+    for ell in range(s + t + 1, p + 1):
+        if (ell + s + t) % 2 == 1:
+            pairs.append((projective(params, 3, ell), 1))
+            pairs.append((projective(params, 1, ell), 2))
+            pairs.append((projective(params, -1, ell), 1))
+    return pairs
+
+
+@lru_cache(maxsize=1024)
+def _template(params: Params, form: str, s: int, t: int) -> FormalSum:
+    """The product ``form`` of the two ``r = 1`` labels with ``s`` and ``t``."""
+    if form == "mm":
+        return FormalSum.of(*_mm_terms(params, s, t))
+    if form == "pm":
+        return FormalSum.of(*_pm_windows(params, s, t))
+    return FormalSum(_pp_pairs(params, s, t))
+
+
 def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """Fusion ``M_{r,s} x M_{r',s'}``.
 
@@ -59,34 +131,8 @@ def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """
     _require(params, a, SIMPLE, "fuse_mm")
     _require(params, b, SIMPLE, "fuse_mm")
-    p = params.p
-    r = a.r + b.r - 1
-    s, t = a.s, b.s
-    out = []
-    for ell in range(abs(s - t) + 1, min(s + t - 1, 2 * p - 1 - s - t) + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(simple(params, r, ell))
-    for ell in range(2 * p + 1 - s - t, p + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, r, ell))
-    return FormalSum.of(*out)
-
-
-def _pm_windows(params: Params, rr: int, s: int, t: int) -> List[Indecomposable]:
-    """Summands of ``P_{r,s} x M_{r',s'}`` (``rr = r + r'``, ``t = s'``), repeats included."""
-    p = params.p
-    out = []
-    for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, rr - 1, ell))
-    for ell in range(2 * p + 1 - s - t, p + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, rr - 1, ell))
-    for ell in range(p + s - t + 1, p + 1):
-        if (ell + p + s + t) % 2 == 1:
-            out.append(projective(params, rr, ell))
-            out.append(projective(params, rr - 2, ell))
-    return out
+    s, t = (a.s, b.s) if a.s <= b.s else (b.s, a.s)
+    return shift_r(params, _template(params, "mm", s, t), a.r + b.r - 2)
 
 
 def fuse_pm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -100,7 +146,7 @@ def fuse_pm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """
     _require(params, a, PROJECTIVE, "fuse_pm")
     _require(params, b, SIMPLE, "fuse_pm")
-    return FormalSum.of(*_pm_windows(params, a.r + b.r, a.s, b.s))
+    return shift_r(params, _template(params, "pm", a.s, b.s), a.r + b.r - 2)
 
 
 def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -119,24 +165,8 @@ def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     """
     _require(params, a, PROJECTIVE, "fuse_pp")
     _require(params, b, PROJECTIVE, "fuse_pp")
-    p = params.p
-    rr = a.r + b.r
-    s, t = a.s, b.s
-    pairs = [(label, 2) for label in _pm_windows(params, rr, s, t)]
-    for ell in range(abs(s + t - p) + 1, min(s - t + p - 1, p) + 1):
-        if (ell + p + s + t) % 2 == 1:
-            pairs.append((projective(params, rr, ell), 1))
-            pairs.append((projective(params, rr - 2, ell), 1))
-    for ell in range(p - s + t + 1, p + 1):
-        if (ell + p + s + t) % 2 == 1:
-            pairs.append((projective(params, rr, ell), 1))
-            pairs.append((projective(params, rr - 2, ell), 1))
-    for ell in range(s + t + 1, p + 1):
-        if (ell + s + t) % 2 == 1:
-            pairs.append((projective(params, rr + 1, ell), 1))
-            pairs.append((projective(params, rr - 1, ell), 2))
-            pairs.append((projective(params, rr - 3, ell), 1))
-    return FormalSum(pairs)
+    s, t = (a.s, b.s) if a.s <= b.s else (b.s, a.s)
+    return shift_r(params, _template(params, "pp", s, t), a.r + b.r - 2)
 
 
 _KINDS = (SIMPLE, PROJECTIVE, FOCK, JORDAN_FOCK)

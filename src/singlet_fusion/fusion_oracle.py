@@ -55,9 +55,7 @@ from .catalog import (
     UnsupportedFusion,
     _check_normal_form,
     composition_factors,
-    projective,
     shift_r,
-    simple,
 )
 from .labels import Params
 
@@ -88,21 +86,27 @@ class NegativeMultiplicityError(ArithmeticError):
 
 
 def _m12_terms(params: Params, x: Indecomposable) -> Tuple[Indecomposable, ...]:
-    """Summands of ``M_{1,2} x x``, repeats included (rules in :func:`fuse_generators`)."""
+    """Summands of ``M_{1,2} x x``, repeats included (rules in :func:`fuse_generators`).
+
+    ``x`` is a checked label, so every summand is built in normal form as is.
+    """
     p, r, s = params.p, x.r, x.s
     if x.kind == SIMPLE:
         if s == p:
-            return (projective(params, r, p - 1),)
+            return (Indecomposable(PROJECTIVE, r, p - 1),)
         if s == 1:
-            return (simple(params, r, 2),)
-        return (simple(params, r, s - 1), simple(params, r, s + 1))
+            return (Indecomposable(SIMPLE, r, 2),)
+        return (Indecomposable(SIMPLE, r, s - 1), Indecomposable(SIMPLE, r, s + 1))
     if x.kind == PROJECTIVE:  # normalized: 1 <= s <= p-1
         # P_{r,s-1} + P_{r,s+1}, where P_{r,0} reads M_{r+1,p} + M_{r-1,p}
         # and P_{r,p} reads 2 M_{r,p}
-        upper = (projective(params, r, s + 1),) if s < p - 1 else (simple(params, r, p),) * 2
+        if s < p - 1:
+            upper = (Indecomposable(PROJECTIVE, r, s + 1),)
+        else:
+            upper = (Indecomposable(SIMPLE, r, p),) * 2
         if s > 1:
-            return (projective(params, r, s - 1),) + upper
-        return (simple(params, r + 1, p), simple(params, r - 1, p)) + upper
+            return (Indecomposable(PROJECTIVE, r, s - 1),) + upper
+        return (Indecomposable(SIMPLE, r + 1, p), Indecomposable(SIMPLE, r - 1, p)) + upper
     raise UnsupportedFusion(f"M:1,2 fusion is not defined on {x}")
 
 

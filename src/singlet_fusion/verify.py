@@ -373,10 +373,12 @@ def run_suites(
 ) -> Dict[str, Dict[int, Result]]:
     """Run several suites over several values of p, each p once.
 
-    Repeated values of p are dropped, keeping the first of each.  Unknown
-    suite names, and every fusion window over ``MAX_FUSION_PAIRS``, are
-    rejected before the first suite runs, so a bad request fails at once.
+    Repeated suite names and values of p are dropped, keeping the first of
+    each.  Unknown suite names, and every fusion window over
+    ``MAX_FUSION_PAIRS``, are rejected before the first suite runs, so a bad
+    request fails at once.
     """
+    names = list(dict.fromkeys(names))
     p_values = list(dict.fromkeys(p_values))
     for name in names:
         if name not in SUITES:

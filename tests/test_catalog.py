@@ -173,6 +173,69 @@ def test_shift_r_moves_every_term_and_composes():
     assert not catalog.shift_r(P3, FormalSum(), 5)
 
 
+def _old_shift_r(params, x, delta):
+    return x.map_labels(lambda lab: normalize(params, lab._replace(r=lab.r + delta)))
+
+
+@st.composite
+def _normal_sums(draw):
+    params = draw(params_st)
+    p = params.p
+    r = st.integers(min_value=-10**6, max_value=10**6)
+    label = st.one_of(
+        st.builds(lambda r, s: simple(params, r, s), r, st.integers(1, p)),
+        st.builds(lambda r, s: projective(params, r, s), r, st.integers(1, p)),
+        st.builds(lambda r, s: fock(params, r, s), r, st.integers(1, p)),
+        st.builds(lambda r, n: jordan_fock(params, r, n), r, st.integers(1, 5)),
+    )
+    return params, FormalSum(draw(st.lists(st.tuples(label, st.integers(1, 3)), max_size=8)))
+
+
+@given(_normal_sums(), st.integers(min_value=-10**6, max_value=10**6))
+def test_shift_r_on_normal_forms_matches_the_relabelling(case, delta):
+    params, x = case
+    got = catalog.shift_r(params, x, delta)
+    assert got == _old_shift_r(params, x, delta)
+    assert list(got.terms) == sorted(got.terms)
+    assert got.total() == x.total()
+
+
+def test_shift_r_normalizes_raw_labels():
+    raw = FormalSum(
+        [
+            (Indecomposable("P", 1, 3), 1),
+            (Indecomposable("M", 0, 2, 2), 2),
+            (Indecomposable("F", 2, 3), 1),
+            (Indecomposable("FJ", 0, 3, 1), 1),
+            (projective(P3, 1, 1), 1),
+        ]
+    )
+    for delta in (0, 1, -4):
+        got = catalog.shift_r(P3, raw, delta)
+        assert got.terms == _old_shift_r(P3, raw, delta).terms
+    assert catalog.shift_r(P3, raw, 1) == FormalSum(
+        [(simple(P3, 2, 3), 1), (simple(P3, 1, 2), 2), (simple(P3, 3, 3), 1),
+         (simple(P3, 1, 3), 1), (projective(P3, 2, 1), 1)]
+    )
+    # a raw label with s out of range still raises
+    with pytest.raises(ValueError):
+        catalog.shift_r(P3, FormalSum.of(Indecomposable("M", 1, 4)), 2)
+
+
+def test_shift_r_by_zero_returns_the_sum_itself():
+    x = FormalSum([(simple(P3, 1, 3), 2), (projective(P3, 0, 1), 1)])
+    assert catalog.shift_r(P3, x, 0) is x
+
+
+def test_from_sorted_equals_the_checked_sum():
+    x = FormalSum([(fock(P3, 2, 2), 1), (simple(P3, 1, 3), 2), (projective(P3, 0, 1), 3)])
+    y = FormalSum._from_sorted(x.terms)
+    assert y == x and hash(y) == hash(x)
+    assert y.terms == x.terms and str(y) == str(x) and y.total() == x.total()
+    assert y.multiplicity(simple(P3, 1, 3)) == 2
+    assert not FormalSum._from_sorted(())
+
+
 # --- composition factors and Loewy data ---------------------------------------
 
 

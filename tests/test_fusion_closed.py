@@ -324,7 +324,89 @@ def test_grothendieck_check_catches_a_wrong_fuse_mm(monkeypatch):
     }
     assert len(changed) == 117
     monkeypatch.setattr(fusion_closed, "fuse_mm", wrong)
+    fusion_closed._template.cache_clear()
     _, failures = verify.fusion_suite(params, 1)
+    fusion_closed._template.cache_clear()
     prefix = "Grothendieck consistency failure at "
     flagged = {msg[len(prefix):] for msg in failures if msg.startswith(prefix)}
     assert flagged == changed
+
+
+# --- r-free templates -------------------------------------------------------------
+
+
+def _all_products(params, rs):
+    """Every M/P pair over ``rs``, through the three closed forms."""
+    p = params.p
+    ms = [simple(params, r, s) for r in rs for s in range(1, p + 1)]
+    ps = [projective(params, r, s) for r in rs for s in range(1, p)]
+    for a in ms:
+        for b in ms:
+            fuse_mm(params, a, b)
+    for a in ps:
+        for b in ms:
+            fuse_pm(params, a, b)
+        for b in ps:
+            fuse_pp(params, a, b)
+
+
+def test_template_memo_does_not_grow_with_r():
+    params = Params(4)
+    fusion_closed._template.cache_clear()
+    _all_products(params, [1])
+    # canonical keys: s <= t for M x M and P x P, both orders for P x M
+    assert fusion_closed._template.cache_info().currsize == 10 + 12 + 6
+    _all_products(params, range(-50, 51))
+    assert fusion_closed._template.cache_info().currsize == 10 + 12 + 6
+    fusion_closed._template.cache_clear()
+
+
+@pytest.mark.parametrize("kind, form", [(simple, fuse_mm), (projective, fuse_pp)])
+def test_template_shared_by_swapped_factors(kind, form):
+    params = Params(5)
+    fusion_closed._template.cache_clear()
+    a, b = kind(params, 3, 1), kind(params, -2, 4)
+    ab = form(params, a, b)
+    assert fusion_closed._template.cache_info().currsize == 1
+    assert form(params, b, a) == ab
+    info = fusion_closed._template.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    fusion_closed._template.cache_clear()
+
+
+def test_template_memo_is_bounded():
+    assert fusion_closed._template.cache_info().maxsize == 1024
+
+
+def test_template_matches_the_products_at_r_one():
+    params = Params(5)
+    for s in range(1, 6):
+        for t in range(1, 6):
+            a, b = simple(params, 1, s), simple(params, 1, t)
+            lo, hi = min(s, t), max(s, t)
+            assert fuse_mm(params, a, b) == fusion_closed._template(params, "mm", lo, hi)
+            if s < 5:
+                pa = projective(params, 1, s)
+                assert fuse_pm(params, pa, b) == fusion_closed._template(params, "pm", s, t)
+                if t < 5:
+                    pb = projective(params, 1, t)
+                    got = fuse_pp(params, pa, pb)
+                    assert got == fusion_closed._template(params, "pp", lo, hi)
+
+
+def test_memo_cannot_hide_a_broken_formula(monkeypatch):
+    # drop the last summand of every M x M template; with the memo cleared,
+    # the rebuilt templates carry the fault and the fusion suite sees it
+    right = fusion_closed._mm_terms
+
+    def wrong(params, s, t):
+        return right(params, s, t)[:-1]
+
+    fusion_closed._template.cache_clear()
+    assert verify.fusion_suite(Params(4), 1)[1] == []
+    monkeypatch.setattr(fusion_closed, "_mm_terms", wrong)
+    fusion_closed._template.cache_clear()
+    checks, failures = verify.fusion_suite(Params(4), 1)
+    fusion_closed._template.cache_clear()
+    assert failures
+    assert any(msg.startswith("oracle mismatch at M:") for msg in failures)

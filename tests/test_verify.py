@@ -97,6 +97,19 @@ def test_run_suites_runs_each_p_once(monkeypatch):
     assert all(list(per_p) == [2, 3] for per_p in report.values())
 
 
+def test_run_suites_runs_each_suite_name_once(monkeypatch):
+    runs = []
+
+    def suite(params, rwin):
+        runs.append(params.p)
+        return 1, []
+
+    monkeypatch.setitem(verify.SUITES, "labels", suite)
+    report = verify.run_suites(["labels", "labels"], [2], rwin=1)
+    assert runs == [2]
+    assert report == {"labels": {2: (1, [])}}
+
+
 def test_run_suites_rejects_unknown_names_before_any_suite(monkeypatch):
     def no_suite(params, rwin):
         raise AssertionError("a suite ran before the name check")
