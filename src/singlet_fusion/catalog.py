@@ -138,9 +138,12 @@ def _check_normal_form(params: Params, x: Indecomposable, what: str) -> None:
     """Reject a label built around the constructors.
 
     An ``M`` label with ``s`` outside ``1..p`` raises :class:`ValueError`; a
-    ``P``/``F`` label with ``s`` outside ``1..p-1`` raises
-    :class:`UnsupportedFusion`, naming it unnormalized.
+    ``P``/``F`` label with ``s`` outside ``1..p-1``, or an ``M``/``P``/``F``
+    label with ``n != 1``, raises :class:`UnsupportedFusion`, naming it
+    unnormalized.
     """
+    if x.n != 1 and x.kind in (SIMPLE, PROJECTIVE, FOCK):
+        raise UnsupportedFusion(f"{what} got an unnormalized label {x!r}")
     if x.kind == SIMPLE:
         _check_s(params, x.s)
     elif x.kind in (PROJECTIVE, FOCK) and not 1 <= x.s <= params.p - 1:
@@ -159,7 +162,9 @@ class FormalSum:
     """A finite multiset of labels with positive integer multiplicities.
 
     This is the value type of every fusion product: a Krull-Schmidt
-    decomposition recorded as ``label -> multiplicity``.  Sums are immutable,
+    decomposition recorded as its sorted ``(label, multiplicity)`` pairs,
+    one per distinct label.  That tuple is the whole value; equality,
+    hashing, iteration and lookup all read it.  Sums are immutable,
     hashable, and support ``+`` and integer scaling.  The empty sum
     ``FormalSum()`` is the zero object and is falsy.
 
@@ -167,7 +172,7 @@ class FormalSum:
     :class:`Indecomposable`, triplet sums hold ``TripletIndec``.
     """
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_key",)
 
     def __init__(self, terms: _TermsArg = ()) -> None:
         acc: Dict[object, int] = {}
@@ -181,7 +186,6 @@ class FormalSum:
                 raise ValueError(f"negative multiplicity {mult} for {label}")
             if mult:
                 acc[label] = acc.get(label, 0) + mult
-        self._terms: Dict[object, int] = acc
         self._key = tuple(sorted(acc.items()))
 
     @classmethod
@@ -189,7 +193,6 @@ class FormalSum:
         """A sum from pairs already in ``terms`` form: sorted, distinct labels,
         positive int multiplicities.  Nothing is checked or sorted."""
         x = cls.__new__(cls)
-        x._terms = dict(key)
         x._key = key
         return x
 
@@ -213,11 +216,15 @@ class FormalSum:
         return self._key
 
     def multiplicity(self, label: object) -> int:
-        return self._terms.get(label, 0)
+        """Multiplicity of ``label``; 0 for any label not in the sum."""
+        for lab, mult in self._key:
+            if lab == label:
+                return mult
+        return 0
 
     def total(self) -> int:
         """Total multiplicity (number of indecomposable summands)."""
-        return sum(self._terms.values())
+        return sum(mult for _, mult in self._key)
 
     def map_labels(self, fn: Callable[[object], object]) -> "FormalSum":
         """Relabel every term through ``fn`` (multiplicities accumulate)."""
@@ -246,7 +253,7 @@ class FormalSum:
         return hash(self._key)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._key)
 
     def __iter__(self) -> Iterator[Tuple[object, int]]:
         return iter(self._key)
@@ -255,7 +262,7 @@ class FormalSum:
         return len(self._key)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._key:
             return "0"
         parts = []
         for lab, mult in self._key:

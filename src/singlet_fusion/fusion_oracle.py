@@ -36,7 +36,9 @@ The recursion is one loop that keeps only the last two columns, so it has
 no depth limit.  Its results are memoized in ``_column`` by
 ``(params, kind, s, s_target)``, where ``kind_{1,s}`` is the left factor:
 at most ``(2p-1) p`` entries for each ``p``, whatever ``r`` the callers
-use.  All functions are pure, so concurrent use returns the same values as
+use.  The memo is an LRU of 4 096 entries, which holds every column of one
+``p`` up to ``p = 45`` and bounds memory whatever ``p`` a process visits.
+All functions are pure, so concurrent use returns the same values as
 sequential use.
 """
 
@@ -128,8 +130,9 @@ def fuse_generators(
       ``P_{r,p-2} + 2 M_{r,p}`` (s = p-1); for p = 2:
       ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.
 
-    An unnormalized ``P``/``F`` label (``s`` outside ``1..p-1``) and anything
-    else not listed raise :class:`UnsupportedFusion`.
+    An unnormalized label (``P``/``F`` with ``s`` outside ``1..p-1``, or
+    ``M``/``P``/``F`` with ``n != 1``) and anything else not listed raise
+    :class:`UnsupportedFusion`.
     """
     if g.kind != SIMPLE:
         raise UnsupportedFusion(f"unsupported generator {g}")
@@ -149,13 +152,16 @@ def fuse_generators(
 
 def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
     """Exact multiset difference ``a - b``; requires ``b <= a`` termwise."""
+    acc = dict(a)
     for label, mult in b:
-        if a.multiplicity(label) < mult:
+        left = acc.get(label, 0) - mult
+        if left < 0:
             raise NegativeMultiplicityError(a, b, label)
-    return FormalSum({label: mult - b.multiplicity(label) for label, mult in a})
+        acc[label] = left
+    return FormalSum(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _column(params: Params, kind: str, s: int, s_target: int) -> FormalSum:
     """``X x M_{1,s_target}`` for ``X = kind_{1,s}``, one column per step.
 

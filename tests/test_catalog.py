@@ -124,6 +124,9 @@ def test_formal_sum_basics():
     a, b = simple(P2, 1, 1), simple(P2, 0, 1)
     s = FormalSum.of(a, b, a)
     assert s.multiplicity(a) == 2 and s.multiplicity(b) == 1
+    # a label of another type, even an unhashable one, is simply absent
+    assert s.multiplicity(simple(P2, 2, 1)) == 0
+    assert s.multiplicity("M:1,1") == 0 and s.multiplicity([a]) == 0
     assert s.total() == 3 and len(s) == 2
     assert s + FormalSum() == s
     assert 2 * s == FormalSum([(a, 4), (b, 2)])
@@ -234,6 +237,12 @@ def test_from_sorted_equals_the_checked_sum():
     assert y.terms == x.terms and str(y) == str(x) and y.total() == x.total()
     assert y.multiplicity(simple(P3, 1, 3)) == 2
     assert not FormalSum._from_sorted(())
+
+
+def test_formal_sum_holds_only_its_sorted_terms():
+    x = FormalSum({simple(P3, 1, 3): 2, projective(P3, 0, 1): 1, simple(P3, 1, 1): 0})
+    assert FormalSum.__slots__ == ("_key",) and not hasattr(x, "__dict__")
+    assert x.terms == ((simple(P3, 1, 3), 2), (projective(P3, 0, 1), 1))
 
 
 # --- composition factors and Loewy data ---------------------------------------

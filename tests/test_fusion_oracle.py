@@ -164,6 +164,28 @@ def test_generators_and_fock_fusion_reject_unnormalized_labels():
                 fuse_generators(P3, g, x)
 
 
+_M12, _RAW_M = simple(P3, 1, 2), Indecomposable(SIMPLE, 1, 2, 5)
+_RAW_P, _RAW_F = Indecomposable(PROJECTIVE, 1, 1, 2), Indecomposable(FOCK, 1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "route, a, b",
+    [(fusion_closed.fuse, _RAW_F, simple(P3, 3, 1))]
+    + [
+        (route, a, b)
+        for route in (fusion_closed.fuse, oracle_fuse)
+        for a, b in ((_RAW_M, _M12), (_M12, _RAW_M), (_RAW_P, _M12), (_M12, _RAW_P))
+    ]
+    + [(fuse_generators, _M12, x) for x in (Indecomposable(SIMPLE, 1, 2, 7), _RAW_P)]
+    + [(fuse_generators, simple(P3, 3, 1), _RAW_F)],
+)
+def test_fusion_entry_points_reject_labels_with_n_not_one(route, a, b):
+    # n is the Jordan size of FJ labels only, so no route may read an M/P/F
+    # label with n != 1 as n = 1
+    with pytest.raises(UnsupportedFusion, match="unnormalized"):
+        route(P3, a, b)
+
+
 def test_oracle_rejects_out_of_range_simples():
     # the column loop must never see a raw s = 0 or s = p + 1: s = 0 would
     # run no step and return the left factor unchanged
@@ -186,6 +208,11 @@ def test_oracle_mm_at_p1200(capsys):
     argv = ["fuse", "--p", "1200", "M:1,1200", "M:1,1200", "--engine", "both"]
     assert cli.main(argv) == 0
     assert '"match": true' in capsys.readouterr().out
+
+
+def test_column_memo_is_bounded():
+    # (2p - 1) p = 4 005 columns at p = 45 fit; a run over many p cannot grow it further
+    assert oracle_mod._column.cache_info().maxsize == 4096
 
 
 @pytest.mark.parametrize("left, right", [(simple, simple), (projective, simple), (projective, projective)])

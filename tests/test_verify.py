@@ -1,5 +1,6 @@
 """Failure messages of the verify suites: built only on failure, text unchanged."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -32,6 +33,11 @@ def test_bpz_failure_message_text(monkeypatch):
             "psi2 hypergeometric residual 1.235e-06 at x=0.9500000000000001",
         ],
     )
+
+
+def test_fusion_suite_exhaustive_at_p20():
+    # every M/P pair at r = 1: all three routes agree on all 4 243 checks
+    assert verify.fusion_suite(Params(20), 0) == (4243, [])
 
 
 def test_fusion_failure_message_text(monkeypatch):
@@ -120,6 +126,9 @@ def test_run_suites_rejects_unknown_names_before_any_suite(monkeypatch):
 
 
 def _catalog_suite_peak(rwin):
+    # a cyclic collection that falls due inside the traced call moves its
+    # peak, so every measurement starts with the collector's counts at zero
+    gc.collect()
     tracemalloc.start()
     try:
         verify.catalog_suite(Params(2), rwin)
