@@ -35,14 +35,21 @@ realizes the standard connection pair ``(ln4/pi, -1/pi)``; shifting the log
 solution by multiples of ``phi_1`` is the only freedom, and this choice
 pins it.
 
-The series coefficients are built and evaluated as plain Python floats
-(lists in Horner order, highest degree first), not as numpy arrays.  The
-IEEE operations and their order are the same as with ``np.float64``
-scalars, so every float this module returns is the same bit for bit, but
-each Horner step skips numpy's per-scalar boxing, which is where almost all
-of the evaluation time went.  Summing ``c_k u^k`` forward, ``cumprod`` in the
-recurrences or a dot product with powers of ``u`` would round differently;
-``tests/bpz_pins.json`` pins the values with ``float.hex``.
+The series coefficients are built and evaluated as plain Python floats,
+in Horner order (highest degree first).  Summing ``c_k u^k`` forward,
+``cumprod`` in the recurrences or a dot product with powers of ``u`` would
+round differently; ``tests/bpz_pins.json`` pins the values with
+``float.hex``.
+
+:func:`connection_numeric` matches values and first derivatives at
+``MATCH_POINTS``: a 4x2 least-squares system per row of the matrix.  It
+solves it in plain floats with a thin QR factorization (two Gram-Schmidt
+steps give the upper-triangular ``R = [[r11, r12], [0, r22]]``, then back
+substitution), so the error stays near ``condition * eps``; the normal
+equations would square the condition number.  ``condition`` is the 2-norm
+condition number ``sigma_max / sigma_min`` of the system, read from the
+singular values of ``R``: ``sigma_max sigma_min = |r11 r22|`` and
+``sigma_max^2 + sigma_min^2 = r11^2 + r12^2 + r22^2``.
 
 Everything one value of p needs is built once, in one private memo keyed
 on the int ``p``: the series of every component, and the values and first
@@ -79,8 +86,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 from .labels import Params
 
@@ -140,6 +145,10 @@ def _log_companion_coeffs(base: List[float]) -> List[float]:
             / (n + 1) ** 2
         )
     return d
+
+
+def _dot(x: List[float], y: List[float]) -> float:
+    return sum(a * b for a, b in zip(x, y))
 
 
 def _poly_eval(c: Tuple[float, ...], u: float) -> float:
@@ -323,14 +332,12 @@ class ConnectionMatrix:
     (or of ``phi`` in ``psi`` when built in the reverse direction; by the
     ``x -> 1-x`` symmetry the exact matrix is an involution, so the two
     directions coincide).  ``condition`` reports the conditioning of the
-    numeric matching system; it is ``None`` for closed-form matrices.
+    numeric matching system (its 2-norm condition number); it is ``None``
+    for closed-form matrices.
     """
 
     matrix: Tuple[Tuple[float, float], Tuple[float, float]]
     condition: Optional[float] = None
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
 
 
 def connection_closed(params: Params) -> ConnectionMatrix:
@@ -384,38 +391,56 @@ def connection_numeric(params: Params, reverse: bool = False) -> ConnectionMatri
     """
     phis, psis = _frobenius(params.p).at_match
     source, target = (psis, phis) if not reverse else (phis, psis)
-    # rows: value, then first derivative, at each match point in turn
-    a = np.array(
-        [[f[j][k] for f in source] for j in range(len(MATCH_POINTS)) for k in (0, 1)]
-    )
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
+
+    def column(f: _MatchValues) -> List[float]:
+        # value, then first derivative, at each match point in turn
+        return [v for triple in f for v in triple[:2]]
+
+    # thin QR of the 4x2 system A = [a1 a2] = [q1 q2] R by Gram-Schmidt
+    a1, a2 = (column(f) for f in source)
+    r11 = math.hypot(*a1)
+    q1 = [v / r11 for v in a1] if r11 else a1  # a zero column gives det = 0
+    r12 = _dot(q1, a2)
+    w = [v - r12 * q for v, q in zip(a2, q1)]
+    r22 = math.hypot(*w)
+    # the identities for sigma_max sigma_min and sigma_max^2 + sigma_min^2
+    # give sigma_max +- sigma_min = hypot(r11 +- r22, r12)
+    sigma_max = 0.5 * (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12))
+    det = r11 * r22
+    cond = sigma_max * sigma_max / det if det else math.inf
+    if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedMatching(f"matching system condition {cond:.3e}")
+    q2 = [v / r22 for v in w]
     matrix = []
     for f in target:
-        rhs = [v for triple in f for v in triple[:2]]
-        coeffs, *_ = np.linalg.lstsq(a, np.array(rhs), rcond=None)
-        matrix.append((float(coeffs[0]), float(coeffs[1])))
+        b = column(f)
+        y1 = _dot(q1, b)
+        # take q2's part of b after removing q1's (modified Gram-Schmidt):
+        # reading q2 . b directly loses accuracy like the normal equations
+        y2 = _dot(q2, [v - y1 * q for v, q in zip(b, q1)])
+        c2 = y2 / r22
+        matrix.append(((y1 - r12 * c2) / r11, c2))
     return ConnectionMatrix((matrix[0], matrix[1]), condition=cond)
 
 
 def rigidity_coefficient(params: Params) -> float:
     """The non-vanishing coefficient underlying rigidity of ``M_{1,2}``.
 
-    For ``p >= 4`` this is the ratio ``|c_2/d| = 1/(2 cos(pi/p))`` coming
-    from solving the connection relations.  For ``p = 2`` the same ratio is
-    ``1/pi``.  For ``p = 3`` the argument instead needs ``psi_1, psi_2``
-    linearly independent, so the returned witness is the absolute Wronskian
-    ``|psi_1 psi_2' - psi_1' psi_2|`` at ``x = 0.6``.  Always positive, and
-    well above the ``1e-10`` nondegeneracy floor.
+    Read from the matrix :func:`connection_numeric` computes.  For
+    ``p >= 4`` this is ``|c_2/d|``, entry ``(0, 0)``, which is
+    ``1/(2 cos(pi/p))`` in closed form.  For ``p = 2`` it is entry
+    ``(0, 1)``, ``1/pi`` in closed form.  For ``p = 3`` entry ``(0, 1)``
+    vanishes and the argument instead needs ``psi_1, psi_2`` linearly
+    independent, so the returned witness is the absolute Wronskian
+    ``|psi_1 psi_2' - psi_1' psi_2|`` at ``x = 0.6``.  Positive, and well
+    above the ``1e-10`` nondegeneracy floor, whenever the bases are right.
     """
     p = params.p
-    if p == 2:
-        return 1.0 / math.pi
-    if p >= 4:
-        return 1.0 / (2.0 * math.cos(math.pi / p))
-    psi1, psi2 = _frobenius(p).psi
-    x = 0.6
-    f0, f1, _ = psi1.derivatives(x)
-    g0, g1, _ = psi2.derivatives(x)
-    return abs(f0 * g1 - f1 * g0)
+    if p == 3:
+        psi1, psi2 = _frobenius(p).psi
+        x = 0.6
+        f0, f1, _ = psi1.derivatives(x)
+        g0, g1, _ = psi2.derivatives(x)
+        return abs(f0 * g1 - f1 * g0)
+    row = connection_numeric(params).matrix[0]
+    return abs(row[1] if p == 2 else row[0])

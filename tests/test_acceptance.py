@@ -240,8 +240,8 @@ def test_criterion_07_connection_coefficients():
     ok = True
     for p in (2, 3, 4, 5, 7):
         params = Params(p)
-        numeric = bpz.connection_numeric(params).as_array()
-        closed = bpz.connection_closed(params).as_array()
+        numeric = np.array(bpz.connection_numeric(params).matrix)
+        closed = np.array(bpz.connection_closed(params).matrix)
         ok &= float(np.max(np.abs(numeric - closed))) < 1e-8
         if p == 2:
             ok &= abs(numeric[0][0] - math.log(4) / math.pi) < 1e-8

@@ -130,21 +130,21 @@ def test_connection_numeric_matches_closed(p):
     params = Params(p)
     numeric = bpz.connection_numeric(params)
     closed = bpz.connection_closed(params)
-    assert np.max(np.abs(numeric.as_array() - closed.as_array())) < 1e-8
+    assert np.max(np.abs(np.array(numeric.matrix) - np.array(closed.matrix))) < 1e-8
     assert numeric.condition is not None and numeric.condition < 1e4
 
 
 @pytest.mark.parametrize("p", P_VALUES)
 def test_connection_roundtrip_identity(p):
     params = Params(p)
-    forward = bpz.connection_numeric(params).as_array()
-    backward = bpz.connection_numeric(params, reverse=True).as_array()
+    forward = np.array(bpz.connection_numeric(params).matrix)
+    backward = np.array(bpz.connection_numeric(params, reverse=True).matrix)
     assert np.max(np.abs(forward @ backward - np.eye(2))) < 1e-7
 
 
 @pytest.mark.parametrize("p", P_VALUES)
 def test_connection_matrix_is_involution(p):
-    m = bpz.connection_closed(Params(p)).as_array()
+    m = np.array(bpz.connection_closed(Params(p)).matrix)
     assert np.max(np.abs(m @ m - np.eye(2))) < 1e-12
 
 
@@ -166,6 +166,17 @@ def test_rigidity_values():
 @pytest.mark.parametrize("p", P_VALUES)
 def test_rigidity_nonvanishing(p):
     assert abs(bpz.rigidity_coefficient(Params(p))) > 1e-10
+
+
+@pytest.mark.parametrize("p", (2, 5))
+def test_rigidity_check_reads_the_numeric_matrix(monkeypatch, p):
+    # a zero first row in the computed matrix must fail the rigidity check
+    def zero_first_row(params, reverse=False):
+        return bpz.ConnectionMatrix(((0.0, 0.0), (1.0, 1.0)), condition=1.0)
+
+    monkeypatch.setattr(bpz, "connection_numeric", zero_first_row)
+    assert bpz.rigidity_coefficient(Params(p)) == 0.0
+    assert "rigidity coefficient vanished" in verify.bpz_suite(Params(p))[1]
 
 
 # --- mpmath cross-check ------------------------------------------------------------------
@@ -207,9 +218,14 @@ def test_connection_closed_matches_mpmath(p):
         points = (mpmath.mpf("0.4"), mpmath.mpf("0.6"))
         psi = mpmath.matrix([[gk(1 - x) for gk in g] for x in points])
         rows = [mpmath.lu_solve(psi, [gi(x) for x in points]) for gi in g]
-        expected = [[float(row[k]) for k in range(2)] for row in rows]
-    closed = bpz.connection_closed(Params(p)).as_array()
-    assert np.max(np.abs(closed - np.array(expected))) < 1e-12
+        expected = np.array([[float(row[k]) for k in range(2)] for row in rows])
+    params = Params(p)
+    closed = np.array(bpz.connection_closed(params).matrix)
+    assert np.max(np.abs(closed - expected)) < 1e-12
+    # the exact matrix is an involution: both directions share the reference
+    for reverse in (False, True):
+        numeric = np.array(bpz.connection_numeric(params, reverse=reverse).matrix)
+        assert np.max(np.abs(numeric - expected)) < 1e-14, reverse
 
 
 # --- work per p ---------------------------------------------------------------------
@@ -264,8 +280,9 @@ def test_memo_depends_on_p_alone_and_holds_one_p():
 # --- bit-identity pins ----------------------------------------------------------------
 
 
-# float.hex of values captured when the series were still evaluated on numpy
-# scalars; any change in the order or kind of float operations shows here
+# float.hex of the basis values and derivatives and of the connection matrices
+# from the plain-float QR matching solve; any change in the order or kind of
+# float operations shows here
 PINS = json.loads(Path(__file__).with_name("bpz_pins.json").read_text())
 
 

@@ -1,7 +1,12 @@
-"""Every exported name resolves, and every package re-export is its home module's object."""
+"""Every exported name resolves, every package re-export is its home module's object,
+and importing the package and its CLI loads no numpy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +36,18 @@ def test_package_all_reexports_home_objects():
         assert home.__name__.startswith("singlet_fusion."), name
         assert getattr(home, name) is obj, name
         assert name in home.__all__, name
+
+
+def test_import_leaves_numpy_out():
+    # the runtime depends on the standard library alone
+    src = str(Path(singlet_fusion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, singlet_fusion, singlet_fusion.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.stdout.strip() == "False"
