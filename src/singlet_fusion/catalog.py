@@ -13,10 +13,11 @@ FJ    Jordan Fock module F^{(n)}     s = p forced; n = 1 -> M(r, p)
 ====  =============================  =========================================
 
 Two labels are equal exactly when their normal forms are equal, so the
-aliases ``P_{r,p} = F_{alpha_{r,p}} = M_{r,p}`` hold on the nose.  Always
-build labels through :func:`simple`, :func:`projective`, :func:`fock`,
-:func:`jordan_fock` (or :func:`normalize`); calling :class:`Indecomposable`
-directly performs no normalization.
+aliases ``P_{r,p} = F_{alpha_{r,p}} = M_{r,p}`` hold on the nose.  The
+builders :func:`simple`, :func:`projective`, :func:`fock`, :func:`jordan_fock`
+and :func:`normalize` return normal forms; every other public function
+rejects a label not in normal form (one built with :class:`Indecomposable`
+directly) with a :class:`ValueError`, and :func:`shift_r` never repairs one.
 
 The module also holds the Grothendieck ring of composition-factor classes
 (:func:`flatten`, :func:`grothendieck_product`), built from its presentation.
@@ -134,21 +135,36 @@ def normalize(params: Params, x: Indecomposable) -> Indecomposable:
     raise ValueError(f"unknown label kind {x.kind!r}")
 
 
-def _check_normal_form(params: Params, x: Indecomposable, what: str) -> None:
-    """Reject a label built around the constructors.
+_KINDS = (SIMPLE, PROJECTIVE, FOCK, JORDAN_FOCK)
 
-    An ``M`` label with ``s`` outside ``1..p`` raises :class:`ValueError`; a
-    ``P``/``F`` label with ``s`` outside ``1..p-1``, or an ``M``/``P``/``F``
-    label with ``n != 1``, raises :class:`UnsupportedFusion`, naming it
-    unnormalized.
+
+def _is_normal(p: int, kind: str, s: int, n: int) -> bool:
+    """Whether the label ``(kind, r, s, n)`` is in normal form; ``r`` never matters."""
+    if kind == SIMPLE:
+        return n == 1 and 1 <= s <= p
+    if kind == PROJECTIVE or kind == FOCK:
+        return n == 1 and 1 <= s <= p - 1
+    return kind == JORDAN_FOCK and s == p and n >= 2
+
+
+def _check_normal_form(params: Params, x: Indecomposable, what: str) -> None:
+    """Reject a label not in normal form; ``what`` names the caller.
+
+    An unknown kind, or an ``M`` label with ``s`` outside ``1..p``, raises
+    :class:`ValueError`; any other such label raises :class:`UnsupportedFusion`,
+    naming it unnormalized.
     """
-    if x.n != 1 and x.kind in (SIMPLE, PROJECTIVE, FOCK):
-        raise UnsupportedFusion(f"{what} got an unnormalized label {x!r}")
-    if x.kind == SIMPLE:
-        _check_s(params, x.s)
-    elif x.kind in (PROJECTIVE, FOCK) and not 1 <= x.s <= params.p - 1:
-        name = "projective" if x.kind == PROJECTIVE else "Fock module"
+    kind, _, s, n = x
+    if _is_normal(params.p, kind, s, n):
+        return
+    if kind not in _KINDS:
+        raise ValueError(f"unknown label kind {kind!r}")
+    if kind == SIMPLE and n == 1:
+        _check_s(params, s)
+    if kind in (PROJECTIVE, FOCK) and n == 1:
+        name = "projective" if kind == PROJECTIVE else "Fock module"
         raise UnsupportedFusion(f"{what} got an unnormalized {name} {x}")
+    raise UnsupportedFusion(f"{what} got an unnormalized label {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,34 +296,21 @@ def shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
     even shifts, one extra ``M_{2,1}`` for odd ones), which acts on labels
     exactly this way.
 
-    Normalization only looks at ``kind``, ``s`` and ``n``, so the shift
-    commutes with :func:`normalize`.  When every term is already in normal
-    form (``M``: ``1 <= s <= p``, ``n = 1``; ``P``, ``F``: ``1 <= s <= p-1``,
-    ``n = 1``; ``FJ``: ``s = p``, ``n >= 2``), a common shift keeps every
-    label in normal form, keeps the sorted ``(kind, r, s, n)`` order and
-    merges no terms, so the shifted terms are built directly and ``x`` itself
-    is returned for ``delta = 0``.  Any other term sends the whole sum
-    through ``normalize``.
+    A term not in normal form raises; none is repaired.  Normal form does
+    not depend on ``r``, so a common shift keeps every label in normal form,
+    keeps the sorted ``(kind, r, s, n)`` order and merges no terms: the
+    shifted terms are built directly, and ``x`` itself is returned for
+    ``delta = 0``.
     """
     p = params.p
     new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
     key = []
     for lab, mult in x._key:
-        if type(lab) is not Indecomposable:
-            break
         kind, r, s, n = lab
-        if kind == SIMPLE:
-            normal = n == 1 and 1 <= s <= p
-        elif kind == PROJECTIVE or kind == FOCK:
-            normal = n == 1 and 1 <= s <= p - 1
-        else:
-            normal = kind == JORDAN_FOCK and s == p and n >= 2
-        if not normal:
-            break
+        if not _is_normal(p, kind, s, n):
+            _check_normal_form(params, lab, "shift_r")
         key.append((new(Indecomposable, (kind, r + delta, s, n)), mult))
-    else:
-        return FormalSum._from_sorted(tuple(key)) if delta else x
-    return x.map_labels(lambda lab: normalize(params, lab._replace(r=lab.r + delta)))
+    return FormalSum._from_sorted(tuple(key)) if delta else x
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +341,9 @@ def _factor_pairs(
 ) -> Tuple[Tuple[Indecomposable, int], ...]:
     """``(simple, multiplicity)`` pairs of the composition series of ``x``.
 
-    ``normalize`` has checked ``s``, so every factor is a valid simple as built.
+    ``x`` is checked, so every factor is a valid simple as built.
     """
-    x = normalize(params, x)
+    _check_normal_form(params, x, "composition_factors")
     kind, r, s = x.kind, x.r, x.s
     if kind == SIMPLE:
         return ((x, 1),)
@@ -355,13 +358,11 @@ def _factor_pairs(
             (Indecomposable(SIMPLE, r - 1, params.p - s), 1),
             (Indecomposable(SIMPLE, r + 1, params.p - s), 1),
         )
-    if kind == JORDAN_FOCK:
-        return ((Indecomposable(SIMPLE, r, s), x.n),)
-    raise UnsupportedOperation(f"no composition series data for {x}")
+    return ((Indecomposable(SIMPLE, r, s), x.n),)  # JORDAN_FOCK
 
 
 def composition_factors(params: Params, x: Indecomposable) -> FormalSum:
-    """Multiset of simple composition factors of a (normalized) label.
+    """Multiset of simple composition factors of a label in normal form.
 
     * ``M_{r,s}``: itself.
     * ``F_{alpha_{r,s}}``, ``s <= p-1``: ``M_{r,s} + M_{r+1,p-s}`` from the
@@ -447,9 +448,9 @@ def loewy(params: Params, x: Indecomposable) -> LoewyDiagram:
       with the diamond of edges.
 
     Jordan Fock labels are rejected: their full socle filtration is not part
-    of the catalog.
+    of the catalog.  So is a label not in normal form.
     """
-    x = normalize(params, x)
+    _check_normal_form(params, x, "loewy")
     p = params.p
     if x.kind == SIMPLE:
         return LoewyDiagram((FormalSum.of(x),), ())
@@ -473,9 +474,9 @@ def dual(params: Params, x: Indecomposable) -> Indecomposable:
 
     An involution that preserves the kind and ``s`` and fixes exactly the
     labels with ``r = 1``.  Duals of Fock and Jordan Fock modules are not in
-    the catalog and are rejected.
+    the catalog and are rejected, as is a label not in normal form.
     """
-    x = normalize(params, x)
+    _check_normal_form(params, x, "dual")
     if x.kind == SIMPLE:
         return simple(params, 2 - x.r, x.s)
     if x.kind == PROJECTIVE:
@@ -495,9 +496,10 @@ def virasoro_decomposition(
     * ``r <= 0``: weights ``h_{r-1-2n, p-s}`` (extended labels; the ``n = 0``
       entry equals ``lowest_weight_of_simple``).
 
-    The singlet algebra itself is ``M_{1,1}``.
+    The singlet algebra itself is ``M_{1,1}``.  Only labels in normal form
+    are accepted.
     """
-    x = normalize(params, x)
+    _check_normal_form(params, x, "virasoro_decomposition")
     if x.kind != SIMPLE:
         raise UnsupportedOperation(f"Virasoro decomposition only for simples, got {x}")
     if n_max < 0:

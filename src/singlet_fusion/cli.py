@@ -49,32 +49,18 @@ class LabelSyntaxError(ValueError):
 
 
 def parse_label(params: Params, text: str) -> Indecomposable:
-    """Parse ``KIND:r,s[,n]`` into a normalized label."""
+    """Parse ``KIND:r,s`` (``FJ:r,s,n`` for Jordan Fock) into a normalized label."""
+    kind, _, rest = text.partition(":")
     try:
-        kind, _, rest = text.partition(":")
         parts = [int(v) for v in rest.split(",")]
     except ValueError as exc:
         raise LabelSyntaxError(f"cannot parse label {text!r}: {exc}") from None
-    if kind == catalog.JORDAN_FOCK:
-        if len(parts) != 3:
-            raise LabelSyntaxError(f"label {text!r}: FJ takes r,s,n")
-        r, s, n = parts
-        if s != params.p:
-            raise LabelSyntaxError(f"label {text!r}: Jordan Fock labels need s = p")
-        return catalog.jordan_fock(params, r, n)
-    if len(parts) != 2:
-        raise LabelSyntaxError(f"label {text!r}: expected KIND:r,s")
-    r, s = parts
+    if len(parts) != (3 if kind == catalog.JORDAN_FOCK else 2):
+        raise LabelSyntaxError(f"label {text!r}: expected KIND:r,s or FJ:r,s,n")
     try:
-        if kind == catalog.SIMPLE:
-            return catalog.simple(params, r, s)
-        if kind == catalog.PROJECTIVE:
-            return catalog.projective(params, r, s)
-        if kind == catalog.FOCK:
-            return catalog.fock(params, r, s)
+        return catalog.normalize(params, Indecomposable(kind, *parts))
     except ValueError as exc:
         raise LabelSyntaxError(f"label {text!r}: {exc}") from None
-    raise LabelSyntaxError(f"label {text!r}: unknown kind {kind!r}")
 
 
 def _term_dict(label: Indecomposable, mult: int) -> Dict[str, object]:

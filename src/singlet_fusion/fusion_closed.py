@@ -38,6 +38,7 @@ from .catalog import (
     FormalSum,
     Indecomposable,
     UnsupportedFusion,
+    _KINDS,
     _check_normal_form,
     _pairs,
     _SumLike,
@@ -167,9 +168,6 @@ def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
     _require(params, b, PROJECTIVE, "fuse_pp")
     s, t = (a.s, b.s) if a.s <= b.s else (b.s, a.s)
     return shift_r(params, _template(params, "pp", s, t), a.r + b.r - 2)
-
-
-_KINDS = (SIMPLE, PROJECTIVE, FOCK, JORDAN_FOCK)
 
 
 def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSum:

@@ -130,9 +130,8 @@ def fuse_generators(
       ``P_{r,p-2} + 2 M_{r,p}`` (s = p-1); for p = 2:
       ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.
 
-    An unnormalized label (``P``/``F`` with ``s`` outside ``1..p-1``, or
-    ``M``/``P``/``F`` with ``n != 1``) and anything else not listed raise
-    :class:`UnsupportedFusion`.
+    A label not in normal form raises :class:`ValueError`; anything else not
+    listed raises :class:`UnsupportedFusion`.
     """
     if g.kind != SIMPLE:
         raise UnsupportedFusion(f"unsupported generator {g}")

@@ -28,7 +28,9 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from . import catalog
-from .catalog import FormalSum, Indecomposable, LoewyDiagram, UnsupportedOperation
+from .catalog import (
+    FormalSum, Indecomposable, LoewyDiagram, UnsupportedOperation, _check_normal_form
+)
 from .fusion_closed import UnsupportedFusion, fuse
 from .labels import Params, rbar, weight
 
@@ -124,9 +126,9 @@ def induce(params: Params, x: Indecomposable) -> TripletIndec:
 
     ``M_{r,s} -> W_{rbar,s}``; ``F_{alpha_{r,s}} -> V_{alpha_{rbar,s}+L}``;
     ``P_{r,s} -> R_{rbar,s}``.  Jordan Fock modules induce to non-local
-    objects and are rejected.
+    objects and are rejected, as is a label not in normal form.
     """
-    x = catalog.normalize(params, x)
+    _check_normal_form(params, x, "induce")
     rb = rbar(x.r)
     if x.kind == catalog.SIMPLE:
         return simple_w(params, rb, x.s)

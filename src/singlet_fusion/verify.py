@@ -94,33 +94,25 @@ def _projectives(params: Params, rwin: int) -> List[catalog.Indecomposable]:
 
 
 def fusion_suite(params: Params, rwin: int = 3) -> Result:
-    """Oracle equivalence plus the ring identities on a label window."""
+    """Oracle equivalence plus the ring identities on a label window.
+
+    One walk over every ordered pair of the window checks commutativity,
+    Grothendieck consistency and, except for ``M x P`` (which the oracle
+    reads as ``P x M``), agreement with the oracle.
+    """
     _check_fusion_window(params, rwin)
     rec = _Recorder()
     simples = _simples(params, rwin)
-    projectives = _projectives(params, rwin)
-
-    pairs = (
-        [(a, b) for a in simples for b in simples]
-        + [(a, b) for a in projectives for b in simples]
-        + [(a, b) for a in projectives for b in projectives]
-    )
-    for a, b in pairs:
-        closed = fusion_closed.fuse(params, a, b)
-        oracle = fusion_oracle.oracle_fuse(params, a, b)
-        rec.check(
-            closed == oracle,
-            lambda: f"oracle mismatch at {a} x {b}: closed {closed} vs oracle {oracle}",
-        )
+    labels = simples + _projectives(params, rwin)
 
     unit = catalog.simple(params, 1, 1)
-    for x in simples + projectives:
+    for x in labels:
         rec.check(
             fusion_closed.fuse(params, unit, x) == FormalSum.of(x),
             lambda: f"unit failure at {x}",
         )
-    for a in simples + projectives:
-        for b in simples + projectives:
+    for a in labels:
+        for b in labels:
             ab = fusion_closed.fuse(params, a, b)
             rec.check(
                 ab == fusion_closed.fuse(params, b, a),
@@ -129,6 +121,13 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
             rec.check(
                 catalog.flatten(params, ab) == catalog.grothendieck_product(params, a, b),
                 lambda: f"Grothendieck consistency failure at {a} x {b}",
+            )
+            if a.kind == catalog.SIMPLE and b.kind == catalog.PROJECTIVE:
+                continue
+            oracle = fusion_oracle.oracle_fuse(params, a, b)
+            rec.check(
+                ab == oracle,
+                lambda: f"oracle mismatch at {a} x {b}: closed {ab} vs oracle {oracle}",
             )
     for a in simples:
         d = catalog.dual(params, a)

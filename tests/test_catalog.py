@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from singlet_fusion import catalog
+from singlet_fusion import catalog, fusion_closed, fusion_oracle, triplet
 from singlet_fusion.catalog import (
     FormalSum,
     Indecomposable,
@@ -203,26 +203,38 @@ def test_shift_r_on_normal_forms_matches_the_relabelling(case, delta):
     assert got.total() == x.total()
 
 
-def test_shift_r_normalizes_raw_labels():
-    raw = FormalSum(
-        [
-            (Indecomposable("P", 1, 3), 1),
-            (Indecomposable("M", 0, 2, 2), 2),
-            (Indecomposable("F", 2, 3), 1),
-            (Indecomposable("FJ", 0, 3, 1), 1),
-            (projective(P3, 1, 1), 1),
-        ]
-    )
-    for delta in (0, 1, -4):
-        got = catalog.shift_r(P3, raw, delta)
-        assert got.terms == _old_shift_r(P3, raw, delta).terms
-    assert catalog.shift_r(P3, raw, 1) == FormalSum(
-        [(simple(P3, 2, 3), 1), (simple(P3, 1, 2), 2), (simple(P3, 3, 3), 1),
-         (simple(P3, 1, 3), 1), (projective(P3, 2, 1), 1)]
-    )
-    # a raw label with s out of range still raises
+_RAW_LABELS = [
+    Indecomposable("P", 1, 3),
+    Indecomposable("M", 1, 2, 2),
+    Indecomposable("F", 1, 3),
+    Indecomposable("FJ", 1, 3, 1),
+    Indecomposable("FJ", 1, 2, 2),
+    Indecomposable("M", 1, 4),
+    Indecomposable("Q", 1, 1),
+]
+_UNIT = simple(P3, 1, 1)
+_CONSUMERS = {
+    "fuse": lambda x: fusion_closed.fuse(P3, x, _UNIT),
+    "oracle_fuse": lambda x: fusion_oracle.oracle_fuse(P3, x, _UNIT),
+    "fuse_generators": lambda x: fusion_oracle.fuse_generators(P3, simple(P3, 1, 2), x),
+    "composition_factors": lambda x: composition_factors(P3, x),
+    "flatten": lambda x: flatten(P3, x),
+    "grothendieck_product": lambda x: grothendieck_product(P3, x, _UNIT),
+    "loewy": lambda x: loewy(P3, x),
+    "dual": lambda x: dual(P3, x),
+    "virasoro_decomposition": lambda x: virasoro_decomposition(P3, x, 2),
+    "induce": lambda x: triplet.induce(P3, x),
+    "shift_r": lambda x: catalog.shift_r(P3, FormalSum.of(x), 1),
+}
+
+
+@pytest.mark.parametrize("consumer", list(_CONSUMERS))
+@pytest.mark.parametrize("raw", _RAW_LABELS, ids=lambda x: f"{x.kind}:{x.r},{x.s},{x.n}")
+def test_label_consumers_reject_raw_labels(consumer, raw):
+    # only the builders normalize; every other entry point refuses a label
+    # built around them instead of repairing it or answering for an alias
     with pytest.raises(ValueError):
-        catalog.shift_r(P3, FormalSum.of(Indecomposable("M", 1, 4)), 2)
+        _CONSUMERS[consumer](raw)
 
 
 def test_shift_r_by_zero_returns_the_sum_itself():
