@@ -24,6 +24,7 @@ from .catalog import (
     FormalSum,
     Indecomposable,
     LoewyDiagram,
+    NotNormalForm,
     UnsupportedFusion,
     composition_factors,
     dual,
@@ -71,6 +72,7 @@ __all__ = [
     "LoewyDiagram",
     "TripletIndec",
     "UnsupportedFusion",
+    "NotNormalForm",
     "NegativeMultiplicityError",
     "simple",
     "projective",

@@ -17,7 +17,7 @@ aliases ``P_{r,p} = F_{alpha_{r,p}} = M_{r,p}`` hold on the nose.  The
 builders :func:`simple`, :func:`projective`, :func:`fock`, :func:`jordan_fock`
 and :func:`normalize` return normal forms; every other public function
 rejects a label not in normal form (one built with :class:`Indecomposable`
-directly) with a :class:`ValueError`, and :func:`shift_r` never repairs one.
+directly) with a :class:`NotNormalForm`, and :func:`shift_r` never repairs one.
 
 The module also holds the Grothendieck ring of composition-factor classes
 (:func:`flatten`, :func:`grothendieck_product`), built from its presentation.
@@ -44,6 +44,7 @@ __all__ = [
     "LoewyDiagram",
     "UnsupportedOperation",
     "UnsupportedFusion",
+    "NotNormalForm",
     "simple",
     "projective",
     "fock",
@@ -73,6 +74,10 @@ class UnsupportedOperation(ValueError):
 
 class UnsupportedFusion(ValueError):
     """Raised for products the catalog does not define (e.g. ``F x F``)."""
+
+
+class NotNormalForm(ValueError):
+    """Raised when an entry point other than a builder gets a label not in normal form."""
 
 
 class Indecomposable(NamedTuple):
@@ -148,23 +153,22 @@ def _is_normal(p: int, kind: str, s: int, n: int) -> bool:
 
 
 def _check_normal_form(params: Params, x: Indecomposable, what: str) -> None:
-    """Reject a label not in normal form; ``what`` names the caller.
+    """Raise :class:`NotNormalForm` for a label not in normal form.
 
-    An unknown kind, or an ``M`` label with ``s`` outside ``1..p``, raises
-    :class:`ValueError`; any other such label raises :class:`UnsupportedFusion`,
-    naming it unnormalized.
+    ``what`` names the caller.  The message names an unknown kind, an ``M``
+    label with ``s`` outside ``1..p``, or else the unnormalized label.
     """
     kind, _, s, n = x
     if _is_normal(params.p, kind, s, n):
         return
     if kind not in _KINDS:
-        raise ValueError(f"unknown label kind {kind!r}")
+        raise NotNormalForm(f"unknown label kind {kind!r}")
     if kind == SIMPLE and n == 1:
-        _check_s(params, s)
+        raise NotNormalForm(f"module label needs 1 <= s <= {params.p}, got s={s}")
     if kind in (PROJECTIVE, FOCK) and n == 1:
         name = "projective" if kind == PROJECTIVE else "Fock module"
-        raise UnsupportedFusion(f"{what} got an unnormalized {name} {x}")
-    raise UnsupportedFusion(f"{what} got an unnormalized label {x!r}")
+        raise NotNormalForm(f"{what} got an unnormalized {name} {x}")
+    raise NotNormalForm(f"{what} got an unnormalized label {x!r}")
 
 
 # ---------------------------------------------------------------------------

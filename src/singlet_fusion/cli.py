@@ -27,7 +27,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog, fusion_closed, fusion_oracle, triplet, verify
-from .catalog import FormalSum, Indecomposable, UnsupportedFusion
+from .catalog import FormalSum, Indecomposable
 from .labels import Params
 
 __all__ = ["main", "entrypoint", "parse_label"]
@@ -225,10 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_induce(args: argparse.Namespace) -> int:
     params = Params(args.p)
     label = parse_label(params, args.label)
-    try:
-        induced = triplet.induce(params, label)
-    except catalog.UnsupportedOperation as exc:
-        raise LabelSyntaxError(str(exc))
+    induced = triplet.induce(params, label)
     doc = {
         "schema": SCHEMA,
         "command": "induce",
@@ -237,7 +234,6 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         "kind": induced.kind,
         "rbar": induced.rbar,
         "s": induced.s,
-        "extrapolated": triplet.is_extrapolated(params, induced),
     }
     _emit(_json(doc), args.out)
     return EXIT_OK
@@ -293,7 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LabelSyntaxError, UnsupportedFusion, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"singlet-fusion: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

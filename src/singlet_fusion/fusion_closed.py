@@ -38,7 +38,6 @@ from .catalog import (
     FormalSum,
     Indecomposable,
     UnsupportedFusion,
-    _KINDS,
     _check_normal_form,
     _pairs,
     _SumLike,
@@ -180,13 +179,10 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
         return fuse_pm(params, y, x)
     if kx == PROJECTIVE and ky == PROJECTIVE:
         return fuse_pp(params, x, y)
-    for k in (kx, ky):
-        if k not in _KINDS:
-            raise UnsupportedFusion(f"unknown label kind {k!r} in {x} x {y}")
-    if JORDAN_FOCK in (kx, ky):
-        raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
     _check_normal_form(params, x, "fuse")
     _check_normal_form(params, y, "fuse")
+    if JORDAN_FOCK in (kx, ky):
+        raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
     # exactly one side is a Fock module: the odd simple current M(2n+1, 1)
     # shifts its r by 2n
     g, f = (y, x) if kx == FOCK else (x, y)

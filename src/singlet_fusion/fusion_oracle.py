@@ -130,14 +130,15 @@ def fuse_generators(
       ``P_{r,p-2} + 2 M_{r,p}`` (s = p-1); for p = 2:
       ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.
 
-    A label not in normal form raises :class:`ValueError`; anything else not
-    listed raises :class:`UnsupportedFusion`.
+    A label not in normal form raises :class:`~.catalog.NotNormalForm`;
+    anything else not listed raises :class:`UnsupportedFusion`.
     """
+    for y in (g, x):
+        _check_normal_form(params, y, "fuse_generators")
     if g.kind != SIMPLE:
         raise UnsupportedFusion(f"unsupported generator {g}")
     if x.kind == JORDAN_FOCK:
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x})")
-    _check_normal_form(params, x, "fuse_generators")
 
     if (g.r, g.s) == (1, 2):
         return FormalSum.of(*_m12_terms(params, x))
@@ -221,7 +222,9 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
 
     ``M x M`` goes to :func:`oracle_fuse_mm`; ``P x M`` and ``P x P`` go to
     :func:`oracle_fuse_p`, and ``M x P`` to the same with the factors
-    swapped.  Any other kind raises :class:`UnsupportedFusion`.
+    swapped.  A label not in normal form raises
+    :class:`~.catalog.NotNormalForm`; any other kind raises
+    :class:`UnsupportedFusion`.
     """
     if a.kind == SIMPLE and b.kind == SIMPLE:
         return oracle_fuse_mm(params, a, b)
@@ -229,6 +232,8 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
         return oracle_fuse_p(params, a, b)
     if a.kind == SIMPLE and b.kind == PROJECTIVE:
         return oracle_fuse_p(params, b, a)
+    for x in (a, b):
+        _check_normal_form(params, x, "oracle_fuse")
     raise UnsupportedFusion(
         f"the recursion oracle covers M/P labels only, got {a} x {b}"
     )

@@ -15,10 +15,15 @@ code  object                      notes
 ====  ==========================  =========================================
 W     simple module W_{rbar,s}    1 <= s <= p
 V     lattice module V_{rbar,s}   reducible; s <= p-1 (V(., p) = W(., p))
-R     projective R_{rbar,s}       s = p-1 is the constructed projective
-                                  cover; s < p-1 are extrapolated labels
-                                  produced by parity collapse only
+R     projective R_{rbar,s}       projective cover of W_{rbar,s};
+                                  1 <= s <= p-1
 ====  ==========================  =========================================
+
+``R_{rbar,s}`` is the induction of ``P_{r,s}`` for every ``s``.  Induction is
+left adjoint to the exact restriction, so it sends projectives to
+projectives, and ``Hom(Ind P_{r,s}, W) = Hom(P_{r,s}, Res W)`` leaves
+``W_{rbar,s}`` alone on top: ``R_{rbar,s}`` is the projective cover of
+``W_{rbar,s}`` (Adamovic-Milas, arXiv:0707.1857).
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "simple_w",
     "lattice_v",
     "projective_r",
-    "is_extrapolated",
     "induce",
     "induce_sum",
     "preimage",
@@ -106,19 +110,9 @@ def lattice_v(params: Params, rb: int, s: int) -> TripletIndec:
 
 
 def projective_r(params: Params, rb: int, s: int) -> TripletIndec:
-    """The projective label ``R_{rbar,s}``, ``1 <= s <= p-1``.
-
-    Only ``s = p-1`` is a constructed projective cover; smaller ``s`` are
-    extrapolated parity collapses (see :func:`is_extrapolated`).
-    """
+    """The projective cover ``R_{rbar,s}`` of ``W_{rbar,s}``, ``1 <= s <= p-1``."""
     _check(params, rb, s, params.p - 1)
     return TripletIndec(PROJ_R, rb, s)
-
-
-def is_extrapolated(params: Params, t: TripletIndec) -> bool:
-    """True for R-labels with ``s < p-1``, which exist only by parity collapse."""
-    _check_label(params, t)
-    return t.kind == PROJ_R and t.s < params.p - 1
 
 
 def induce(params: Params, x: Indecomposable) -> TripletIndec:
@@ -213,47 +207,31 @@ def derived_triplet_fuse(
 
 
 def composition_factors(params: Params, t: TripletIndec) -> FormalSum:
-    """Simple composition factors of a triplet label.
+    """Simple composition factors of a triplet label: its :func:`loewy` layers together.
 
     ``V_{alpha_{r,s}+L}`` has factors ``W_{r,s} + W_{3-r,p-s}``; the
-    projective cover ``R_{r,p-1}`` has ``2 W_{r,p-1} + 2 W_{3-r,1}``.
-    Extrapolated R-labels carry no composition data and are rejected.
+    projective cover ``R_{r,s}`` has ``2 W_{r,s} + 2 W_{3-r,p-s}``.
     """
-    _check_label(params, t)
-    if t.kind == SIMPLE_W:
-        return FormalSum.of(t)
-    if t.kind == LATTICE_V:
-        return FormalSum.of(
-            simple_w(params, t.rbar, t.s), simple_w(params, 3 - t.rbar, params.p - t.s)
-        )
-    if t.kind == PROJ_R and t.s == params.p - 1:
-        return FormalSum(
-            [
-                (simple_w(params, t.rbar, t.s), 2),
-                (simple_w(params, 3 - t.rbar, 1), 2),
-            ]
-        )
-    raise UnsupportedOperation(f"no composition series data for {t}")
+    return loewy(params, t).factors()
 
 
 def loewy(params: Params, t: TripletIndec) -> LoewyDiagram:
-    """Loewy diagram of a triplet label (W, V, or the constructed R)."""
+    """Loewy diagram of a triplet label.
+
+    ``V_{alpha_{r,s}+L}`` has top ``W_{3-r,p-s}`` over socle ``W_{r,s}``;
+    ``R_{r,s}`` has layers ``W_{r,s} / 2 W_{3-r,p-s} / W_{r,s}``.
+    """
     _check_label(params, t)
-    p = params.p
     if t.kind == SIMPLE_W:
         return LoewyDiagram((FormalSum.of(t),), ())
+    own = simple_w(params, t.rbar, t.s)
+    other = simple_w(params, 3 - t.rbar, params.p - t.s)
     if t.kind == LATTICE_V:
-        sub = simple_w(params, t.rbar, t.s)
-        quo = simple_w(params, 3 - t.rbar, p - t.s)
-        return LoewyDiagram((FormalSum.of(quo), FormalSum.of(sub)), ((0, quo, sub),))
-    if t.kind == PROJ_R and t.s == p - 1:
-        top = simple_w(params, t.rbar, p - 1)
-        mid = simple_w(params, 3 - t.rbar, 1)
-        return LoewyDiagram(
-            (FormalSum.of(top), FormalSum.of(mid, mid), FormalSum.of(top)),
-            ((0, top, mid), (1, mid, top)),
-        )
-    raise UnsupportedOperation(f"no Loewy data for {t}")
+        return LoewyDiagram((FormalSum.of(other), FormalSum.of(own)), ((0, other, own),))
+    return LoewyDiagram(
+        (FormalSum.of(own), FormalSum.of(other, other), FormalSum.of(own)),
+        ((0, own, other), (1, other, own)),
+    )
 
 
 def virasoro_decomposition(

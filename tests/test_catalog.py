@@ -217,6 +217,7 @@ _CONSUMERS = {
     "fuse": lambda x: fusion_closed.fuse(P3, x, _UNIT),
     "oracle_fuse": lambda x: fusion_oracle.oracle_fuse(P3, x, _UNIT),
     "fuse_generators": lambda x: fusion_oracle.fuse_generators(P3, simple(P3, 1, 2), x),
+    "fuse_generators_generator": lambda x: fusion_oracle.fuse_generators(P3, x, _UNIT),
     "composition_factors": lambda x: composition_factors(P3, x),
     "flatten": lambda x: flatten(P3, x),
     "grothendieck_product": lambda x: grothendieck_product(P3, x, _UNIT),
@@ -232,8 +233,9 @@ _CONSUMERS = {
 @pytest.mark.parametrize("raw", _RAW_LABELS, ids=lambda x: f"{x.kind}:{x.r},{x.s},{x.n}")
 def test_label_consumers_reject_raw_labels(consumer, raw):
     # only the builders normalize; every other entry point refuses a label
-    # built around them instead of repairing it or answering for an alias
-    with pytest.raises(ValueError):
+    # built around them instead of repairing it or answering for an alias,
+    # and says so with the one normal-form exception
+    with pytest.raises(catalog.NotNormalForm):
         _CONSUMERS[consumer](raw)
 
 

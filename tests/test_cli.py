@@ -76,17 +76,28 @@ def test_induce_command(capsys):
     code, out, _ = run(capsys, "induce", "--p", "3", "M:4,2")
     assert code == 0
     doc = json.loads(out)
-    assert (doc["kind"], doc["rbar"], doc["s"]) == ("W", 2, 2)
-    assert doc["extrapolated"] is False
+    assert doc == {
+        "command": "induce",
+        "input": "M:4,2",
+        "kind": "W",
+        "p": 3,
+        "rbar": 2,
+        "s": 2,
+        "schema": 1,
+    }
 
     code, out, _ = run(capsys, "induce", "--p", "2", "F:1,1")
     assert json.loads(out)["kind"] == "V"
 
+    # every R_{rbar,s} is a projective cover; s < p-1 is no special case
     code, out, _ = run(capsys, "induce", "--p", "4", "P:1,1")
-    assert json.loads(out)["extrapolated"] is True
+    assert code == 0
+    assert (json.loads(out)["kind"], json.loads(out)["s"]) == ("R", 1)
 
-    code, _, _ = run(capsys, "induce", "--p", "2", "FJ:1,2,2")
+    code, out, err = run(capsys, "induce", "--p", "2", "FJ:1,2,2")
     assert code == 2
+    assert out == ""
+    assert err == "singlet-fusion: FJ:1,2,2 induces to a non-local module\n"
 
 
 def test_table_tsv_deterministic(capsys):

@@ -8,6 +8,7 @@ from singlet_fusion import fusion_closed, verify
 from singlet_fusion.catalog import (
     FormalSum,
     Indecomposable,
+    NotNormalForm,
     flatten,
     fock,
     grothendieck_product,
@@ -220,18 +221,18 @@ def test_closed_forms_reject_out_of_range_simples():
     # raw labels skip the constructors' check; the closed forms must not
     # answer for them (M:1,4 x M:1,1 used to give P:1,2, M:1,0 gave 0)
     for bad in (Indecomposable("M", 1, 4), Indecomposable("M", 1, 0)):
-        with pytest.raises(ValueError, match="1 <= s <= 3"):
+        with pytest.raises(NotNormalForm, match="1 <= s <= 3"):
             fuse(P3, bad, simple(P3, 1, 1))
-        with pytest.raises(ValueError, match="1 <= s <= 3"):
+        with pytest.raises(NotNormalForm, match="1 <= s <= 3"):
             fuse(P3, simple(P3, 1, 1), bad)
-        with pytest.raises(ValueError, match="1 <= s <= 3"):
+        with pytest.raises(NotNormalForm, match="1 <= s <= 3"):
             fuse(P3, projective(P3, 1, 1), bad)
 
 
 def test_fuse_names_an_unknown_kind():
     bad = Indecomposable("Q", 1, 1)
     for a, b in ((bad, simple(P3, 1, 1)), (projective(P3, 1, 1), bad)):
-        with pytest.raises(UnsupportedFusion, match="unknown label kind 'Q'"):
+        with pytest.raises(NotNormalForm, match="unknown label kind 'Q'"):
             fuse(P3, a, b)
 
 

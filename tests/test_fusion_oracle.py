@@ -13,6 +13,7 @@ from singlet_fusion.catalog import (
     SIMPLE,
     FormalSum,
     Indecomposable,
+    NotNormalForm,
     fock,
     jordan_fock,
     projective,
@@ -143,9 +144,9 @@ def test_oracle_rejects_unnormalized_projectives():
             (raw, projective(P3, 1, 1)),
         ):
             for route in (fusion_closed.fuse, oracle_fuse):
-                with pytest.raises(UnsupportedFusion, match="unnormalized projective"):
+                with pytest.raises(NotNormalForm, match="unnormalized projective"):
                     route(P3, a, b)
-        with pytest.raises(UnsupportedFusion, match="unnormalized projective"):
+        with pytest.raises(NotNormalForm, match="unnormalized projective"):
             oracle_fuse_p(P3, raw, unit)
 
 
@@ -157,10 +158,10 @@ def test_generators_and_fock_fusion_reject_unnormalized_labels():
     for s in (0, 3):
         raw_f, raw_p = Indecomposable(FOCK, 1, s), Indecomposable(PROJECTIVE, 1, s)
         for a, b in ((raw_f, odd_current), (odd_current, raw_f), (raw_p, fock(P3, 1, 1))):
-            with pytest.raises(UnsupportedFusion, match="unnormalized"):
+            with pytest.raises(NotNormalForm, match="unnormalized"):
                 fusion_closed.fuse(P3, a, b)
         for g, x in ((odd_current, raw_f), (odd_current, raw_p), (current, raw_p), (m12, raw_p)):
-            with pytest.raises(UnsupportedFusion, match="unnormalized"):
+            with pytest.raises(NotNormalForm, match="unnormalized"):
                 fuse_generators(P3, g, x)
 
 
@@ -182,7 +183,7 @@ _RAW_P, _RAW_F = Indecomposable(PROJECTIVE, 1, 1, 2), Indecomposable(FOCK, 1, 1,
 def test_fusion_entry_points_reject_labels_with_n_not_one(route, a, b):
     # n is the Jordan size of FJ labels only, so no route may read an M/P/F
     # label with n != 1 as n = 1
-    with pytest.raises(UnsupportedFusion, match="unnormalized"):
+    with pytest.raises(NotNormalForm, match="unnormalized"):
         route(P3, a, b)
 
 

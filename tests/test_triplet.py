@@ -30,12 +30,6 @@ def test_projective_r_range():
         triplet.simple_w(P3, 3, 1)
 
 
-def test_extrapolated_flag():
-    assert not triplet.is_extrapolated(P3, triplet.projective_r(P3, 1, 2))
-    assert triplet.is_extrapolated(Params(4), triplet.projective_r(Params(4), 1, 1))
-    assert not triplet.is_extrapolated(P3, triplet.simple_w(P3, 1, 1))
-
-
 BAD_LABELS = [
     triplet.TripletIndec("X", 1, 1),  # unknown kind
     triplet.TripletIndec("W", 3, 1),  # rbar outside {1, 2}
@@ -52,7 +46,6 @@ BAD_LABELS = [
 def test_public_functions_reject_bad_labels(bad):
     good = triplet.simple_w(P3, 1, 2)
     calls = [
-        lambda: triplet.is_extrapolated(P3, bad),
         lambda: triplet.preimage(P3, bad),
         lambda: triplet.triplet_fuse_generator(P3, bad, good),
         lambda: triplet.triplet_fuse_generator(P3, good, bad),
@@ -156,14 +149,16 @@ def test_derived_fusion_with_projective_arguments():
     assert triplet.derived_triplet_fuse(
         P3, triplet.simple_w(P3, 2, 1), triplet.projective_r(P3, 1, 2)
     ) == FormalSum.of(triplet.projective_r(P3, 2, 2))
-    # fusing the degenerate generator into the projective cover walks one
-    # column down, landing on an extrapolated R label for p >= 3
+    # fusing the degenerate generator into the projective cover R_{1,p-1}
+    # walks one column down, to the projective cover R_{1,p-2} for p >= 3
     got = triplet.derived_triplet_fuse(
         P3, triplet.simple_w(P3, 1, 2), triplet.projective_r(P3, 1, 2)
     )
-    extended = triplet.projective_r(P3, 1, 1)
-    assert got == FormalSum([(extended, 1), (triplet.simple_w(P3, 1, 3), 2)])
-    assert triplet.is_extrapolated(P3, extended)
+    lower = triplet.projective_r(P3, 1, 1)
+    assert got == FormalSum([(lower, 1), (triplet.simple_w(P3, 1, 3), 2)])
+    assert triplet.composition_factors(P3, lower) == FormalSum(
+        [(triplet.simple_w(P3, 1, 1), 2), (triplet.simple_w(P3, 2, 2), 2)]
+    )
     # at p = 2 everything collapses onto the s = 2 simples
     got = triplet.derived_triplet_fuse(
         P2, triplet.simple_w(P2, 1, 2), triplet.projective_r(P2, 1, 1)
@@ -194,7 +189,9 @@ def test_preimage_independence(params, data):
                 data.draw(st.integers(min_value=1, max_value=params.p)),
             )
         return triplet.projective_r(
-            params, data.draw(st.sampled_from((1, 2))), params.p - 1
+            params,
+            data.draw(st.sampled_from((1, 2))),
+            data.draw(st.integers(min_value=1, max_value=params.p - 1)),
         )
 
     a, b = draw_label(), draw_label()
@@ -219,26 +216,55 @@ def test_derived_fusion_rejects_lattice():
 # --- structural data -------------------------------------------------------------------
 
 
-@given(params_st, r_st)
-def test_exactness_bookkeeping(params, r):
-    # inducing the composition factors of P_{r,p-1} reproduces the factors
-    # of R_{rbar,p-1} read off its Loewy diagram
+@given(params_st, r_st, st.data())
+def test_exactness_bookkeeping(params, r, data):
+    # inducing the composition factors of P_{r,s} reproduces the factors
+    # of R_{rbar,s} read off its Loewy diagram, for every s
+    s = data.draw(st.integers(min_value=1, max_value=params.p - 1))
     induced = triplet.induce_sum(
-        params,
-        catalog.composition_factors(
-            params, catalog.projective(params, r, params.p - 1)
-        ),
+        params, catalog.composition_factors(params, catalog.projective(params, r, s))
     )
-    diagram = triplet.loewy(params, triplet.projective_r(params, rbar(r), params.p - 1))
+    diagram = triplet.loewy(params, triplet.projective_r(params, rbar(r), s))
     assert induced == diagram.factors()
+
+
+def test_every_projective_is_the_cover_of_its_top():
+    # R_{rbar,s} = Ind P_{r,s} is the projective cover of W_{rbar,s} for
+    # every s: the induced factors of P_{r,s} are 2 W_{rbar,s} + 2 W_{3-rbar,p-s},
+    # both as composition factors and as Loewy layers, and W_{rbar,s} alone
+    # is the top and the socle
+    cases = 0
+    for p in range(2, 13):
+        params = Params(p)
+        for r in range(-3, 4):
+            rb = rbar(r)
+            for s in range(1, p):
+                t = triplet.projective_r(params, rb, s)
+                own = triplet.simple_w(params, rb, s)
+                other = triplet.simple_w(params, 3 - rb, p - s)
+                expected = FormalSum([(own, 2), (other, 2)])
+                induced = triplet.induce_sum(
+                    params,
+                    catalog.composition_factors(params, catalog.projective(params, r, s)),
+                )
+                diagram = triplet.loewy(params, t)
+                assert induced == expected, (p, r, s)
+                assert triplet.composition_factors(params, t) == expected, (p, r, s)
+                assert diagram.factors() == expected, (p, r, s)
+                assert diagram.layers[0] == diagram.layers[-1] == FormalSum.of(own), (p, r, s)
+                cases += 1
+    assert cases == 462
 
 
 def test_lattice_composition_factors():
     assert triplet.composition_factors(P3, triplet.lattice_v(P3, 1, 1)) == FormalSum.of(
         triplet.simple_w(P3, 1, 1), triplet.simple_w(P3, 2, 2)
     )
-    with pytest.raises(UnsupportedOperation):
-        triplet.composition_factors(Params(4), triplet.projective_r(Params(4), 1, 1))
+    # every R_{rbar,s} is a projective cover, not only s = p-1
+    p4 = Params(4)
+    assert triplet.composition_factors(p4, triplet.projective_r(p4, 1, 1)) == FormalSum(
+        [(triplet.simple_w(p4, 1, 1), 2), (triplet.simple_w(p4, 2, 3), 2)]
+    )
 
 
 def test_triplet_virasoro_decomposition():
