@@ -359,6 +359,7 @@ def connection_closed(params: Params) -> ConnectionMatrix:
     if p == 2:
         a = math.log(4.0) / math.pi
         b = -1.0 / math.pi
+        d1 = (1.0 - a * a) / b
     else:
         a = 1.0 / (2.0 * math.cos(math.pi / p))
         b = (
@@ -367,9 +368,6 @@ def connection_closed(params: Params) -> ConnectionMatrix:
             * math.gamma(2.0 / p) ** 2
             / (math.gamma(1.0 / p) * math.gamma(3.0 / p))
         )
-    if p == 2:
-        d1 = (1.0 - a * a) / b
-    else:
         d1 = (
             math.gamma(2.0 - 2.0 / p)
             * math.gamma(1.0 - 2.0 / p)

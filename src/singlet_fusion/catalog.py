@@ -327,13 +327,12 @@ class LoewyDiagram:
     """Socle filtration of an indecomposable, top layer first.
 
     ``layers`` are formal sums of simples; their concatenation is the list
-    of composition factors and the last layer is the socle.  ``edges`` are
-    ``(layer_index, upper_factor, lower_factor)`` adjacencies between a
-    factor in ``layers[layer_index]`` and one in ``layers[layer_index + 1]``.
+    of composition factors and the last layer is the socle.  Each factor of
+    a layer extends each factor of the next, so the layers are the whole
+    diagram.
     """
 
     layers: Tuple[FormalSum, ...]
-    edges: Tuple[Tuple[int, Indecomposable, Indecomposable], ...]
 
     def factors(self) -> FormalSum:
         """All composition factors, layers flattened together."""
@@ -448,8 +447,8 @@ def loewy(params: Params, x: Indecomposable) -> LoewyDiagram:
 
     * simples: one layer;
     * ``F_{alpha_{r,s}}``: layers ``[M_{r+1,p-s}], [M_{r,s}]``;
-    * ``P_{r,s}``: layers ``[M_{r,s}], [M_{r-1,p-s} + M_{r+1,p-s}], [M_{r,s}]``
-      with the diamond of edges.
+    * ``P_{r,s}``: layers ``[M_{r,s}], [M_{r-1,p-s} + M_{r+1,p-s}], [M_{r,s}]``,
+      a diamond.
 
     Jordan Fock labels are rejected: their full socle filtration is not part
     of the catalog.  So is a label not in normal form.
@@ -457,19 +456,16 @@ def loewy(params: Params, x: Indecomposable) -> LoewyDiagram:
     _check_normal_form(params, x, "loewy")
     p = params.p
     if x.kind == SIMPLE:
-        return LoewyDiagram((FormalSum.of(x),), ())
+        return LoewyDiagram((FormalSum.of(x),))
     if x.kind == FOCK:
         sub = simple(params, x.r, x.s)
         quo = simple(params, x.r + 1, p - x.s)
-        return LoewyDiagram((FormalSum.of(quo), FormalSum.of(sub)), ((0, quo, sub),))
+        return LoewyDiagram((FormalSum.of(quo), FormalSum.of(sub)))
     if x.kind == PROJECTIVE:
         top = simple(params, x.r, x.s)
         left = simple(params, x.r - 1, p - x.s)
         right = simple(params, x.r + 1, p - x.s)
-        return LoewyDiagram(
-            (FormalSum.of(top), FormalSum.of(left, right), FormalSum.of(top)),
-            ((0, top, left), (0, top, right), (1, left, top), (1, right, top)),
-        )
+        return LoewyDiagram((FormalSum.of(top), FormalSum.of(left, right), FormalSum.of(top)))
     raise UnsupportedOperation(f"no Loewy data for {x}")
 
 

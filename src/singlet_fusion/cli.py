@@ -72,15 +72,13 @@ def _term_dict(label: Indecomposable, mult: int) -> Dict[str, object]:
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
+    # add the missing final newline without copying a large payload
+    end = "" if payload.endswith("\n") else "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
+            print(payload, end=end, file=fh)
     else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        print(payload, end=end)
 
 
 def _json(obj: object) -> str:

@@ -8,16 +8,21 @@ be *derived* by fusing singlet preimages and inducing the result; this file
 implements that derivation and the directly transcribed generator rules it
 must agree with.
 
-Triplet labels come in three kinds:
+Triplet labels are the image of the singlet normal forms under
+``r -> rbar``, so they come in three kinds, one per local singlet kind:
 
-====  ==========================  =========================================
-code  object                      notes
-====  ==========================  =========================================
-W     simple module W_{rbar,s}    1 <= s <= p
-V     lattice module V_{rbar,s}   reducible; s <= p-1 (V(., p) = W(., p))
-R     projective R_{rbar,s}       projective cover of W_{rbar,s};
-                                  1 <= s <= p-1
-====  ==========================  =========================================
+====  ==========================  ======  ===============================
+code  object                      from    range of ``s``
+====  ==========================  ======  ===============================
+W     simple module W_{rbar,s}    M       1 <= s <= p
+V     lattice module V_{rbar,s}   F       1 <= s <= p-1
+R     projective R_{rbar,s}       P       1 <= s <= p-1
+====  ==========================  ======  ===============================
+
+Each range is the one the preimage kind takes in normal form; the catalog
+decides it, and :func:`_check_label` asks it.  :func:`lattice_v` sends
+``V(., p)`` to ``W(., p)``, as ``catalog.fock`` sends ``F(r, p)`` to
+``M(r, p)``; :func:`projective_r` rejects ``s = p``.
 
 ``R_{rbar,s}`` is the induction of ``P_{r,s}`` for every ``s``.  Induction is
 left adjoint to the exact restriction, so it sends projectives to
@@ -28,13 +33,12 @@ projectives, and ``Hom(Ind P_{r,s}, W) = Hom(P_{r,s}, Res W)`` leaves
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import catalog
 from .catalog import (
-    FormalSum, Indecomposable, LoewyDiagram, UnsupportedOperation, _check_normal_form
+    FormalSum, Indecomposable, LoewyDiagram, UnsupportedOperation, _check_normal_form, _is_normal
 )
 from .fusion_closed import UnsupportedFusion, fuse
 from .labels import Params, rbar, weight
@@ -62,8 +66,12 @@ LATTICE_V = "V"
 PROJ_R = "R"
 
 
-@dataclass(frozen=True, order=True)
-class TripletIndec:
+# induction's kind map; its inverse names the preimage kind of a triplet label
+_INDUCED = {catalog.SIMPLE: SIMPLE_W, catalog.FOCK: LATTICE_V, catalog.PROJECTIVE: PROJ_R}
+_PREIMAGE = {t: x for x, t in _INDUCED.items()}
+
+
+class TripletIndec(NamedTuple):
     """A triplet module label; ``rbar`` is the parity class (1 or 2)."""
 
     kind: str
@@ -74,45 +82,45 @@ class TripletIndec:
         return f"{self.kind}:{self.rbar},{self.s}"
 
 
-def _check(params: Params, rb: int, s: int, s_max: int) -> None:
+def _check_label(params: Params, t: TripletIndec) -> None:
+    """Reject an unknown kind, ``rbar`` outside {1, 2}, or an ``s`` that is
+    not in normal form for the preimage kind."""
+    kind, rb, s = t
+    pre = _PREIMAGE.get(kind)
+    if pre is None:
+        raise ValueError(f"unknown triplet kind {kind!r} in {t}")
     if rb not in (1, 2):
         raise ValueError(f"rbar must be 1 or 2, got {rb}")
-    if not 1 <= s <= s_max:
+    p = params.p
+    if not _is_normal(p, pre, s, 1):
+        s_max = p if _is_normal(p, pre, p, 1) else p - 1
         raise ValueError(f"triplet label needs 1 <= s <= {s_max}, got s={s}")
-
-
-def _check_label(params: Params, t: TripletIndec) -> None:
-    """Reject an unknown kind, ``rbar`` outside {1, 2}, or ``s`` out of range.
-
-    ``W`` takes ``1 <= s <= p``; ``V`` and ``R`` take ``1 <= s <= p-1``.
-    """
-    if t.kind == SIMPLE_W:
-        s_max = params.p
-    elif t.kind in (LATTICE_V, PROJ_R):
-        s_max = params.p - 1
-    else:
-        raise ValueError(f"unknown triplet kind {t.kind!r} in {t}")
-    _check(params, t.rbar, t.s, s_max)
 
 
 def simple_w(params: Params, rb: int, s: int) -> TripletIndec:
     """The simple triplet module ``W_{rbar,s}``, ``1 <= s <= p``."""
-    _check(params, rb, s, params.p)
-    return TripletIndec(SIMPLE_W, rb, s)
+    t = TripletIndec(SIMPLE_W, rb, s)
+    _check_label(params, t)
+    return t
 
 
 def lattice_v(params: Params, rb: int, s: int) -> TripletIndec:
-    """The lattice module ``V_{alpha_{rbar,s}+L}``; ``V(., p)`` normalizes to ``W(., p)``."""
-    _check(params, rb, s, params.p)
-    if s == params.p:
-        return TripletIndec(SIMPLE_W, rb, s)
-    return TripletIndec(LATTICE_V, rb, s)
+    """The lattice module ``V_{alpha_{rbar,s}+L}``; ``V(., p)`` normalizes to ``W(., p)``.
+
+    An ``s`` that ``F`` does not take in normal form is checked as a ``W``
+    label, whose range ``1 <= s <= p`` is the one this builder accepts.
+    """
+    normal = _is_normal(params.p, catalog.FOCK, s, 1)
+    t = TripletIndec(LATTICE_V if normal else SIMPLE_W, rb, s)
+    _check_label(params, t)
+    return t
 
 
 def projective_r(params: Params, rb: int, s: int) -> TripletIndec:
     """The projective cover ``R_{rbar,s}`` of ``W_{rbar,s}``, ``1 <= s <= p-1``."""
-    _check(params, rb, s, params.p - 1)
-    return TripletIndec(PROJ_R, rb, s)
+    t = TripletIndec(PROJ_R, rb, s)
+    _check_label(params, t)
+    return t
 
 
 def induce(params: Params, x: Indecomposable) -> TripletIndec:
@@ -120,17 +128,14 @@ def induce(params: Params, x: Indecomposable) -> TripletIndec:
 
     ``M_{r,s} -> W_{rbar,s}``; ``F_{alpha_{r,s}} -> V_{alpha_{rbar,s}+L}``;
     ``P_{r,s} -> R_{rbar,s}``.  Jordan Fock modules induce to non-local
-    objects and are rejected, as is a label not in normal form.
+    objects and are rejected, as is a label not in normal form.  A normal
+    form induces to a valid triplet label, so nothing more is checked.
     """
     _check_normal_form(params, x, "induce")
-    rb = rbar(x.r)
-    if x.kind == catalog.SIMPLE:
-        return simple_w(params, rb, x.s)
-    if x.kind == catalog.FOCK:
-        return lattice_v(params, rb, x.s)
-    if x.kind == catalog.PROJECTIVE:
-        return projective_r(params, rb, x.s)
-    raise UnsupportedOperation(f"{x} induces to a non-local module")
+    kind = _INDUCED.get(x.kind)
+    if kind is None:
+        raise UnsupportedOperation(f"{x} induces to a non-local module")
+    return TripletIndec(kind, rbar(x.r), x.s)
 
 
 def induce_sum(params: Params, xs: FormalSum) -> FormalSum:
@@ -148,12 +153,8 @@ def preimage(params: Params, t: TripletIndec, r_shift: int = 0) -> Indecomposabl
     _check_label(params, t)
     if r_shift % 2 != 0:
         raise ValueError("preimage shifts must be even to preserve parity")
-    r = t.rbar + r_shift
-    if t.kind == SIMPLE_W:
-        return catalog.simple(params, r, t.s)
-    if t.kind == LATTICE_V:
-        return catalog.fock(params, r, t.s)
-    return catalog.projective(params, r, t.s)
+    # a valid triplet label has a preimage in normal form
+    return Indecomposable(_PREIMAGE[t.kind], t.rbar + r_shift, t.s)
 
 
 def triplet_fuse_generator(
@@ -223,15 +224,12 @@ def loewy(params: Params, t: TripletIndec) -> LoewyDiagram:
     """
     _check_label(params, t)
     if t.kind == SIMPLE_W:
-        return LoewyDiagram((FormalSum.of(t),), ())
+        return LoewyDiagram((FormalSum.of(t),))
     own = simple_w(params, t.rbar, t.s)
     other = simple_w(params, 3 - t.rbar, params.p - t.s)
     if t.kind == LATTICE_V:
-        return LoewyDiagram((FormalSum.of(other), FormalSum.of(own)), ((0, other, own),))
-    return LoewyDiagram(
-        (FormalSum.of(own), FormalSum.of(other, other), FormalSum.of(own)),
-        ((0, own, other), (1, other, own)),
-    )
+        return LoewyDiagram((FormalSum.of(other), FormalSum.of(own)))
+    return LoewyDiagram((FormalSum.of(own), FormalSum.of(other, other), FormalSum.of(own)))
 
 
 def virasoro_decomposition(

@@ -383,16 +383,16 @@ def run_suites(
     """Run several suites over several values of p, each p once.
 
     Repeated suite names and values of p are dropped, keeping the first of
-    each.  Unknown suite names, and every fusion window over
-    ``MAX_FUSION_PAIRS``, are rejected before the first suite runs, so a bad
+    each.  Unknown suite names, a bad p, and every fusion window over
+    ``MAX_FUSION_PAIRS`` are rejected before the first suite runs, so a bad
     request fails at once.
     """
     names = list(dict.fromkeys(names))
-    p_values = list(dict.fromkeys(p_values))
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    every_p = [Params(p) for p in dict.fromkeys(p_values)]
     if "fusion" in names:
-        for p in p_values:
-            _check_fusion_window(Params(p), rwin)
-    return {name: {p: SUITES[name](Params(p), rwin) for p in p_values} for name in names}
+        for params in every_p:
+            _check_fusion_window(params, rwin)
+    return {name: {params.p: SUITES[name](params, rwin) for params in every_p} for name in names}

@@ -250,6 +250,15 @@ def test_out_file(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("payload", ["a\tb", "a\tb\n"])
+def test_emit_ends_with_one_newline(tmp_path, capsys, payload):
+    # stdout and --out get the same bytes: the payload and one final newline
+    target = tmp_path / "result"
+    cli._emit(payload, None)
+    cli._emit(payload, str(target))
+    assert capsys.readouterr().out == target.read_text(encoding="utf-8") == "a\tb\n"
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "result.json"
     code, out, err = run(

@@ -101,6 +101,73 @@ def test_induce_sum_termwise():
     )
 
 
+# each builder, the singlet kind it induces from, and the kind it builds
+BUILDERS = (
+    (triplet.simple_w, catalog.SIMPLE, triplet.SIMPLE_W),
+    (triplet.lattice_v, catalog.FOCK, triplet.LATTICE_V),
+    (triplet.projective_r, catalog.PROJECTIVE, triplet.PROJ_R),
+)
+
+
+def _valid_triplet_labels(params):
+    for r in range(-3, 4):
+        for build, kind, _ in BUILDERS:
+            for s in range(1, params.p + 1):
+                if catalog._is_normal(params.p, kind, s, 1):
+                    yield build(params, rbar(r), s)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_induce_undoes_preimage(p):
+    params = Params(p)
+    for t in _valid_triplet_labels(params):
+        for k in (-2, 0, 2):
+            assert triplet.induce(params, triplet.preimage(params, t, k)) == t, (t, k)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_preimage_of_induce_keeps_kind_s_and_parity(p):
+    params = Params(p)
+    for r in range(-3, 4):
+        for build in (catalog.simple, catalog.fock, catalog.projective):
+            for s in range(1, p + 1):
+                x = build(params, r, s)
+                y = triplet.preimage(params, triplet.induce(params, x))
+                assert (y.kind, y.s, y.r % 2) == (x.kind, x.s, x.r % 2), x
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_builders_reject_what_the_catalog_rejects(p):
+    # V(., p) is the one alias: it builds W(., p), whose preimage M(., p) is normal
+    params = Params(p)
+    for r in range(-3, 4):
+        for build, kind, built in BUILDERS:
+            for s in range(0, p + 2):
+                if build is triplet.lattice_v and s == p:
+                    assert build(params, rbar(r), s) == triplet.simple_w(params, rbar(r), s)
+                elif catalog._is_normal(p, kind, s, 1):
+                    t = build(params, rbar(r), s)
+                    assert (t.kind, t.rbar, t.s) == (built, rbar(r), s)
+                else:
+                    with pytest.raises(ValueError):
+                        build(params, rbar(r), s)
+
+
+def test_mixed_sum_order_and_str():
+    p4 = Params(4)
+    xs = FormalSum.of(
+        triplet.simple_w(p4, 2, 1),
+        triplet.projective_r(p4, 2, 3),
+        triplet.lattice_v(p4, 1, 2),
+        triplet.simple_w(p4, 1, 4),
+        triplet.projective_r(p4, 1, 1),
+        triplet.lattice_v(p4, 2, 4),
+        triplet.simple_w(p4, 2, 1),
+    )
+    assert str(xs) == "R:1,1 + R:2,3 + V:1,2 + W:1,4 + 2*W:2,1 + W:2,4"
+    assert repr(xs.terms[0][0]) == "TripletIndec(kind='R', rbar=1, s=1)"
+
+
 # --- generator rules ---------------------------------------------------------------
 
 

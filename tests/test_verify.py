@@ -84,6 +84,19 @@ def test_run_suites_checks_every_fusion_window_first(monkeypatch):
         verify.run_suites(["labels", "fusion"], [2, 6], rwin=23)
 
 
+def test_run_suites_rejects_a_bad_p_before_any_suite(monkeypatch):
+    runs = []
+
+    def suite(params, rwin):
+        runs.append(params.p)
+        return 1, []
+
+    monkeypatch.setitem(verify.SUITES, "labels", suite)
+    with pytest.raises(ValueError, match="p must be an integer >= 2, got 1"):
+        verify.run_suites(["labels"], [2, 3, 1], rwin=1)
+    assert runs == []
+
+
 def test_bpz_suite_has_no_window_cap():
     checks, failures = verify.run_suites(["bpz"], [120], rwin=1000)["bpz"][120]
     assert (checks, failures) == (99, [])
