@@ -23,7 +23,6 @@ Layers (one module each):
 from .catalog import (
     FormalSum,
     Indecomposable,
-    LoewyDiagram,
     NotNormalForm,
     UnsupportedFusion,
     composition_factors,
@@ -69,7 +68,6 @@ __all__ = [
     "Params",
     "Indecomposable",
     "FormalSum",
-    "LoewyDiagram",
     "TripletIndec",
     "UnsupportedFusion",
     "NotNormalForm",

@@ -15,12 +15,17 @@ FJ    Jordan Fock module F^{(n)}     s = p forced; n = 1 -> M(r, p)
 Two labels are equal exactly when their normal forms are equal, so the
 aliases ``P_{r,p} = F_{alpha_{r,p}} = M_{r,p}`` hold on the nose.  The
 builders :func:`simple`, :func:`projective`, :func:`fock`, :func:`jordan_fock`
-and :func:`normalize` return normal forms; every other public function
+and :func:`normalize` return normal forms, and raise ``TypeError`` for an
+index whose type is not exactly ``int``; every other public function
 rejects a label not in normal form (one built with :class:`Indecomposable`
 directly) with a :class:`NotNormalForm`, and :func:`shift_r` never repairs one.
 
-The module also holds the Grothendieck ring of composition-factor classes
-(:func:`flatten`, :func:`grothendieck_product`), built from its presentation.
+Each module is described by its composition factors
+(:func:`composition_factors`, of a label or of a formal sum) and, for
+``M``, ``P`` and ``F``, its Loewy layers (:func:`loewy`, a tuple of sums,
+top first).  The module also holds the Grothendieck ring of
+composition-factor classes (:func:`grothendieck_product`), built from its
+presentation.
 Both fusion routes import this module, so it imports neither of them.
 """
 
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
@@ -41,7 +45,6 @@ __all__ = [
     "JORDAN_FOCK",
     "Indecomposable",
     "FormalSum",
-    "LoewyDiagram",
     "UnsupportedOperation",
     "UnsupportedFusion",
     "NotNormalForm",
@@ -52,7 +55,6 @@ __all__ = [
     "normalize",
     "shift_r",
     "composition_factors",
-    "flatten",
     "grothendieck_product",
     "loewy",
     "dual",
@@ -94,14 +96,24 @@ class Indecomposable(NamedTuple):
         return f"{self.kind}:{self.r},{self.s}"
 
 
+def _check_ints(what: str, a: int, b: int = 0) -> None:
+    """Reject ``a`` or ``b`` if its type is not exactly ``int``: ``bool`` and
+    ``float`` too, the rule :class:`FormalSum` applies to multiplicities."""
+    if type(a) is not int or type(b) is not int:
+        bad = b if type(a) is int else a
+        raise TypeError(f"{what} {bad!r} is not an int")
+
+
 def simple(params: Params, r: int, s: int) -> Indecomposable:
     """The simple module ``M_{r,s}``, ``1 <= s <= p``."""
+    _check_ints("label index", r, s)
     _check_s(params, s)
     return Indecomposable(SIMPLE, r, s)
 
 
 def projective(params: Params, r: int, s: int) -> Indecomposable:
     """The projective cover ``P_{r,s}``; ``P_{r,p}`` normalizes to ``M_{r,p}``."""
+    _check_ints("label index", r, s)
     _check_s(params, s)
     if s == params.p:
         return Indecomposable(SIMPLE, r, s)
@@ -110,6 +122,7 @@ def projective(params: Params, r: int, s: int) -> Indecomposable:
 
 def fock(params: Params, r: int, s: int) -> Indecomposable:
     """The Fock module ``F_{alpha_{r,s}}``; ``F(r, p)`` normalizes to ``M_{r,p}``."""
+    _check_ints("label index", r, s)
     _check_s(params, s)
     if s == params.p:
         return Indecomposable(SIMPLE, r, s)
@@ -118,6 +131,7 @@ def fock(params: Params, r: int, s: int) -> Indecomposable:
 
 def jordan_fock(params: Params, r: int, n: int) -> Indecomposable:
     """The rank-``n`` Jordan Fock module ``F^{(n)}`` at ``s = p``; ``n = 1`` is ``M_{r,p}``."""
+    _check_ints("label index", r, n)
     if n < 1:
         raise ValueError(f"Jordan size must be >= 1, got {n}")
     if n == 1:
@@ -322,23 +336,6 @@ def shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoewyDiagram:
-    """Socle filtration of an indecomposable, top layer first.
-
-    ``layers`` are formal sums of simples; their concatenation is the list
-    of composition factors and the last layer is the socle.  Each factor of
-    a layer extends each factor of the next, so the layers are the whole
-    diagram.
-    """
-
-    layers: Tuple[FormalSum, ...]
-
-    def factors(self) -> FormalSum:
-        """All composition factors, layers flattened together."""
-        return FormalSum.combine((1, layer) for layer in self.layers)
-
-
 def _factor_pairs(
     params: Params, x: Indecomposable
 ) -> Tuple[Tuple[Indecomposable, int], ...]:
@@ -364,19 +361,6 @@ def _factor_pairs(
     return ((Indecomposable(SIMPLE, r, s), x.n),)  # JORDAN_FOCK
 
 
-def composition_factors(params: Params, x: Indecomposable) -> FormalSum:
-    """Multiset of simple composition factors of a label in normal form.
-
-    * ``M_{r,s}``: itself.
-    * ``F_{alpha_{r,s}}``, ``s <= p-1``: ``M_{r,s} + M_{r+1,p-s}`` from the
-      non-split sequence ``0 -> M_{r,s} -> F -> M_{r+1,p-s} -> 0``.
-    * ``P_{r,s}``, ``s <= p-1``: ``2 M_{r,s} + M_{r-1,p-s} + M_{r+1,p-s}``.
-    * ``F^{(n)}``: ``n`` copies of ``M_{r,p}``, by induction on the
-      self-extension ``0 -> F^{(n-1)} -> F^{(n)} -> F -> 0``.
-    """
-    return FormalSum(_factor_pairs(params, x))
-
-
 _SumLike = Union[FormalSum, Indecomposable]
 
 
@@ -393,8 +377,17 @@ def _flat(params: Params, x: _SumLike) -> Dict[Indecomposable, int]:
     return acc
 
 
-def flatten(params: Params, x: _SumLike) -> FormalSum:
-    """Composition factors of a formal sum (or a label), extended linearly."""
+def composition_factors(params: Params, x: _SumLike) -> FormalSum:
+    """Multiset of simple composition factors of a label in normal form, or
+    of a formal sum of such labels (extended linearly).
+
+    * ``M_{r,s}``: itself.
+    * ``F_{alpha_{r,s}}``, ``s <= p-1``: ``M_{r,s} + M_{r+1,p-s}`` from the
+      non-split sequence ``0 -> M_{r,s} -> F -> M_{r+1,p-s} -> 0``.
+    * ``P_{r,s}``, ``s <= p-1``: ``2 M_{r,s} + M_{r-1,p-s} + M_{r+1,p-s}``.
+    * ``F^{(n)}``: ``n`` copies of ``M_{r,p}``, by induction on the
+      self-extension ``0 -> F^{(n-1)} -> F^{(n)} -> F -> 0``.
+    """
     return FormalSum(_flat(params, x))
 
 
@@ -402,7 +395,8 @@ def grothendieck_product(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
     """Product of composition-factor classes in the Grothendieck ring.
 
     Fusion is bi-exact, so it descends to the ring of classes, and this
-    agrees with ``flatten(fuse(a, b))``; the verification suite checks that.
+    agrees with ``composition_factors(fuse(a, b))``; the verification suite
+    checks that.
     The product is built from the presentation of the ring alone, not from
     either fusion route:
 
@@ -442,8 +436,12 @@ def grothendieck_product(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
     return FormalSum(acc)
 
 
-def loewy(params: Params, x: Indecomposable) -> LoewyDiagram:
-    """Loewy diagram of ``M``, ``P`` or ``F`` labels.
+def loewy(params: Params, x: Indecomposable) -> Tuple[FormalSum, ...]:
+    """Loewy layers of ``M``, ``P`` or ``F`` labels: formal sums of simples,
+    top first and socle last.
+
+    Each factor of a layer extends each factor of the next, so the layers
+    are the whole diagram, and together they are the composition factors.
 
     * simples: one layer;
     * ``F_{alpha_{r,s}}``: layers ``[M_{r+1,p-s}], [M_{r,s}]``;
@@ -456,16 +454,16 @@ def loewy(params: Params, x: Indecomposable) -> LoewyDiagram:
     _check_normal_form(params, x, "loewy")
     p = params.p
     if x.kind == SIMPLE:
-        return LoewyDiagram((FormalSum.of(x),))
+        return (FormalSum.of(x),)
     if x.kind == FOCK:
         sub = simple(params, x.r, x.s)
         quo = simple(params, x.r + 1, p - x.s)
-        return LoewyDiagram((FormalSum.of(quo), FormalSum.of(sub)))
+        return FormalSum.of(quo), FormalSum.of(sub)
     if x.kind == PROJECTIVE:
         top = simple(params, x.r, x.s)
         left = simple(params, x.r - 1, p - x.s)
         right = simple(params, x.r + 1, p - x.s)
-        return LoewyDiagram((FormalSum.of(top), FormalSum.of(left, right), FormalSum.of(top)))
+        return FormalSum.of(top), FormalSum.of(left, right), FormalSum.of(top)
     raise UnsupportedOperation(f"no Loewy data for {x}")
 
 

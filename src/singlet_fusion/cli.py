@@ -11,10 +11,10 @@ Labels are written ``KIND:r,s`` with ``KIND`` in ``{M, P, F, FJ}`` (Jordan
 Fock labels take a third component, ``FJ:r,s,n``).  Output is JSON on
 stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
 to stderr.  Exit codes: 0 success, 2 usage or validation failure
-(including an ``--out`` path that cannot be written, a ``table`` of more
-than ``MAX_TABLE_ROWS`` rows and a ``verify`` fusion window of more than
-``verify.MAX_FUSION_PAIRS`` ordered pairs), 3 verification failure or
-engine mismatch.
+(including an ``--out`` path that cannot be written, a ``table`` with
+``--rmin`` above ``--rmax``, and a ``table`` or a ``verify`` fusion window
+of more than ``verify.MAX_FUSION_PAIRS`` ordered pairs), 3 verification
+failure or engine mismatch.
 Runs are deterministic: row order is lexicographic, JSON keys are sorted,
 and nothing is randomized.
 """
@@ -38,15 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-#: Most rows ``table`` will build.  Rows stay in memory until output: at
-#: p = 6, 245 025 rows took 5 s and 178 MB peak RSS.  The largest
-#: benchmarked table has 9 801 rows.
-MAX_TABLE_ROWS = 250_000
-
-
-class LabelSyntaxError(ValueError):
-    pass
-
 
 def parse_label(params: Params, text: str) -> Indecomposable:
     """Parse ``KIND:r,s`` (``FJ:r,s,n`` for Jordan Fock) into a normalized label."""
@@ -54,13 +45,13 @@ def parse_label(params: Params, text: str) -> Indecomposable:
     try:
         parts = [int(v) for v in rest.split(",")]
     except ValueError as exc:
-        raise LabelSyntaxError(f"cannot parse label {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse label {text!r}: {exc}") from None
     if len(parts) != (3 if kind == catalog.JORDAN_FOCK else 2):
-        raise LabelSyntaxError(f"label {text!r}: expected KIND:r,s or FJ:r,s,n")
+        raise ValueError(f"label {text!r}: expected KIND:r,s or FJ:r,s,n")
     try:
         return catalog.normalize(params, Indecomposable(kind, *parts))
     except ValueError as exc:
-        raise LabelSyntaxError(f"label {text!r}: {exc}") from None
+        raise ValueError(f"label {text!r}: {exc}") from None
 
 
 def _term_dict(label: Indecomposable, mult: int) -> Dict[str, object]:
@@ -125,14 +116,17 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 def _table_labels(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
     """Every simple and projective label with ``rmin <= r <= rmax``, sorted.
 
-    Raises ``ValueError`` before building any label when the table would
-    exceed ``MAX_TABLE_ROWS`` rows.
+    Raises ``ValueError`` before building any label when ``rmin > rmax`` or
+    the table would have more rows (ordered pairs) than
+    ``verify.MAX_FUSION_PAIRS``.
     """
-    count = max(rmax - rmin + 1, 0) * (2 * params.p - 1)
-    if count * count > MAX_TABLE_ROWS:
+    if rmin > rmax:
+        raise ValueError(f"--rmin {rmin} is greater than --rmax {rmax}")
+    cap = verify.MAX_FUSION_PAIRS
+    count = (rmax - rmin + 1) * (2 * params.p - 1)
+    if count * count > cap:
         raise ValueError(
-            f"table would have {count * count} rows, more than {MAX_TABLE_ROWS}; "
-            "narrow --rmin/--rmax"
+            f"table would have {count * count} rows, more than {cap}; narrow --rmin/--rmax"
         )
     labels = [
         catalog.simple(params, r, s)
@@ -193,9 +187,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         p_values = [int(v) for v in args.p.split(",") if v]
     except ValueError:
-        raise LabelSyntaxError(f"cannot parse p list {args.p!r}")
+        raise ValueError(f"cannot parse p list {args.p!r}")
     if not p_values:
-        raise LabelSyntaxError("empty p list")
+        raise ValueError("empty p list")
     report = verify.run_suites(names, p_values, rwin=args.rwin)
     suites_doc = {}
     total_checks = total_failures = 0

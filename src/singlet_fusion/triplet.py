@@ -38,7 +38,7 @@ from typing import List, NamedTuple, Tuple
 
 from . import catalog
 from .catalog import (
-    FormalSum, Indecomposable, LoewyDiagram, UnsupportedOperation, _check_normal_form, _is_normal
+    FormalSum, Indecomposable, UnsupportedOperation, _check_ints, _check_normal_form, _is_normal
 )
 from .fusion_closed import UnsupportedFusion, fuse
 from .labels import Params, rbar, weight
@@ -83,12 +83,14 @@ class TripletIndec(NamedTuple):
 
 
 def _check_label(params: Params, t: TripletIndec) -> None:
-    """Reject an unknown kind, ``rbar`` outside {1, 2}, or an ``s`` that is
-    not in normal form for the preimage kind."""
+    """Reject an unknown kind, an ``rbar`` or ``s`` whose type is not exactly
+    ``int``, ``rbar`` outside {1, 2}, or an ``s`` that is not in normal form
+    for the preimage kind."""
     kind, rb, s = t
     pre = _PREIMAGE.get(kind)
     if pre is None:
         raise ValueError(f"unknown triplet kind {kind!r} in {t}")
+    _check_ints("triplet label index", rb, s)
     if rb not in (1, 2):
         raise ValueError(f"rbar must be 1 or 2, got {rb}")
     p = params.p
@@ -151,6 +153,7 @@ def preimage(params: Params, t: TripletIndec, r_shift: int = 0) -> Indecomposabl
     forgets.
     """
     _check_label(params, t)
+    _check_ints("preimage shift", r_shift)
     if r_shift % 2 != 0:
         raise ValueError("preimage shifts must be even to preserve parity")
     # a valid triplet label has a preimage in normal form
@@ -213,23 +216,23 @@ def composition_factors(params: Params, t: TripletIndec) -> FormalSum:
     ``V_{alpha_{r,s}+L}`` has factors ``W_{r,s} + W_{3-r,p-s}``; the
     projective cover ``R_{r,s}`` has ``2 W_{r,s} + 2 W_{3-r,p-s}``.
     """
-    return loewy(params, t).factors()
+    return FormalSum.combine((1, layer) for layer in loewy(params, t))
 
 
-def loewy(params: Params, t: TripletIndec) -> LoewyDiagram:
-    """Loewy diagram of a triplet label.
+def loewy(params: Params, t: TripletIndec) -> Tuple[FormalSum, ...]:
+    """Loewy layers of a triplet label, top first and socle last.
 
     ``V_{alpha_{r,s}+L}`` has top ``W_{3-r,p-s}`` over socle ``W_{r,s}``;
     ``R_{r,s}`` has layers ``W_{r,s} / 2 W_{3-r,p-s} / W_{r,s}``.
     """
     _check_label(params, t)
     if t.kind == SIMPLE_W:
-        return LoewyDiagram((FormalSum.of(t),))
+        return (FormalSum.of(t),)
     own = simple_w(params, t.rbar, t.s)
     other = simple_w(params, 3 - t.rbar, params.p - t.s)
     if t.kind == LATTICE_V:
-        return LoewyDiagram((FormalSum.of(other), FormalSum.of(own)))
-    return LoewyDiagram((FormalSum.of(own), FormalSum.of(other, other), FormalSum.of(own)))
+        return FormalSum.of(other), FormalSum.of(own)
+    return FormalSum.of(own), FormalSum.of(other, other), FormalSum.of(own)
 
 
 def virasoro_decomposition(

@@ -190,7 +190,7 @@ def test_criterion_05_grothendieck_consistency():
         labels = _window_labels(params, -3, 3)
         for a in labels:
             for b in labels:
-                lhs = catalog.flatten(params, fusion_closed.fuse(params, a, b))
+                lhs = catalog.composition_factors(params, fusion_closed.fuse(params, a, b))
                 rhs = catalog.grothendieck_product(params, a, b)
                 ok &= lhs == rhs
     _verdict(5, ok, "composition-factor flattening commutes with fusion")

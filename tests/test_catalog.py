@@ -13,7 +13,6 @@ from singlet_fusion.catalog import (
     UnsupportedOperation,
     composition_factors,
     dual,
-    flatten,
     fock,
     grothendieck_product,
     jordan_fock,
@@ -64,6 +63,26 @@ def test_label_validation():
         jordan_fock(P2, 1, 0)
     with pytest.raises(ValueError):
         normalize(P3, Indecomposable(catalog.JORDAN_FOCK, 1, 2, 2))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=repr)
+def test_builders_reject_non_int_indices(bad):
+    # the rule FormalSum applies to multiplicities: the type must be exactly int
+    builds = [
+        lambda: simple(P3, bad, 2),
+        lambda: simple(P3, 1, bad),
+        lambda: projective(P3, bad, 1),
+        lambda: projective(P3, 1, bad),
+        lambda: fock(P3, bad, 1),
+        lambda: fock(P3, 1, bad),
+        lambda: jordan_fock(P3, bad, 2),
+        lambda: jordan_fock(P3, 1, bad),
+        lambda: normalize(P3, Indecomposable(catalog.SIMPLE, bad, 2)),
+        lambda: normalize(P3, Indecomposable(catalog.PROJECTIVE, 1, bad)),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError, match="is not an int"):
+            build()
 
 
 def test_label_string_forms():
@@ -219,7 +238,8 @@ _CONSUMERS = {
     "fuse_generators": lambda x: fusion_oracle.fuse_generators(P3, simple(P3, 1, 2), x),
     "fuse_generators_generator": lambda x: fusion_oracle.fuse_generators(P3, x, _UNIT),
     "composition_factors": lambda x: composition_factors(P3, x),
-    "flatten": lambda x: flatten(P3, x),
+    # composition factors of the label as a one-term sum: flattened like the label
+    "flatten": lambda x: composition_factors(P3, FormalSum.of(x)),
     "grothendieck_product": lambda x: grothendieck_product(P3, x, _UNIT),
     "loewy": lambda x: loewy(P3, x),
     "dual": lambda x: dual(P3, x),
@@ -284,14 +304,13 @@ def test_projective_length_four(params, r, data):
 
 def test_loewy_shapes():
     d = loewy(P2, projective(P2, 1, 1))
-    assert [layer.terms for layer in d.layers] == [
+    assert [layer.terms for layer in d] == [
         FormalSum.of(simple(P2, 1, 1)).terms,
         FormalSum.of(simple(P2, 0, 1), simple(P2, 2, 1)).terms,
         FormalSum.of(simple(P2, 1, 1)).terms,
     ]
-    assert loewy(P3, simple(P3, 3, 2)).layers == (FormalSum.of(simple(P3, 3, 2)),)
-    f = loewy(P2, fock(P2, 0, 1))
-    assert f.layers == (
+    assert loewy(P3, simple(P3, 3, 2)) == (FormalSum.of(simple(P3, 3, 2)),)
+    assert loewy(P2, fock(P2, 0, 1)) == (
         FormalSum.of(simple(P2, 1, 1)),
         FormalSum.of(simple(P2, 0, 1)),
     )
@@ -306,7 +325,10 @@ def test_loewy_rejects_jordan():
 def test_loewy_flattens_to_composition_factors(params, r, data):
     s = data.draw(st.integers(min_value=1, max_value=params.p))
     for x in (simple(params, r, s), projective(params, r, s), fock(params, r, s)):
-        assert loewy(params, x).factors() == composition_factors(params, x)
+        factors = composition_factors(params, x)
+        assert FormalSum.combine((1, layer) for layer in loewy(params, x)) == factors
+        # a label gives the same factors as its one-term sum
+        assert composition_factors(params, FormalSum.of(x)) == factors
 
 
 # --- duals ---------------------------------------------------------------------
@@ -464,7 +486,7 @@ def test_grothendieck_product_matches_the_verlinde_picture(p):
     labels = [simple(params, r, s) for r in range(-1, 3) for s in range(1, p + 1)]
     labels += [projective(params, r, s) for r in range(-1, 3) for s in range(1, p)]
     for theta in (0.3, 1.1, 2.0):
-        value = {x: _verlinde(params, theta, flatten(params, x)) for x in labels}
+        value = {x: _verlinde(params, theta, composition_factors(params, x)) for x in labels}
         for a in labels:
             for b in labels:
                 got = _verlinde(params, theta, grothendieck_product(params, a, b))

@@ -20,7 +20,7 @@ def test_parse_label_grammar():
     assert cli.parse_label(p3, "P:1,3") == simple(p3, 1, 3)  # normalized
     assert cli.parse_label(p3, "FJ:1,3,2") == jordan_fock(p3, 1, 2)
     for bad in ("M:1", "Q:1,1", "M:a,1", "M:1,9", "FJ:1,3", "FJ:1,2,2", "FJ:1,3,0", "FJ:1,3,-2"):
-        with pytest.raises(cli.LabelSyntaxError, match=repr(bad)):
+        with pytest.raises(ValueError, match=repr(bad)):
             cli.parse_label(p3, bad)
 
 
@@ -112,10 +112,15 @@ def test_table_tsv_deterministic(capsys):
     assert lines[1].startswith("M:-1,1\tM:-1,1\t")
 
 
-def test_table_empty_range(capsys):
-    code, out, _ = run(capsys, "table", "--p", "2", "--rmin", "1", "--rmax", "0")
-    assert code == 0
-    assert out.strip().splitlines() == ["left\tright\tresult"]
+def test_table_empty_range(capsys, monkeypatch):
+    # --rmin above --rmax is a usage error, raised before any label is built
+    def no_labels(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(cli.catalog, "simple", no_labels)
+    code, out, err = run(capsys, "table", "--p", "2", "--rmin", "1", "--rmax", "0")
+    assert (code, out) == (2, "")
+    assert "--rmin 1 is greater than --rmax 0" in err
 
 
 def test_table_over_the_row_cap_exits_2_before_any_product(capsys, monkeypatch):
@@ -131,12 +136,12 @@ def test_table_over_the_row_cap_exits_2_before_any_product(capsys, monkeypatch):
 
 def test_table_row_cap_boundary(capsys, monkeypatch):
     # the table-both benchmark window (9 801 rows) stays far under the cap
-    assert 9801 * 20 < cli.MAX_TABLE_ROWS
-    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 9801)
+    assert 9801 * 20 < cli.verify.MAX_FUSION_PAIRS
+    monkeypatch.setattr(cli.verify, "MAX_FUSION_PAIRS", 9801)
     code, out, _ = run(capsys, "table", "--p", "6", "--rmin", "-4", "--rmax", "4")
     assert code == 0
     assert len(out.splitlines()) == 9802
-    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 9800)
+    monkeypatch.setattr(cli.verify, "MAX_FUSION_PAIRS", 9800)
     code, out, err = run(capsys, "table", "--p", "6", "--rmin", "-4", "--rmax", "4")
     assert (code, out) == (2, "")
     assert "table would have 9801 rows, more than 9800" in err

@@ -9,7 +9,7 @@ from singlet_fusion.catalog import (
     FormalSum,
     Indecomposable,
     NotNormalForm,
-    flatten,
+    composition_factors,
     fock,
     grothendieck_product,
     jordan_fock,
@@ -255,7 +255,7 @@ def test_grothendieck_examples():
     prs = projective(P3, 0, 2)
     assert grothendieck_product(
         P3, FormalSum.of(prs), FormalSum.of(simple(P3, 1, 1))
-    ) == flatten(P3, FormalSum.of(prs))
+    ) == composition_factors(P3, FormalSum.of(prs))
     assert grothendieck_product(
         P2, FormalSum.of(simple(P2, 1, 2)), FormalSum.of(simple(P2, 1, 2))
     ) == FormalSum(
@@ -295,7 +295,7 @@ def test_grothendieck_commutes_with_fusion(pair, data):
     kind = data.draw(st.sampled_from(("M", "P")))
     sb = data.draw(st.integers(min_value=1, max_value=params.p))
     b = simple(params, rb, sb) if kind == "M" else projective(params, rb, sb)
-    lhs = flatten(params, fuse(params, a, b))
+    lhs = composition_factors(params, fuse(params, a, b))
     rhs = grothendieck_product(params, a, b)
     assert lhs == rhs
     assert rhs == grothendieck_product(params, b, a)

@@ -153,6 +153,24 @@ def test_builders_reject_what_the_catalog_rejects(p):
                         build(params, rbar(r), s)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=repr)
+def test_triplet_labels_reject_non_int_indices(bad):
+    # rbar, s and the preimage shift follow the catalog builders' int rule
+    w = triplet.simple_w(P3, 1, 2)
+    calls = [
+        lambda: triplet.simple_w(P3, bad, 2),
+        lambda: triplet.simple_w(P3, 1, bad),
+        lambda: triplet.lattice_v(P3, 1, bad),
+        lambda: triplet.projective_r(P3, bad, 1),
+        lambda: triplet.preimage(P3, triplet.TripletIndec(triplet.SIMPLE_W, 1, bad)),
+        lambda: triplet.preimage(P3, w, bad),
+        lambda: triplet.derived_triplet_fuse(P3, w, w, 0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="is not an int"):
+            call()
+
+
 def test_mixed_sum_order_and_str():
     p4 = Params(4)
     xs = FormalSum.of(
@@ -291,8 +309,8 @@ def test_exactness_bookkeeping(params, r, data):
     induced = triplet.induce_sum(
         params, catalog.composition_factors(params, catalog.projective(params, r, s))
     )
-    diagram = triplet.loewy(params, triplet.projective_r(params, rbar(r), s))
-    assert induced == diagram.factors()
+    layers = triplet.loewy(params, triplet.projective_r(params, rbar(r), s))
+    assert induced == FormalSum.combine((1, layer) for layer in layers)
 
 
 def test_every_projective_is_the_cover_of_its_top():
@@ -314,11 +332,11 @@ def test_every_projective_is_the_cover_of_its_top():
                     params,
                     catalog.composition_factors(params, catalog.projective(params, r, s)),
                 )
-                diagram = triplet.loewy(params, t)
+                layers = triplet.loewy(params, t)
                 assert induced == expected, (p, r, s)
                 assert triplet.composition_factors(params, t) == expected, (p, r, s)
-                assert diagram.factors() == expected, (p, r, s)
-                assert diagram.layers[0] == diagram.layers[-1] == FormalSum.of(own), (p, r, s)
+                assert FormalSum.combine((1, layer) for layer in layers) == expected, (p, r, s)
+                assert layers[0] == layers[-1] == FormalSum.of(own), (p, r, s)
                 cases += 1
     assert cases == 462
 
