@@ -9,14 +9,16 @@ code  object                         normalization at construction
 M     simple module M_{r,s}          none
 P     projective cover P_{r,s}       P(r, p) -> M(r, p)
 F     Fock module F_{alpha_{r,s}}    F(r, p) -> M(r, p)
-FJ    Jordan Fock module F^{(n)}     s = p forced; n = 1 -> M(r, p)
+FJ    Jordan Fock module F^{(n)}     s = p required; n = 1 -> M(r, p)
 ====  =============================  =========================================
 
 Two labels are equal exactly when their normal forms are equal, so the
 aliases ``P_{r,p} = F_{alpha_{r,p}} = M_{r,p}`` hold on the nose.  The
 builders :func:`simple`, :func:`projective`, :func:`fock`, :func:`jordan_fock`
-and :func:`normalize` return normal forms, and raise ``TypeError`` for an
-index whose type is not exactly ``int``; every other public function
+and :func:`normalize` are each one call to one private rule.  It raises
+``TypeError`` for an index whose type is not exactly ``int`` and
+``ValueError`` for any other label the table does not allow (``n != 1`` on
+``M``, ``P`` or ``F`` too), and repairs nothing.  Every other public function
 rejects a label not in normal form (one built with :class:`Indecomposable`
 directly) with a :class:`NotNormalForm`, and :func:`shift_r` never repairs one.
 
@@ -34,9 +36,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
-from .labels import Params, _check_s, alpha_coordinate, weight
+from .labels import Params, _check_ints, _check_s, alpha_coordinate, weight
 
 __all__ = [
     "SIMPLE",
@@ -96,62 +98,59 @@ class Indecomposable(NamedTuple):
         return f"{self.kind}:{self.r},{self.s}"
 
 
-def _check_ints(what: str, a: int, b: int = 0) -> None:
-    """Reject ``a`` or ``b`` if its type is not exactly ``int``: ``bool`` and
-    ``float`` too, the rule :class:`FormalSum` applies to multiplicities."""
-    if type(a) is not int or type(b) is not int:
-        bad = b if type(a) is int else a
-        raise TypeError(f"{what} {bad!r} is not an int")
+def _label(params: Params, kind: str, r: int, s: int, n: int = 1) -> Indecomposable:
+    """The normal form of ``(kind, r, s, n)``, the one statement of the rule.
+
+    Every index is an exact ``int``; ``M``, ``P`` and ``F`` take ``1 <= s <= p``
+    and ``n = 1``, ``FJ`` takes ``s = p`` and ``n >= 1``.  The aliases
+    ``P_{r,p}``, ``F_{r,p}`` and ``F^{(1)}`` become ``M_{r,p}``; anything else raises.
+    """
+    if not (type(r) is type(s) is type(n) is int):
+        _check_ints("label index", r, s, n)
+    p = params.p
+    if kind == JORDAN_FOCK:
+        if s != p:
+            raise ValueError(f"Jordan Fock labels require s = p, got s={s}")
+        if n < 1:
+            raise ValueError(f"Jordan size must be >= 1, got {n}")
+        if n == 1:
+            kind = SIMPLE
+    elif kind == SIMPLE or kind == PROJECTIVE or kind == FOCK:
+        if not 1 <= s <= p:
+            _check_s(params, s)
+        if n != 1:
+            raise ValueError(f"{kind} labels take no Jordan size, got n={n}")
+        if s == p:
+            kind = SIMPLE
+    else:
+        raise ValueError(f"unknown label kind {kind!r}")
+    return tuple.__new__(Indecomposable, (kind, r, s, n))  # skips the Python-level __new__
 
 
 def simple(params: Params, r: int, s: int) -> Indecomposable:
     """The simple module ``M_{r,s}``, ``1 <= s <= p``."""
-    _check_ints("label index", r, s)
-    _check_s(params, s)
-    return Indecomposable(SIMPLE, r, s)
+    return _label(params, SIMPLE, r, s)
 
 
 def projective(params: Params, r: int, s: int) -> Indecomposable:
     """The projective cover ``P_{r,s}``; ``P_{r,p}`` normalizes to ``M_{r,p}``."""
-    _check_ints("label index", r, s)
-    _check_s(params, s)
-    if s == params.p:
-        return Indecomposable(SIMPLE, r, s)
-    return Indecomposable(PROJECTIVE, r, s)
+    return _label(params, PROJECTIVE, r, s)
 
 
 def fock(params: Params, r: int, s: int) -> Indecomposable:
     """The Fock module ``F_{alpha_{r,s}}``; ``F(r, p)`` normalizes to ``M_{r,p}``."""
-    _check_ints("label index", r, s)
-    _check_s(params, s)
-    if s == params.p:
-        return Indecomposable(SIMPLE, r, s)
-    return Indecomposable(FOCK, r, s)
+    return _label(params, FOCK, r, s)
 
 
 def jordan_fock(params: Params, r: int, n: int) -> Indecomposable:
     """The rank-``n`` Jordan Fock module ``F^{(n)}`` at ``s = p``; ``n = 1`` is ``M_{r,p}``."""
-    _check_ints("label index", r, n)
-    if n < 1:
-        raise ValueError(f"Jordan size must be >= 1, got {n}")
-    if n == 1:
-        return Indecomposable(SIMPLE, r, params.p)
-    return Indecomposable(JORDAN_FOCK, r, params.p, n)
+    return _label(params, JORDAN_FOCK, r, params.p, n)
 
 
 def normalize(params: Params, x: Indecomposable) -> Indecomposable:
-    """Normal form of an arbitrary label; idempotent."""
-    if x.kind == SIMPLE:
-        return simple(params, x.r, x.s)
-    if x.kind == PROJECTIVE:
-        return projective(params, x.r, x.s)
-    if x.kind == FOCK:
-        return fock(params, x.r, x.s)
-    if x.kind == JORDAN_FOCK:
-        if x.s != params.p:
-            raise ValueError(f"Jordan Fock labels require s = p, got s={x.s}")
-        return jordan_fock(params, x.r, x.n)
-    raise ValueError(f"unknown label kind {x.kind!r}")
+    """Normal form of a label by the builders' rule; idempotent, and it
+    raises for any label no builder makes (``n != 1`` on ``M``, ``P`` or ``F`` too)."""
+    return _label(params, *x)
 
 
 _KINDS = (SIMPLE, PROJECTIVE, FOCK, JORDAN_FOCK)
@@ -198,9 +197,10 @@ class FormalSum:
     This is the value type of every fusion product: a Krull-Schmidt
     decomposition recorded as its sorted ``(label, multiplicity)`` pairs,
     one per distinct label.  That tuple is the whole value; equality,
-    hashing, iteration and lookup all read it.  Sums are immutable,
-    hashable, and support ``+`` and integer scaling.  The empty sum
-    ``FormalSum()`` is the zero object and is falsy.
+    hashing, iteration and lookup all read it, and iterating a sum gives
+    those pairs.  Sums are immutable and hashable; :meth:`combine` adds and
+    scales them.  The empty sum ``FormalSum()`` is the zero object and is
+    falsy.
 
     Any orderable, hashable label type works; singlet sums hold
     :class:`Indecomposable`, triplet sums hold ``TripletIndec``.
@@ -224,8 +224,8 @@ class FormalSum:
 
     @classmethod
     def _from_sorted(cls, key: Tuple[Tuple[object, int], ...]) -> "FormalSum":
-        """A sum from pairs already in ``terms`` form: sorted, distinct labels,
-        positive int multiplicities.  Nothing is checked or sorted."""
+        """A sum from pairs already as iteration gives them: sorted, distinct
+        labels, positive int multiplicities.  Nothing is checked or sorted."""
         x = cls.__new__(cls)
         x._key = key
         return x
@@ -237,17 +237,13 @@ class FormalSum:
 
     @classmethod
     def combine(cls, scaled: Iterable[Tuple[int, "FormalSum"]]) -> "FormalSum":
-        """``sum(k * x for k, x in scaled)``, accumulated in one dict."""
+        """``sum(k * x for k, x in scaled)``, accumulated in one dict: the one
+        way to add and scale sums, checked as the constructor checks."""
         acc: Dict[object, int] = {}
         for k, x in scaled:
             for label, mult in x._key:
                 acc[label] = acc.get(label, 0) + k * mult
         return cls(acc)
-
-    @property
-    def terms(self) -> Tuple[Tuple[object, int], ...]:
-        """Sorted ``(label, multiplicity)`` pairs."""
-        return self._key
 
     def multiplicity(self, label: object) -> int:
         """Multiplicity of ``label``; 0 for any label not in the sum."""
@@ -259,24 +255,6 @@ class FormalSum:
     def total(self) -> int:
         """Total multiplicity (number of indecomposable summands)."""
         return sum(mult for _, mult in self._key)
-
-    def map_labels(self, fn: Callable[[object], object]) -> "FormalSum":
-        """Relabel every term through ``fn`` (multiplicities accumulate)."""
-        return FormalSum((fn(lab), mult) for lab, mult in self._key)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        return FormalSum(self._key + other._key)
-
-    def __mul__(self, k: int) -> "FormalSum":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("multiplicities must stay nonnegative")
-        return FormalSum({lab: k * mult for lab, mult in self._key})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalSum):
@@ -500,6 +478,7 @@ def virasoro_decomposition(
     _check_normal_form(params, x, "virasoro_decomposition")
     if x.kind != SIMPLE:
         raise UnsupportedOperation(f"Virasoro decomposition only for simples, got {x}")
+    _check_ints("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if x.r >= 1:
@@ -567,6 +546,7 @@ def jordan_fock_matrices(
 
     Requires ``n >= 2``.
     """
+    _check_ints("label index", r, n)
     if n < 2:
         raise ValueError(f"Jordan Fock matrices need n >= 2, got {n}")
     p = params.p

@@ -49,7 +49,6 @@ from .catalog import (
 from .labels import Params
 
 __all__ = [
-    "UnsupportedFusion",
     "fuse_mm",
     "fuse_pm",
     "fuse_pp",

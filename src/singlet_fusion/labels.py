@@ -67,6 +67,7 @@ def weight(params: Params, r: int, s: int) -> Fraction:
     Extended labels are allowed: ``r`` and ``s`` may be any integers.  The
     result always has denominator dividing ``4p``.
     """
+    _check_ints("label index", r, s)
     p = params.p
     return (
         Fraction((r * r - 1) * p, 4)
@@ -81,6 +82,7 @@ def lowest_weight_of_simple(params: Params, r: int, s: int) -> Fraction:
     Equals ``h_{r,s}`` for ``r >= 1`` and ``h_{2-r,s}`` for ``r <= 0``; the
     two branches agree when ``s = p``.
     """
+    _check_ints("label index", r, s)
     _check_s(params, s)
     if r >= 1:
         return weight(params, r, s)
@@ -131,6 +133,15 @@ def weight_coset_diff(params: Params, a: KacLabel, b: KacLabel) -> Fraction:
     ra, sa = a
     rb, sb = b
     return (weight(params, rb, sb) - weight(params, ra, sa)) % 1
+
+
+def _check_ints(what: str, *xs: int) -> None:
+    """Reject the first of ``xs`` whose type is not exactly ``int``: ``bool``
+    and ``float`` too, the rule :class:`.catalog.FormalSum` applies to
+    multiplicities."""
+    for x in xs:
+        if type(x) is not int:
+            raise TypeError(f"{what} {x!r} is not an int")
 
 
 def _check_s(params: Params, s: int) -> None:

@@ -37,11 +37,10 @@ from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from . import catalog
-from .catalog import (
-    FormalSum, Indecomposable, UnsupportedOperation, _check_ints, _check_normal_form, _is_normal
-)
-from .fusion_closed import UnsupportedFusion, fuse
-from .labels import Params, rbar, weight
+from .catalog import FormalSum, Indecomposable, UnsupportedFusion, UnsupportedOperation
+from .catalog import _check_normal_form, _is_normal
+from .fusion_closed import fuse
+from .labels import Params, _check_ints, rbar, weight
 
 __all__ = [
     "SIMPLE_W",
@@ -142,7 +141,7 @@ def induce(params: Params, x: Indecomposable) -> TripletIndec:
 
 def induce_sum(params: Params, xs: FormalSum) -> FormalSum:
     """Termwise induction of a formal sum (induction is exact)."""
-    return xs.map_labels(lambda lab: induce(params, lab))
+    return FormalSum((induce(params, lab), m) for lab, m in xs)
 
 
 def preimage(params: Params, t: TripletIndec, r_shift: int = 0) -> Indecomposable:
@@ -247,6 +246,7 @@ def virasoro_decomposition(
     _check_label(params, t)
     if t.kind != SIMPLE_W:
         raise UnsupportedOperation(f"Virasoro decomposition only for W labels, got {t}")
+    _check_ints("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return [

@@ -9,6 +9,7 @@ from singlet_fusion.catalog import (
     FormalSum,
     Indecomposable,
     NotNormalForm,
+    UnsupportedFusion,
     composition_factors,
     fock,
     grothendieck_product,
@@ -16,13 +17,7 @@ from singlet_fusion.catalog import (
     projective,
     simple,
 )
-from singlet_fusion.fusion_closed import (
-    UnsupportedFusion,
-    fuse,
-    fuse_mm,
-    fuse_pm,
-    fuse_pp,
-)
+from singlet_fusion.fusion_closed import fuse, fuse_mm, fuse_pm, fuse_pp
 from singlet_fusion.fusion_oracle import fuse_generators
 from singlet_fusion.labels import Params
 
@@ -274,16 +269,16 @@ def test_pp_splits_along_either_factor(params, data):
     sb = data.draw(st.integers(min_value=1, max_value=params.p - 1))
     a, b = projective(params, ra, sa), projective(params, rb, sb)
     whole = fuse_pp(params, a, b)
-    via_b = (
-        2 * fuse_pm(params, a, simple(params, rb, sb))
-        + fuse_pm(params, a, simple(params, rb + 1, params.p - sb))
-        + fuse_pm(params, a, simple(params, rb - 1, params.p - sb))
-    )
-    via_a = (
-        2 * fuse_pm(params, b, simple(params, ra, sa))
-        + fuse_pm(params, b, simple(params, ra + 1, params.p - sa))
-        + fuse_pm(params, b, simple(params, ra - 1, params.p - sa))
-    )
+    via_b = FormalSum.combine([
+        (2, fuse_pm(params, a, simple(params, rb, sb))),
+        (1, fuse_pm(params, a, simple(params, rb + 1, params.p - sb))),
+        (1, fuse_pm(params, a, simple(params, rb - 1, params.p - sb))),
+    ])
+    via_a = FormalSum.combine([
+        (2, fuse_pm(params, b, simple(params, ra, sa))),
+        (1, fuse_pm(params, b, simple(params, ra + 1, params.p - sa))),
+        (1, fuse_pm(params, b, simple(params, ra - 1, params.p - sa))),
+    ])
     assert whole == via_b == via_a
 
 

@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from singlet_fusion import catalog, triplet
-from singlet_fusion.catalog import FormalSum, UnsupportedOperation
-from singlet_fusion.fusion_closed import UnsupportedFusion
+from singlet_fusion.catalog import FormalSum, UnsupportedFusion, UnsupportedOperation
 from singlet_fusion.labels import Params, rbar, weight
 
 P2 = Params(2)
@@ -183,7 +182,7 @@ def test_mixed_sum_order_and_str():
         triplet.simple_w(p4, 2, 1),
     )
     assert str(xs) == "R:1,1 + R:2,3 + V:1,2 + W:1,4 + 2*W:2,1 + W:2,4"
-    assert repr(xs.terms[0][0]) == "TripletIndec(kind='R', rbar=1, s=1)"
+    assert repr(tuple(xs)[0][0]) == "TripletIndec(kind='R', rbar=1, s=1)"
 
 
 # --- generator rules ---------------------------------------------------------------
