@@ -11,9 +11,11 @@ Layers (one module each):
 * :mod:`~singlet_fusion.labels` -- exact Kac-label and weight arithmetic;
 * :mod:`~singlet_fusion.catalog` -- indecomposables, composition series,
   Loewy diagrams, duals, Jordan Fock matrices;
-* :mod:`~singlet_fusion.fusion_closed` -- closed-form fusion products;
+* :mod:`~singlet_fusion.fusion_closed` -- closed-form fusion products,
+  all through :func:`~singlet_fusion.fusion_closed.fuse`;
 * :mod:`~singlet_fusion.fusion_oracle` -- the generator rules and the
-  independent recursion oracle built on them alone;
+  independent recursion oracle built on them alone, all through
+  :func:`~singlet_fusion.fusion_oracle.oracle_fuse`;
 * :mod:`~singlet_fusion.triplet` -- induction and triplet fusion;
 * :mod:`~singlet_fusion.bpz` -- Frobenius bases and connection matrices;
 * :mod:`~singlet_fusion.verify` / :mod:`~singlet_fusion.cli` -- invariant
@@ -37,19 +39,12 @@ from .catalog import (
     simple,
     virasoro_decomposition,
 )
-from .fusion_closed import (
-    fuse,
-    fuse_mm,
-    fuse_pm,
-    fuse_pp,
-)
+from .fusion_closed import fuse
 from .fusion_oracle import (
     NegativeMultiplicityError,
     fuse_generators,
     ks_subtract,
     oracle_fuse,
-    oracle_fuse_mm,
-    oracle_fuse_p,
 )
 from .labels import (
     Params,
@@ -89,15 +84,10 @@ __all__ = [
     "rbar",
     "weight_coset_diff",
     "fuse",
-    "fuse_mm",
-    "fuse_pm",
-    "fuse_pp",
     "fuse_generators",
     "grothendieck_product",
     "ks_subtract",
     "oracle_fuse",
-    "oracle_fuse_mm",
-    "oracle_fuse_p",
     "induce",
     "induce_sum",
     "derived_triplet_fuse",

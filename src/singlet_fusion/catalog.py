@@ -20,7 +20,9 @@ and :func:`normalize` are each one call to one private rule.  It raises
 ``ValueError`` for any other label the table does not allow (``n != 1`` on
 ``M``, ``P`` or ``F`` too), and repairs nothing.  Every other public function
 rejects a label not in normal form (one built with :class:`Indecomposable`
-directly) with a :class:`NotNormalForm`, and :func:`shift_r` never repairs one.
+directly) with a :class:`NotNormalForm`, or a ``TypeError`` for an index that
+is not exactly ``int`` (:func:`shift_r`, on its hot path, leaves index types
+unchecked), and :func:`shift_r` never repairs one.
 
 Each module is described by its composition factors
 (:func:`composition_factors`, of a label or of a formal sum) and, for
@@ -169,11 +171,13 @@ def _check_normal_form(params: Params, x: Indecomposable, what: str) -> None:
     """Raise :class:`NotNormalForm` for a label not in normal form.
 
     ``what`` names the caller.  The message names an unknown kind, an ``M``
-    label with ``s`` outside ``1..p``, or else the unnormalized label.
+    label with ``s`` outside ``1..p``, or else the unnormalized label.  An
+    index whose type is not exactly ``int`` raises ``TypeError`` first.
     """
-    kind, _, s, n = x
-    if _is_normal(params.p, kind, s, n):
+    kind, r, s, n = x
+    if type(r) is type(s) is type(n) is int and _is_normal(params.p, kind, s, n):
         return
+    _check_ints("label index", r, s, n)
     if kind not in _KINDS:
         raise NotNormalForm(f"unknown label kind {kind!r}")
     if kind == SIMPLE and n == 1:
@@ -238,9 +242,12 @@ class FormalSum:
     @classmethod
     def combine(cls, scaled: Iterable[Tuple[int, "FormalSum"]]) -> "FormalSum":
         """``sum(k * x for k, x in scaled)``, accumulated in one dict: the one
-        way to add and scale sums, checked as the constructor checks."""
+        way to add and scale sums, checked as the constructor checks.  A scale
+        ``k`` whose type is not exactly ``int`` (``bool`` too) raises ``TypeError``."""
         acc: Dict[object, int] = {}
         for k, x in scaled:
+            if type(k) is not int:
+                raise TypeError(f"scale {k!r} is not an int")
             for label, mult in x._key:
                 acc[label] = acc.get(label, 0) + k * mult
         return cls(acc)

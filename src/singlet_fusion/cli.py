@@ -12,9 +12,10 @@ Fock labels take a third component, ``FJ:r,s,n``).  Output is JSON on
 stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
 to stderr.  Exit codes: 0 success, 2 usage or validation failure
 (including an ``--out`` path that cannot be written, a ``table`` with
-``--rmin`` above ``--rmax``, and a ``table`` or a ``verify`` fusion window
-of more than ``verify.MAX_FUSION_PAIRS`` ordered pairs), 3 verification
-failure or engine mismatch.
+``--rmin`` above ``--rmax``, a ``table`` or a ``verify`` fusion window of
+more than ``verify.MAX_FUSION_PAIRS`` ordered pairs, and any other ``verify``
+label window of more than that many labels), 3 verification failure or
+engine mismatch.
 Runs are deterministic: row order is lexicographic, JSON keys are sorted,
 and nothing is randomized.
 """

@@ -10,7 +10,9 @@ The formulas depend on ``r`` and ``r'`` only through ``r + r'``: the simple
 currents ``M_{2n+1,1}`` and ``M_{2,1}`` act on every label as a plain shift
 of ``r``.  So each formula is written once at ``r = r' = 1`` (a private
 template), and every other product is that template shifted by
-``r + r' - 2`` through :func:`.catalog.shift_r`.  The templates are memoized
+``r + r' - 2`` through :func:`.catalog.shift_r`.  :func:`fuse` is the one
+entry point: it checks each operand once, reads ``M x P`` as ``P x M``, and
+shifts the template of the pair once.  The templates are memoized
 in ``_template`` by ``(params, form, s, s')``, with ``s <= s'`` for the
 symmetric ``M x M`` and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever
 ``r`` the callers use.  The memo holds at most 1 024 templates (LRU), each
@@ -48,22 +50,20 @@ from .catalog import (
 )
 from .labels import Params
 
-__all__ = [
-    "fuse_mm",
-    "fuse_pm",
-    "fuse_pp",
-    "fuse",
-]
+__all__ = ["fuse"]
 
-
-def _require(params: Params, x: Indecomposable, kind: str, what: str) -> None:
-    if x.kind != kind:
-        raise UnsupportedFusion(f"{what} expected a {kind} label, got {x}")
-    _check_normal_form(params, x, what)
+#: The closed form of each kind pair, once ``M x P`` has been turned into ``P x M``.
+_FORMS = {(SIMPLE, SIMPLE): "mm", (PROJECTIVE, SIMPLE): "pm", (PROJECTIVE, PROJECTIVE): "pp"}
 
 
 def _mm_terms(params: Params, s: int, t: int) -> List[Indecomposable]:
-    """Summands of ``M_{1,s} x M_{1,t}``."""
+    """Summands of ``M_{1,s} x M_{1,t}``.
+
+    The general product ``M_{r,s} x M_{r',s'}`` is a simple part
+    ``M_{r+r'-1, l}`` for ``l = |s-s'|+1 .. min(s+s'-1, 2p-1-s-s')`` and a
+    projective part ``P_{r+r'-1, l}`` for ``l = 2p+1-s-s' .. p``; both with
+    ``l + s + s'`` odd.
+    """
     p = params.p
     out = []
     for ell in range(abs(s - t) + 1, min(s + t - 1, 2 * p - 1 - s - t) + 1):
@@ -76,7 +76,15 @@ def _mm_terms(params: Params, s: int, t: int) -> List[Indecomposable]:
 
 
 def _pm_windows(params: Params, s: int, t: int) -> List[Indecomposable]:
-    """Summands of ``P_{1,s} x M_{1,t}``, repeats included."""
+    """Summands of ``P_{1,s} x M_{1,t}``, repeats included.
+
+    The general product ``P_{r,s} x M_{r',s'}`` (``1 <= s <= p-1``) has three
+    windows, all projective (modulo ``P(., p) = M(., p)``):
+    ``P_{r+r'-1, l}`` for ``l = |s-s'|+1 .. min(s+s'-1, p)`` and for
+    ``l = 2p+1-s-s' .. p`` (both with ``l+s+s'`` odd), plus
+    ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p+s-s'+1 .. p`` with
+    ``l+p+s+s'`` odd.
+    """
     p = params.p
     out = []
     for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
@@ -93,7 +101,20 @@ def _pm_windows(params: Params, s: int, t: int) -> List[Indecomposable]:
 
 
 def _pp_pairs(params: Params, s: int, t: int) -> List[Tuple[Indecomposable, int]]:
-    """``(summand, multiplicity)`` pairs of ``P_{1,s} x P_{1,t}``, repeats included."""
+    """``(summand, multiplicity)`` pairs of ``P_{1,s} x P_{1,t}``, repeats included.
+
+    The general product ``P_{r,s} x P_{r',s'}`` (``1 <= s, s' <= p-1``) has
+    six windows: twice the three windows of :func:`_pm_windows`, plus the
+    three extra windows
+
+    * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = |s+s'-p|+1 .. min(s-s'+p-1, p)``,
+    * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p-s+s'+1 .. p``
+      (both with ``l+p+s+s'`` odd),
+    * ``P_{r+r'+1, l} + 2 P_{r+r'-1, l} + P_{r+r'-3, l}`` for
+      ``l = s+s'+1 .. p`` with ``l+s+s'`` odd.
+
+    Symmetric under swapping the two factors.
+    """
     p = params.p
     pairs = [(label, 2) for label in _pm_windows(params, s, t)]
     for ell in range(abs(s + t - p) + 1, min(s - t + p - 1, p) + 1):
@@ -122,70 +143,22 @@ def _template(params: Params, form: str, s: int, t: int) -> FormalSum:
     return FormalSum(_pp_pairs(params, s, t))
 
 
-def fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """Fusion ``M_{r,s} x M_{r',s'}``.
-
-    Simple part: ``M_{r+r'-1, l}`` for ``l = |s-s'|+1 .. min(s+s'-1, 2p-1-s-s')``;
-    projective part: ``P_{r+r'-1, l}`` for ``l = 2p+1-s-s' .. p``; both with
-    ``l + s + s'`` odd.
-    """
-    _require(params, a, SIMPLE, "fuse_mm")
-    _require(params, b, SIMPLE, "fuse_mm")
-    s, t = (a.s, b.s) if a.s <= b.s else (b.s, a.s)
-    return shift_r(params, _template(params, "mm", s, t), a.r + b.r - 2)
-
-
-def fuse_pm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """Fusion ``P_{r,s} x M_{r',s'}`` with ``1 <= s <= p-1``.
-
-    Three windows, all projective (modulo ``P(., p) = M(., p)``):
-    ``P_{r+r'-1, l}`` for ``l = |s-s'|+1 .. min(s+s'-1, p)`` and for
-    ``l = 2p+1-s-s' .. p`` (both with ``l+s+s'`` odd), plus
-    ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p+s-s'+1 .. p`` with
-    ``l+p+s+s'`` odd.
-    """
-    _require(params, a, PROJECTIVE, "fuse_pm")
-    _require(params, b, SIMPLE, "fuse_pm")
-    return shift_r(params, _template(params, "pm", a.s, b.s), a.r + b.r - 2)
-
-
-def fuse_pp(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """Fusion ``P_{r,s} x P_{r',s'}`` with ``1 <= s, s' <= p-1``.
-
-    Six windows: twice the three windows of :func:`fuse_pm`, plus the three
-    extra windows
-
-    * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = |s+s'-p|+1 .. min(s-s'+p-1, p)``,
-    * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p-s+s'+1 .. p``
-      (both with ``l+p+s+s'`` odd),
-    * ``P_{r+r'+1, l} + 2 P_{r+r'-1, l} + P_{r+r'-3, l}`` for
-      ``l = s+s'+1 .. p`` with ``l+s+s'`` odd.
-
-    Symmetric under swapping the two factors.
-    """
-    _require(params, a, PROJECTIVE, "fuse_pp")
-    _require(params, b, PROJECTIVE, "fuse_pp")
-    s, t = (a.s, b.s) if a.s <= b.s else (b.s, a.s)
-    return shift_r(params, _template(params, "pp", s, t), a.r + b.r - 2)
-
-
 def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSum:
-    kx, ky = x.kind, y.kind
-    if kx == SIMPLE and ky == SIMPLE:
-        return fuse_mm(params, x, y)
-    if kx == PROJECTIVE and ky == SIMPLE:
-        return fuse_pm(params, x, y)
-    if kx == SIMPLE and ky == PROJECTIVE:
-        return fuse_pm(params, y, x)
-    if kx == PROJECTIVE and ky == PROJECTIVE:
-        return fuse_pp(params, x, y)
     _check_normal_form(params, x, "fuse")
     _check_normal_form(params, y, "fuse")
-    if JORDAN_FOCK in (kx, ky):
+    if x.kind == SIMPLE and y.kind == PROJECTIVE:
+        x, y = y, x
+    form = _FORMS.get((x.kind, y.kind))
+    if form is not None:
+        s, t = x.s, y.s
+        if form != "pm" and t < s:  # M x M and P x P are symmetric
+            s, t = t, s
+        return shift_r(params, _template(params, form, s, t), x.r + y.r - 2)
+    if JORDAN_FOCK in (x.kind, y.kind):
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
     # exactly one side is a Fock module: the odd simple current M(2n+1, 1)
     # shifts its r by 2n
-    g, f = (y, x) if kx == FOCK else (x, y)
+    g, f = (y, x) if x.kind == FOCK else (x, y)
     if f.kind == FOCK and g.kind == SIMPLE and g.s == 1 and g.r % 2 == 1:
         return shift_r(params, FormalSum.of(f), g.r - 1)
     raise UnsupportedFusion(
@@ -196,8 +169,12 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
 def fuse(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
     """Bilinear extension of the fusion product to formal sums.
 
-    Dispatches each term pair to the appropriate closed form.  Fock modules
-    fuse only with odd simple currents; Jordan Fock labels never fuse.
+    Each term pair is checked once; ``M x P`` is read as ``P x M``, and the
+    ``M x M``, ``P x M`` and ``P x P`` products are their ``r = 1`` template
+    (:func:`_mm_terms`, :func:`_pm_windows`, :func:`_pp_pairs`) shifted by
+    ``r + r' - 2``.  Fock modules fuse only with odd simple currents; Jordan
+    Fock labels never fuse.  A label not in normal form raises
+    :class:`~.catalog.NotNormalForm`, any other pair :class:`UnsupportedFusion`.
     """
     if isinstance(a, Indecomposable) and isinstance(b, Indecomposable):
         return _fuse_pair(params, a, b)

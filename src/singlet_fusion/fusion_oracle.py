@@ -25,12 +25,10 @@ composition factor; a projective ``P_{r',s'}`` gives the split reduction
 
     ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``.
 
-:func:`oracle_fuse` dispatches a pair of ``M``/``P`` labels to the kind
-gates :func:`oracle_fuse_mm` and :func:`oracle_fuse_p`, which check
-both operands and take this route.  This module imports only
-:mod:`.catalog` and :mod:`.labels`: the closed forms in
-:mod:`.fusion_closed` are never consulted, so agreement between the two
-routes is a genuine cross-check.
+:func:`oracle_fuse`, the one entry point, checks both operands once and
+takes this route.  This module imports only :mod:`.catalog` and
+:mod:`.labels`: the closed forms in :mod:`.fusion_closed` are never
+consulted, so agreement between the two routes is a genuine cross-check.
 
 The recursion is one loop that keeps only the last two columns, so it has
 no depth limit.  Its results are memoized in ``_column`` by
@@ -66,8 +64,6 @@ __all__ = [
     "fuse_generators",
     "ks_subtract",
     "oracle_fuse",
-    "oracle_fuse_mm",
-    "oracle_fuse_p",
 ]
 
 
@@ -177,63 +173,28 @@ def _column(params: Params, kind: str, s: int, s_target: int) -> FormalSum:
     return col
 
 
-def _route(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """``a x b`` for checked ``M``/``P`` labels; ``a`` is projective if ``b`` is.
+def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
+    """``a x b`` for two ``M``/``P`` labels, by the recursion alone.
 
-    ``a x b`` is the sum over the composition factors ``M_{r',t}`` of ``b``
-    of the ``r = 1`` column ``a_{1,s} x M_{1,t}`` shifted by
-    ``(r-1) + (r'-1)``.  A simple ``b`` is its own only factor.
+    ``M x P`` is read as ``P x M``, so the left factor ``a_{r,s}`` is
+    projective whenever ``b`` is.  A simple ``b = M_{r',s'}`` reads the
+    column ``a_{1,s} x M_{1,s'}`` shifted by ``(r-1) + (r'-1)``; a
+    projective ``b`` sums such columns over its composition factors (the
+    split reduction in the module docstring).  A label not in normal form
+    raises :class:`~.catalog.NotNormalForm`; any other kind raises
+    :class:`UnsupportedFusion`.
     """
+    _check_normal_form(params, a, "oracle_fuse")
+    _check_normal_form(params, b, "oracle_fuse")
+    if a.kind == SIMPLE and b.kind == PROJECTIVE:
+        a, b = b, a
+    if a.kind not in (SIMPLE, PROJECTIVE) or b.kind not in (SIMPLE, PROJECTIVE):
+        raise UnsupportedFusion(
+            f"the recursion oracle covers M/P labels only, got {a} x {b}"
+        )
     if b.kind == SIMPLE:
         return shift_r(params, _column(params, a.kind, a.s, b.s), a.r + b.r - 2)
     return FormalSum.combine(
         (mult, shift_r(params, _column(params, a.kind, a.s, y.s), a.r + y.r - 2))
         for y, mult in composition_factors(params, b)
-    )
-
-
-def oracle_fuse_mm(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """``M_{r,s} x M_{r',s'}``: the column ``M_{1,s} x M_{1,s'}`` shifted by ``(r-1) + (r'-1)``."""
-    if a.kind != SIMPLE or b.kind != SIMPLE:
-        raise UnsupportedFusion("oracle_fuse_mm takes two simple labels")
-    for x in (a, b):
-        _check_normal_form(params, x, "oracle_fuse_mm")
-    return _route(params, a, b)
-
-
-def oracle_fuse_p(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """``P_{r,s} x b`` for ``b`` simple or projective.
-
-    A simple ``b = M_{r',s'}`` reads the column ``P_{1,s} x M_{1,s'}``
-    shifted by ``(r-1) + (r'-1)``; a projective ``b`` sums such columns over
-    its composition factors (the split reduction in the module docstring).
-    """
-    if a.kind != PROJECTIVE:
-        raise UnsupportedFusion(f"oracle_fuse_p expects a projective first factor, got {a}")
-    for x in (a, b):
-        _check_normal_form(params, x, "oracle_fuse_p")
-    if b.kind not in (SIMPLE, PROJECTIVE):
-        raise UnsupportedFusion(f"oracle_fuse_p cannot fuse against {b}")
-    return _route(params, a, b)
-
-
-def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
-    """``a x b`` for two ``M``/``P`` labels, by the recursion alone.
-
-    ``M x M`` goes to :func:`oracle_fuse_mm`; ``P x M`` and ``P x P`` go to
-    :func:`oracle_fuse_p`, and ``M x P`` to the same with the factors
-    swapped.  A label not in normal form raises
-    :class:`~.catalog.NotNormalForm`; any other kind raises
-    :class:`UnsupportedFusion`.
-    """
-    if a.kind == SIMPLE and b.kind == SIMPLE:
-        return oracle_fuse_mm(params, a, b)
-    if a.kind == PROJECTIVE and b.kind in (SIMPLE, PROJECTIVE):
-        return oracle_fuse_p(params, a, b)
-    if a.kind == SIMPLE and b.kind == PROJECTIVE:
-        return oracle_fuse_p(params, b, a)
-    for x in (a, b):
-        _check_normal_form(params, x, "oracle_fuse")
-    raise UnsupportedFusion(
-        f"the recursion oracle covers M/P labels only, got {a} x {b}"
     )

@@ -96,6 +96,7 @@ def alpha_coordinate(params: Params, r: int, s: int) -> int:
     Periodic under ``(r, s) -> (r+1, s+p)``.  ``s`` may be any integer here,
     supporting shifted indices such as ``alpha_{r-1,1}``.
     """
+    _check_ints("label index", r, s)
     return params.p * (1 - r) - (1 - s)
 
 
@@ -110,12 +111,14 @@ def fock_weight(params: Params, k: int) -> Fraction:
     Agrees with :func:`weight` on every Kac label:
     ``fock_weight(alpha_coordinate(r, s)) == weight(r, s)``.
     """
+    _check_ints("lattice coordinate", k)
     p = params.p
     return Fraction(k * (k - 2 * (p - 1)), 4 * p)
 
 
 def rbar(r: int) -> int:
     """Parity class of ``r``: 1 if ``r`` is odd, 2 if ``r`` is even."""
+    _check_ints("label index", r)
     return 1 if r % 2 == 1 else 2
 
 

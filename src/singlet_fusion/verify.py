@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import bpz, catalog, fusion_closed, fusion_oracle, triplet
 from .catalog import FormalSum
@@ -36,11 +36,14 @@ __all__ = [
 
 Result = Tuple[int, List[str]]
 
-#: Most ordered label pairs :func:`fusion_suite` will check at one p, and
-#: most rows ``cli`` ``table`` will build (a row is one ordered pair).  The
-#: suite's loops walk all ``((2 rwin + 1)(2p - 1))^2`` ordered pairs of the
-#: window: at p = 6, ``--rwin 1000`` would be about 4.8e8 of them, enough to
-#: exhaust memory.  Table rows stay in memory until output: at p = 6,
+#: Most ordered label pairs :func:`fusion_suite` will check at one p, most
+#: rows ``cli`` ``table`` will build (a row is one ordered pair), and most
+#: labels, ``(2 rwin + 1)(2p - 1)``, any windowed suite will take.  The
+#: fusion suite's loops walk all ``((2 rwin + 1)(2p - 1))^2`` ordered pairs
+#: of the window: at p = 6, ``--rwin 1000`` would be about 4.8e8 of them,
+#: enough to exhaust memory.  The other suites grow linearly in ``rwin``
+#: (``labels`` took 2.4 s at p = 6, ``--rwin 2000``), so an unbounded window
+#: would run for days.  Table rows stay in memory until output: at p = 6,
 #: 245 025 rows took 5 s and 178 MB peak RSS.  The largest benchmarked
 #: window has 3 025 pairs, the largest benchmarked table 9 801 rows.
 MAX_FUSION_PAIRS = 250_000
@@ -61,15 +64,25 @@ class _Recorder:
         return self.checks, self.failures
 
 
-def _check_rwin(rwin: int) -> None:
-    """Reject a negative label window; every windowed suite calls this first."""
+def _check_rwin(rwin: int, params: Optional[Params] = None) -> None:
+    """Reject a negative window and, given ``params``, a label window with
+    more than ``MAX_FUSION_PAIRS`` labels; every suite calls this first."""
     if rwin < 0:
         raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
+    if params is None:
+        return
+    labels = (2 * rwin + 1) * (2 * params.p - 1)
+    if labels > MAX_FUSION_PAIRS:
+        raise ValueError(
+            f"label window at p={params.p}, rwin={rwin} has {labels} labels, "
+            f"more than {MAX_FUSION_PAIRS}; narrow --rwin"
+        )
 
 
 def _check_fusion_window(params: Params, rwin: int) -> None:
     """Reject a window that is negative or has more than ``MAX_FUSION_PAIRS``
-    ordered pairs, before any label is built."""
+    ordered pairs, before any label is built.  The pair cap implies the
+    label cap, so only the sign goes through :func:`_check_rwin`."""
     _check_rwin(rwin)
     pairs = ((2 * rwin + 1) * (2 * params.p - 1)) ** 2
     if pairs > MAX_FUSION_PAIRS:
@@ -134,7 +147,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
             )
     for a in simples:
         d = catalog.dual(params, a)
-        product = fusion_closed.fuse_mm(params, a, d)
+        product = fusion_closed.fuse(params, a, d)
         expected = (
             catalog.simple(params, 1, 1)
             if a.s < params.p
@@ -146,7 +159,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
         )
     for r in range(-rwin, rwin + 1):
         rec.check(
-            fusion_closed.fuse_mm(
+            fusion_closed.fuse(
                 params, catalog.simple(params, r, 1), catalog.simple(params, 2 - r, 1)
             )
             == FormalSum.of(unit),
@@ -157,7 +170,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
 
 def triplet_suite(params: Params, rwin: int = 3) -> Result:
     """Generator agreement, preimage independence, exactness bookkeeping."""
-    _check_rwin(rwin)
+    _check_rwin(rwin, params)
     rec = _Recorder()
     p = params.p
     w21 = triplet.simple_w(params, 2, 1)
@@ -255,7 +268,7 @@ def _catalog_labels(params: Params, rwin: int) -> Iterator[catalog.Indecomposabl
 
 def catalog_suite(params: Params, rwin: int = 4) -> Result:
     """Normalization, Loewy flattening, duals, and Jordan Fock structure."""
-    _check_rwin(rwin)
+    _check_rwin(rwin, params)
     rec = _Recorder()
     p = params.p
     for x in _catalog_labels(params, rwin):
@@ -311,7 +324,7 @@ def catalog_suite(params: Params, rwin: int = 4) -> Result:
 
 def labels_suite(params: Params, rwin: int = 4) -> Result:
     """Weight identities: periodicity, Fock consistency, congruence, bound."""
-    _check_rwin(rwin)
+    _check_rwin(rwin, params)
     rec = _Recorder()
     p = params.p
     for r in range(-rwin, rwin + 1):
@@ -372,7 +385,7 @@ def _mat_commutes(a, b) -> bool:
 SUITES: Dict[str, Callable[[Params, int], Result]] = {
     "fusion": fusion_suite,
     "triplet": triplet_suite,
-    # no label window, but the same rwin check as the others
+    # no label window, so no label cap, but the same sign check as the others
     "bpz": lambda params, rwin: _check_rwin(rwin) or bpz_suite(params),
     "catalog": catalog_suite,
     "labels": labels_suite,
@@ -385,8 +398,8 @@ def run_suites(
     """Run several suites over several values of p, each p once.
 
     Repeated suite names and values of p are dropped, keeping the first of
-    each.  Unknown suite names, a bad p, and every fusion window over
-    ``MAX_FUSION_PAIRS`` are rejected before the first suite runs, so a bad
+    each.  Unknown suite names, a bad p, and every window any requested
+    suite would reject are rejected before the first suite runs, so a bad
     request fails at once.
     """
     names = list(dict.fromkeys(names))
@@ -394,7 +407,9 @@ def run_suites(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     every_p = [Params(p) for p in dict.fromkeys(p_values)]
-    if "fusion" in names:
-        for params in every_p:
+    windowed = any(name != "bpz" for name in names)
+    for params in every_p:
+        if "fusion" in names:  # the stricter check, so its message comes first
             _check_fusion_window(params, rwin)
+        _check_rwin(rwin, params if windowed else None)
     return {name: {params.p: SUITES[name](params, rwin) for params in every_p} for name in names}

@@ -82,14 +82,14 @@ def test_criterion_02_generator_rules():
             for s in range(1, p + 1):
                 x = simple(params, r, s)
                 # shifts by M_{2,1} and the odd simple currents
-                ok &= fusion_closed.fuse_mm(
+                ok &= fusion_closed.fuse(
                     params, simple(params, 2, 1), x
                 ) == FormalSum.of(simple(params, r + 1, s))
                 for n in (-2, -1, 0, 1, 2):
-                    ok &= fusion_closed.fuse_mm(
+                    ok &= fusion_closed.fuse(
                         params, simple(params, 2 * n + 1, 1), x
                     ) == FormalSum.of(simple(params, 2 * n + r, s))
-                    ok &= fusion_closed.fuse_mm(
+                    ok &= fusion_closed.fuse(
                         params, simple(params, 2 * n + 1, 1), simple(params, 2 * r + 1, 1)
                     ) == FormalSum.of(simple(params, 2 * (n + r) + 1, 1))
                 # every generator rule agrees with its closed form
@@ -101,23 +101,23 @@ def test_criterion_02_generator_rules():
                 ):
                     ok &= fusion_oracle.fuse_generators(
                         params, g, x
-                    ) == fusion_closed.fuse_mm(params, g, x)
+                    ) == fusion_closed.fuse(params, g, x)
                 if s <= p - 1:
                     px = projective(params, r, s)
                     for g in (simple(params, 2, 1), simple(params, 1, 2)):
                         ok &= fusion_oracle.fuse_generators(
                             params, g, px
-                        ) == fusion_closed.fuse_pm(params, px, g)
-                    ok &= fusion_closed.fuse_pm(
+                        ) == fusion_closed.fuse(params, px, g)
+                    ok &= fusion_closed.fuse(
                         params, px, simple(params, 2, 1)
                     ) == FormalSum.of(projective(params, r + 1, s))
             # the two named identities
-            ok &= fusion_closed.fuse_mm(
+            ok &= fusion_closed.fuse(
                 params, simple(params, 1, 2), simple(params, r, p)
             ) == FormalSum.of(projective(params, r, p - 1))
         if p == 2:
             for r in range(-3, 4):
-                got = fusion_closed.fuse_pm(
+                got = fusion_closed.fuse(
                     params, projective(params, r, 1), simple(params, 1, 2)
                 )
                 expected = FormalSum(
@@ -175,7 +175,7 @@ def test_criterion_04_duality():
         for r in range(-4, 5):
             for s in range(1, p + 1):
                 a = simple(params, r, s)
-                product = fusion_closed.fuse_mm(params, a, dual(params, a))
+                product = fusion_closed.fuse(params, a, dual(params, a))
                 witness = (
                     simple(params, 1, 1) if s < p else projective(params, 1, 1)
                 )

@@ -24,7 +24,14 @@ from singlet_fusion.catalog import (
     simple,
     virasoro_decomposition,
 )
-from singlet_fusion.labels import Params, alpha_coordinate, lowest_weight_of_simple, weight
+from singlet_fusion.labels import (
+    Params,
+    alpha_coordinate,
+    fock_weight,
+    lowest_weight_of_simple,
+    rbar,
+    weight,
+)
 
 P2 = Params(2)
 P3 = Params(3)
@@ -106,6 +113,14 @@ def test_index_arguments_reject_non_ints(bad):
         lambda: jordan_fock_matrices(P3, 1, bad),
         lambda: virasoro_decomposition(P3, simple(P3, 1, 1), bad),
         lambda: triplet.virasoro_decomposition(P3, w11, bad),
+        lambda: alpha_coordinate(P3, bad, 2),
+        lambda: alpha_coordinate(P3, 1, bad),
+        lambda: fock_weight(P3, bad),
+        lambda: rbar(bad),
+        # a raw label whose r is not an int is refused, not fused or induced
+        lambda: fusion_closed.fuse(P3, Indecomposable(catalog.SIMPLE, bad, 2), simple(P3, 1, 2)),
+        lambda: fusion_oracle.oracle_fuse(P3, Indecomposable(catalog.SIMPLE, bad, 2), simple(P3, 1, 2)),
+        lambda: triplet.induce(P3, Indecomposable(catalog.SIMPLE, bad, 2)),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="is not an int"):
@@ -219,6 +234,14 @@ def test_formal_sum_rejects_non_integer_multiplicities():
             FormalSum({a: bad})
 
 
+def test_combine_rejects_non_int_scales():
+    # the constructor's rule on multiplicities: True is not 1, False is not 0
+    x = FormalSum.of(simple(P3, 1, 1))
+    for bad in (True, False, 1.0):
+        with pytest.raises(TypeError, match="is not an int"):
+            FormalSum.combine([(bad, x)])
+
+
 def test_formal_sum_rejects_negative():
     with pytest.raises(ValueError):
         FormalSum([(simple(P2, 1, 1), -1)])
@@ -297,13 +320,27 @@ _CONSUMERS = {
 }
 
 
-@pytest.mark.parametrize("consumer", list(_CONSUMERS))
-@pytest.mark.parametrize("raw", _RAW_LABELS, ids=lambda x: f"{x.kind}:{x.r},{x.s},{x.n}")
-def test_label_consumers_reject_raw_labels(consumer, raw):
+_NON_INT_LABELS = [
+    Indecomposable("M", 1.5, 2),
+    Indecomposable("P", 1, 2.0),
+    Indecomposable("M", 1, 2, True),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, consumer",
+    [(raw, consumer) for raw in _RAW_LABELS for consumer in _CONSUMERS]
+    # shift_r's fast path checks s and n against normal form but not their types
+    + [(raw, consumer) for raw in _NON_INT_LABELS for consumer in _CONSUMERS if consumer != "shift_r"],
+    ids=lambda x: f"{x.kind}:{x.r},{x.s},{x.n}" if isinstance(x, Indecomposable) else x,
+)
+def test_label_consumers_reject_raw_labels(raw, consumer):
     # only the builders normalize; every other entry point refuses a label
     # built around them instead of repairing it or answering for an alias,
-    # and says so with the one normal-form exception
-    with pytest.raises(catalog.NotNormalForm):
+    # and says so with the one normal-form exception, or with TypeError for
+    # an index whose type is not exactly int
+    expected = catalog.NotNormalForm if all(type(i) is int for i in raw[1:]) else TypeError
+    with pytest.raises(expected):
         _CONSUMERS[consumer](raw)
 
 

@@ -51,7 +51,7 @@ def test_fuse_engine_mismatch_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(
         cli.fusion_oracle,
-        "oracle_fuse_mm",
+        "oracle_fuse",
         lambda params, a, b: FormalSum.of(simple(params, 9, 1)),
     )
     code, out, _ = run(capsys, "fuse", "--p", "2", "M:1,1", "M:1,1", "--engine", "both")
@@ -164,7 +164,7 @@ def test_table_engine_mismatch_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(
         cli.fusion_oracle,
-        "oracle_fuse_mm",
+        "oracle_fuse",
         lambda params, a, b: FormalSum.of(simple(params, 9, 1)),
     )
     code, out, _ = run(

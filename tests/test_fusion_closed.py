@@ -17,7 +17,7 @@ from singlet_fusion.catalog import (
     projective,
     simple,
 )
-from singlet_fusion.fusion_closed import fuse, fuse_mm, fuse_pm, fuse_pp
+from singlet_fusion.fusion_closed import fuse
 from singlet_fusion.fusion_oracle import fuse_generators
 from singlet_fusion.labels import Params
 
@@ -47,13 +47,13 @@ def _label_st(kinds=("M", "P")):
 
 
 def test_fuse_mm_examples():
-    assert fuse_mm(P3, simple(P3, 1, 2), simple(P3, 0, 2)) == FormalSum.of(
+    assert fuse(P3, simple(P3, 1, 2), simple(P3, 0, 2)) == FormalSum.of(
         simple(P3, 0, 1), simple(P3, 0, 3)
     )
-    assert fuse_mm(P2, simple(P2, 1, 2), simple(P2, 1, 2)) == FormalSum.of(
+    assert fuse(P2, simple(P2, 1, 2), simple(P2, 1, 2)) == FormalSum.of(
         projective(P2, 1, 1)
     )
-    assert fuse_mm(P3, simple(P3, 1, 3), simple(P3, 1, 3)) == FormalSum.of(
+    assert fuse(P3, simple(P3, 1, 3), simple(P3, 1, 3)) == FormalSum.of(
         projective(P3, 1, 1), simple(P3, 1, 3)
     )
 
@@ -63,8 +63,8 @@ def test_fuse_mm_unit(params, r, data):
     s = data.draw(st.integers(min_value=1, max_value=params.p))
     one = simple(params, 1, 1)
     x = simple(params, r, s)
-    assert fuse_mm(params, one, x) == FormalSum.of(x)
-    assert fuse_mm(params, x, one) == FormalSum.of(x)
+    assert fuse(params, one, x) == FormalSum.of(x)
+    assert fuse(params, x, one) == FormalSum.of(x)
 
 
 @given(params_st, st.data())
@@ -73,12 +73,12 @@ def test_fuse_mm_commutes(params, data):
     sa = data.draw(st.integers(min_value=1, max_value=params.p))
     sb = data.draw(st.integers(min_value=1, max_value=params.p))
     a, b = simple(params, ra, sa), simple(params, rb, sb)
-    assert fuse_mm(params, a, b) == fuse_mm(params, b, a)
+    assert fuse(params, a, b) == fuse(params, b, a)
 
 
 @given(params_st, r_st)
 def test_simple_current_inverses(params, r):
-    assert fuse_mm(
+    assert fuse(
         params, simple(params, r, 1), simple(params, 2 - r, 1)
     ) == FormalSum.of(simple(params, 1, 1))
 
@@ -87,19 +87,19 @@ def test_simple_current_inverses(params, r):
 
 
 def test_fuse_pm_examples():
-    assert fuse_pm(P3, projective(P3, 2, 1), simple(P3, 1, 1)) == FormalSum.of(
+    assert fuse(P3, projective(P3, 2, 1), simple(P3, 1, 1)) == FormalSum.of(
         projective(P3, 2, 1)
     )
-    assert fuse_pm(P3, projective(P3, 1, 1), simple(P3, 1, 2)) == FormalSum.of(
+    assert fuse(P3, projective(P3, 1, 1), simple(P3, 1, 2)) == FormalSum.of(
         projective(P3, 1, 2), simple(P3, 2, 3), simple(P3, 0, 3)
     )
-    assert fuse_pm(P2, projective(P2, 1, 1), simple(P2, 0, 1)) == FormalSum.of(
+    assert fuse(P2, projective(P2, 1, 1), simple(P2, 0, 1)) == FormalSum.of(
         projective(P2, 0, 1)
     )
 
 
 def test_fuse_pp_examples():
-    assert fuse_pp(P2, projective(P2, 1, 1), projective(P2, 1, 1)) == FormalSum(
+    assert fuse(P2, projective(P2, 1, 1), projective(P2, 1, 1)) == FormalSum(
         [
             (projective(P2, 1, 1), 2),
             (projective(P2, 2, 1), 1),
@@ -107,7 +107,7 @@ def test_fuse_pp_examples():
         ]
     )
     # hand evaluation of the six-window formula at p = 3
-    assert fuse_pp(P3, projective(P3, 1, 1), projective(P3, 1, 1)) == FormalSum(
+    assert fuse(P3, projective(P3, 1, 1), projective(P3, 1, 1)) == FormalSum(
         [
             (projective(P3, 1, 1), 2),
             (projective(P3, 2, 2), 1),
@@ -126,14 +126,7 @@ def test_fuse_pp_commutes(params, data):
     sa = data.draw(st.integers(min_value=1, max_value=params.p - 1))
     sb = data.draw(st.integers(min_value=1, max_value=params.p - 1))
     a, b = projective(params, ra, sa), projective(params, rb, sb)
-    assert fuse_pp(params, a, b) == fuse_pp(params, b, a)
-
-
-def test_fuse_pm_requires_shapes():
-    with pytest.raises(UnsupportedFusion):
-        fuse_pm(P3, simple(P3, 1, 1), simple(P3, 1, 1))
-    with pytest.raises(UnsupportedFusion):
-        fuse_pp(P3, projective(P3, 1, 1), simple(P3, 1, 1))
+    assert fuse(params, a, b) == fuse(params, b, a)
 
 
 # --- generator rules --------------------------------------------------------------
@@ -178,11 +171,11 @@ def test_generators_agree_with_closed_forms(params, r, data):
         simple(params, 2, 1),
         simple(params, 1, 2),
     ):
-        assert fuse_generators(params, g, x) == fuse_mm(params, g, x)
+        assert fuse_generators(params, g, x) == fuse(params, g, x)
     if s <= params.p - 1:
         px = projective(params, r, s)
         for g in (simple(params, 2, 1), simple(params, 1, 2)):
-            assert fuse_generators(params, g, px) == fuse_pm(params, px, g)
+            assert fuse_generators(params, g, px) == fuse(params, px, g)
 
 
 # --- bilinear front end -------------------------------------------------------------
@@ -268,16 +261,16 @@ def test_pp_splits_along_either_factor(params, data):
     sa = data.draw(st.integers(min_value=1, max_value=params.p - 1))
     sb = data.draw(st.integers(min_value=1, max_value=params.p - 1))
     a, b = projective(params, ra, sa), projective(params, rb, sb)
-    whole = fuse_pp(params, a, b)
+    whole = fuse(params, a, b)
     via_b = FormalSum.combine([
-        (2, fuse_pm(params, a, simple(params, rb, sb))),
-        (1, fuse_pm(params, a, simple(params, rb + 1, params.p - sb))),
-        (1, fuse_pm(params, a, simple(params, rb - 1, params.p - sb))),
+        (2, fuse(params, a, simple(params, rb, sb))),
+        (1, fuse(params, a, simple(params, rb + 1, params.p - sb))),
+        (1, fuse(params, a, simple(params, rb - 1, params.p - sb))),
     ])
     via_a = FormalSum.combine([
-        (2, fuse_pm(params, b, simple(params, ra, sa))),
-        (1, fuse_pm(params, b, simple(params, ra + 1, params.p - sa))),
-        (1, fuse_pm(params, b, simple(params, ra - 1, params.p - sa))),
+        (2, fuse(params, b, simple(params, ra, sa))),
+        (1, fuse(params, b, simple(params, ra + 1, params.p - sa))),
+        (1, fuse(params, b, simple(params, ra - 1, params.p - sa))),
     ])
     assert whole == via_b == via_a
 
@@ -297,32 +290,27 @@ def test_grothendieck_commutes_with_fusion(pair, data):
 
 
 def test_grothendieck_check_catches_a_wrong_fuse_mm(monkeypatch):
-    # drop one copy of the largest-s simple summand from every M x M product;
-    # the ring product does not go through fuse_mm, so the fusion suite's
-    # Grothendieck check must flag every pair whose product changed
+    # drop one copy of the largest-s simple summand from every M x M
+    # template; the ring product does not go through the templates, so the
+    # fusion suite's Grothendieck check must flag every pair whose product
+    # changed
     params = Params(4)
-    right = fusion_closed.fuse_mm
+    right = fusion_closed._template
 
-    def wrong(params, a, b):
-        out = right(params, a, b)
+    def wrong(params, form, s, t):
+        out = right(params, form, s, t)
         simples = [lab for lab, _ in out if lab.kind == "M"]
-        if not simples:
+        if form != "mm" or not simples:
             return out
         top = max(simples, key=lambda lab: lab.s)
         return FormalSum((lab, m - (lab == top)) for lab, m in out)
 
     labels = [simple(params, r, s) for r in range(-1, 2) for s in range(1, 5)]
-    changed = {
-        f"{a} x {b}"
-        for a in labels
-        for b in labels
-        if wrong(params, a, b) != right(params, a, b)
-    }
+    before = {(a, b): fuse(params, a, b) for a in labels for b in labels}
+    monkeypatch.setattr(fusion_closed, "_template", wrong)
+    changed = {f"{a} x {b}" for (a, b), ab in before.items() if fuse(params, a, b) != ab}
     assert len(changed) == 117
-    monkeypatch.setattr(fusion_closed, "fuse_mm", wrong)
-    fusion_closed._template.cache_clear()
     _, failures = verify.fusion_suite(params, 1)
-    fusion_closed._template.cache_clear()
     prefix = "Grothendieck consistency failure at "
     flagged = {msg[len(prefix):] for msg in failures if msg.startswith(prefix)}
     assert flagged == changed
@@ -332,18 +320,18 @@ def test_grothendieck_check_catches_a_wrong_fuse_mm(monkeypatch):
 
 
 def _all_products(params, rs):
-    """Every M/P pair over ``rs``, through the three closed forms."""
+    """Every M/P pair over ``rs`` with the projective factor first."""
     p = params.p
     ms = [simple(params, r, s) for r in rs for s in range(1, p + 1)]
     ps = [projective(params, r, s) for r in rs for s in range(1, p)]
     for a in ms:
         for b in ms:
-            fuse_mm(params, a, b)
+            fuse(params, a, b)
     for a in ps:
         for b in ms:
-            fuse_pm(params, a, b)
+            fuse(params, a, b)
         for b in ps:
-            fuse_pp(params, a, b)
+            fuse(params, a, b)
 
 
 def test_template_memo_does_not_grow_with_r():
@@ -357,14 +345,14 @@ def test_template_memo_does_not_grow_with_r():
     fusion_closed._template.cache_clear()
 
 
-@pytest.mark.parametrize("kind, form", [(simple, fuse_mm), (projective, fuse_pp)])
-def test_template_shared_by_swapped_factors(kind, form):
+@pytest.mark.parametrize("kind", [simple, projective], ids=["simple-fuse_mm", "projective-fuse_pp"])
+def test_template_shared_by_swapped_factors(kind):
     params = Params(5)
     fusion_closed._template.cache_clear()
     a, b = kind(params, 3, 1), kind(params, -2, 4)
-    ab = form(params, a, b)
+    ab = fuse(params, a, b)
     assert fusion_closed._template.cache_info().currsize == 1
-    assert form(params, b, a) == ab
+    assert fuse(params, b, a) == ab
     info = fusion_closed._template.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
     fusion_closed._template.cache_clear()
@@ -380,13 +368,13 @@ def test_template_matches_the_products_at_r_one():
         for t in range(1, 6):
             a, b = simple(params, 1, s), simple(params, 1, t)
             lo, hi = min(s, t), max(s, t)
-            assert fuse_mm(params, a, b) == fusion_closed._template(params, "mm", lo, hi)
+            assert fuse(params, a, b) == fusion_closed._template(params, "mm", lo, hi)
             if s < 5:
                 pa = projective(params, 1, s)
-                assert fuse_pm(params, pa, b) == fusion_closed._template(params, "pm", s, t)
+                assert fuse(params, pa, b) == fusion_closed._template(params, "pm", s, t)
                 if t < 5:
                     pb = projective(params, 1, t)
-                    got = fuse_pp(params, pa, pb)
+                    got = fuse(params, pa, pb)
                     assert got == fusion_closed._template(params, "pp", lo, hi)
 
 

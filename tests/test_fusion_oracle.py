@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from singlet_fusion import cli, fusion_closed
 from singlet_fusion import fusion_oracle as oracle_mod
 from singlet_fusion.catalog import (
     FOCK,
+    JORDAN_FOCK,
     PROJECTIVE,
     SIMPLE,
     FormalSum,
@@ -25,8 +27,6 @@ from singlet_fusion.fusion_oracle import (
     fuse_generators,
     ks_subtract,
     oracle_fuse,
-    oracle_fuse_mm,
-    oracle_fuse_p,
 )
 from singlet_fusion.labels import Params
 
@@ -80,10 +80,10 @@ def test_column_on_unit_gives_the_column(params, data):
 
 def test_column_examples():
     got = oracle_fuse(P3, simple(P3, 1, 2), simple(P3, 1, 3))
-    assert got == fusion_closed.fuse_mm(P3, simple(P3, 1, 2), simple(P3, 1, 3))
+    assert got == fusion_closed.fuse(P3, simple(P3, 1, 2), simple(P3, 1, 3))
     assert got == FormalSum.of(projective(P3, 1, 2))
     got = oracle_fuse(P2, projective(P2, 1, 1), simple(P2, 1, 2))
-    assert got == fusion_closed.fuse_pm(P2, projective(P2, 1, 1), simple(P2, 1, 2))
+    assert got == fusion_closed.fuse(P2, projective(P2, 1, 1), simple(P2, 1, 2))
 
 
 def test_column_validates_inputs():
@@ -97,38 +97,62 @@ def test_column_validates_inputs():
 
 
 def test_oracle_mm_examples():
-    assert oracle_fuse_mm(P3, simple(P3, 2, 1), simple(P3, 0, 1)) == FormalSum.of(
+    assert oracle_fuse(P3, simple(P3, 2, 1), simple(P3, 0, 1)) == FormalSum.of(
         simple(P3, 1, 1)
     )
-    assert oracle_fuse_mm(P2, simple(P2, 1, 2), simple(P2, 1, 2)) == FormalSum.of(
+    assert oracle_fuse(P2, simple(P2, 1, 2), simple(P2, 1, 2)) == FormalSum.of(
         projective(P2, 1, 1)
     )
 
 
 def test_oracle_p_examples():
-    assert oracle_fuse_p(P2, projective(P2, 1, 1), projective(P2, 1, 1)) == FormalSum(
+    assert oracle_fuse(P2, projective(P2, 1, 1), projective(P2, 1, 1)) == FormalSum(
         [
             (projective(P2, 1, 1), 2),
             (projective(P2, 2, 1), 1),
             (projective(P2, 0, 1), 1),
         ]
     )
-    assert oracle_fuse_p(P3, projective(P3, 1, 1), simple(P3, 1, 1)) == FormalSum.of(
+    assert oracle_fuse(P3, projective(P3, 1, 1), simple(P3, 1, 1)) == FormalSum.of(
         projective(P3, 1, 1)
     )
-    assert oracle_fuse_p(P3, projective(P3, 1, 2), simple(P3, 0, 2)) == (
-        fusion_closed.fuse_pm(P3, projective(P3, 1, 2), simple(P3, 0, 2))
+    assert oracle_fuse(P3, projective(P3, 1, 2), simple(P3, 0, 2)) == (
+        fusion_closed.fuse(P3, projective(P3, 1, 2), simple(P3, 0, 2))
     )
 
 
-def test_oracle_p_requires_projective():
-    with pytest.raises(UnsupportedFusion):
-        oracle_fuse_p(P3, simple(P3, 1, 1), simple(P3, 1, 1))
-    # the dispatcher covers M/P only, on either side
-    for bad in (fock(P3, 1, 1), jordan_fock(P3, 1, 2)):
-        for a, b in ((bad, simple(P3, 1, 1)), (projective(P3, 1, 1), bad)):
-            with pytest.raises(UnsupportedFusion, match="M/P labels only"):
-                oracle_fuse(P3, a, b)
+# M is the odd simple current M_{3,1}, the one simple a Fock module fuses with
+_KIND_LABELS = {
+    SIMPLE: simple(P3, 3, 1),
+    PROJECTIVE: projective(P3, -1, 2),
+    FOCK: fock(P3, 2, 1),
+    JORDAN_FOCK: jordan_fock(P3, 1, 2),
+}
+_MP_PAIRS = {(SIMPLE, SIMPLE), (SIMPLE, PROJECTIVE), (PROJECTIVE, SIMPLE), (PROJECTIVE, PROJECTIVE)}
+
+
+@pytest.mark.parametrize("kx, ky", list(itertools.product(_KIND_LABELS, repeat=2)))
+@pytest.mark.parametrize(
+    "route, answers, refusal",
+    [
+        (fusion_closed.fuse, _MP_PAIRS | {(SIMPLE, FOCK), (FOCK, SIMPLE)}, "Fock"),
+        (oracle_fuse, _MP_PAIRS, "M/P labels only"),
+    ],
+    ids=["fuse", "oracle_fuse"],
+)
+def test_dispatch_table(route, answers, refusal, kx, ky):
+    # which kind pairs each engine answers; every other pair, Jordan Fock
+    # labels on either side included, raises UnsupportedFusion
+    x, y = _KIND_LABELS[kx], _KIND_LABELS[ky]
+    if (kx, ky) not in answers:
+        with pytest.raises(UnsupportedFusion, match=refusal):
+            route(P3, x, y)
+        return
+    assert route(P3, x, y) == route(P3, y, x)
+    if {kx, ky} == {SIMPLE, PROJECTIVE}:
+        # M x P is read as P x M, also for a simple that is not a current
+        m, proj = simple(P3, 0, 2), _KIND_LABELS[PROJECTIVE]
+        assert route(P3, m, proj) == route(P3, proj, m) == fusion_closed.fuse(P3, proj, m)
 
 
 def test_oracle_rejects_unnormalized_projectives():
@@ -146,8 +170,6 @@ def test_oracle_rejects_unnormalized_projectives():
             for route in (fusion_closed.fuse, oracle_fuse):
                 with pytest.raises(NotNormalForm, match="unnormalized projective"):
                     route(P3, a, b)
-        with pytest.raises(NotNormalForm, match="unnormalized projective"):
-            oracle_fuse_p(P3, raw, unit)
 
 
 def test_generators_and_fock_fusion_reject_unnormalized_labels():
@@ -193,14 +215,9 @@ def test_oracle_rejects_out_of_range_simples():
     unit, proj = simple(P3, 1, 1), projective(P3, 1, 1)
     for s in (0, P3.p + 1):
         raw = Indecomposable(SIMPLE, 1, s)
-        for a, b in ((raw, unit), (unit, raw)):
-            for route in (oracle_fuse_mm, oracle_fuse):
-                with pytest.raises(ValueError):
-                    route(P3, a, b)
-        for a, b in ((proj, raw), (raw, proj)):
-            for route in (oracle_fuse_p, oracle_fuse):
-                with pytest.raises(ValueError):
-                    route(P3, a, b)
+        for a, b in ((raw, unit), (unit, raw), (proj, raw), (raw, proj)):
+            with pytest.raises(ValueError):
+                oracle_fuse(P3, a, b)
 
 
 def test_oracle_mm_at_p1200(capsys):
@@ -236,18 +253,15 @@ def test_oracle_equivalence_sampled(params, data):
     sa = data.draw(st.integers(min_value=1, max_value=params.p))
     sb = data.draw(st.integers(min_value=1, max_value=params.p))
     a, b = simple(params, ra, sa), simple(params, rb, sb)
-    assert oracle_fuse_mm(params, a, b) == fusion_closed.fuse_mm(params, a, b)
     assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
     if sa <= params.p - 1:
         pa = projective(params, ra, sa)
-        assert oracle_fuse_p(params, pa, b) == fusion_closed.fuse_pm(params, pa, b)
+        assert oracle_fuse(params, pa, b) == fusion_closed.fuse(params, pa, b)
         assert oracle_fuse(params, b, pa) == oracle_fuse(params, pa, b)
         assert oracle_fuse(params, b, pa) == fusion_closed.fuse(params, b, pa)
         if sb <= params.p - 1:
             pb = projective(params, rb, sb)
-            assert oracle_fuse_p(params, pa, pb) == fusion_closed.fuse_pp(
-                params, pa, pb
-            )
+            assert oracle_fuse(params, pa, pb) == fusion_closed.fuse(params, pa, pb)
 
 
 def test_oracle_never_touches_closed_forms(monkeypatch):
@@ -259,12 +273,12 @@ def test_oracle_never_touches_closed_forms(monkeypatch):
     import singlet_fusion.fusion_oracle as oracle_mod
 
     oracle_mod._column.cache_clear()
-    for name in ("fuse_mm", "fuse_pm", "fuse_pp", "fuse"):
+    for name in ("_template", "fuse"):
         monkeypatch.setattr(fusion_closed, name, boom)
         monkeypatch.setattr(oracle_mod, name, boom, raising=False)
-    got = oracle_fuse_p(P3, projective(P3, 1, 2), projective(P3, 2, 1))
+    got = oracle_fuse(P3, projective(P3, 1, 2), projective(P3, 2, 1))
     assert got.total() > 0
-    got_mm = oracle_fuse_mm(P2, simple(P2, 1, 2), simple(P2, 1, 2))
+    got_mm = oracle_fuse(P2, simple(P2, 1, 2), simple(P2, 1, 2))
     assert got_mm == FormalSum.of(projective(P2, 1, 1))
     oracle_mod._column.cache_clear()
 
@@ -352,10 +366,10 @@ def test_concurrent_calls_match_serial_results():
         for sb in range(1, 6)
     ]
     oracle_mod._column.cache_clear()
-    serial = [oracle_fuse_mm(params, a, b) for a, b in pairs]
+    serial = [oracle_fuse(params, a, b) for a, b in pairs]
     oracle_mod._column.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda ab: oracle_fuse_mm(params, *ab), pairs))
+        parallel = list(pool.map(lambda ab: oracle_fuse(params, *ab), pairs))
     assert serial == parallel
 
 
@@ -363,8 +377,8 @@ def test_memo_consistency_between_orders():
     import singlet_fusion.fusion_oracle as oracle_mod
 
     oracle_mod._column.cache_clear()
-    first = oracle_fuse_mm(P3, simple(P3, 1, 3), simple(P3, 1, 3))
-    again = oracle_fuse_mm(P3, simple(P3, 1, 3), simple(P3, 1, 3))
+    first = oracle_fuse(P3, simple(P3, 1, 3), simple(P3, 1, 3))
+    again = oracle_fuse(P3, simple(P3, 1, 3), simple(P3, 1, 3))
     oracle_mod._column.cache_clear()
-    cold = oracle_fuse_mm(P3, simple(P3, 1, 3), simple(P3, 1, 3))
+    cold = oracle_fuse(P3, simple(P3, 1, 3), simple(P3, 1, 3))
     assert first == again == cold

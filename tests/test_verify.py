@@ -84,6 +84,22 @@ def test_run_suites_checks_every_fusion_window_first(monkeypatch):
         verify.run_suites(["labels", "fusion"], [2, 6], rwin=23)
 
 
+def test_label_window_cap_boundary(monkeypatch):
+    # p = 6 has 11 labels per r: rwin 11 363 gives 22 727 * 11 = 249 997 labels,
+    # rwin 11 364 gives 22 729 * 11 = 250 019; the linear suites stop there too
+    verify._check_rwin(11_363, Params(6))
+    for name in ("triplet", "catalog", "labels"):
+        with pytest.raises(ValueError, match="p=6, rwin=11364 has 250019 labels"):
+            verify.SUITES[name](Params(6), 11_364)
+
+    def no_suite(params, rwin):
+        raise AssertionError("a suite ran before the window check")
+
+    monkeypatch.setitem(verify.SUITES, "labels", no_suite)
+    with pytest.raises(ValueError, match="p=6, rwin=11364 has 250019 labels"):
+        verify.run_suites(["labels"], [2, 6], rwin=11_364)
+
+
 def test_run_suites_rejects_a_bad_p_before_any_suite(monkeypatch):
     runs = []
 
