@@ -30,7 +30,7 @@ from .catalog import (
     composition_factors,
     dual,
     fock,
-    grothendieck_product,
+    grothendieck_class,
     jordan_fock,
     jordan_fock_matrices,
     loewy,
@@ -73,6 +73,7 @@ __all__ = [
     "jordan_fock",
     "normalize",
     "composition_factors",
+    "grothendieck_class",
     "loewy",
     "dual",
     "virasoro_decomposition",
@@ -85,7 +86,6 @@ __all__ = [
     "weight_coset_diff",
     "fuse",
     "fuse_generators",
-    "grothendieck_product",
     "ks_subtract",
     "oracle_fuse",
     "induce",

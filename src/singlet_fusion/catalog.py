@@ -21,15 +21,16 @@ and :func:`normalize` are each one call to one private rule.  It raises
 ``M``, ``P`` or ``F`` too), and repairs nothing.  Every other public function
 rejects a label not in normal form (one built with :class:`Indecomposable`
 directly) with a :class:`NotNormalForm`, or a ``TypeError`` for an index that
-is not exactly ``int`` (:func:`shift_r`, on its hot path, leaves index types
-unchecked), and :func:`shift_r` never repairs one.
+is not exactly ``int`` (:func:`shift_r` also for such a shift), and
+:func:`shift_r` never repairs one.
 
 Each module is described by its composition factors
 (:func:`composition_factors`, of a label or of a formal sum) and, for
 ``M``, ``P`` and ``F``, its Loewy layers (:func:`loewy`, a tuple of sums,
 top first).  The module also holds the Grothendieck ring of
-composition-factor classes (:func:`grothendieck_product`), built from its
-presentation.
+composition-factor classes, as the injective ring map
+:func:`grothendieck_class` into Laurent polynomials, read off the
+composition factors.
 Both fusion routes import this module, so it imports neither of them.
 """
 
@@ -59,7 +60,7 @@ __all__ = [
     "normalize",
     "shift_r",
     "composition_factors",
-    "grothendieck_product",
+    "grothendieck_class",
     "loewy",
     "dual",
     "virasoro_decomposition",
@@ -299,18 +300,21 @@ def shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
     even shifts, one extra ``M_{2,1}`` for odd ones), which acts on labels
     exactly this way.
 
-    A term not in normal form raises; none is repaired.  Normal form does
-    not depend on ``r``, so a common shift keeps every label in normal form,
-    keeps the sorted ``(kind, r, s, n)`` order and merges no terms: the
-    shifted terms are built directly, and ``x`` itself is returned for
-    ``delta = 0``.
+    A term not in normal form raises, and so does an index or ``delta`` whose
+    type is not exactly ``int`` (``TypeError``); none is repaired.  Normal
+    form does not depend on ``r``, so a common shift keeps every label in
+    normal form, keeps the sorted ``(kind, r, s, n)`` order and merges no
+    terms: the shifted terms are built directly, and ``x`` itself is
+    returned for ``delta = 0``.
     """
+    if type(delta) is not int:
+        _check_ints("r shift", delta)
     p = params.p
     new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
     key = []
     for lab, mult in x._key:
         kind, r, s, n = lab
-        if not _is_normal(p, kind, s, n):
+        if not (type(r) is type(s) is type(n) is int and _is_normal(p, kind, s, n)):
             _check_normal_form(params, lab, "shift_r")
         key.append((new(Indecomposable, (kind, r + delta, s, n)), mult))
     return FormalSum._from_sorted(tuple(key)) if delta else x
@@ -376,49 +380,34 @@ def composition_factors(params: Params, x: _SumLike) -> FormalSum:
     return FormalSum(_flat(params, x))
 
 
-def grothendieck_product(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
-    """Product of composition-factor classes in the Grothendieck ring.
+def grothendieck_class(params: Params, x: _SumLike) -> Dict[int, int]:
+    """``D(x) = (w - w^{-1}) [x]``, the class of a label in normal form or of
+    a formal sum of such labels, as a sparse ``{exponent: coefficient}``
+    Laurent polynomial in ``w`` with no zero coefficients.
 
-    Fusion is bi-exact, so it descends to the ring of classes, and this
-    agrees with ``composition_factors(fuse(a, b))``; the verification suite
-    checks that.
-    The product is built from the presentation of the ring alone, not from
-    either fusion route:
+    Fusion is bi-exact, so ``D(a) D(b) = (w - w^{-1}) D(fuse(a, b))``; the
+    verification suite checks that, and ``D`` reads neither fusion route.
+    ``[M_{r,s}] -> w^{p(r-1)} (w^s - w^{-s})/(w - w^{-1})`` is a ring map: it
+    sends ``x = [M_{2,1}]`` to ``w^p`` and ``y = [M_{1,2}]`` to ``w + w^{-1}``,
+    where the relation ``U_p(y) - U_{p-2}(y) = x + x^{-1}`` of the ring's
+    Chebyshev presentation holds.  So each composition factor ``M_{r,s}``
+    adds ``w^{A+s} - w^{A-s}``, ``A = p(r-1)``, which gives
 
-        ``Z[x^{+-1}, y] / (U_p(y) - U_{p-2}(y) - x - x^{-1})``
+    * ``P_{r,s}``: ``w^{A+s} - w^{A-s} + w^{A+2p-s} - w^{A-2p+s}``;
+    * ``F_{alpha_{r,s}}``: ``w^{pr-s} (w^p - w^{-p})``;
+    * ``F^{(n)}``: ``n D(M_{r,p})``.
 
-    with ``x = [M_{2,1}]``, ``y = [M_{1,2}]``, ``U_n`` the Chebyshev
-    polynomials of the second kind (``U_0 = 1``, ``U_{n+1} = y U_n - U_{n-1}``)
-    and ``[M_{r,s}] = x^{r-1} U_{s-1}(y)``.  ``U_0 .. U_{p-1}`` are a basis
-    over ``Z[x^{+-1}]``.  Both inputs are flattened to simples; each pair
-    ``M_{r,s}``, ``M_{r',s'}`` multiplies by Clebsch-Gordan,
-    ``U_{s-1} U_{s'-1} = sum U_{l-1}`` over ``l = |s-s'|+1 .. s+s'-1`` in
-    steps of 2, and a term with ``l > p`` is reduced by the one step
-    ``U_{p+j} = U_{p-2-j} + (x + x^{-1}) U_j`` (``0 <= j <= p-2``):
-
-    * ``l <= p``: ``M_{r+r'-1, l}``;
-    * ``l > p``: ``M_{r+r'-1, 2p-l} + M_{r+r', l-p} + M_{r+r'-2, l-p}``.
+    ``D`` is injective: ``D(M_{r,s})`` has top degree ``p(r-1) + s`` with
+    coefficient 1, distinct for ``1 <= s <= p``, so the top term of the
+    highest such simple in a nonzero class survives.
     """
     p = params.p
-    fb = _flat(params, b).items()
-    acc: Dict[Indecomposable, int] = {}
-    for x, mx in _flat(params, a).items():
-        for y, my in fb:
-            k = mx * my
-            r = x.r + y.r
-            s, t = x.s, y.s
-            for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1, 2):
-                z = Indecomposable(SIMPLE, r - 1, ell)
-                acc[z] = acc.get(z, 0) + k
-            # from the first l > p with the parity of s + t + 1
-            for ell in range(p + 1 + (p + s + t) % 2, s + t, 2):
-                for z in (
-                    Indecomposable(SIMPLE, r - 1, 2 * p - ell),
-                    Indecomposable(SIMPLE, r, ell - p),
-                    Indecomposable(SIMPLE, r - 2, ell - p),
-                ):
-                    acc[z] = acc.get(z, 0) + k
-    return FormalSum(acc)
+    acc: Dict[int, int] = {}
+    for y, m in _flat(params, x).items():
+        a = p * (y.r - 1)
+        acc[a + y.s] = acc.get(a + y.s, 0) + m
+        acc[a - y.s] = acc.get(a - y.s, 0) - m
+    return {e: c for e, c in acc.items() if c}
 
 
 def loewy(params: Params, x: Indecomposable) -> Tuple[FormalSum, ...]:

@@ -23,9 +23,9 @@ The generator rules (fusion with the simple currents ``M_{2n+1,1}`` and
 ``M_{2,1}``, and with ``M_{1,2}``) live in :mod:`.fusion_oracle`, which is
 built on them alone.  Neither module imports the other, which is what makes
 the two routes independent.  The Grothendieck ring that checks both
-(:func:`.catalog.composition_factors` of a product against
-:func:`.catalog.grothendieck_product`) lives in :mod:`.catalog`, which
-imports neither route.
+(:func:`.catalog.grothendieck_class` of a product against the product of
+the classes of its factors) lives in :mod:`.catalog`, which imports neither
+route.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from singlet_fusion.catalog import (
     composition_factors,
     dual,
     fock,
-    grothendieck_product,
+    grothendieck_class,
     jordan_fock,
     jordan_fock_matrices,
     loewy,
@@ -311,7 +311,8 @@ _CONSUMERS = {
     "composition_factors": lambda x: composition_factors(P3, x),
     # composition factors of the label as a one-term sum: flattened like the label
     "flatten": lambda x: composition_factors(P3, FormalSum.of(x)),
-    "grothendieck_product": lambda x: grothendieck_product(P3, x, _UNIT),
+    # the class map D behind the Grothendieck product check
+    "grothendieck_product": lambda x: grothendieck_class(P3, x),
     "loewy": lambda x: loewy(P3, x),
     "dual": lambda x: dual(P3, x),
     "virasoro_decomposition": lambda x: virasoro_decomposition(P3, x, 2),
@@ -329,9 +330,7 @@ _NON_INT_LABELS = [
 
 @pytest.mark.parametrize(
     "raw, consumer",
-    [(raw, consumer) for raw in _RAW_LABELS for consumer in _CONSUMERS]
-    # shift_r's fast path checks s and n against normal form but not their types
-    + [(raw, consumer) for raw in _NON_INT_LABELS for consumer in _CONSUMERS if consumer != "shift_r"],
+    [(raw, consumer) for raw in _RAW_LABELS + _NON_INT_LABELS for consumer in _CONSUMERS],
     ids=lambda x: f"{x.kind}:{x.r},{x.s},{x.n}" if isinstance(x, Indecomposable) else x,
 )
 def test_label_consumers_reject_raw_labels(raw, consumer):
@@ -342,6 +341,12 @@ def test_label_consumers_reject_raw_labels(raw, consumer):
     expected = catalog.NotNormalForm if all(type(i) is int for i in raw[1:]) else TypeError
     with pytest.raises(expected):
         _CONSUMERS[consumer](raw)
+
+
+@pytest.mark.parametrize("delta", [0.5, True])
+def test_shift_r_refuses_a_shift_that_is_not_an_int(delta):
+    with pytest.raises(TypeError):
+        catalog.shift_r(P3, FormalSum.of(simple(P3, 1, 2)), delta)
 
 
 def test_shift_r_by_zero_returns_the_sum_itself():
@@ -565,14 +570,79 @@ def _verlinde(params, theta, total):
     )
 
 
+def _at(poly, w):
+    """A sparse ``{exponent: coefficient}`` Laurent polynomial evaluated at ``w``."""
+    return sum(c * w**e for e, c in poly.items())
+
+
 @pytest.mark.parametrize("p", range(2, 8))
 def test_grothendieck_product_matches_the_verlinde_picture(p):
+    # at w = e^{i theta}, D(x) = (w - 1/w)[x] is 2i sin(theta) times the
+    # Verlinde value of x's composition factors, on labels and on products
     params = Params(p)
     labels = [simple(params, r, s) for r in range(-1, 3) for s in range(1, p + 1)]
     labels += [projective(params, r, s) for r in range(-1, 3) for s in range(1, p)]
     for theta in (0.3, 1.1, 2.0):
+        w, factor = cmath.exp(1j * theta), 2j * math.sin(theta)
         value = {x: _verlinde(params, theta, composition_factors(params, x)) for x in labels}
+        for x in labels:
+            got = _at(grothendieck_class(params, x), w)
+            assert abs(got - factor * value[x]) < 1e-9, (x, theta)
         for a in labels:
             for b in labels:
-                got = _verlinde(params, theta, grothendieck_product(params, a, b))
-                assert abs(got - value[a] * value[b]) < 1e-9, (a, b, theta)
+                got = _at(grothendieck_class(params, fusion_closed.fuse(params, a, b)), w)
+                assert abs(got - factor * value[a] * value[b]) < 1e-9, (a, b, theta)
+
+
+def _window(p):
+    """Every M, P and F label with r in -3..3 at one p, and its parameters."""
+    params = Params(p)
+    cells = [(r, s) for r in range(-3, 4) for s in range(1, p + 1)]
+    return (
+        params,
+        [simple(params, r, s) for r, s in cells],
+        [projective(params, r, s) for r, s in cells if s < p],
+        [fock(params, r, s) for r, s in cells],
+    )
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_grothendieck_class_is_injective_on_simples(p):
+    # D(M_{r,s}) has top degree p(r-1) + s with coefficient 1, distinct over
+    # the window, so no nonzero class maps to zero
+    params, simples, _, _ = _window(p)
+    tops = set()
+    for x in simples:
+        d = grothendieck_class(params, x)
+        top = max(d)
+        assert (top, d[top]) == (p * (x.r - 1) + x.s, 1), x
+        tops.add(top)
+    assert len(tops) == len(simples)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_grothendieck_class_closed_forms(p):
+    params, simples, projectives, focks = _window(p)
+    for x in projectives:
+        a, s = p * (x.r - 1), x.s
+        closed = {a + s: 1, a - s: -1, a + 2 * p - s: 1, a - 2 * p + s: -1}
+        assert grothendieck_class(params, x) == closed, x
+    # F_{r,s} (M_{r,p} at s = p) is the monomial w^{pr-s} times w^p - w^-p
+    for x in focks:
+        e = p * x.r - x.s
+        assert grothendieck_class(params, x) == {e + p: 1, e - p: -1}, x
+    for r in range(-3, 4):
+        d = grothendieck_class(params, simple(params, r, p))
+        for n in (2, 3, 4):
+            assert grothendieck_class(params, jordan_fock(params, r, n)) == {
+                e: n * c for e, c in d.items()
+            }
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_grothendieck_class_turns_duality_into_w_to_inverse_w(p):
+    # D(dual X)(w) = -D(X)(1/w) for every M and P label
+    params, simples, projectives, _ = _window(p)
+    for x in simples + projectives:
+        flipped = {-e: -c for e, c in grothendieck_class(params, x).items()}
+        assert grothendieck_class(params, dual(params, x)) == flipped, x

@@ -10,9 +10,8 @@ from singlet_fusion.catalog import (
     Indecomposable,
     NotNormalForm,
     UnsupportedFusion,
-    composition_factors,
     fock,
-    grothendieck_product,
+    grothendieck_class,
     jordan_fock,
     projective,
     simple,
@@ -239,16 +238,27 @@ def test_associativity_simples_small_window(p):
         assert left == right, (a, b, c)
 
 
+_W = {1: 1, -1: -1}  # w - 1/w
+
+
 def test_grothendieck_examples():
+    # the unit's class is w - 1/w, so D(P) D(M_{1,1}) = (w - 1/w) D(P)
     prs = projective(P3, 0, 2)
-    assert grothendieck_product(
-        P3, FormalSum.of(prs), FormalSum.of(simple(P3, 1, 1))
-    ) == composition_factors(P3, FormalSum.of(prs))
-    assert grothendieck_product(
-        P2, FormalSum.of(simple(P2, 1, 2)), FormalSum.of(simple(P2, 1, 2))
-    ) == FormalSum(
+    unit = grothendieck_class(P3, FormalSum.of(simple(P3, 1, 1)))
+    assert unit == _W
+    d_prs = grothendieck_class(P3, FormalSum.of(prs))
+    assert d_prs == {-1: 1, -5: -1, 1: 1, -7: -1}
+    assert verify._laurent_product(d_prs, unit) == verify._laurent_product(_W, d_prs)
+    # M_{1,2} x M_{1,2} = 2 M_{1,1} + M_{0,1} + M_{2,1} at p = 2: both sides
+    # are w^4 - 2 + w^-4
+    square = verify._laurent_product(
+        grothendieck_class(P2, simple(P2, 1, 2)), grothendieck_class(P2, simple(P2, 1, 2))
+    )
+    assert square == {4: 1, 0: -2, -4: 1}
+    total = FormalSum(
         [(simple(P2, 1, 1), 2), (simple(P2, 0, 1), 1), (simple(P2, 2, 1), 1)]
     )
+    assert verify._laurent_product(_W, grothendieck_class(P2, total)) == square
 
 
 @given(params_st, st.data())
@@ -283,10 +293,9 @@ def test_grothendieck_commutes_with_fusion(pair, data):
     kind = data.draw(st.sampled_from(("M", "P")))
     sb = data.draw(st.integers(min_value=1, max_value=params.p))
     b = simple(params, rb, sb) if kind == "M" else projective(params, rb, sb)
-    lhs = composition_factors(params, fuse(params, a, b))
-    rhs = grothendieck_product(params, a, b)
-    assert lhs == rhs
-    assert rhs == grothendieck_product(params, b, a)
+    rhs = verify._laurent_product(grothendieck_class(params, a), grothendieck_class(params, b))
+    assert verify._laurent_product(_W, grothendieck_class(params, fuse(params, a, b))) == rhs
+    assert verify._laurent_product(_W, grothendieck_class(params, fuse(params, b, a))) == rhs
 
 
 def test_grothendieck_check_catches_a_wrong_fuse_mm(monkeypatch):
