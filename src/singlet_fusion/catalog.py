@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from .labels import Params, _check_ints, _check_s, alpha_coordinate, weight
 
@@ -491,20 +491,18 @@ def virasoro_decomposition(
 RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 
-def _identity(n: int) -> RationalMatrix:
+def _toeplitz(coeffs: Sequence[Fraction]) -> RationalMatrix:
+    """The matrix of ``sum_d coeffs[d] N^d``, ``N`` the ``len(coeffs)``-square
+    unit-superdiagonal nilpotent: upper-triangular Toeplitz."""
+    n = len(coeffs)
     return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+        tuple(Fraction(coeffs[j - i] if j >= i else 0) for j in range(n)) for i in range(n)
     )
 
 
-def _scale(c: Fraction, a: RationalMatrix) -> RationalMatrix:
-    return tuple(tuple(c * e for e in row) for row in a)
-
-
-def _add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+def _times_linear(c: List[int], a0: int) -> List[int]:
+    """``c (a0 + 2N)`` for a polynomial ``c`` in ``N``, truncated at ``N^len(c) = 0``."""
+    return [a0 * c[0]] + [a0 * c[d] + 2 * c[d - 1] for d in range(1, len(c))]
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -547,16 +545,11 @@ def jordan_fock_matrices(
         raise ValueError(f"Jordan Fock matrices need n >= 2, got {n}")
     p = params.p
     k = alpha_coordinate(params, r, p)
-    a = tuple(
-        tuple(
-            Fraction(k) if i == j else (Fraction(2) if j == i + 1 else Fraction(0))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    l0 = _add(_scale(Fraction(1, 4 * p), matmul(a, a)), _scale(Fraction(-(p - 1), 2 * p), a))
-    h0 = _identity(n)
-    for j in range(2 * p - 1):
-        h0 = matmul(h0, _add(a, _scale(Fraction(-j), _identity(n))))
-    h0 = _scale(Fraction(1, math.factorial(2 * p - 1)), h0)
-    return a, l0, h0
+    # A, A^2 and (2p - 1)! H0 as integer polynomials in N, with N^n = 0
+    a = [k, 2] + [0] * (n - 2)
+    l0 = [Fraction(x, 4 * p) - Fraction((p - 1) * y, 2 * p) for x, y in zip(_times_linear(a, k), a)]
+    h0 = [1] + [0] * (n - 1)
+    for j in range(2 * p - 1):  # A (A - 1) ... (A - 2p + 2)
+        h0 = _times_linear(h0, k - j)
+    fact = math.factorial(2 * p - 1)
+    return _toeplitz(a), _toeplitz(l0), _toeplitz([Fraction(x, fact) for x in h0])

@@ -12,10 +12,10 @@ Fock labels take a third component, ``FJ:r,s,n``).  Output is JSON on
 stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
 to stderr.  Exit codes: 0 success, 2 usage or validation failure
 (including an ``--out`` path that cannot be written, a ``table`` with
-``--rmin`` above ``--rmax``, a ``table`` or a ``verify`` fusion window of
-more than ``verify.MAX_FUSION_PAIRS`` ordered pairs, and any other ``verify``
-label window of more than that many labels), 3 verification failure or
-engine mismatch.
+``--rmin`` above ``--rmax``, and a request over ``verify.MAX_FUSION_PAIRS``:
+``table`` rows and ``verify`` fusion pairs, the triplet suite's W/R label
+pairs at any ``--rwin`` (from p = 250), and the triplet, catalog and labels
+suites' window labels; bpz has no cap), 3 verification failure or engine mismatch.
 Runs are deterministic: row order is lexicographic, JSON keys are sorted,
 and nothing is randomized.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import catalog, fusion_closed, fusion_oracle, triplet, verify
 from .catalog import FormalSum, Indecomposable
@@ -77,45 +77,46 @@ def _json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _fuse_with_engine(
+def _report(args: argparse.Namespace, doc: Dict[str, object]) -> None:
+    """Emit ``doc`` as JSON, stamped with the schema and the command."""
+    doc.update(schema=SCHEMA, command=args.command)
+    _emit(_json(doc), args.out)
+
+
+def _products(
     params: Params, engine: str, left: Indecomposable, right: Indecomposable
-) -> Tuple[FormalSum, Optional[FormalSum]]:
-    closed = oracle = None
-    if engine in ("closed", "both"):
-        closed = fusion_closed.fuse(params, left, right)
-    if engine in ("oracle", "both"):
-        oracle = fusion_oracle.oracle_fuse(params, left, right)
-    return closed, oracle
+) -> List[FormalSum]:
+    """The product by each engine ``engine`` names, the closed form first."""
+    products = []
+    if engine != "oracle":
+        products.append(fusion_closed.fuse(params, left, right))
+    if engine != "closed":
+        products.append(fusion_oracle.oracle_fuse(params, left, right))
+    return products
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     params = Params(args.p)
     left = parse_label(params, args.left)
     right = parse_label(params, args.right)
-    closed, oracle = _fuse_with_engine(params, args.engine, left, right)
-    primary = closed if closed is not None else oracle
+    products = _products(params, args.engine, left, right)
+    primary, match = products[0], products[0] == products[-1]
     doc = {
-        "schema": SCHEMA,
-        "command": "fuse",
         "p": args.p,
         "engine": args.engine,
         "left": str(left),
         "right": str(right),
         "terms": [_term_dict(lab, mult) for lab, mult in primary],
     }
-    code = EXIT_OK
     if args.engine == "both":
-        match = closed == oracle
-        doc["oracle_terms"] = [_term_dict(lab, mult) for lab, mult in oracle]
+        doc["oracle_terms"] = [_term_dict(lab, mult) for lab, mult in products[-1]]
         doc["match"] = match
-        if not match:
-            code = EXIT_VERIFY
-    _emit(_json(doc), args.out)
-    return code
+    _report(args, doc)
+    return EXIT_OK if match else EXIT_VERIFY
 
 
 def _table_labels(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
-    """Every simple and projective label with ``rmin <= r <= rmax``, sorted.
+    """:func:`.verify.label_window`, sorted.
 
     Raises ``ValueError`` before building any label when ``rmin > rmax`` or
     the table would have more rows (ordered pairs) than
@@ -129,16 +130,7 @@ def _table_labels(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
         raise ValueError(
             f"table would have {count * count} rows, more than {cap}; narrow --rmin/--rmax"
         )
-    labels = [
-        catalog.simple(params, r, s)
-        for r in range(rmin, rmax + 1)
-        for s in range(1, params.p + 1)
-    ] + [
-        catalog.projective(params, r, s)
-        for r in range(rmin, rmax + 1)
-        for s in range(1, params.p)
-    ]
-    return sorted(labels)
+    return sorted(verify.label_window(params, rmin, rmax))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -147,28 +139,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []
     mismatches = 0
     for left, right in ((a, b) for a in labels for b in labels):
-        closed, oracle = _fuse_with_engine(params, args.engine, left, right)
-        primary = closed if closed is not None else oracle
+        products = _products(params, args.engine, left, right)
+        primary, match = products[0], products[0] == products[-1]
         row = {
             "left": str(left),
             "right": str(right),
             "result": str(primary),
         }
         if args.engine == "both":
-            row["match"] = closed == oracle
-            mismatches += closed != oracle
+            row["match"] = match
+            mismatches += not match
         rows.append(row)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "table",
-            "p": args.p,
-            "engine": args.engine,
-            "rows": rows,
-        }
+        doc = {"p": args.p, "engine": args.engine, "rows": rows}
         if args.engine == "both":
             doc["mismatches"] = mismatches
-        _emit(_json(doc), args.out)
+        _report(args, doc)
     else:
         header = ["left", "right", "result"] + (
             ["match"] if args.engine == "both" else []
@@ -205,13 +191,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             total_checks += checks
             total_failures += len(failures)
     doc = {
-        "schema": SCHEMA,
-        "command": "verify",
         "suites": suites_doc,
         "total_checks": total_checks,
         "total_failures": total_failures,
     }
-    _emit(_json(doc), args.out)
+    _report(args, doc)
     return EXIT_VERIFY if total_failures else EXIT_OK
 
 
@@ -220,15 +204,13 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     label = parse_label(params, args.label)
     induced = triplet.induce(params, label)
     doc = {
-        "schema": SCHEMA,
-        "command": "induce",
         "p": args.p,
         "input": str(label),
         "kind": induced.kind,
         "rbar": induced.rbar,
         "s": induced.s,
     }
-    _emit(_json(doc), args.out)
+    _report(args, doc)
     return EXIT_OK
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import bpz, catalog, fusion_closed, fusion_oracle, triplet
 from .catalog import FormalSum
 from .labels import (
     Params,
+    _check_ints,
     alpha_coordinate,
     fock_weight,
     lowest_weight_of_simple,
@@ -27,6 +28,7 @@ from .labels import (
 __all__ = [
     "SUITES",
     "run_suites",
+    "label_window",
     "fusion_suite",
     "triplet_suite",
     "bpz_suite",
@@ -36,16 +38,15 @@ __all__ = [
 
 Result = Tuple[int, List[str]]
 
-#: Most ordered label pairs :func:`fusion_suite` will check at one p, most
-#: rows ``cli`` ``table`` will build (a row is one ordered pair), and most
-#: labels, ``(2 rwin + 1)(2p - 1)``, any windowed suite will take.  The
-#: fusion suite's loops walk all ``((2 rwin + 1)(2p - 1))^2`` ordered pairs
-#: of the window: at p = 6, ``--rwin 1000`` would be about 4.8e8 of them,
-#: enough to exhaust memory.  The other suites grow linearly in ``rwin``
-#: (``labels`` took 2.4 s at p = 6, ``--rwin 2000``), so an unbounded window
-#: would run for days.  Table rows stay in memory until output: at p = 6,
-#: 245 025 rows took 5 s and 178 MB peak RSS.  The largest benchmarked
-#: window has 3 025 pairs, the largest benchmarked table 9 801 rows.
+#: Most items one suite walks at one p (:func:`_check_window` says which),
+#: and most rows ``cli`` ``table`` builds (one per ordered pair).  Unbounded,
+#: the fusion suite's ``((2 rwin + 1)(2p - 1))^2`` ordered pairs would exhaust
+#: memory (4.8e8 at p = 6, ``--rwin 1000``); the triplet suite's ``(2p + 2)^2``
+#: W/R label pairs, whatever ``rwin`` is, take time about as p^2.7 (17 s at
+#: p = 80); the window's ``(2 rwin + 1)(2p - 1)`` labels would run for days
+#: (``labels`` took 2.4 s at p = 6, ``--rwin 2000``).  At p = 6, 245 025 table
+#: rows took 5 s and 178 MB peak RSS.  The largest benchmarked window has
+#: 3 025 pairs, the largest benchmarked table 9 801 rows.
 MAX_FUSION_PAIRS = 250_000
 
 
@@ -64,47 +65,39 @@ class _Recorder:
         return self.checks, self.failures
 
 
-def _check_rwin(rwin: int, params: Optional[Params] = None) -> None:
-    """Reject a negative window and, given ``params``, a label window with
-    more than ``MAX_FUSION_PAIRS`` labels; every suite calls this first."""
+def _check_window(params: Params, rwin: int, suite: str) -> None:
+    """Reject a non-``int`` or negative ``rwin``, and any ``suite`` over ``MAX_FUSION_PAIRS``,
+    before any label is built: ``fusion`` counts ordered label pairs, ``triplet``
+    its W/R label pairs and then labels, ``catalog`` and ``labels`` labels, ``bpz`` nothing."""
+    _check_ints("rwin", rwin)
     if rwin < 0:
         raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
-    if params is None:
+    if suite == "bpz":
         return
-    labels = (2 * rwin + 1) * (2 * params.p - 1)
+    p = params.p
+    if suite == "triplet" and (2 * p + 2) ** 2 > MAX_FUSION_PAIRS:
+        raise ValueError(
+            f"triplet suite at p={p} has {(2 * p + 2) ** 2} W/R label pairs, "
+            f"more than {MAX_FUSION_PAIRS}, for any --rwin"
+        )
+    labels = (2 * rwin + 1) * (2 * p - 1)
+    if suite == "fusion" and labels * labels > MAX_FUSION_PAIRS:
+        raise ValueError(
+            f"fusion window at p={p}, rwin={rwin} has {labels * labels} ordered pairs, "
+            f"more than {MAX_FUSION_PAIRS}; narrow --rwin"
+        )
     if labels > MAX_FUSION_PAIRS:
         raise ValueError(
-            f"label window at p={params.p}, rwin={rwin} has {labels} labels, "
+            f"label window at p={p}, rwin={rwin} has {labels} labels, "
             f"more than {MAX_FUSION_PAIRS}; narrow --rwin"
         )
 
 
-def _check_fusion_window(params: Params, rwin: int) -> None:
-    """Reject a window that is negative or has more than ``MAX_FUSION_PAIRS``
-    ordered pairs, before any label is built.  The pair cap implies the
-    label cap, so only the sign goes through :func:`_check_rwin`."""
-    _check_rwin(rwin)
-    pairs = ((2 * rwin + 1) * (2 * params.p - 1)) ** 2
-    if pairs > MAX_FUSION_PAIRS:
-        raise ValueError(
-            f"fusion window at p={params.p}, rwin={rwin} has {pairs} ordered pairs, "
-            f"more than {MAX_FUSION_PAIRS}; narrow --rwin"
-        )
-
-
-def _simples(params: Params, rwin: int) -> List[catalog.Indecomposable]:
-    return [
-        catalog.simple(params, r, s)
-        for r in range(-rwin, rwin + 1)
-        for s in range(1, params.p + 1)
-    ]
-
-
-def _projectives(params: Params, rwin: int) -> List[catalog.Indecomposable]:
-    return [
-        catalog.projective(params, r, s)
-        for r in range(-rwin, rwin + 1)
-        for s in range(1, params.p)
+def label_window(params: Params, rmin: int, rmax: int) -> List[catalog.Indecomposable]:
+    """Every simple label, then every projective label, with ``rmin <= r <= rmax``."""
+    rs = range(rmin, rmax + 1)
+    return [catalog.simple(params, r, s) for r in rs for s in range(1, params.p + 1)] + [
+        catalog.projective(params, r, s) for r in rs for s in range(1, params.p)
     ]
 
 
@@ -125,10 +118,9 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
     with ``D`` :func:`.catalog.grothendieck_class`) and, except for
     ``M x P`` (which the oracle reads as ``P x M``), agreement with the oracle.
     """
-    _check_fusion_window(params, rwin)
+    _check_window(params, rwin, "fusion")
     rec = _Recorder()
-    simples = _simples(params, rwin)
-    labels = simples + _projectives(params, rwin)
+    labels = label_window(params, -rwin, rwin)
     classes = {x: catalog.grothendieck_class(params, x) for x in labels}
 
     unit = catalog.simple(params, 1, 1)
@@ -156,7 +148,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
                 ab == oracle,
                 lambda: f"oracle mismatch at {a} x {b}: closed {ab} vs oracle {oracle}",
             )
-    for a in simples:
+    for a in labels[: (2 * rwin + 1) * params.p]:  # the simples
         d = catalog.dual(params, a)
         product = fusion_closed.fuse(params, a, d)
         expected = (
@@ -181,7 +173,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
 
 def triplet_suite(params: Params, rwin: int = 3) -> Result:
     """Generator agreement, preimage independence, exactness bookkeeping."""
-    _check_rwin(rwin, params)
+    _check_window(params, rwin, "triplet")
     rec = _Recorder()
     p = params.p
     w21 = triplet.simple_w(params, 2, 1)
@@ -279,9 +271,8 @@ def _catalog_labels(params: Params, rwin: int) -> Iterator[catalog.Indecomposabl
 
 def catalog_suite(params: Params, rwin: int = 4) -> Result:
     """Normalization, Loewy flattening, duals, and Jordan Fock structure."""
-    _check_rwin(rwin, params)
+    _check_window(params, rwin, "catalog")
     rec = _Recorder()
-    p = params.p
     for x in _catalog_labels(params, rwin):
         rec.check(
             catalog.normalize(params, x) == x,
@@ -306,12 +297,10 @@ def catalog_suite(params: Params, rwin: int = 4) -> Result:
                 (d == x) == (x.r == 1),
                 lambda: f"dual fixed-point criterion failed at {x}",
             )
-    for r in range(-rwin, rwin + 1):
-        for s in range(1, p):
+        if x.kind == catalog.PROJECTIVE:
             rec.check(
-                catalog.composition_factors(params, catalog.projective(params, r, s)).total()
-                == 4,
-                lambda: f"projective length != 4 at P:{r},{s}",
+                catalog.composition_factors(params, x).total() == 4,
+                lambda: f"projective length != 4 at {x}",
             )
     for r in (-1, 0, 1, 2):
         for n in (2, 3):
@@ -335,7 +324,7 @@ def catalog_suite(params: Params, rwin: int = 4) -> Result:
 
 def labels_suite(params: Params, rwin: int = 4) -> Result:
     """Weight identities: periodicity, Fock consistency, congruence, bound."""
-    _check_rwin(rwin, params)
+    _check_window(params, rwin, "labels")
     rec = _Recorder()
     p = params.p
     for r in range(-rwin, rwin + 1):
@@ -396,8 +385,7 @@ def _mat_commutes(a, b) -> bool:
 SUITES: Dict[str, Callable[[Params, int], Result]] = {
     "fusion": fusion_suite,
     "triplet": triplet_suite,
-    # no label window, so no label cap, but the same sign check as the others
-    "bpz": lambda params, rwin: _check_rwin(rwin) or bpz_suite(params),
+    "bpz": lambda params, rwin: _check_window(params, rwin, "bpz") or bpz_suite(params),
     "catalog": catalog_suite,
     "labels": labels_suite,
 }
@@ -418,9 +406,7 @@ def run_suites(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     every_p = [Params(p) for p in dict.fromkeys(p_values)]
-    windowed = any(name != "bpz" for name in names)
     for params in every_p:
-        if "fusion" in names:  # the stricter check, so its message comes first
-            _check_fusion_window(params, rwin)
-        _check_rwin(rwin, params if windowed else None)
+        for name in names:
+            _check_window(params, rwin, name)
     return {name: {params.p: SUITES[name](params, rwin) for params in every_p} for name in names}

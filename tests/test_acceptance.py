@@ -289,12 +289,11 @@ def test_criterion_09_jordan_fock_structure():
         for r in (-1, 0, 1, 2):
             for n in (2, 3):
                 a, l0, h0 = jordan_fock_matrices(params, r, n)
-                ident = catalog._identity(n)
                 if catalog.matmul(l0, h0) != catalog.matmul(h0, l0):
                     ok = False
                     details.append(f"commutator p={p} r={r} n={n}")
                 if r != 1:
-                    nil = catalog._add(l0, catalog._scale(-l0[0][0], ident))
+                    nil = _minus_scalar(l0, l0[0][0])
                     if _is_scalar(l0) or not all(
                         nil[i][i + 1] != 0 for i in range(n - 1)
                     ):
@@ -305,11 +304,9 @@ def test_criterion_09_jordan_fock_structure():
                     ok = False
                     details.append(f"H0 p={p} n={n}")
                 k = alpha_coordinate(params, 1, p)
-                nilp = catalog._scale(
-                    Fraction(1, 2), catalog._add(a, catalog._scale(Fraction(-k), ident))
-                )
+                nilp = _scaled(Fraction(1, 2), _minus_scalar(a, k))
                 h = weight(params, 1, p)
-                if catalog._add(l0, catalog._scale(-h, ident)) != catalog._scale(
+                if _minus_scalar(l0, h) != _scaled(
                     Fraction(1, p), catalog.matmul(nilp, nilp)
                 ):
                     ok = False
@@ -329,9 +326,7 @@ def test_criterion_09_jordan_fock_corrected_dichotomy():
             for n in (2, 3):
                 _, l0, h0 = jordan_fock_matrices(params, r, n)
                 ok &= catalog.matmul(l0, h0) == catalog.matmul(h0, l0)
-                nil = catalog._add(
-                    l0, catalog._scale(-l0[0][0], catalog._identity(n))
-                )
+                nil = _minus_scalar(l0, l0[0][0])
                 regular = all(nil[i][i + 1] != 0 for i in range(n - 1))
                 ok &= regular == (r != 1)  # L0 cyclic (indecomposable) iff r != 1
                 if r == 1:
@@ -379,6 +374,16 @@ def _is_scalar(m):
 
 def _is_zero(m):
     return all(e == 0 for row in m for e in row)
+
+
+def _minus_scalar(m, c):
+    """``m - c Id``."""
+    return tuple(tuple(e - c * (i == j) for j, e in enumerate(row)) for i, row in enumerate(m))
+
+
+def _scaled(c, m):
+    """``c m``."""
+    return tuple(tuple(c * e for e in row) for row in m)
 
 
 def _is_nilpotent(m):

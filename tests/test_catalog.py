@@ -487,6 +487,16 @@ def _is_zero(m):
     return all(e == 0 for row in m for e in row)
 
 
+def _minus_scalar(m, c):
+    """``m - c Id``."""
+    return tuple(tuple(e - c * (i == j) for j, e in enumerate(row)) for i, row in enumerate(m))
+
+
+def _scaled(c, m):
+    """``c m``."""
+    return tuple(tuple(c * e for e in row) for row in m)
+
+
 def _is_nilpotent(m):
     power = m
     for _ in range(len(m)):
@@ -524,22 +534,40 @@ def test_jordan_matrices_structure(p, r, n):
     if r != 1:
         # the Jordan block survives in L0: a full-rank nilpotent part
         assert not _is_scalar(l0)
-        off = catalog._add(l0, catalog._scale(-l0[0][0], catalog._identity(n)))
+        off = _minus_scalar(l0, l0[0][0])
         assert all(off[i][i + 1] != 0 for i in range(n - 1))
     else:
         assert _is_nilpotent(h0) and not _is_zero(h0)
         # at the critical point k = alpha_{1,p} the linear term vanishes but
         # the quadratic one does not: exactly L0 - h_{1,p} Id = N^2/p with
         # N = (A - k Id)/2, so the action stops being scalar once n >= 3
-        ident = catalog._identity(n)
         k = alpha_coordinate(params, 1, p)
-        nilp = catalog._scale(
-            Fraction(1, 2), catalog._add(a, catalog._scale(Fraction(-k), ident))
-        )
-        assert catalog._add(l0, catalog._scale(-weight(params, 1, p), ident)) == (
-            catalog._scale(Fraction(1, p), catalog.matmul(nilp, nilp))
+        nilp = _scaled(Fraction(1, 2), _minus_scalar(a, k))
+        assert _minus_scalar(l0, weight(params, 1, p)) == (
+            _scaled(Fraction(1, p), catalog.matmul(nilp, nilp))
         )
         assert _is_scalar(l0) == (n == 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_jordan_matrices_match_their_matrix_definitions(p):
+    # the reference: A = k Id + 2N, L0 = A^2/(4p) - (p-1)/(2p) A and
+    # H0 = binom(A, 2p-1), each built by exact matrix products
+    params = Params(p)
+    for r in (-1, 0, 1, 2):
+        for n in (2, 3, 4):
+            a, l0, h0 = jordan_fock_matrices(params, r, n)
+            two_n = tuple(tuple(Fraction(2 * (j == i + 1)) for j in range(n)) for i in range(n))
+            assert a == _minus_scalar(two_n, -alpha_coordinate(params, r, p))
+            quadratic = _scaled(Fraction(1, 4 * p), catalog.matmul(a, a))
+            linear = _scaled(Fraction(p - 1, 2 * p), a)
+            assert l0 == tuple(
+                tuple(x - y for x, y in zip(row_q, row_l)) for row_q, row_l in zip(quadratic, linear)
+            )
+            falling = a
+            for j in range(1, 2 * p - 1):
+                falling = catalog.matmul(falling, _minus_scalar(a, j))
+            assert h0 == _scaled(Fraction(1, math.factorial(2 * p - 1)), falling)
 
 
 def test_jordan_scalar_part_is_the_module_weight():

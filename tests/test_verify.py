@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from singlet_fusion import bpz, catalog, fusion_oracle, verify
+from singlet_fusion import bpz, catalog, fusion_oracle, triplet, verify
 from singlet_fusion.catalog import FormalSum
 from singlet_fusion.labels import Params
 
@@ -62,7 +62,7 @@ def test_fusion_window_cap_boundary(monkeypatch):
     # p = 6 has 11 labels per r: rwin 22 gives 495^2 = 245 025 ordered pairs,
     # rwin 23 gives 517^2 = 267 289
     assert verify.MAX_FUSION_PAIRS == 250_000
-    verify._check_fusion_window(Params(6), 22)
+    verify._check_window(Params(6), 22, "fusion")
 
     def no_labels(*args):
         raise AssertionError("a label was built")
@@ -87,7 +87,7 @@ def test_run_suites_checks_every_fusion_window_first(monkeypatch):
 def test_label_window_cap_boundary(monkeypatch):
     # p = 6 has 11 labels per r: rwin 11 363 gives 22 727 * 11 = 249 997 labels,
     # rwin 11 364 gives 22 729 * 11 = 250 019; the linear suites stop there too
-    verify._check_rwin(11_363, Params(6))
+    verify._check_window(Params(6), 11_363, "labels")
     for name in ("triplet", "catalog", "labels"):
         with pytest.raises(ValueError, match="p=6, rwin=11364 has 250019 labels"):
             verify.SUITES[name](Params(6), 11_364)
@@ -98,6 +98,45 @@ def test_label_window_cap_boundary(monkeypatch):
     monkeypatch.setitem(verify.SUITES, "labels", no_suite)
     with pytest.raises(ValueError, match="p=6, rwin=11364 has 250019 labels"):
         verify.run_suites(["labels"], [2, 6], rwin=11_364)
+
+
+def test_triplet_pair_cap_boundary(monkeypatch):
+    # the triplet suite walks (2p + 2)^2 W/R label pairs whatever rwin is:
+    # p = 249 gives 500^2 = 250 000, p = 250 gives 502^2 = 252 004
+    verify._check_window(Params(249), 0, "triplet")
+
+    def no_labels(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(triplet, "simple_w", no_labels)
+    message = "triplet suite at p=250 has 252004 W/R label pairs, more than 250000"
+    with pytest.raises(ValueError, match=message) as info:
+        verify.triplet_suite(Params(250), 0)
+    assert "narrow --rwin" not in str(info.value)
+    with pytest.raises(ValueError, match=message):
+        verify.run_suites(["triplet"], [2, 250], rwin=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify.run_suites(["labels"], [2], rwin=True),
+        lambda: verify.run_suites(["labels"], [2], rwin=1.0),
+        lambda: verify.SUITES["bpz"](Params(2), 2.5),
+    ],
+)
+def test_non_int_windows_are_rejected(call):
+    with pytest.raises(TypeError, match="rwin .* is not an int"):
+        call()
+
+
+def test_label_window_lists_simples_then_projectives():
+    params = Params(3)
+    labels = verify.label_window(params, -1, 2)
+    assert labels == [
+        catalog.simple(params, r, s) for r in range(-1, 3) for s in (1, 2, 3)
+    ] + [catalog.projective(params, r, s) for r in range(-1, 3) for s in (1, 2)]
+    assert verify.label_window(params, 1, 0) == []
 
 
 def test_run_suites_rejects_a_bad_p_before_any_suite(monkeypatch):
