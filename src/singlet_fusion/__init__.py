@@ -27,6 +27,7 @@ from .catalog import (
     Indecomposable,
     NotNormalForm,
     UnsupportedFusion,
+    UnsupportedOperation,
     composition_factors,
     dual,
     fock,
@@ -65,6 +66,7 @@ __all__ = [
     "FormalSum",
     "TripletIndec",
     "UnsupportedFusion",
+    "UnsupportedOperation",
     "NotNormalForm",
     "NegativeMultiplicityError",
     "simple",

@@ -15,7 +15,9 @@ to stderr.  Exit codes: 0 success, 2 usage or validation failure
 ``--rmin`` above ``--rmax``, and a request over ``verify.MAX_FUSION_PAIRS``:
 ``table`` rows and ``verify`` fusion pairs, the triplet suite's W/R label
 pairs at any ``--rwin`` (from p = 250), and the triplet, catalog and labels
-suites' window labels; bpz has no cap), 3 verification failure or engine mismatch.
+suites' window labels; bpz has no window cap but refuses p above 10 000 000,
+where float rounding reaches its residual gates), 3 verification failure or
+engine mismatch.
 Runs are deterministic: row order is lexicographic, JSON keys are sorted,
 and nothing is randomized.
 """
@@ -116,7 +118,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _table_labels(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
-    """:func:`.verify.label_window`, sorted.
+    """:func:`.verify.label_window`, which is already in label order.
 
     Raises ``ValueError`` before building any label when ``rmin > rmax`` or
     the table would have more rows (ordered pairs) than
@@ -130,7 +132,7 @@ def _table_labels(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
         raise ValueError(
             f"table would have {count * count} rows, more than {cap}; narrow --rmin/--rmax"
         )
-    return sorted(verify.label_window(params, rmin, rmax))
+    return verify.label_window(params, rmin, rmax)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

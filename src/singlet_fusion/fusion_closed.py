@@ -1,10 +1,11 @@
 """Closed-form fusion products of singlet indecomposables.
 
 The three general product formulas (simple x simple, projective x simple,
-projective x projective) are transcribed directly; every sum is over an
-integer window with a parity constraint, and is empty whenever its lower
-bound exceeds its upper bound.  ``P(r, p)`` normalizes to ``M(r, p)`` inside
-every sum, so the formulas compose without case splits.
+projective x projective) are transcribed directly, as data: each is a short
+list of sums over an integer window ``l = lo..hi`` with a parity constraint,
+all built by one rule (``_window``), and empty whenever ``lo > hi``.
+``P x P`` reuses the three windows of ``P x M``.  ``P(r, p)`` normalizes to
+``M(r, p)`` inside every sum, so the formulas compose without case splits.
 
 The formulas depend on ``r`` and ``r'`` only through ``r + r'``: the simple
 currents ``M_{2n+1,1}`` and ``M_{2,1}`` act on every label as a plain shift
@@ -13,7 +14,7 @@ template), and every other product is that template shifted by
 ``r + r' - 2`` through :func:`.catalog.shift_r`.  :func:`fuse` is the one
 entry point: it checks each operand once, reads ``M x P`` as ``P x M``, and
 shifts the template of the pair once.  The templates are memoized
-in ``_template`` by ``(params, form, s, s')``, with ``s <= s'`` for the
+in ``_template`` by ``(params, kind pair, s, s')``, with ``s <= s'`` for the
 symmetric ``M x M`` and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever
 ``r`` the callers use.  The memo holds at most 1 024 templates (LRU), each
 of at most ``3p/2 + 2`` distinct terms, so it stays bounded when a caller
@@ -42,41 +43,36 @@ from .catalog import (
     Indecomposable,
     UnsupportedFusion,
     _check_normal_form,
+    _label,
     _pairs,
     _SumLike,
-    projective,
     shift_r,
-    simple,
 )
 from .labels import Params
 
 __all__ = ["fuse"]
 
-#: The closed form of each kind pair, once ``M x P`` has been turned into ``P x M``.
-_FORMS = {(SIMPLE, SIMPLE): "mm", (PROJECTIVE, SIMPLE): "pm", (PROJECTIVE, PROJECTIVE): "pp"}
+_Window = Tuple[str, range, Tuple[int, ...]]
 
 
-def _mm_terms(params: Params, s: int, t: int) -> List[Indecomposable]:
-    """Summands of ``M_{1,s} x M_{1,t}``.
+def _window(lo: int, hi: int, parity: int) -> range:
+    """The values ``l = lo..hi`` with ``l + parity`` odd; empty when ``lo > hi``."""
+    return range(lo + (lo + parity + 1) % 2, hi + 1, 2)
+
+
+def _windows(p: int, kinds: Tuple[str, str], s: int, t: int) -> List[_Window]:
+    """The sums that make up the product of the ``r = 1`` labels of ``kinds``
+    with ``s`` and ``t``, ``M x P`` read as ``P x M``.
+
+    Each sum is ``(kind, window, rs)``: for each ``l`` in the window, one
+    ``kind_{r,l}`` for each ``r`` in ``rs`` (repeats add).  At ``r = r' = 1``
+    the ``rs`` ``(1,)``, ``(2, 0)`` and ``(3, 1, 1, -1)`` are ``P_{1,l}``,
+    ``P_{2,l} + P_{0,l}`` and ``P_{3,l} + 2 P_{1,l} + P_{-1,l}``.
 
     The general product ``M_{r,s} x M_{r',s'}`` is a simple part
     ``M_{r+r'-1, l}`` for ``l = |s-s'|+1 .. min(s+s'-1, 2p-1-s-s')`` and a
     projective part ``P_{r+r'-1, l}`` for ``l = 2p+1-s-s' .. p``; both with
     ``l + s + s'`` odd.
-    """
-    p = params.p
-    out = []
-    for ell in range(abs(s - t) + 1, min(s + t - 1, 2 * p - 1 - s - t) + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(simple(params, 1, ell))
-    for ell in range(2 * p + 1 - s - t, p + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, 1, ell))
-    return out
-
-
-def _pm_windows(params: Params, s: int, t: int) -> List[Indecomposable]:
-    """Summands of ``P_{1,s} x M_{1,t}``, repeats included.
 
     The general product ``P_{r,s} x M_{r',s'}`` (``1 <= s <= p-1``) has three
     windows, all projective (modulo ``P(., p) = M(., p)``):
@@ -84,28 +80,10 @@ def _pm_windows(params: Params, s: int, t: int) -> List[Indecomposable]:
     ``l = 2p+1-s-s' .. p`` (both with ``l+s+s'`` odd), plus
     ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p+s-s'+1 .. p`` with
     ``l+p+s+s'`` odd.
-    """
-    p = params.p
-    out = []
-    for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, 1, ell))
-    for ell in range(2 * p + 1 - s - t, p + 1):
-        if (ell + s + t) % 2 == 1:
-            out.append(projective(params, 1, ell))
-    for ell in range(p + s - t + 1, p + 1):
-        if (ell + p + s + t) % 2 == 1:
-            out.append(projective(params, 2, ell))
-            out.append(projective(params, 0, ell))
-    return out
-
-
-def _pp_pairs(params: Params, s: int, t: int) -> List[Tuple[Indecomposable, int]]:
-    """``(summand, multiplicity)`` pairs of ``P_{1,s} x P_{1,t}``, repeats included.
 
     The general product ``P_{r,s} x P_{r',s'}`` (``1 <= s, s' <= p-1``) has
-    six windows: twice the three windows of :func:`_pm_windows`, plus the
-    three extra windows
+    six windows: twice the three windows of ``P x M``, plus the three extra
+    windows
 
     * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = |s+s'-p|+1 .. min(s-s'+p-1, p)``,
     * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p-s+s'+1 .. p``
@@ -115,32 +93,34 @@ def _pp_pairs(params: Params, s: int, t: int) -> List[Tuple[Indecomposable, int]
 
     Symmetric under swapping the two factors.
     """
-    p = params.p
-    pairs = [(label, 2) for label in _pm_windows(params, s, t)]
-    for ell in range(abs(s + t - p) + 1, min(s - t + p - 1, p) + 1):
-        if (ell + p + s + t) % 2 == 1:
-            pairs.append((projective(params, 2, ell), 1))
-            pairs.append((projective(params, 0, ell), 1))
-    for ell in range(p - s + t + 1, p + 1):
-        if (ell + p + s + t) % 2 == 1:
-            pairs.append((projective(params, 2, ell), 1))
-            pairs.append((projective(params, 0, ell), 1))
-    for ell in range(s + t + 1, p + 1):
-        if (ell + s + t) % 2 == 1:
-            pairs.append((projective(params, 3, ell), 1))
-            pairs.append((projective(params, 1, ell), 2))
-            pairs.append((projective(params, -1, ell), 1))
-    return pairs
+    if kinds == (SIMPLE, SIMPLE):
+        return [
+            (SIMPLE, _window(abs(s - t) + 1, min(s + t - 1, 2 * p - 1 - s - t), s + t), (1,)),
+            (PROJECTIVE, _window(2 * p + 1 - s - t, p, s + t), (1,)),
+        ]
+    if kinds == (PROJECTIVE, SIMPLE):
+        return [
+            (PROJECTIVE, _window(abs(s - t) + 1, min(s + t - 1, p), s + t), (1,)),
+            (PROJECTIVE, _window(2 * p + 1 - s - t, p, s + t), (1,)),
+            (PROJECTIVE, _window(p + s - t + 1, p, p + s + t), (2, 0)),
+        ]
+    pm = _windows(p, (PROJECTIVE, SIMPLE), s, t)
+    return [(kind, ells, rs * 2) for kind, ells, rs in pm] + [
+        (PROJECTIVE, _window(abs(s + t - p) + 1, min(s - t + p - 1, p), p + s + t), (2, 0)),
+        (PROJECTIVE, _window(p - s + t + 1, p, p + s + t), (2, 0)),
+        (PROJECTIVE, _window(s + t + 1, p, s + t), (3, 1, 1, -1)),
+    ]
 
 
 @lru_cache(maxsize=1024)
-def _template(params: Params, form: str, s: int, t: int) -> FormalSum:
-    """The product ``form`` of the two ``r = 1`` labels with ``s`` and ``t``."""
-    if form == "mm":
-        return FormalSum.of(*_mm_terms(params, s, t))
-    if form == "pm":
-        return FormalSum.of(*_pm_windows(params, s, t))
-    return FormalSum(_pp_pairs(params, s, t))
+def _template(params: Params, kinds: Tuple[str, str], s: int, t: int) -> FormalSum:
+    """The product of the two ``r = 1`` labels of ``kinds`` with ``s`` and ``t``."""
+    return FormalSum(
+        (_label(params, kind, r, ell), 1)
+        for kind, ells, rs in _windows(params.p, kinds, s, t)
+        for ell in ells
+        for r in rs
+    )
 
 
 def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSum:
@@ -148,12 +128,11 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
     _check_normal_form(params, y, "fuse")
     if x.kind == SIMPLE and y.kind == PROJECTIVE:
         x, y = y, x
-    form = _FORMS.get((x.kind, y.kind))
-    if form is not None:
+    if x.kind in (SIMPLE, PROJECTIVE) and y.kind in (SIMPLE, PROJECTIVE):
         s, t = x.s, y.s
-        if form != "pm" and t < s:  # M x M and P x P are symmetric
+        if x.kind == y.kind and t < s:  # M x M and P x P are symmetric
             s, t = t, s
-        return shift_r(params, _template(params, form, s, t), x.r + y.r - 2)
+        return shift_r(params, _template(params, (x.kind, y.kind), s, t), x.r + y.r - 2)
     if JORDAN_FOCK in (x.kind, y.kind):
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
     # exactly one side is a Fock module: the odd simple current M(2n+1, 1)
@@ -171,8 +150,8 @@ def fuse(params: Params, a: _SumLike, b: _SumLike) -> FormalSum:
 
     Each term pair is checked once; ``M x P`` is read as ``P x M``, and the
     ``M x M``, ``P x M`` and ``P x P`` products are their ``r = 1`` template
-    (:func:`_mm_terms`, :func:`_pm_windows`, :func:`_pp_pairs`) shifted by
-    ``r + r' - 2``.  Fock modules fuse only with odd simple currents; Jordan
+    (memoized by kind pair, built from the parity windows of ``_windows``)
+    shifted by ``r + r' - 2``.  Fock modules fuse only with odd simple currents; Jordan
     Fock labels never fuse.  A label not in normal form raises
     :class:`~.catalog.NotNormalForm`, any other pair :class:`UnsupportedFusion`.
     """

@@ -2,7 +2,10 @@
 
 Products are rebuilt from scratch with only three ingredients:
 
-1. the generator rules (:func:`fuse_generators`, defined here),
+1. the generator rules, defined here: each recursion step applies
+   ``_m12_terms``, the ``M_{1,2}`` row that :func:`fuse_generators`
+   returns, and the simple currents act as the shift :func:`.catalog.shift_r`
+   (the oracle never calls :func:`fuse_generators` itself),
 2. the column recursion
    ``X x M_{1,s+1} = M_{1,2} x (X x M_{1,s})  -  X x M_{1,s-1}``,
    which follows from ``M_{1,2} x M_{1,s} = M_{1,s-1} + M_{1,s+1}`` by

@@ -49,6 +49,12 @@ Result = Tuple[int, List[str]]
 #: 3 025 pairs, the largest benchmarked table 9 801 rows.
 MAX_FUSION_PAIRS = 250_000
 
+#: Largest p the bpz suite runs at.  Its residuals multiply f'' by p, so the
+#: float rounding in f'' shows in them as about 3e-16 p: 4.4e-9 at p = 10^7.
+#: A sweep of every 1 250th p from 10^6 first fails a 1e-8 gate at
+#: p = 19 268 750.
+_BPZ_MAX_P = 10_000_000
+
 
 class _Recorder:
     def __init__(self) -> None:
@@ -68,13 +74,19 @@ class _Recorder:
 def _check_window(params: Params, rwin: int, suite: str) -> None:
     """Reject a non-``int`` or negative ``rwin``, and any ``suite`` over ``MAX_FUSION_PAIRS``,
     before any label is built: ``fusion`` counts ordered label pairs, ``triplet``
-    its W/R label pairs and then labels, ``catalog`` and ``labels`` labels, ``bpz`` nothing."""
+    its W/R label pairs and then labels, ``catalog`` and ``labels`` labels.
+    ``bpz`` refuses any p above ``_BPZ_MAX_P`` before any series is built."""
     _check_ints("rwin", rwin)
     if rwin < 0:
         raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
-    if suite == "bpz":
-        return
     p = params.p
+    if suite == "bpz":
+        if p > _BPZ_MAX_P:
+            raise ValueError(
+                f"bpz suite needs p <= {_BPZ_MAX_P}, got p={p}: above that, float "
+                "rounding in its residuals reaches the 1e-8 gates"
+            )
+        return
     if suite == "triplet" and (2 * p + 2) ** 2 > MAX_FUSION_PAIRS:
         raise ValueError(
             f"triplet suite at p={p} has {(2 * p + 2) ** 2} W/R label pairs, "
@@ -94,7 +106,11 @@ def _check_window(params: Params, rwin: int, suite: str) -> None:
 
 
 def label_window(params: Params, rmin: int, rmax: int) -> List[catalog.Indecomposable]:
-    """Every simple label, then every projective label, with ``rmin <= r <= rmax``."""
+    """Every simple label, then every projective label, with ``rmin <= r <= rmax``.
+
+    Each kind is listed by ``r``, then ``s``, so the list is sorted in
+    :class:`~.catalog.Indecomposable` order (``M`` before ``P``, then ``r``, then ``s``).
+    """
     rs = range(rmin, rmax + 1)
     return [catalog.simple(params, r, s) for r in rs for s in range(1, params.p + 1)] + [
         catalog.projective(params, r, s) for r in rs for s in range(1, params.p)

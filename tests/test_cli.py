@@ -223,6 +223,17 @@ def test_verify_over_the_pair_cap_exits_2_before_any_label(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_verify_bpz_over_the_p_bound_exits_2(capsys, monkeypatch):
+    def no_series(p):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(cli.verify.bpz, "_frobenius", no_series)
+    code, out, err = run(capsys, "verify", "--suite", "bpz", "--p", "1000000000")
+    assert (code, out) == (2, "")
+    assert "bpz suite needs p <= 10000000, got p=1000000000" in err
+    assert "Traceback" not in err
+
+
 def test_run_suites_rejects_negative_rwin():
     with pytest.raises(ValueError, match="--rwin"):
         cli.verify.run_suites(["fusion", "triplet"], [3], rwin=-1)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from singlet_fusion import fusion_closed, verify
 from singlet_fusion.catalog import (
+    PROJECTIVE,
+    SIMPLE,
     FormalSum,
     Indecomposable,
     NotNormalForm,
@@ -22,6 +24,8 @@ from singlet_fusion.labels import Params
 
 P2 = Params(2)
 P3 = Params(3)
+
+MM, PM, PP = (SIMPLE, SIMPLE), (PROJECTIVE, SIMPLE), (PROJECTIVE, PROJECTIVE)
 
 params_st = st.integers(min_value=2, max_value=6).map(Params)
 r_st = st.integers(min_value=-4, max_value=4)
@@ -306,10 +310,10 @@ def test_grothendieck_check_catches_a_wrong_fuse_mm(monkeypatch):
     params = Params(4)
     right = fusion_closed._template
 
-    def wrong(params, form, s, t):
-        out = right(params, form, s, t)
+    def wrong(params, kinds, s, t):
+        out = right(params, kinds, s, t)
         simples = [lab for lab, _ in out if lab.kind == "M"]
-        if form != "mm" or not simples:
+        if kinds != (SIMPLE, SIMPLE) or not simples:
             return out
         top = max(simples, key=lambda lab: lab.s)
         return FormalSum((lab, m - (lab == top)) for lab, m in out)
@@ -377,29 +381,135 @@ def test_template_matches_the_products_at_r_one():
         for t in range(1, 6):
             a, b = simple(params, 1, s), simple(params, 1, t)
             lo, hi = min(s, t), max(s, t)
-            assert fuse(params, a, b) == fusion_closed._template(params, "mm", lo, hi)
+            assert fuse(params, a, b) == fusion_closed._template(params, MM, lo, hi)
             if s < 5:
                 pa = projective(params, 1, s)
-                assert fuse(params, pa, b) == fusion_closed._template(params, "pm", s, t)
+                assert fuse(params, pa, b) == fusion_closed._template(params, PM, s, t)
                 if t < 5:
                     pb = projective(params, 1, t)
                     got = fuse(params, pa, pb)
-                    assert got == fusion_closed._template(params, "pp", lo, hi)
+                    assert got == fusion_closed._template(params, PP, lo, hi)
 
 
 def test_memo_cannot_hide_a_broken_formula(monkeypatch):
-    # drop the last summand of every M x M template; with the memo cleared,
-    # the rebuilt templates carry the fault and the fusion suite sees it
-    right = fusion_closed._mm_terms
+    # drop the top l of the last window of every M x M template; with the
+    # memo cleared, the rebuilt templates carry the fault and the fusion
+    # suite sees it
+    right = fusion_closed._windows
 
-    def wrong(params, s, t):
-        return right(params, s, t)[:-1]
+    def wrong(p, kinds, s, t):
+        windows = right(p, kinds, s, t)
+        if kinds != MM:
+            return windows
+        *head, (kind, ells, rs) = windows
+        return head + [(kind, ells[:-1], rs)]
 
     fusion_closed._template.cache_clear()
     assert verify.fusion_suite(Params(4), 1)[1] == []
-    monkeypatch.setattr(fusion_closed, "_mm_terms", wrong)
+    monkeypatch.setattr(fusion_closed, "_windows", wrong)
     fusion_closed._template.cache_clear()
     checks, failures = verify.fusion_suite(Params(4), 1)
     fusion_closed._template.cache_clear()
     assert failures
     assert any(msg.startswith("oracle mismatch at M:") for msg in failures)
+
+
+# --- the window loops the templates replaced, kept as the reference -------------------
+
+
+def _mm_terms(params, s, t):
+    """Summands of ``M_{1,s} x M_{1,t}``.
+
+    The general product ``M_{r,s} x M_{r',s'}`` is a simple part
+    ``M_{r+r'-1, l}`` for ``l = |s-s'|+1 .. min(s+s'-1, 2p-1-s-s')`` and a
+    projective part ``P_{r+r'-1, l}`` for ``l = 2p+1-s-s' .. p``; both with
+    ``l + s + s'`` odd.
+    """
+    p = params.p
+    out = []
+    for ell in range(abs(s - t) + 1, min(s + t - 1, 2 * p - 1 - s - t) + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(simple(params, 1, ell))
+    for ell in range(2 * p + 1 - s - t, p + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, 1, ell))
+    return out
+
+
+def _pm_windows(params, s, t):
+    """Summands of ``P_{1,s} x M_{1,t}``, repeats included.
+
+    The general product ``P_{r,s} x M_{r',s'}`` (``1 <= s <= p-1``) has three
+    windows, all projective (modulo ``P(., p) = M(., p)``):
+    ``P_{r+r'-1, l}`` for ``l = |s-s'|+1 .. min(s+s'-1, p)`` and for
+    ``l = 2p+1-s-s' .. p`` (both with ``l+s+s'`` odd), plus
+    ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p+s-s'+1 .. p`` with
+    ``l+p+s+s'`` odd.
+    """
+    p = params.p
+    out = []
+    for ell in range(abs(s - t) + 1, min(s + t - 1, p) + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, 1, ell))
+    for ell in range(2 * p + 1 - s - t, p + 1):
+        if (ell + s + t) % 2 == 1:
+            out.append(projective(params, 1, ell))
+    for ell in range(p + s - t + 1, p + 1):
+        if (ell + p + s + t) % 2 == 1:
+            out.append(projective(params, 2, ell))
+            out.append(projective(params, 0, ell))
+    return out
+
+
+def _pp_pairs(params, s, t):
+    """``(summand, multiplicity)`` pairs of ``P_{1,s} x P_{1,t}``, repeats included.
+
+    The general product ``P_{r,s} x P_{r',s'}`` (``1 <= s, s' <= p-1``) has
+    six windows: twice the three windows of :func:`_pm_windows`, plus the
+    three extra windows
+
+    * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = |s+s'-p|+1 .. min(s-s'+p-1, p)``,
+    * ``P_{r+r', l} + P_{r+r'-2, l}`` for ``l = p-s+s'+1 .. p``
+      (both with ``l+p+s+s'`` odd),
+    * ``P_{r+r'+1, l} + 2 P_{r+r'-1, l} + P_{r+r'-3, l}`` for
+      ``l = s+s'+1 .. p`` with ``l+s+s'`` odd.
+
+    Symmetric under swapping the two factors.
+    """
+    p = params.p
+    pairs = [(label, 2) for label in _pm_windows(params, s, t)]
+    for ell in range(abs(s + t - p) + 1, min(s - t + p - 1, p) + 1):
+        if (ell + p + s + t) % 2 == 1:
+            pairs.append((projective(params, 2, ell), 1))
+            pairs.append((projective(params, 0, ell), 1))
+    for ell in range(p - s + t + 1, p + 1):
+        if (ell + p + s + t) % 2 == 1:
+            pairs.append((projective(params, 2, ell), 1))
+            pairs.append((projective(params, 0, ell), 1))
+    for ell in range(s + t + 1, p + 1):
+        if (ell + s + t) % 2 == 1:
+            pairs.append((projective(params, 3, ell), 1))
+            pairs.append((projective(params, 1, ell), 2))
+            pairs.append((projective(params, -1, ell), 1))
+    return pairs
+
+
+@pytest.mark.parametrize("p", range(2, 21))
+def test_templates_equal_the_window_loops(p):
+    # every key, both orders for M x M and P x P, against the loops above
+    params = Params(p)
+    fusion_closed._template.cache_clear()
+    for s in range(1, p + 1):
+        for t in range(1, p + 1):
+            assert fusion_closed._template(params, MM, s, t) == FormalSum.of(
+                *_mm_terms(params, s, t)
+            ), (s, t)
+            if s < p:
+                assert fusion_closed._template(params, PM, s, t) == FormalSum.of(
+                    *_pm_windows(params, s, t)
+                ), (s, t)
+                if t < p:
+                    assert fusion_closed._template(params, PP, s, t) == FormalSum(
+                        _pp_pairs(params, s, t)
+                    ), (s, t)
+    fusion_closed._template.cache_clear()

@@ -28,10 +28,10 @@ def _cold_memos():
 
 def _top_simple_dropped_from_mm(right):
     # one copy of the largest-s simple summand leaves every M x M template
-    def wrong(params, form, s, t):
-        out = right(params, form, s, t)
+    def wrong(params, kinds, s, t):
+        out = right(params, kinds, s, t)
         simples = [lab for lab, _ in out if lab.kind == catalog.SIMPLE]
-        if form != "mm" or not simples:
+        if kinds != (catalog.SIMPLE, catalog.SIMPLE) or not simples:
             return out
         top = max(simples, key=lambda lab: lab.s)
         return FormalSum((lab, m - (lab == top)) for lab, m in out)
@@ -39,8 +39,16 @@ def _top_simple_dropped_from_mm(right):
     return wrong
 
 
-def _last_summand_dropped(right):
-    return lambda params, s, t: right(params, s, t)[:-1]
+def _pm_summand_dropped(right):
+    # P_{r+r'-2,l} leaves the last P x M window (and so both P x P copies of it)
+    def wrong(p, kinds, s, t):
+        windows = right(p, kinds, s, t)
+        if kinds != (catalog.PROJECTIVE, catalog.SIMPLE):
+            return windows
+        *head, (kind, ells, rs) = windows
+        return head + [(kind, ells, rs[:-1])]
+
+    return wrong
 
 
 def _dual_as_one_minus_r(right):
@@ -86,8 +94,8 @@ CASES = {
     "wrong M x M template": (
         fusion_closed, "_template", _top_simple_dropped_from_mm, _CLOSED, ("fusion", "triplet")
     ),
-    "dropped summand in _pm_windows": (
-        fusion_closed, "_pm_windows", _last_summand_dropped, _CLOSED, ("fusion",)
+    "dropped summand in the P x M windows": (
+        fusion_closed, "_windows", _pm_summand_dropped, _CLOSED, ("fusion",)
     ),
     "dual as r -> 1 - r": (
         catalog, "dual", _dual_as_one_minus_r, _duals, ("fusion", "catalog")

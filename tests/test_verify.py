@@ -139,6 +139,16 @@ def test_label_window_lists_simples_then_projectives():
     assert verify.label_window(params, 1, 0) == []
 
 
+def test_label_window_is_sorted():
+    # cli table rows rely on it: the window is its own sort
+    for p in range(2, 13):
+        params = Params(p)
+        for rmin in range(-5, 5):
+            for rmax in range(rmin, 5):
+                labels = verify.label_window(params, rmin, rmax)
+                assert labels == sorted(labels), (p, rmin, rmax)
+
+
 def test_run_suites_rejects_a_bad_p_before_any_suite(monkeypatch):
     runs = []
 
@@ -155,6 +165,24 @@ def test_run_suites_rejects_a_bad_p_before_any_suite(monkeypatch):
 def test_bpz_suite_has_no_window_cap():
     checks, failures = verify.run_suites(["bpz"], [120], rwin=1000)["bpz"][120]
     assert (checks, failures) == (99, [])
+
+
+def test_bpz_p_bound_boundary(monkeypatch):
+    # p = 10^7 passes every 1e-8 gate; the next p is refused before any
+    # series is built, also when an earlier p of the request is fine
+    checks, failures = verify.run_suites(["bpz"], [10_000_000], rwin=0)["bpz"][10_000_000]
+    assert (checks, failures) == (99, [])
+
+    def no_series(p):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(bpz, "_frobenius", no_series)
+    for call in (
+        lambda: verify.SUITES["bpz"](Params(10_000_001), 0),
+        lambda: verify.run_suites(["bpz"], [3, 10_000_001], rwin=0),
+    ):
+        with pytest.raises(ValueError, match="bpz suite needs p <= 10000000, got p=10000001"):
+            call()
 
 
 def test_run_suites_runs_each_p_once(monkeypatch):
