@@ -1,9 +1,12 @@
 """Re-runnable verification suites behind ``singlet-fusion verify``.
 
-Each suite replays the defining identities of one layer of the package and
-returns ``(checks, failures)`` where ``failures`` is a list of human-readable
-messages (empty on success).  The suites are deterministic and pure.
-:data:`SUITES` is the registry :func:`run_suites` dispatches through.
+Every suite is ``suite(params, rwin)``: it replays the defining identities
+of one layer of the package and returns ``(checks, failures)`` where
+``failures`` is a list of human-readable messages (empty on success).  Each
+suite first calls :func:`_check_window`, so a direct call refuses the same
+requests as :func:`run_suites`, before anything is built.  The suites are
+deterministic and pure.  :data:`SUITES` is the registry :func:`run_suites`
+dispatches through.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def _laurent_product(f: Dict[int, int], g: Dict[int, int]) -> Dict[int, int]:
     return {e: c for e, c in acc.items() if c}
 
 
-def fusion_suite(params: Params, rwin: int = 3) -> Result:
+def fusion_suite(params: Params, rwin: int) -> Result:
     """Oracle equivalence plus the ring identities on a label window.
 
     One walk over every ordered pair of the window checks commutativity,
@@ -164,14 +167,10 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
                 ab == oracle,
                 lambda: f"oracle mismatch at {a} x {b}: closed {ab} vs oracle {oracle}",
             )
-    for a in labels[: (2 * rwin + 1) * params.p]:  # the simples
+    for a in (x for x in labels if x.kind == catalog.SIMPLE):
         d = catalog.dual(params, a)
         product = fusion_closed.fuse(params, a, d)
-        expected = (
-            catalog.simple(params, 1, 1)
-            if a.s < params.p
-            else catalog.projective(params, 1, 1)
-        )
+        expected = unit if a.s < params.p else catalog.projective(params, 1, 1)
         rec.check(
             product.multiplicity(expected) == 1,
             lambda: f"duality multiplicity failure at {a}: {product}",
@@ -187,7 +186,7 @@ def fusion_suite(params: Params, rwin: int = 3) -> Result:
     return rec.result()
 
 
-def triplet_suite(params: Params, rwin: int = 3) -> Result:
+def triplet_suite(params: Params, rwin: int) -> Result:
     """Generator agreement, preimage independence, exactness bookkeeping."""
     _check_window(params, rwin, "triplet")
     rec = _Recorder()
@@ -237,8 +236,9 @@ def _max_gap(a: Sequence[Sequence[float]], b: Sequence[Sequence[float]]) -> floa
     return math.nan if any(map(math.isnan, gaps)) else max(gaps)
 
 
-def bpz_suite(params: Params) -> Result:
-    """Residual, connection, and rigidity checks for one value of p."""
+def bpz_suite(params: Params, rwin: int) -> Result:
+    """Residual, connection, and rigidity checks at one p; ``rwin`` is checked, not used."""
+    _check_window(params, rwin, "bpz")
     rec = _Recorder()
     phi1, phi2 = bpz.phi_basis(params)
     psi1, psi2 = bpz.psi_basis(params)
@@ -285,7 +285,7 @@ def _catalog_labels(params: Params, rwin: int) -> Iterator[catalog.Indecomposabl
         yield catalog.jordan_fock(params, r, 2)
 
 
-def catalog_suite(params: Params, rwin: int = 4) -> Result:
+def catalog_suite(params: Params, rwin: int) -> Result:
     """Normalization, Loewy flattening, duals, and Jordan Fock structure."""
     _check_window(params, rwin, "catalog")
     rec = _Recorder()
@@ -338,7 +338,7 @@ def catalog_suite(params: Params, rwin: int = 4) -> Result:
     return rec.result()
 
 
-def labels_suite(params: Params, rwin: int = 4) -> Result:
+def labels_suite(params: Params, rwin: int) -> Result:
     """Weight identities: periodicity, Fock consistency, congruence, bound."""
     _check_window(params, rwin, "labels")
     rec = _Recorder()
@@ -401,7 +401,7 @@ def _mat_commutes(a, b) -> bool:
 SUITES: Dict[str, Callable[[Params, int], Result]] = {
     "fusion": fusion_suite,
     "triplet": triplet_suite,
-    "bpz": lambda params, rwin: _check_window(params, rwin, "bpz") or bpz_suite(params),
+    "bpz": bpz_suite,
     "catalog": catalog_suite,
     "labels": labels_suite,
 }
@@ -413,15 +413,19 @@ def run_suites(
     """Run several suites over several values of p, each p once.
 
     Repeated suite names and values of p are dropped, keeping the first of
-    each.  Unknown suite names, a bad p, and every window any requested
-    suite would reject are rejected before the first suite runs, so a bad
-    request fails at once.
+    each.  An empty suite or p list, unknown suite names, a bad p, and every
+    window any requested suite would reject are rejected before the first
+    suite runs, so a bad request fails at once.
     """
     names = list(dict.fromkeys(names))
+    if not names:
+        raise ValueError("empty suite list")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     every_p = [Params(p) for p in dict.fromkeys(p_values)]
+    if not every_p:
+        raise ValueError("empty p list")
     for params in every_p:
         for name in names:
             _check_window(params, rwin, name)

@@ -176,7 +176,7 @@ def test_rigidity_check_reads_the_numeric_matrix(monkeypatch, p):
 
     monkeypatch.setattr(bpz, "connection_numeric", zero_first_row)
     assert bpz.rigidity_coefficient(Params(p)) == 0.0
-    assert "rigidity coefficient vanished" in verify.bpz_suite(Params(p))[1]
+    assert "rigidity coefficient vanished" in verify.bpz_suite(Params(p), 0)[1]
 
 
 # --- mpmath cross-check ------------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_bpz_suite_builds_each_series_and_value_once(monkeypatch, p, series):
     builds = _count_calls(monkeypatch, bpz, "_hyp_series_coeffs")
     evals = _count_calls(monkeypatch, bpz.FrobeniusSolution, "derivatives")
     bpz._frobenius.cache_clear()
-    assert verify.bpz_suite(Params(p)) == (99, [])
+    assert verify.bpz_suite(Params(p), 0) == (99, [])
     assert builds[0] == series
     # 4 functions x 12 residual grid points, 4 functions x 2 match points
     assert evals[0] == 4 * 12 + 4 * len(bpz.MATCH_POINTS)

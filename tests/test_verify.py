@@ -26,7 +26,7 @@ def test_bpz_failure_message_text(monkeypatch):
         "residuals",
         lambda params, f, x: (0.0, -1.23456e-6 if x > 0.9 else 0.0),
     )
-    assert verify.bpz_suite(Params(3)) == (
+    assert verify.bpz_suite(Params(3), 0) == (
         99,
         [
             "psi1 hypergeometric residual 1.235e-06 at x=0.9500000000000001",
@@ -179,10 +179,32 @@ def test_bpz_p_bound_boundary(monkeypatch):
     monkeypatch.setattr(bpz, "_frobenius", no_series)
     for call in (
         lambda: verify.SUITES["bpz"](Params(10_000_001), 0),
+        lambda: verify.bpz_suite(Params(10_000_001), 0),
         lambda: verify.run_suites(["bpz"], [3, 10_000_001], rwin=0),
     ):
         with pytest.raises(ValueError, match="bpz suite needs p <= 10000000, got p=10000001"):
             call()
+
+
+@pytest.mark.parametrize("name", ["fusion", "triplet", "bpz", "catalog", "labels"])
+def test_every_suite_is_registered_as_itself(name):
+    # one calling contract: the registry holds each suite, not an adapter
+    assert verify.SUITES[name] is getattr(verify, f"{name}_suite")
+
+
+@pytest.mark.parametrize(
+    "names, p_values, message",
+    [(["fusion"], [], "empty p list"), ([], [2], "empty suite list")],
+    ids=["no-p", "no-suite"],
+)
+def test_run_suites_refuses_an_empty_list_before_any_suite(monkeypatch, names, p_values, message):
+    def no_suite(params, rwin):
+        raise AssertionError("a suite ran")
+
+    for name in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, name, no_suite)
+    with pytest.raises(ValueError, match=message):
+        verify.run_suites(names, p_values, rwin=0)
 
 
 def test_run_suites_runs_each_p_once(monkeypatch):
