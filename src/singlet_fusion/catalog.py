@@ -21,8 +21,9 @@ and :func:`normalize` are each one call to one private rule.  It raises
 ``M``, ``P`` or ``F`` too), and repairs nothing.  Every other public function
 rejects a label not in normal form (one built with :class:`Indecomposable`
 directly) with a :class:`NotNormalForm`, or a ``TypeError`` for an index that
-is not exactly ``int`` (:func:`shift_r` also for such a shift), and
-:func:`shift_r` never repairs one.
+is not exactly ``int``.  Both fusion routes shift their ``r = 1`` products
+with the private ``_shift``, which checks nothing: it only ever sees terms
+built from labels an entry point has already checked.
 
 Each module is described by its composition factors
 (:func:`composition_factors`, of a label or of a formal sum) and, for
@@ -58,7 +59,6 @@ __all__ = [
     "fock",
     "jordan_fock",
     "normalize",
-    "shift_r",
     "composition_factors",
     "grothendieck_class",
     "loewy",
@@ -293,31 +293,22 @@ class FormalSum:
         return f"FormalSum({self._key!r})"
 
 
-def shift_r(params: Params, x: FormalSum, delta: int) -> FormalSum:
-    """Relabel ``r -> r + delta`` on every term of ``x``, in normal form.
+def _shift(x: FormalSum, delta: int) -> FormalSum:
+    """Relabel ``r -> r + delta`` on every term of ``x``; ``x`` itself for ``delta = 0``.
 
-    This is fusion with the invertible simple currents (``M_{2n+1,1}`` for
-    even shifts, one extra ``M_{2,1}`` for odd ones), which acts on labels
-    exactly this way.
-
-    A term not in normal form raises, and so does an index or ``delta`` whose
-    type is not exactly ``int`` (``TypeError``); none is repaired.  Normal
-    form does not depend on ``r``, so a common shift keeps every label in
-    normal form, keeps the sorted ``(kind, r, s, n)`` order and merges no
-    terms: the shifted terms are built directly, and ``x`` itself is
-    returned for ``delta = 0``.
+    The shift of the ``r = 1`` products in both fusion routes.  The caller
+    passes normal-form terms and an int ``delta``; nothing is checked.
+    Normal form does not depend on ``r``, so the shifted terms stay in
+    normal form and in sorted order.
     """
-    if type(delta) is not int:
-        _check_ints("r shift", delta)
-    p = params.p
+    if not delta:
+        return x
     new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
-    key = []
-    for lab, mult in x._key:
-        kind, r, s, n = lab
-        if not (type(r) is type(s) is type(n) is int and _is_normal(p, kind, s, n)):
-            _check_normal_form(params, lab, "shift_r")
-        key.append((new(Indecomposable, (kind, r + delta, s, n)), mult))
-    return FormalSum._from_sorted(tuple(key)) if delta else x
+    # a list, not a generator: tuple() of a generator over-allocates its
+    # result, and callers keep the shifted sums
+    return FormalSum._from_sorted(
+        tuple([(new(Indecomposable, (k, r + delta, s, n)), m) for (k, r, s, n), m in x._key])
+    )
 
 
 # ---------------------------------------------------------------------------

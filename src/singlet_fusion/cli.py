@@ -60,11 +60,7 @@ def parse_label(params: Params, text: str) -> Indecomposable:
 
 
 def _term_dict(label: Indecomposable, mult: int) -> Dict[str, object]:
-    out: Dict[str, object] = {"kind": label.kind, "r": label.r, "s": label.s}
-    if label.kind == catalog.JORDAN_FOCK:
-        out["n"] = label.n
-    out["mult"] = mult
-    return out
+    return {"kind": label.kind, "r": label.r, "s": label.s, "mult": mult}
 
 
 def _emit(payload: str, out: Optional[str]) -> None:

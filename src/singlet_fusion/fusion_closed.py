@@ -11,9 +11,9 @@ The formulas depend on ``r`` and ``r'`` only through ``r + r'``: the simple
 currents ``M_{2n+1,1}`` and ``M_{2,1}`` act on every label as a plain shift
 of ``r``.  So each formula is written once at ``r = r' = 1`` (a private
 template), and every other product is that template shifted by
-``r + r' - 2`` through :func:`.catalog.shift_r`.  :func:`fuse` is the one
-entry point: it checks each operand once, reads ``M x P`` as ``P x M``, and
-shifts the template of the pair once.  The templates are memoized
+``r + r' - 2``.  :func:`fuse` is the one entry point: it checks each
+operand once, reads ``M x P`` as ``P x M``, and shifts the template of the
+pair once, with no check per term.  The templates are memoized
 in ``_template`` by ``(params, kind pair, s, s')``, with ``s <= s'`` for the
 symmetric ``M x M`` and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever
 ``r`` the callers use.  The memo holds at most 1 024 templates (LRU), each
@@ -45,8 +45,8 @@ from .catalog import (
     _check_normal_form,
     _label,
     _pairs,
+    _shift,
     _SumLike,
-    shift_r,
 )
 from .labels import Params
 
@@ -132,14 +132,14 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
         s, t = x.s, y.s
         if x.kind == y.kind and t < s:  # M x M and P x P are symmetric
             s, t = t, s
-        return shift_r(params, _template(params, (x.kind, y.kind), s, t), x.r + y.r - 2)
+        return _shift(_template(params, (x.kind, y.kind), s, t), x.r + y.r - 2)
     if JORDAN_FOCK in (x.kind, y.kind):
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
     # exactly one side is a Fock module: the odd simple current M(2n+1, 1)
     # shifts its r by 2n
     g, f = (y, x) if x.kind == FOCK else (x, y)
     if f.kind == FOCK and g.kind == SIMPLE and g.s == 1 and g.r % 2 == 1:
-        return shift_r(params, FormalSum.of(f), g.r - 1)
+        return _shift(FormalSum.of(f), g.r - 1)
     raise UnsupportedFusion(
         f"{x} x {y}: Fock modules fuse only with the odd simple currents M(2n+1, 1)"
     )

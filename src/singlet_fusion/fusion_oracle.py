@@ -4,8 +4,8 @@ Products are rebuilt from scratch with only three ingredients:
 
 1. the generator rules, defined here: each recursion step applies
    ``_m12_terms``, the ``M_{1,2}`` row that :func:`fuse_generators`
-   returns, and the simple currents act as the shift :func:`.catalog.shift_r`
-   (the oracle never calls :func:`fuse_generators` itself),
+   returns, and the simple currents act as a plain shift of ``r`` (the
+   oracle never calls :func:`fuse_generators` itself),
 2. the column recursion
    ``X x M_{1,s+1} = M_{1,2} x (X x M_{1,s})  -  X x M_{1,s-1}``,
    which follows from ``M_{1,2} x M_{1,s} = M_{1,s-1} + M_{1,s+1}`` by
@@ -22,9 +22,10 @@ projective).  Every irreducible module has a projective cover, so
 of ``Y``.  Every product therefore takes one route: put the projective
 factor (if any) on the left, read its ``r = 1`` column against each
 composition factor ``M_{r',t}`` of the right factor, shift that column
-once by ``(r-1) + (r'-1)`` through the simple currents
-(:func:`.catalog.shift_r`), and sum.  A simple right factor is its own only
-composition factor; a projective ``P_{r',s'}`` gives the split reduction
+once by ``(r-1) + (r'-1)`` through the simple currents, and sum.
+Operands are checked before anything is shifted, so the shift checks
+nothing again.  A simple right factor is its own only composition factor;
+a projective ``P_{r',s'}`` gives the split reduction
 
     ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``.
 
@@ -57,8 +58,8 @@ from .catalog import (
     Indecomposable,
     UnsupportedFusion,
     _check_normal_form,
+    _shift,
     composition_factors,
-    shift_r,
 )
 from .labels import Params
 
@@ -146,7 +147,7 @@ def fuse_generators(
     # the simple currents M_{r_g,1} shift r by r_g - 1
     if x.kind not in (SIMPLE, PROJECTIVE, FOCK) or (x.kind == FOCK and g.r == 2):
         raise UnsupportedFusion(f"{g} fusion is not defined on {x}")
-    return shift_r(params, FormalSum.of(x), g.r - 1)
+    return _shift(FormalSum.of(x), g.r - 1)
 
 
 def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
@@ -196,8 +197,8 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
             f"the recursion oracle covers M/P labels only, got {a} x {b}"
         )
     if b.kind == SIMPLE:
-        return shift_r(params, _column(params, a.kind, a.s, b.s), a.r + b.r - 2)
+        return _shift(_column(params, a.kind, a.s, b.s), a.r + b.r - 2)
     return FormalSum.combine(
-        (mult, shift_r(params, _column(params, a.kind, a.s, y.s), a.r + y.r - 2))
+        (mult, _shift(_column(params, a.kind, a.s, y.s), a.r + y.r - 2))
         for y, mult in composition_factors(params, b)
     )

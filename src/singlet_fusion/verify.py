@@ -408,7 +408,7 @@ SUITES: Dict[str, Callable[[Params, int], Result]] = {
 
 
 def run_suites(
-    names: Sequence[str], p_values: Iterable[int], rwin: int = 3
+    names: Sequence[str], p_values: Iterable[int], rwin: int
 ) -> Dict[str, Dict[int, Result]]:
     """Run several suites over several values of p, each p once.
 

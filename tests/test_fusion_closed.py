@@ -15,11 +15,12 @@ from singlet_fusion.catalog import (
     fock,
     grothendieck_class,
     jordan_fock,
+    normalize,
     projective,
     simple,
 )
 from singlet_fusion.fusion_closed import fuse
-from singlet_fusion.fusion_oracle import fuse_generators
+from singlet_fusion.fusion_oracle import fuse_generators, oracle_fuse
 from singlet_fusion.labels import Params
 
 P2 = Params(2)
@@ -389,6 +390,19 @@ def test_template_matches_the_products_at_r_one():
                     pb = projective(params, 1, t)
                     got = fuse(params, pa, pb)
                     assert got == fusion_closed._template(params, PP, lo, hi)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_both_engines_return_sorted_normal_forms(p):
+    # the r-shift of the r = 1 products checks no term, so the products
+    # themselves are checked here: every term a normal form, in sorted order
+    params = Params(p)
+    labels = verify.label_window(params, -1, 2)
+    for a in labels:
+        for b in labels:
+            for product in (fuse(params, a, b), oracle_fuse(params, a, b)):
+                assert all(normalize(params, label) == label for label, _ in product)
+                assert list(product) == sorted(product)
 
 
 def test_memo_cannot_hide_a_broken_formula(monkeypatch):

@@ -61,7 +61,7 @@ def _dual_as_one_minus_r(right):
 
 
 def _shift_off_by_one(right):
-    return lambda params, x, delta: right(params, x, delta + 1)
+    return lambda x, delta: right(x, delta + 1)
 
 
 def _p0_read_as_two_copies(right):
@@ -101,7 +101,10 @@ CASES = {
         catalog, "dual", _dual_as_one_minus_r, _duals, ("fusion", "catalog")
     ),
     "shift_r off by one in the closed forms": (
-        fusion_closed, "shift_r", _shift_off_by_one, _CLOSED, ("fusion", "triplet")
+        fusion_closed, "_shift", _shift_off_by_one, _CLOSED, ("fusion", "triplet")
+    ),
+    "shift off by one in the oracle": (
+        fusion_oracle, "_shift", _shift_off_by_one, _ORACLE, ("fusion",)
     ),
     "wrong _m12_terms row": (
         fusion_oracle, "_m12_terms", _p0_read_as_two_copies, _ORACLE, ("fusion",)

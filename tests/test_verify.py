@@ -240,7 +240,7 @@ def test_run_suites_rejects_unknown_names_before_any_suite(monkeypatch):
 
     monkeypatch.setitem(verify.SUITES, "labels", no_suite)
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
-        verify.run_suites(["labels", "nope"], [2])
+        verify.run_suites(["labels", "nope"], [2], rwin=0)
 
 
 def _catalog_suite_peak(rwin):
