@@ -43,7 +43,6 @@ from .catalog import (
 from .fusion_closed import fuse
 from .fusion_oracle import (
     NegativeMultiplicityError,
-    fuse_generators,
     ks_subtract,
     oracle_fuse,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "rbar",
     "weight_coset_diff",
     "fuse",
-    "fuse_generators",
     "ks_subtract",
     "oracle_fuse",
     "induce",

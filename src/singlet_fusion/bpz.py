@@ -148,7 +148,12 @@ def _log_companion_coeffs(base: List[float]) -> List[float]:
 
 
 def _dot(x: List[float], y: List[float]) -> float:
-    return sum(a * b for a, b in zip(x, y))
+    """Left-to-right ``sum(a * b)`` from 0.0: Python 3.12's ``sum`` of floats
+    is compensated, and the plain loop keeps every bit the same on 3.10+."""
+    acc = 0.0
+    for a, b in zip(x, y):
+        acc += a * b
+    return acc
 
 
 def _poly_eval(c: Tuple[float, ...], u: float) -> float:

@@ -272,9 +272,6 @@ class FormalSum:
     def __hash__(self) -> int:
         return hash(self._key)
 
-    def __bool__(self) -> bool:
-        return bool(self._key)
-
     def __iter__(self) -> Iterator[Tuple[object, int]]:
         return iter(self._key)
 

@@ -20,9 +20,11 @@ symmetric ``M x M`` and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever
 of at most ``3p/2 + 2`` distinct terms, so it stays bounded when a caller
 sweeps large ``p`` (``2p^2 - p`` is already 79 800 at ``p = 200``).
 
-The generator rules (fusion with the simple currents ``M_{2n+1,1}`` and
-``M_{2,1}``, and with ``M_{1,2}``) live in :mod:`.fusion_oracle`, which is
-built on them alone.  Neither module imports the other, which is what makes
+The recursion oracle in :mod:`.fusion_oracle` rebuilds every product from
+the generator rules alone: the simple currents shift ``r``, and its
+``_m12_terms`` states the ``M_{1,2}`` rule once.  It has no public
+per-generator function; :func:`fuse` answers a product with a generator
+like any other.  Neither module imports the other, which is what makes
 the two routes independent.  The Grothendieck ring that checks both
 (:func:`.catalog.grothendieck_class` of a product against the product of
 the classes of its factors) lives in :mod:`.catalog`, which imports neither

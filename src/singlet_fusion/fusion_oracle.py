@@ -2,10 +2,9 @@
 
 Products are rebuilt from scratch with only three ingredients:
 
-1. the generator rules, defined here: each recursion step applies
-   ``_m12_terms``, the ``M_{1,2}`` row that :func:`fuse_generators`
-   returns, and the simple currents act as a plain shift of ``r`` (the
-   oracle never calls :func:`fuse_generators` itself),
+1. the generator rules, defined here: each recursion step applies the
+   ``M_{1,2}`` rule, stated once in ``_m12_terms``, and the simple
+   currents act as a plain shift of ``r``,
 2. the column recursion
    ``X x M_{1,s+1} = M_{1,2} x (X x M_{1,s})  -  X x M_{1,s-1}``,
    which follows from ``M_{1,2} x M_{1,s} = M_{1,s-1} + M_{1,s+1}`` by
@@ -50,8 +49,6 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .catalog import (
-    FOCK,
-    JORDAN_FOCK,
     PROJECTIVE,
     SIMPLE,
     FormalSum,
@@ -65,7 +62,6 @@ from .labels import Params
 
 __all__ = [
     "NegativeMultiplicityError",
-    "fuse_generators",
     "ks_subtract",
     "oracle_fuse",
 ]
@@ -88,9 +84,15 @@ class NegativeMultiplicityError(ArithmeticError):
 
 
 def _m12_terms(params: Params, x: Indecomposable) -> Tuple[Indecomposable, ...]:
-    """Summands of ``M_{1,2} x x``, repeats included (rules in :func:`fuse_generators`).
+    """Summands of ``M_{1,2} x x``, repeats included: the ``M_{1,2}`` generator rule.
 
-    ``x`` is a checked label, so every summand is built in normal form as is.
+    On ``M_{r,s}`` it gives ``M_{r,2}`` (s = 1), ``M_{r,s-1} + M_{r,s+1}``
+    (1 < s < p) and ``P_{r,p-1}`` (s = p).  On ``P_{r,s}`` it gives, for
+    p >= 3, ``P_{r,2} + M_{r+1,p} + M_{r-1,p}`` (s = 1),
+    ``P_{r,s-1} + P_{r,s+1}`` (1 < s < p-1) and ``P_{r,p-2} + 2 M_{r,p}``
+    (s = p-1); for p = 2, ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.  Any other
+    kind raises :class:`UnsupportedFusion`.  ``x`` is a checked label, so
+    every summand is built in normal form as is.
     """
     p, r, s = params.p, x.r, x.s
     if x.kind == SIMPLE:
@@ -110,44 +112,6 @@ def _m12_terms(params: Params, x: Indecomposable) -> Tuple[Indecomposable, ...]:
             return (Indecomposable(PROJECTIVE, r, s - 1),) + upper
         return (Indecomposable(SIMPLE, r + 1, p), Indecomposable(SIMPLE, r - 1, p)) + upper
     raise UnsupportedFusion(f"M:1,2 fusion is not defined on {x}")
-
-
-def fuse_generators(
-    params: Params, g: Indecomposable, x: Indecomposable
-) -> FormalSum:
-    """Fusion with one of the generators ``M_{2n+1,1}``, ``M_{2,1}``, ``M_{1,2}``.
-
-    The rules, by generator:
-
-    * ``M_{2n+1,1}`` (odd simple currents): shift ``r`` by ``2n`` on simples,
-      projectives, and Fock modules alike.
-    * ``M_{2,1}`` (simple current): shift ``r`` by one on simples and
-      projectives; not defined on Fock modules.
-    * ``M_{1,2}``: on ``M_{r,s}`` gives ``M_{r,2}`` (s = 1),
-      ``M_{r,s-1} + M_{r,s+1}`` (1 < s < p), ``P_{r,p-1}`` (s = p).  On
-      ``P_{r,s}`` gives, for p >= 3: ``P_{r,2} + M_{r+1,p} + M_{r-1,p}``
-      (s = 1), ``P_{r,s-1} + P_{r,s+1}`` (1 < s < p-1),
-      ``P_{r,p-2} + 2 M_{r,p}`` (s = p-1); for p = 2:
-      ``M_{r+1,2} + 2 M_{r,2} + M_{r-1,2}``.
-
-    A label not in normal form raises :class:`~.catalog.NotNormalForm`;
-    anything else not listed raises :class:`UnsupportedFusion`.
-    """
-    for y in (g, x):
-        _check_normal_form(params, y, "fuse_generators")
-    if g.kind != SIMPLE:
-        raise UnsupportedFusion(f"unsupported generator {g}")
-    if x.kind == JORDAN_FOCK:
-        raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x})")
-
-    if (g.r, g.s) == (1, 2):
-        return FormalSum.of(*_m12_terms(params, x))
-    if g.s != 1 or (g.r % 2 == 0 and g.r != 2):
-        raise UnsupportedFusion(f"unsupported generator {g}")
-    # the simple currents M_{r_g,1} shift r by r_g - 1
-    if x.kind not in (SIMPLE, PROJECTIVE, FOCK) or (x.kind == FOCK and g.r == 2):
-        raise UnsupportedFusion(f"{g} fusion is not defined on {x}")
-    return _shift(FormalSum.of(x), g.r - 1)
 
 
 def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:

@@ -51,11 +51,6 @@ class Params:
             raise ValueError(f"p must be an integer >= 2, got {self.p!r}")
 
     @property
-    def central_charge(self) -> Fraction:
-        """Central charge ``c_p = 13 - 6p - 6/p``, as an exact rational."""
-        return 13 - 6 * self.p - Fraction(6, self.p)
-
-    @property
     def weight_lower_bound(self) -> Fraction:
         """``-(p-1)^2 / (4p)``, the minimum over all simple-module weights."""
         return -Fraction((self.p - 1) ** 2, 4 * self.p)

@@ -20,9 +20,9 @@ R     projective R_{rbar,s}       P       1 <= s <= p-1
 ====  ==========================  ======  ===============================
 
 Each range is the one the preimage kind takes in normal form; the catalog
-decides it, and :func:`_check_label` asks it.  :func:`lattice_v` sends
-``V(., p)`` to ``W(., p)``, as ``catalog.fock`` sends ``F(r, p)`` to
-``M(r, p)``; :func:`projective_r` rejects ``s = p``.
+decides it, and :func:`_check_label` asks it.  A ``V`` label is the
+:func:`induce` of a ``catalog.fock`` label, so ``F(r, p)``, stored as
+``M(r, p)``, induces to ``W(., p)``; :func:`projective_r` rejects ``s = p``.
 
 ``R_{rbar,s}`` is the induction of ``P_{r,s}`` for every ``s``.  Induction is
 left adjoint to the exact restriction, so it sends projectives to
@@ -48,7 +48,6 @@ __all__ = [
     "PROJ_R",
     "TripletIndec",
     "simple_w",
-    "lattice_v",
     "projective_r",
     "induce",
     "induce_sum",
@@ -101,18 +100,6 @@ def _check_label(params: Params, t: TripletIndec) -> None:
 def simple_w(params: Params, rb: int, s: int) -> TripletIndec:
     """The simple triplet module ``W_{rbar,s}``, ``1 <= s <= p``."""
     t = TripletIndec(SIMPLE_W, rb, s)
-    _check_label(params, t)
-    return t
-
-
-def lattice_v(params: Params, rb: int, s: int) -> TripletIndec:
-    """The lattice module ``V_{alpha_{rbar,s}+L}``; ``V(., p)`` normalizes to ``W(., p)``.
-
-    An ``s`` that ``F`` does not take in normal form is checked as a ``W``
-    label, whose range ``1 <= s <= p`` is the one this builder accepts.
-    """
-    normal = _is_normal(params.p, catalog.FOCK, s, 1)
-    t = TripletIndec(LATTICE_V if normal else SIMPLE_W, rb, s)
     _check_label(params, t)
     return t
 

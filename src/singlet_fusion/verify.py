@@ -221,8 +221,9 @@ def triplet_suite(params: Params, rwin: int) -> Result:
             params,
             catalog.composition_factors(params, catalog.projective(params, r, p - 1)),
         )
-        layers = triplet.loewy(params, triplet.projective_r(params, rbar(r), p - 1))
-        target = FormalSum.combine((1, layer) for layer in layers)
+        target = triplet.composition_factors(
+            params, triplet.projective_r(params, rbar(r), p - 1)
+        )
         rec.check(
             induced == target,
             lambda: f"exactness bookkeeping failure at r={r}: {induced} vs {target}",

@@ -99,14 +99,14 @@ def test_criterion_02_generator_rules():
                     simple(params, -1, 1),
                     simple(params, 3, 1),
                 ):
-                    ok &= fusion_oracle.fuse_generators(
-                        params, g, x
-                    ) == fusion_closed.fuse(params, g, x)
+                    ok &= fusion_oracle.oracle_fuse(
+                        params, x, g
+                    ) == fusion_closed.fuse(params, x, g)
                 if s <= p - 1:
                     px = projective(params, r, s)
                     for g in (simple(params, 2, 1), simple(params, 1, 2)):
-                        ok &= fusion_oracle.fuse_generators(
-                            params, g, px
+                        ok &= fusion_oracle.oracle_fuse(
+                            params, px, g
                         ) == fusion_closed.fuse(params, px, g)
                     ok &= fusion_closed.fuse(
                         params, px, simple(params, 2, 1)

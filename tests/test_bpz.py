@@ -305,3 +305,9 @@ def test_floats_pinned_bit_for_bit(p):
 def test_rigidity_coefficient_pinned_bit_for_bit():
     got = bpz.rigidity_coefficient(Params(3))
     assert float.hex(got) == PINS["rigidity_p3"]
+
+
+def test_dot_adds_left_to_right_on_every_python():
+    # Python 3.12's sum() of floats is compensated and returns 1.0 here; the
+    # matching solve must round the same way on every supported version
+    assert bpz._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0

@@ -214,6 +214,9 @@ def test_formal_sum_basics():
     assert FormalSum.combine([(2, s)]) == FormalSum([(a, 4), (b, 2)])
     assert not FormalSum()
     assert str(FormalSum()) == "0"
+    assert repr(FormalSum.of(b)) == (
+        "FormalSum(((Indecomposable(kind='M', r=0, s=1, n=1), 1),))"
+    )
     assert str(s) == "M:0,1 + 2*M:1,1"
 
 
@@ -306,8 +309,6 @@ _UNIT = simple(P3, 1, 1)
 _CONSUMERS = {
     "fuse": lambda x: fusion_closed.fuse(P3, x, _UNIT),
     "oracle_fuse": lambda x: fusion_oracle.oracle_fuse(P3, x, _UNIT),
-    "fuse_generators": lambda x: fusion_oracle.fuse_generators(P3, simple(P3, 1, 2), x),
-    "fuse_generators_generator": lambda x: fusion_oracle.fuse_generators(P3, x, _UNIT),
     "composition_factors": lambda x: composition_factors(P3, x),
     # composition factors of the label as a one-term sum: flattened like the label
     "flatten": lambda x: composition_factors(P3, FormalSum.of(x)),

@@ -20,7 +20,7 @@ from singlet_fusion.catalog import (
     simple,
 )
 from singlet_fusion.fusion_closed import fuse
-from singlet_fusion.fusion_oracle import fuse_generators, oracle_fuse
+from singlet_fusion.fusion_oracle import oracle_fuse
 from singlet_fusion.labels import Params
 
 P2 = Params(2)
@@ -137,33 +137,31 @@ def test_fuse_pp_commutes(params, data):
 
 
 def test_generator_examples():
-    assert fuse_generators(P3, simple(P3, 3, 1), simple(P3, 5, 1)) == FormalSum.of(
-        simple(P3, 7, 1)
-    )
-    assert fuse_generators(P2, simple(P2, 2, 1), projective(P2, 0, 1)) == FormalSum.of(
-        projective(P2, 1, 1)
-    )
-    assert fuse_generators(P2, simple(P2, 1, 2), projective(P2, 1, 1)) == FormalSum(
+    # the simple currents shift r; M_{1,2} is one step of the oracle's rule
+    for route in (fuse, oracle_fuse):
+        assert route(P3, simple(P3, 3, 1), simple(P3, 5, 1)) == FormalSum.of(
+            simple(P3, 7, 1)
+        )
+        assert route(P2, simple(P2, 2, 1), projective(P2, 0, 1)) == FormalSum.of(
+            projective(P2, 1, 1)
+        )
+    assert oracle_fuse(P2, projective(P2, 1, 1), simple(P2, 1, 2)) == FormalSum(
         [
             (simple(P2, 2, 2), 1),
             (simple(P2, 1, 2), 2),
             (simple(P2, 0, 2), 1),
         ]
     )
-    assert fuse_generators(P3, simple(P3, -1, 1), fock(P3, 1, 2)) == FormalSum.of(
-        fock(P3, -1, 2)
-    )
+    assert fuse(P3, simple(P3, -1, 1), fock(P3, 1, 2)) == FormalSum.of(fock(P3, -1, 2))
 
 
 def test_generator_rejects():
     with pytest.raises(UnsupportedFusion):
-        fuse_generators(P3, simple(P3, 2, 2), simple(P3, 1, 1))
+        fuse(P3, simple(P3, 2, 1), fock(P3, 1, 1))
     with pytest.raises(UnsupportedFusion):
-        fuse_generators(P3, simple(P3, 2, 1), fock(P3, 1, 1))
+        fuse(P3, simple(P3, 1, 2), fock(P3, 1, 1))
     with pytest.raises(UnsupportedFusion):
-        fuse_generators(P3, simple(P3, 1, 2), fock(P3, 1, 1))
-    with pytest.raises(UnsupportedFusion):
-        fuse_generators(P2, simple(P2, 1, 2), jordan_fock(P2, 1, 2))
+        fuse(P2, simple(P2, 1, 2), jordan_fock(P2, 1, 2))
 
 
 @given(params_st, r_st, st.data())
@@ -175,11 +173,12 @@ def test_generators_agree_with_closed_forms(params, r, data):
         simple(params, 2, 1),
         simple(params, 1, 2),
     ):
-        assert fuse_generators(params, g, x) == fuse(params, g, x)
+        # the label on the left, so the oracle takes one step of the rule
+        assert oracle_fuse(params, x, g) == fuse(params, x, g)
     if s <= params.p - 1:
         px = projective(params, r, s)
         for g in (simple(params, 2, 1), simple(params, 1, 2)):
-            assert fuse_generators(params, g, px) == fuse(params, px, g)
+            assert oracle_fuse(params, px, g) == fuse(params, px, g)
 
 
 # --- bilinear front end -------------------------------------------------------------

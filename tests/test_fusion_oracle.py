@@ -24,7 +24,6 @@ from singlet_fusion.catalog import (
 )
 from singlet_fusion.fusion_oracle import (
     NegativeMultiplicityError,
-    fuse_generators,
     ks_subtract,
     oracle_fuse,
 )
@@ -174,8 +173,8 @@ def test_oracle_rejects_unnormalized_projectives():
 
 def test_generators_and_fock_fusion_reject_unnormalized_labels():
     # F(r, p) and P(r, p) are stored as M(r, p); a raw F/P label at s = p
-    # (or s = 0) is refused by the Fock branch of fuse and by every
-    # generator rule instead of answering for the alias
+    # (or s = 0) is refused by the Fock branch of fuse and by the oracle
+    # on every generator pair instead of answering for the alias
     odd_current, current, m12 = simple(P3, 3, 1), simple(P3, 2, 1), simple(P3, 1, 2)
     for s in (0, 3):
         raw_f, raw_p = Indecomposable(FOCK, 1, s), Indecomposable(PROJECTIVE, 1, s)
@@ -184,7 +183,7 @@ def test_generators_and_fock_fusion_reject_unnormalized_labels():
                 fusion_closed.fuse(P3, a, b)
         for g, x in ((odd_current, raw_f), (odd_current, raw_p), (current, raw_p), (m12, raw_p)):
             with pytest.raises(NotNormalForm, match="unnormalized"):
-                fuse_generators(P3, g, x)
+                oracle_fuse(P3, g, x)
 
 
 _M12, _RAW_M = simple(P3, 1, 2), Indecomposable(SIMPLE, 1, 2, 5)
@@ -198,9 +197,7 @@ _RAW_P, _RAW_F = Indecomposable(PROJECTIVE, 1, 1, 2), Indecomposable(FOCK, 1, 1,
         (route, a, b)
         for route in (fusion_closed.fuse, oracle_fuse)
         for a, b in ((_RAW_M, _M12), (_M12, _RAW_M), (_RAW_P, _M12), (_M12, _RAW_P))
-    ]
-    + [(fuse_generators, _M12, x) for x in (Indecomposable(SIMPLE, 1, 2, 7), _RAW_P)]
-    + [(fuse_generators, simple(P3, 3, 1), _RAW_F)],
+    ],
 )
 def test_fusion_entry_points_reject_labels_with_n_not_one(route, a, b):
     # n is the Jordan size of FJ labels only, so no route may read an M/P/F

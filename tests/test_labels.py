@@ -26,12 +26,6 @@ def test_params_validation():
     Params(2)
 
 
-def test_central_charge():
-    assert Params(2).central_charge == -2
-    assert Params(3).central_charge == -7
-    assert Params(5).central_charge == Fraction(13 - 30) - Fraction(6, 5)
-
-
 @pytest.mark.parametrize(
     "p, r, s, expected",
     [

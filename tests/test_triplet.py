@@ -17,8 +17,8 @@ r_st = st.integers(min_value=-4, max_value=4)
 
 
 def test_lattice_aliasing_at_s_p():
-    assert triplet.lattice_v(P3, 1, 3) == triplet.simple_w(P3, 1, 3)
-    assert triplet.lattice_v(P3, 2, 2).kind == triplet.LATTICE_V
+    assert triplet.induce(P3, catalog.fock(P3, 1, 3)) == triplet.simple_w(P3, 1, 3)
+    assert triplet.induce(P3, catalog.fock(P3, 2, 2)).kind == triplet.LATTICE_V
 
 
 def test_projective_r_range():
@@ -69,7 +69,9 @@ def test_induce_examples():
     assert triplet.induce(P3, catalog.projective(P3, 0, 2)) == triplet.projective_r(
         P3, 2, 2
     )
-    assert triplet.induce(P3, catalog.fock(P3, 1, 1)) == triplet.lattice_v(P3, 1, 1)
+    assert triplet.induce(P3, catalog.fock(P3, 1, 1)) == triplet.TripletIndec(
+        triplet.LATTICE_V, 1, 1
+    )
     # s = p Fock labels normalize to simples before inducing
     assert triplet.induce(P2, catalog.fock(P2, 4, 2)) == triplet.simple_w(P2, 2, 2)
 
@@ -103,7 +105,11 @@ def test_induce_sum_termwise():
 # each builder, the singlet kind it induces from, and the kind it builds
 BUILDERS = (
     (triplet.simple_w, catalog.SIMPLE, triplet.SIMPLE_W),
-    (triplet.lattice_v, catalog.FOCK, triplet.LATTICE_V),
+    (
+        lambda params, rb, s: triplet.induce(params, catalog.fock(params, rb, s)),
+        catalog.FOCK,
+        triplet.LATTICE_V,
+    ),
     (triplet.projective_r, catalog.PROJECTIVE, triplet.PROJ_R),
 )
 
@@ -142,7 +148,7 @@ def test_builders_reject_what_the_catalog_rejects(p):
     for r in range(-3, 4):
         for build, kind, built in BUILDERS:
             for s in range(0, p + 2):
-                if build is triplet.lattice_v and s == p:
+                if kind == catalog.FOCK and s == p:
                     assert build(params, rbar(r), s) == triplet.simple_w(params, rbar(r), s)
                 elif catalog._is_normal(p, kind, s, 1):
                     t = build(params, rbar(r), s)
@@ -159,7 +165,7 @@ def test_triplet_labels_reject_non_int_indices(bad):
     calls = [
         lambda: triplet.simple_w(P3, bad, 2),
         lambda: triplet.simple_w(P3, 1, bad),
-        lambda: triplet.lattice_v(P3, 1, bad),
+        lambda: triplet.induce(P3, catalog.fock(P3, 1, bad)),
         lambda: triplet.projective_r(P3, bad, 1),
         lambda: triplet.preimage(P3, triplet.TripletIndec(triplet.SIMPLE_W, 1, bad)),
         lambda: triplet.preimage(P3, w, bad),
@@ -175,10 +181,10 @@ def test_mixed_sum_order_and_str():
     xs = FormalSum.of(
         triplet.simple_w(p4, 2, 1),
         triplet.projective_r(p4, 2, 3),
-        triplet.lattice_v(p4, 1, 2),
+        triplet.induce(p4, catalog.fock(p4, 1, 2)),
         triplet.simple_w(p4, 1, 4),
         triplet.projective_r(p4, 1, 1),
-        triplet.lattice_v(p4, 2, 4),
+        triplet.induce(p4, catalog.fock(p4, 2, 4)),
         triplet.simple_w(p4, 2, 1),
     )
     assert str(xs) == "R:1,1 + R:2,3 + V:1,2 + W:1,4 + 2*W:2,1 + W:2,4"
@@ -209,7 +215,7 @@ def test_triplet_generator_rejections():
         )
     with pytest.raises(UnsupportedFusion):
         triplet.triplet_fuse_generator(
-            P3, triplet.simple_w(P3, 1, 2), triplet.lattice_v(P3, 1, 1)
+            P3, triplet.simple_w(P3, 1, 2), triplet.induce(P3, catalog.fock(P3, 1, 1))
         )
 
 
@@ -293,7 +299,7 @@ def test_preimage_shift_must_be_even():
 def test_derived_fusion_rejects_lattice():
     with pytest.raises(UnsupportedFusion):
         triplet.derived_triplet_fuse(
-            P3, triplet.lattice_v(P3, 1, 1), triplet.simple_w(P3, 1, 1)
+            P3, triplet.induce(P3, catalog.fock(P3, 1, 1)), triplet.simple_w(P3, 1, 1)
         )
 
 
@@ -341,7 +347,8 @@ def test_every_projective_is_the_cover_of_its_top():
 
 
 def test_lattice_composition_factors():
-    assert triplet.composition_factors(P3, triplet.lattice_v(P3, 1, 1)) == FormalSum.of(
+    v11 = triplet.induce(P3, catalog.fock(P3, 1, 1))
+    assert triplet.composition_factors(P3, v11) == FormalSum.of(
         triplet.simple_w(P3, 1, 1), triplet.simple_w(P3, 2, 2)
     )
     # every R_{rbar,s} is a projective cover, not only s = p-1
@@ -358,4 +365,4 @@ def test_triplet_virasoro_decomposition():
     got = triplet.virasoro_decomposition(P2, triplet.simple_w(P2, 1, 1), 2)
     assert [m for _, m in got] == [1, 3, 5]
     with pytest.raises(UnsupportedOperation):
-        triplet.virasoro_decomposition(P3, triplet.lattice_v(P3, 1, 1), 1)
+        triplet.virasoro_decomposition(P3, triplet.induce(P3, catalog.fock(P3, 1, 1)), 1)
