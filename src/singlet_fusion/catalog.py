@@ -66,7 +66,6 @@ __all__ = [
     "virasoro_decomposition",
     "jordan_fock_matrices",
     "RationalMatrix",
-    "matmul",
 ]
 
 SIMPLE = "M"
@@ -493,14 +492,6 @@ def _times_linear(c: List[int], a0: int) -> List[int]:
     return [a0 * c[0]] + [a0 * c[d] + 2 * c[d - 1] for d in range(1, len(c))]
 
 
-def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """The exact matrix product ``a b`` of two rational matrices."""
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def jordan_fock_matrices(
     params: Params, r: int, n: int
 ) -> Tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
@@ -518,13 +509,19 @@ def jordan_fock_matrices(
         ``H0 = binom(A, 2p-1)``                (zero-mode of the weight-(2p-1)
                                                 generator)
 
-    are exact rational matrices.  ``L0`` and ``H0`` always commute.  For
-    ``r != 1``, ``L0`` has a regular (rank ``n-1``) nilpotent part, so it acts
-    indecomposably on its own.  For ``r = 1`` the eigenvalue sits at the
+    are exact rational matrices.  Each of the three is a polynomial in ``N``,
+    so it is upper-triangular Toeplitz and its row 0 holds its coefficients in
+    ``N``; in particular ``L0`` and ``H0`` commute.  Expanding ``L0`` about
+    ``k = p(2-r) - 1`` gives, for every ``r``, exactly
+
+        ``L0 = h_{r,p} Id + (1-r) N + N^2/p``.
+
+    For ``r != 1``, ``L0`` has a regular (rank ``n-1``) nilpotent part, so it
+    acts indecomposably on its own.  For ``r = 1`` the eigenvalue sits at the
     critical point of the weight function, the linear term drops out, and
-    exactly ``L0 - h_{1,p} Id = N^2/p`` (zero for ``n = 2``, but nonzero of
-    rank ``n-2`` for ``n >= 3``); there ``H0`` is the nilpotent nonzero matrix
-    that witnesses indecomposability.
+    ``L0 - h_{1,p} Id = N^2/p`` (zero for ``n = 2``, but nonzero of rank
+    ``n-2`` for ``n >= 3``); there ``H0`` is the nilpotent nonzero matrix that
+    witnesses indecomposability.
 
     Requires ``n >= 2``.
     """

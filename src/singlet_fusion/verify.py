@@ -287,7 +287,11 @@ def _catalog_labels(params: Params, rwin: int) -> Iterator[catalog.Indecomposabl
 
 
 def catalog_suite(params: Params, rwin: int) -> Result:
-    """Normalization, Loewy flattening, duals, and Jordan Fock structure."""
+    """Normalization, Loewy flattening, duals, and Jordan Fock structure.
+
+    The Jordan checks read the coefficients in ``N`` of ``L0`` and ``H0`` (row 0,
+    see :func:`.catalog.jordan_fock_matrices`), first the exact identity
+    ``L0 = h_{r,p} Id + (1 - r) N + N^2/p``."""
     _check_window(params, rwin, "catalog")
     rec = _Recorder()
     for x in _catalog_labels(params, rwin):
@@ -319,23 +323,25 @@ def catalog_suite(params: Params, rwin: int) -> Result:
                 catalog.composition_factors(params, x).total() == 4,
                 lambda: f"projective length != 4 at {x}",
             )
+    p = params.p
     for r in (-1, 0, 1, 2):
         for n in (2, 3):
-            _, l0, h0 = catalog.jordan_fock_matrices(params, r, n)
-            comm_zero = _mat_commutes(l0, h0)
-            rec.check(comm_zero, lambda: f"[L0, H0] != 0 at r={r}, n={n}")
+            # row 0 of a polynomial in N is its coefficient list
+            l0, h0 = (m[0] for m in catalog.jordan_fock_matrices(params, r, n)[1:])
+            rec.check(
+                l0 == (weight(params, r, p), 1 - r, Fraction(1, p))[:n],
+                lambda: f"L0 != h Id + (1-r) N + N^2/p at r={r}, n={n}: "
+                f"row 0 is {tuple(map(str, l0))}",
+            )
             if r != 1:
-                rec.check(
-                    not _mat_is_scalar(l0),
-                    lambda: f"L0 unexpectedly scalar at r={r}, n={n}",
-                )
+                rec.check(any(l0[1:]), lambda: f"L0 unexpectedly scalar at r={r}, n={n}")
             else:
                 rec.check(
-                    _mat_is_nilpotent(h0) and not _mat_is_zero(h0),
+                    h0[0] == 0 and any(h0[1:]),
                     lambda: f"H0 not nilpotent nonzero at r=1, n={n}",
                 )
                 if n == 2:
-                    rec.check(_mat_is_scalar(l0), lambda: "L0 not scalar at r=1, n=2")
+                    rec.check(not any(l0[1:]), lambda: "L0 not scalar at r=1, n=2")
     return rec.result()
 
 
@@ -373,29 +379,6 @@ def labels_suite(params: Params, rwin: int) -> Result:
                     lambda: f"coset congruence failure at r={r}, n={n}, s={s}: {got}",
                 )
     return rec.result()
-
-
-def _mat_is_scalar(m) -> bool:
-    n = len(m)
-    return all(m[i][j] == (m[0][0] if i == j else 0) for i in range(n) for j in range(n))
-
-
-def _mat_is_zero(m) -> bool:
-    return all(e == 0 for row in m for e in row)
-
-
-def _mat_is_nilpotent(m) -> bool:
-    n = len(m)
-    power = m
-    for _ in range(n):
-        if _mat_is_zero(power):
-            return True
-        power = catalog.matmul(power, m)
-    return _mat_is_zero(power)
-
-
-def _mat_commutes(a, b) -> bool:
-    return catalog.matmul(a, b) == catalog.matmul(b, a)
 
 
 #: Every suite, called as ``SUITES[name](params, rwin)``.

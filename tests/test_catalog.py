@@ -491,12 +491,18 @@ def _scaled(c, m):
     return tuple(tuple(c * e for e in row) for row in m)
 
 
+def _matmul(a, b):
+    """The exact matrix product ``a b``."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
 def _is_nilpotent(m):
     power = m
     for _ in range(len(m)):
         if _is_zero(power):
             return True
-        power = catalog.matmul(power, m)
+        power = _matmul(power, m)
     return _is_zero(power)
 
 
@@ -524,7 +530,14 @@ def test_jordan_matrices_need_n_at_least_2():
 def test_jordan_matrices_structure(p, r, n):
     params = Params(p)
     a, l0, h0 = jordan_fock_matrices(params, r, n)
-    assert catalog.matmul(l0, h0) == catalog.matmul(h0, l0)
+    assert _matmul(l0, h0) == _matmul(h0, l0)
+    # with N = (A - k Id)/2, exactly L0 - h_{r,p} Id = (1-r) N + N^2/p,
+    # written here as N (N + p(1-r) Id)/p
+    k = alpha_coordinate(params, r, p)
+    nilp = _scaled(Fraction(1, 2), _minus_scalar(a, k))
+    assert _minus_scalar(l0, weight(params, r, p)) == _scaled(
+        Fraction(1, p), _matmul(nilp, _minus_scalar(nilp, p * (r - 1)))
+    )
     if r != 1:
         # the Jordan block survives in L0: a full-rank nilpotent part
         assert not _is_scalar(l0)
@@ -533,13 +546,7 @@ def test_jordan_matrices_structure(p, r, n):
     else:
         assert _is_nilpotent(h0) and not _is_zero(h0)
         # at the critical point k = alpha_{1,p} the linear term vanishes but
-        # the quadratic one does not: exactly L0 - h_{1,p} Id = N^2/p with
-        # N = (A - k Id)/2, so the action stops being scalar once n >= 3
-        k = alpha_coordinate(params, 1, p)
-        nilp = _scaled(Fraction(1, 2), _minus_scalar(a, k))
-        assert _minus_scalar(l0, weight(params, 1, p)) == (
-            _scaled(Fraction(1, p), catalog.matmul(nilp, nilp))
-        )
+        # the quadratic one does not, so the action stops being scalar once n >= 3
         assert _is_scalar(l0) == (n == 2)
 
 
@@ -553,14 +560,14 @@ def test_jordan_matrices_match_their_matrix_definitions(p):
             a, l0, h0 = jordan_fock_matrices(params, r, n)
             two_n = tuple(tuple(Fraction(2 * (j == i + 1)) for j in range(n)) for i in range(n))
             assert a == _minus_scalar(two_n, -alpha_coordinate(params, r, p))
-            quadratic = _scaled(Fraction(1, 4 * p), catalog.matmul(a, a))
+            quadratic = _scaled(Fraction(1, 4 * p), _matmul(a, a))
             linear = _scaled(Fraction(p - 1, 2 * p), a)
             assert l0 == tuple(
                 tuple(x - y for x, y in zip(row_q, row_l)) for row_q, row_l in zip(quadratic, linear)
             )
             falling = a
             for j in range(1, 2 * p - 1):
-                falling = catalog.matmul(falling, _minus_scalar(a, j))
+                falling = _matmul(falling, _minus_scalar(a, j))
             assert h0 == _scaled(Fraction(1, math.factorial(2 * p - 1)), falling)
 
 

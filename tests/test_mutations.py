@@ -4,8 +4,11 @@ Each case monkeypatches one mutation into the package.  It first shows that
 the mutation changes at least one answer in the window of the ``verify-all``
 workload (p = 2..6, ``rwin = 2``), so a mutation that changes nothing cannot
 pass, and then that :func:`.verify.run_suites` over that window reports
-failures in every suite the case names.
+failures in every suite the case names.  The Jordan Fock case changes
+``catalog.jordan_fock_matrices`` and must fail the catalog suite at every p.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -125,3 +128,27 @@ def test_verify_all_catches_the_mutation(case, monkeypatch):
     report = verify.run_suites(list(verify.SUITES), range(2, 7), rwin=2)
     failing = {suite for suite, per_p in report.items() if any(f for _, f in per_p.values())}
     assert failing >= set(suites)
+
+
+def _n2_doubled(right):
+    # L0 - h_{1,p} Id = 2N^2/p at r = 1: one more 1/p on L0's second superdiagonal
+    def wrong(params, r, n):
+        a, l0, h0 = right(params, r, n)
+        extra = Fraction(1, params.p)
+        l0 = tuple(
+            tuple(e + extra * (j - i == 2) for j, e in enumerate(row)) for i, row in enumerate(l0)
+        )
+        return a, l0, h0
+
+    return wrong
+
+
+def test_catalog_suite_catches_a_wrong_n2_coefficient(monkeypatch):
+    before = catalog.jordan_fock_matrices(Params(3), 1, 3)
+    monkeypatch.setattr(
+        catalog, "jordan_fock_matrices", _n2_doubled(catalog.jordan_fock_matrices)
+    )
+    after = catalog.jordan_fock_matrices(Params(3), 1, 3)
+    assert after != before, "the mutation changes no answer"
+    report = verify.run_suites(["catalog"], range(2, 7), rwin=2)
+    assert all(failures for _, failures in report["catalog"].values())
