@@ -85,12 +85,16 @@ def _report(args: argparse.Namespace, doc: Dict[str, object]) -> None:
 def _products(
     params: Params, engine: str, left: Indecomposable, right: Indecomposable
 ) -> List[FormalSum]:
-    """The product by each engine ``engine`` names, the closed form first."""
+    """The product by each engine ``engine`` names, the closed form first.
+
+    The oracle is asked first, so a ``p`` it refuses fails before any
+    closed-form work.
+    """
     products = []
-    if engine != "oracle":
-        products.append(fusion_closed.fuse(params, left, right))
     if engine != "closed":
         products.append(fusion_oracle.oracle_fuse(params, left, right))
+    if engine != "oracle":
+        products.insert(0, fusion_closed.fuse(params, left, right))
     return products
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlet_fusion import cli, fusion_closed
+from singlet_fusion import cli, fusion_closed, verify
 from singlet_fusion import fusion_oracle as oracle_mod
 from singlet_fusion.catalog import (
     FOCK,
@@ -55,6 +55,14 @@ def test_ks_subtract_raises_and_reports():
     assert err.value.minuend == a
     assert err.value.subtrahend == b
     assert err.value.label == simple(P3, 2, 1)
+    # a term already subtracted before the failing one is put back, so the
+    # error reports the minuend as it was
+    a = FormalSum([(simple(P3, 1, 1), 1), (simple(P3, 1, 3), 2)])
+    b = FormalSum([(simple(P3, 1, 1), 1), (simple(P3, 1, 3), 1), (simple(P3, 2, 1), 1)])
+    with pytest.raises(NegativeMultiplicityError) as err:
+        ks_subtract(a, b)
+    assert (err.value.minuend, err.value.subtrahend) == (a, b)
+    assert err.value.label == simple(P3, 2, 1)
 
 
 @given(params_st, st.data())
@@ -83,6 +91,104 @@ def test_column_examples():
     assert got == FormalSum.of(projective(P3, 1, 2))
     got = oracle_fuse(P2, projective(P2, 1, 1), simple(P2, 1, 2))
     assert got == fusion_closed.fuse(P2, projective(P2, 1, 1), simple(P2, 1, 2))
+
+
+def _reference_column(params, kind, s, s_target):
+    """The column loop as it was before chains resumed: every column rebuilt
+    from s = 1 on ``FormalSum`` values, through :func:`ks_subtract`."""
+    prev, col = FormalSum(), FormalSum.of(Indecomposable(kind, 1, s))
+    for _ in range(1, s_target):
+        acc = {}
+        for label, mult in col:
+            for term in oracle_mod._m12_terms(params, label):
+                acc[term] = acc.get(term, 0) + mult
+        prev, col = col, ks_subtract(FormalSum(acc), prev)
+    return col
+
+
+def _fresh_memos(monkeypatch):
+    """Cold column LRU and empty frontiers for this test; returns the frontiers."""
+    oracle_mod._column.cache_clear()
+    frontiers = oracle_mod._Frontiers()
+    monkeypatch.setattr(oracle_mod, "_frontiers", frontiers)
+    return frontiers
+
+
+def _column_requests(params):
+    left = [(SIMPLE, s) for s in range(1, params.p + 1)]
+    left += [(PROJECTIVE, s) for s in range(1, params.p)]
+    return [(kind, s, t) for kind, s in left for t in range(1, params.p + 1)]
+
+
+@pytest.mark.parametrize("budget", [None, 12], ids=["default budget", "evicting budget"])
+def test_chain_order_independence(monkeypatch, budget):
+    # every (kind, s, t) column at p = 2..9 equals the rebuild-from-s = 1
+    # reference, whether asked cold, ascending, descending or shuffled, with
+    # the chains interleaved; the walk is called past the column LRU
+    import random
+
+    if budget is not None:
+        monkeypatch.setattr(oracle_mod, "_FRONTIER_LABELS", budget)
+    walk = oracle_mod._column.__wrapped__
+    rng = random.Random(28)
+    for p in range(2, 10):
+        params = Params(p)
+        requests = _column_requests(params)
+        want = {req: _reference_column(params, *req) for req in requests}
+        for req in requests:  # cold
+            _fresh_memos(monkeypatch)
+            assert walk(params, *req) == want[req], req
+        by_t = sorted(requests, key=lambda req: (req[2], req[:2]))
+        shuffled = rng.sample(requests, len(requests))
+        for order in (by_t, by_t[::-1], shuffled):
+            frontiers = _fresh_memos(monkeypatch)
+            evicted = False
+            for req in order:
+                others = set(frontiers.chains) - {(params, *req[:2])}
+                assert walk(params, *req) == want[req], req
+                evicted |= not others <= set(frontiers.chains)
+                assert frontiers.labels <= oracle_mod._FRONTIER_LABELS
+        if budget is not None and p >= 5:
+            assert evicted, p
+
+
+def test_projective_right_factor_walks_one_chain(monkeypatch):
+    # P_{0,2} at p = 7 has composition factors M_{-1,5} + 2 M_{0,2} + M_{1,5};
+    # they are read in ascending s', not in label order, so the walk to 5
+    # resumes from the frontier at 2 instead of restarting from 1
+    frontiers = _fresh_memos(monkeypatch)
+    take, taken = frontiers.take, []
+
+    def spy(key, s_target):
+        frontier = take(key, s_target)
+        taken.append((s_target, None if frontier is None else frontier[0]))
+        return frontier
+
+    monkeypatch.setattr(frontiers, "take", spy)
+    params = Params(7)
+    a, b = projective(params, 1, 3), projective(params, 0, 2)
+    assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
+    assert taken == [(2, None), (5, 2)]
+
+
+def test_dropped_m12_summand_raises_with_formal_sum_fields(monkeypatch):
+    # M_{1,2} x M_{1,s} loses M_{1,s+1} for 1 < s < p: the third column of the
+    # unit's chain is 0, and the fourth subtracts M_{1,2} from nothing
+    right = oracle_mod._m12_terms
+
+    def dropped(params, x):
+        terms = right(params, x)
+        return terms[:1] if x.kind == SIMPLE and len(terms) == 2 else terms
+
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "_m12_terms", dropped)
+    params = Params(5)
+    with pytest.raises(NegativeMultiplicityError) as err:
+        oracle_fuse(params, simple(params, 1, 1), simple(params, 1, 4))
+    assert type(err.value.minuend) is FormalSum and type(err.value.subtrahend) is FormalSum
+    assert err.value.minuend == FormalSum()
+    assert err.value.subtrahend == FormalSum.of(simple(params, 1, 2))
+    assert err.value.label == simple(params, 1, 2)
 
 
 def test_column_validates_inputs():
@@ -225,9 +331,57 @@ def test_oracle_mm_at_p1200(capsys):
     assert '"match": true' in capsys.readouterr().out
 
 
-def test_column_memo_is_bounded():
-    # (2p - 1) p = 4 005 columns at p = 45 fit; a run over many p cannot grow it further
+def test_oracle_p_bound_boundary(monkeypatch, capsys):
+    # p = _MAX_P reaches the walk; the next p is refused before any walk,
+    # by the library entry point and so by the CLI
+    bound = oracle_mod._MAX_P
+    assert bound >= 1200
+
+    def no_walk(*args):
+        raise AssertionError("a chain was walked")
+
+    monkeypatch.setattr(oracle_mod, "_column", no_walk)
+    top = Params(bound)
+    with pytest.raises(AssertionError, match="a chain was walked"):
+        oracle_fuse(top, simple(top, 1, 2), simple(top, 1, 2))
+    over = Params(bound + 1)
+    message = f"oracle_fuse needs p <= {bound}, got p={bound + 1}"
+    for a, b in ((simple(over, 1, 2), simple(over, 1, 2)), (projective(over, 1, 1), simple(over, 1, 1))):
+        with pytest.raises(ValueError, match=message):
+            oracle_fuse(over, a, b)
+    argv = ["fuse", "--p", str(bound + 1), "M:1,2", "M:1,2", "--engine"]
+    assert cli.main(argv + ["closed"]) == 0
+    capsys.readouterr()
+
+    def no_closed_form(*args):
+        raise AssertionError("a closed form was built")
+
+    # --engine both is refused before the closed form is built
+    monkeypatch.setattr(fusion_closed, "fuse", no_closed_form)
+    for engine in ("oracle", "both"):
+        assert cli.main(argv + [engine]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_both_memos_are_bounded(monkeypatch):
+    # the column LRU keeps its 4 096 entries; the frontiers are bounded by the
+    # labels they hold: walking every chain of p = 20, 28, ..., 76 to its end
+    # would hold about 41 000 labels, more than the budget
     assert oracle_mod._column.cache_info().maxsize == 4096
+    frontiers = _fresh_memos(monkeypatch)
+    budget = oracle_mod._FRONTIER_LABELS
+    for p in range(20, 80, 8):
+        params = Params(p)
+        top = simple(params, 1, p)
+        for a in verify.label_window(params, 1, 1):
+            oracle_fuse(params, a, top)
+            assert frontiers.labels <= budget
+    held = sum(len(prev) + len(col) for _, prev, col in frontiers.chains.values())
+    assert held == frontiers.labels > budget // 2
+    # the least recent chains went first: p = 20's are gone, p = 76's are all kept
+    kept = [params.p for params, _, _ in frontiers.chains]
+    assert 20 not in kept and kept.count(76) == 2 * 76 - 1
+    assert oracle_mod._column.cache_info().currsize <= 4096
 
 
 @pytest.mark.parametrize("left, right", [(simple, simple), (projective, simple), (projective, projective)])
@@ -267,9 +421,7 @@ def test_oracle_never_touches_closed_forms(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("oracle called a closed-form product")
 
-    import singlet_fusion.fusion_oracle as oracle_mod
-
-    oracle_mod._column.cache_clear()
+    _fresh_memos(monkeypatch)
     for name in ("_template", "fuse"):
         monkeypatch.setattr(fusion_closed, name, boom)
         monkeypatch.setattr(oracle_mod, name, boom, raising=False)
@@ -349,33 +501,36 @@ def test_import_graph_keeps_the_routes_independent():
         ), module
 
 
-def test_concurrent_calls_match_serial_results():
+def test_concurrent_calls_match_serial_results(monkeypatch):
+    # threads resume, restart and evict the same chains; a thread owns the
+    # frontier it takes, so every answer is the serial one
     from concurrent.futures import ThreadPoolExecutor
-
-    import singlet_fusion.fusion_oracle as oracle_mod
 
     params = Params(5)
     pairs = [
-        (simple(params, ra, sa), simple(params, rb, sb))
+        (x(params, ra, sa), simple(params, rb, sb))
+        for x in (simple, projective)
         for ra in (-1, 0, 2)
         for rb in (-2, 1)
-        for sa in range(1, 6)
-        for sb in range(1, 6)
+        for sa in range(1, 5)
+        for sb in range(5, 0, -1)
     ]
-    oracle_mod._column.cache_clear()
+    _fresh_memos(monkeypatch)
     serial = [oracle_fuse(params, a, b) for a, b in pairs]
-    oracle_mod._column.cache_clear()
+    frontiers = _fresh_memos(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "_FRONTIER_LABELS", 12)
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda ab: oracle_fuse(params, *ab), pairs))
     assert serial == parallel
+    # two threads may keep the same chain; the count of labels held stays exact
+    held = sum(len(prev) + len(col) for _, prev, col in frontiers.chains.values())
+    assert held == frontiers.labels <= 12
 
 
-def test_memo_consistency_between_orders():
-    import singlet_fusion.fusion_oracle as oracle_mod
-
-    oracle_mod._column.cache_clear()
+def test_memo_consistency_between_orders(monkeypatch):
+    _fresh_memos(monkeypatch)
     first = oracle_fuse(P3, simple(P3, 1, 3), simple(P3, 1, 3))
     again = oracle_fuse(P3, simple(P3, 1, 3), simple(P3, 1, 3))
-    oracle_mod._column.cache_clear()
+    _fresh_memos(monkeypatch)
     cold = oracle_fuse(P3, simple(P3, 1, 3), simple(P3, 1, 3))
     assert first == again == cold

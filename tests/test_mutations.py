@@ -21,7 +21,10 @@ MEMOS = (fusion_closed._template, fusion_oracle._column)
 
 
 @pytest.fixture(autouse=True)
-def _cold_memos():
+def _cold_memos(monkeypatch):
+    # a mutant's chain frontiers go to a store of their own, which the
+    # monkeypatch undo drops
+    monkeypatch.setattr(fusion_oracle, "_frontiers", fusion_oracle._Frontiers())
     for memo in MEMOS:
         memo.cache_clear()
     yield
@@ -122,6 +125,7 @@ def test_verify_all_catches_the_mutation(case, monkeypatch):
     labels = verify.label_window(params, -1, 1)
     before = probe(params, labels)
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    monkeypatch.setattr(fusion_oracle, "_frontiers", fusion_oracle._Frontiers())
     for memo in MEMOS:
         memo.cache_clear()
     assert probe(params, labels) != before, "the mutation changes no answer"
