@@ -7,6 +7,11 @@ Subcommands:
 ``verify``   the invariant suites of every layer, with a JSON report;
 ``induce``   induction of one singlet label to the triplet side.
 
+The parser is built once per process, by the first :func:`main` call, and
+reused; each call parses its own ``argv`` into a fresh namespace.  Only a
+process that calls :func:`main` many times gains: the console script calls
+it once.
+
 Labels are written ``KIND:r,s`` with ``KIND`` in ``{M, P, F, FJ}`` (Jordan
 Fock labels take a third component, ``FJ:r,s,n``).  Output is JSON on
 stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
@@ -16,7 +21,9 @@ to stderr.  Exit codes: 0 success, 2 usage or validation failure
 ``table`` rows and ``verify`` fusion pairs, the triplet suite's W/R label
 pairs at any ``--rwin`` (from p = 250), and the triplet, catalog and labels
 suites' window labels; bpz has no window cap but refuses p above 10 000 000,
-where float rounding reaches its residual gates), 3 verification failure or
+where float rounding reaches its residual gates; ``fuse`` refuses p above
+``fusion_closed._MAX_P`` = 100 000 with the closed forms and above
+``fusion_oracle._MAX_P`` = 2 000 with the oracle), 3 verification failure or
 engine mismatch.  ``verify`` runs :func:`.verify.run_suites`, which also
 refuses an empty p list; every suite it runs is ``suite(params, rwin)`` and,
 called directly, refuses the same requests before anything is built.
@@ -27,6 +34,7 @@ and nothing is randomized.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -206,7 +214,9 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="singlet-fusion",
         description="Exact fusion calculator for singlet algebra module categories.",
@@ -251,9 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the exit code instead of calling ``sys.exit``."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Entry point; returns the exit code instead of calling ``sys.exit``.
+
+    Every call parses ``argv`` into a fresh namespace with the one cached parser.
+    """
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -304,3 +304,57 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("singlet-fusion: ") and str(target) in err
     assert not target.exists()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # one ArgumentParser tree: the top-level parser and one per subcommand
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    for _ in range(5):
+        assert run(capsys, "fuse", "--p", "2", "M:1,2", "M:1,2")[0] == 0
+    assert built == ["singlet-fusion"] + [
+        f"singlet-fusion {command}" for command in ("fuse", "table", "verify", "induce")
+    ]
+    cli._build_parser.cache_clear()  # later tests get a parser built without the patch
+
+
+def _outcome(capsys, argv, target):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    written = target.read_text(encoding="utf-8") if target.exists() else None
+    return code, captured.out, captured.err, written
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # each call on the one cached parser gives what it gives on a fresh parser
+    target = tmp_path / "result.json"
+    calls = [
+        ["fuse", "--p", "3", "M:1,1"],  # argparse usage error: no right label
+        ["fuse", "--p", "3", "M:1,4", "M:1,1"],  # validation error
+        ["fuse", "--p", "3", "M:1,2", "M:1,2", "--engine", "both"],
+        ["fuse", "--p", "2", "M:1,2", "M:1,2", "--out", str(target)],
+        ["fuse", "--p", "2", "M:1,2", "M:1,2"],
+        ["table", "--p", "2", "--rmin", "0", "--rmax", "0", "--format", "json"],
+        ["table", "--p", "2", "--rmin", "0", "--rmax", "0"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv, target))
+    target.unlink()
+    cli._build_parser.cache_clear()
+    cached = [_outcome(capsys, argv, target) for argv in calls]
+    assert cached == fresh
+    assert [outcome[0] for outcome in cached] == [2, 2, 0, 0, 0, 0, 0]
+    assert cached[3][1] == "" and cached[3][3] == cached[4][1] != ""
+    assert cached[6][1].startswith("left\tright\tresult\n")

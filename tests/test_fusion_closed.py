@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlet_fusion import fusion_closed, verify
+from singlet_fusion import cli, fusion_closed, verify
 from singlet_fusion.catalog import (
     PROJECTIVE,
     SIMPLE,
@@ -373,6 +373,32 @@ def test_template_shared_by_swapped_factors(kind):
 
 def test_template_memo_is_bounded():
     assert fusion_closed._template.cache_info().maxsize == 1024
+
+
+def test_closed_p_bound_boundary(monkeypatch, capsys):
+    # p = _MAX_P reaches the template; the next p is refused before any
+    # template is built, by the library entry point and so by the CLI
+    bound = fusion_closed._MAX_P
+    assert bound >= 100_000  # above every caller: table, verify and triplet stop at p < 250
+
+    def no_template(*args):
+        raise AssertionError("a template was built")
+
+    monkeypatch.setattr(fusion_closed, "_template", no_template)
+    top = Params(bound)
+    with pytest.raises(AssertionError, match="a template was built"):
+        fuse(top, simple(top, 1, 2), simple(top, 1, 2))
+    over = Params(bound + 1)
+    message = f"fuse needs p <= {bound}, got p={bound + 1}"
+    for a, b in (
+        (simple(over, 1, 2), simple(over, 1, 2)),
+        (projective(over, 1, 1), FormalSum.of(simple(over, 1, 1))),
+        (fock(over, 1, 2), simple(over, 3, 1)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fuse(over, a, b)
+    assert cli.main(["fuse", "--p", str(bound + 1), "M:1,2", "M:1,2"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_template_matches_the_products_at_r_one():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from singlet_fusion import bpz, catalog, fusion_oracle, triplet, verify
+from singlet_fusion import bpz, catalog, fusion_closed, fusion_oracle, triplet, verify
 from singlet_fusion.catalog import FormalSum
 from singlet_fusion.labels import Params
 
@@ -258,3 +258,55 @@ def _catalog_suite_peak(rwin):
 def test_catalog_suite_memory_does_not_grow_with_rwin():
     _catalog_suite_peak(2)  # warm imports and caches
     assert _catalog_suite_peak(2000) <= 2 * _catalog_suite_peak(200)
+
+
+def test_ring_image_matches_the_whole_answer_class():
+    # the reference is the per-pair expression the suite used before it read
+    # D once per distinct label: D of the whole answer, then times (w - w^{-1})
+    for p in range(2, 7):
+        params = Params(p)
+        labels = verify.label_window(params, -2, 2)
+        classes = {x: catalog.grothendieck_class(params, x) for x in labels}
+        for a in labels:
+            for b in labels:
+                ab = fusion_closed.fuse(params, a, b)
+                reference = verify._laurent_product(
+                    {1: 1, -1: -1}, catalog.grothendieck_class(params, ab)
+                )
+                assert verify._ring_image(params, ab, classes) == reference, (a, b)
+
+
+def test_fusion_suite_reads_each_class_once_per_call(monkeypatch):
+    params = Params(3)
+    grothendieck_class = catalog.grothendieck_class
+    asked = []
+
+    def counting(params, x):
+        asked.append(x)
+        return grothendieck_class(params, x)
+
+    monkeypatch.setattr(catalog, "grothendieck_class", counting)
+    assert verify.fusion_suite(params, 1)[1] == []
+    first = list(asked)
+    assert len(first) == len(set(first))
+    assert set(verify.label_window(params, -1, 1)) < set(first)  # answers leave the window
+    assert verify.fusion_suite(params, 1)[1] == []
+    assert asked == first + first  # nothing is kept from one call to the next
+
+
+def test_ring_memo_is_local_to_one_call(monkeypatch):
+    # D of a label outside the window is read only for an answer; a memo kept
+    # across calls would hide the patched class from the second call
+    params = Params(3)
+    assert verify.fusion_suite(params, 1)[1] == []
+    grothendieck_class = catalog.grothendieck_class
+
+    def wrong_outside_the_window(params, x):
+        d = grothendieck_class(params, x)
+        return {e: 2 * c for e, c in d.items()} if abs(x.r) > 1 else d
+
+    monkeypatch.setattr(catalog, "grothendieck_class", wrong_outside_the_window)
+    failures = verify.fusion_suite(params, 1)[1]
+    assert failures and all(
+        m.startswith("Grothendieck consistency failure at ") for m in failures
+    )
