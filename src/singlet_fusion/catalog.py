@@ -492,6 +492,32 @@ def _times_linear(c: List[int], a0: int) -> List[int]:
     return [a0 * c[0]] + [a0 * c[d] + 2 * c[d - 1] for d in range(1, len(c))]
 
 
+def _binomial(k: int, m: int, n: int) -> List[Fraction]:
+    """``binom(k + 2N, m)`` as its ``n`` coefficients in ``N``, with ``N^n = 0``.
+
+    A balanced product tree of the ``m`` linear factors ``k - j + 2N``.  Up to
+    256 factors they are multiplied in one at a time over the integers and
+    divided by ``m!``.  Above that the factors split in half by
+    ``binom(x, h) binom(x - h, m - h) = binom(m, h) binom(x, m)``, so each
+    node's fractions are reduced at about the size of its own answer: at
+    ``m = 31 999`` no numerator or denominator of the top one has more than
+    about 104 000 bits, where ``m!`` has 433 000, and gcds against ``m!``
+    would cost most of the time.
+    Cost: ``m`` small-integer steps in the leaves, and ``O(n^2)`` fraction
+    operations at each of the ``O(m / 256)`` nodes above them, the top
+    split dominating.
+    """
+    if m <= 256:
+        c = [1] + [0] * (n - 1)
+        for j in range(m):
+            c = _times_linear(c, k - j)
+        fact = math.factorial(m)
+        return [Fraction(x, fact) for x in c]
+    h = m // 2
+    left, right, b = _binomial(k, h, n), _binomial(k - h, m - h, n), math.comb(m, h)
+    return [sum(left[i] * right[d - i] for i in range(d + 1)) / b for d in range(n)]
+
+
 def jordan_fock_matrices(
     params: Params, r: int, n: int
 ) -> Tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
@@ -523,18 +549,17 @@ def jordan_fock_matrices(
     ``n-2`` for ``n >= 3``); there ``H0`` is the nilpotent nonzero matrix that
     witnesses indecomposability.
 
-    Requires ``n >= 2``.
+    Requires ``n >= 2``.  Cost: ``n^2`` entries of ``O(p log p)`` bits; ``H0``
+    comes from :func:`_binomial`, and one call with ``n = 3`` takes about
+    0.1 s at ``p = 8 000`` and 0.2 s at ``p = 16 000`` (CPython 3.11, one
+    core of a shared 2-CPU Xeon host).
     """
     _check_ints("label index", r, n)
     if n < 2:
         raise ValueError(f"Jordan Fock matrices need n >= 2, got {n}")
     p = params.p
     k = alpha_coordinate(params, r, p)
-    # A, A^2 and (2p - 1)! H0 as integer polynomials in N, with N^n = 0
+    # A and A^2 as integer polynomials in N, with N^n = 0
     a = [k, 2] + [0] * (n - 2)
     l0 = [Fraction(x, 4 * p) - Fraction((p - 1) * y, 2 * p) for x, y in zip(_times_linear(a, k), a)]
-    h0 = [1] + [0] * (n - 1)
-    for j in range(2 * p - 1):  # A (A - 1) ... (A - 2p + 2)
-        h0 = _times_linear(h0, k - j)
-    fact = math.factorial(2 * p - 1)
-    return _toeplitz(a), _toeplitz(l0), _toeplitz([Fraction(x, fact) for x in h0])
+    return _toeplitz(a), _toeplitz(l0), _toeplitz(_binomial(k, 2 * p - 1, n))

@@ -29,15 +29,21 @@ refuses an empty p list; every suite it runs is ``suite(params, rwin)`` and,
 called directly, refuses the same requests before anything is built.
 Runs are deterministic: row order is lexicographic, JSON keys are sorted,
 and nothing is randomized.
+
+A TSV ``table`` is written row by row as each product is computed, so its
+memory does not grow with the row count; every refusal above comes before
+its first byte.  A JSON ``table`` still holds its rows, because its sorted
+``"mismatches"`` key comes before ``"rows"``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import catalog, fusion_closed, fusion_oracle, triplet, verify
 from .catalog import FormalSum, Indecomposable
@@ -71,13 +77,20 @@ def _term_dict(label: Indecomposable, mult: int) -> Dict[str, object]:
     return {"kind": label.kind, "r": label.r, "s": label.s, "mult": mult}
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
-    """Write ``payload`` and one final newline to ``out``, or to stdout."""
+@contextlib.contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """The file ``out``, opened for writing, or ``sys.stdout`` as it is now."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            print(payload, file=fh)
+            yield fh
     else:
-        print(payload)
+        yield sys.stdout
+
+
+def _emit(payload: str, out: Optional[str]) -> None:
+    """Write ``payload`` and one final newline to ``out``, or to stdout."""
+    with _output(out) as fh:
+        print(payload, file=fh)
 
 
 def _json(obj: object) -> str:
@@ -144,30 +157,45 @@ def _table_labels(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
     return verify.label_window(params, rmin, rmax)
 
 
+def _table_rows(
+    params: Params, engine: str, labels: List[Indecomposable]
+) -> Iterator[Tuple[str, str, str, bool]]:
+    """Yield ``(left, right, result, match)`` for every ordered pair of ``labels``.
+
+    Rows come in label order, one product at a time; each label's name is
+    built once.  ``match`` is always true unless ``engine`` is ``both``.
+    """
+    names = [str(x) for x in labels]
+    for left, left_name in zip(labels, names):
+        for right, right_name in zip(labels, names):
+            products = _products(params, engine, left, right)
+            yield left_name, right_name, str(products[0]), products[0] == products[-1]
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     params = Params(args.p)
     labels = _table_labels(params, args.rmin, args.rmax)
     both = args.engine == "both"
-    columns = ["left", "right", "result"] + (["match"] if both else [])
-    rows = []
-    for left, right in ((a, b) for a in labels for b in labels):
-        products = _products(params, args.engine, left, right)
-        row = [str(left), str(right), str(products[0])]
-        if both:
-            row.append(products[0] == products[-1])
-        rows.append(row)
-    mismatches = sum(not row[-1] for row in rows) if both else 0
+    columns = ("left", "right", "result", "match")[: 4 if both else 3]
+    rows = _table_rows(params, args.engine, labels)
     if args.format == "json":
-        rows = [dict(zip(columns, row)) for row in rows]
-        doc = {"p": args.p, "engine": args.engine, "rows": rows}
+        # sorted keys put "mismatches" before "rows", so the rows are held
+        table = [dict(zip(columns, row)) for row in rows]
+        doc = {"p": args.p, "engine": args.engine, "rows": table}
+        mismatches = sum(not row["match"] for row in table) if both else 0
         if both:
             doc["mismatches"] = mismatches
         _report(args, doc)
-    else:
-        # the match flag, the only non-text column, reads yes or NO
-        lines = ["\t".join(columns)]
-        lines += ("\t".join(row[:3] + ["yes" if m else "NO" for m in row[3:]]) for row in rows)
-        _emit("\n".join(lines), args.out)
+        return EXIT_VERIFY if mismatches else EXIT_OK
+    # TSV streams: each row is written as it is computed, and the match
+    # flag, the only non-text column, reads yes or NO
+    flag = ("\tNO", "\tyes") if both else ("", "")
+    mismatches = 0
+    with _output(args.out) as fh:
+        fh.write("\t".join(columns) + "\n")
+        for left, right, result, match in rows:
+            mismatches += not match
+            fh.write(f"{left}\t{right}\t{result}{flag[match]}\n")
     return EXIT_VERIFY if mismatches else EXIT_OK
 
 

@@ -571,6 +571,24 @@ def test_jordan_matrices_match_their_matrix_definitions(p):
             assert h0 == _scaled(Fraction(1, math.factorial(2 * p - 1)), falling)
 
 
+@pytest.mark.parametrize("p", [129, 200, 500])
+def test_jordan_h0_split_matches_one_factor_at_a_time(p):
+    # 2p - 1 > 256 factors, so H0 comes from the binomial split; the reference
+    # multiplies in k - j + 2N one at a time and divides by (2p - 1)! once
+    params = Params(p)
+    for r in (-1, 0, 1, 2, 7):
+        k = alpha_coordinate(params, r, p)
+        for n in (2, 3, 4, 6):
+            falling = [1] + [0] * (n - 1)
+            for j in range(2 * p - 1):
+                falling = [(k - j) * falling[0]] + [
+                    (k - j) * falling[d] + 2 * falling[d - 1] for d in range(1, n)
+                ]
+            row = jordan_fock_matrices(params, r, n)[2][0]
+            assert row == tuple(Fraction(x, math.factorial(2 * p - 1)) for x in falling)
+            assert all(type(x) is Fraction for x in row)
+
+
 def test_jordan_scalar_part_is_the_module_weight():
     from singlet_fusion.labels import lowest_weight_of_simple, weight
 
