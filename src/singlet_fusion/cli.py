@@ -24,9 +24,13 @@ suites' window labels; bpz has no window cap but refuses p above 10 000 000,
 where float rounding reaches its residual gates; ``fuse`` refuses p above
 ``fusion_closed._MAX_P`` = 100 000 with the closed forms and above
 ``fusion_oracle._MAX_P`` = 2 000 with the oracle), 3 verification failure or
-engine mismatch.  ``verify`` runs :func:`.verify.run_suites`, which also
-refuses an empty p list; every suite it runs is ``suite(params, rwin)`` and,
-called directly, refuses the same requests before anything is built.
+engine mismatch, and 141 (128 + SIGPIPE, as a shell reports a writer the
+signal stopped) when the reader closes stdout before all of it is written,
+as ``table ... | head -1`` does: nothing goes to stderr, and no verdict on
+the unwritten part is given.  ``verify`` runs :func:`.verify.run_suites`,
+which also refuses an empty p list; every suite it runs is
+``suite(params, rwin)`` and, called directly, refuses the same requests
+before anything is built.
 Runs are deterministic: row order is lexicographic, JSON keys are sorted,
 and nothing is randomized.
 
@@ -42,6 +46,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -56,6 +61,7 @@ SCHEMA = 1
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 
 def parse_label(params: Params, text: str) -> Indecomposable:
@@ -292,10 +298,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the exit code instead of calling ``sys.exit``.
 
     Every call parses ``argv`` into a fresh namespace with the one cached parser.
+    Stdout is flushed before the call returns, so a reader that closed it
+    early is seen here, whenever the write that finds it happens.
     """
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered can go nowhere; point stdout at devnull so
+        # the interpreter's own flush at exit does not fail again
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"singlet-fusion: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -41,20 +41,32 @@ request for a larger ``s_target`` resumes the walk where the last one
 stopped; a smaller one restarts from ``s_target = 1``.  One step costs
 O(labels in the column), at most O(p), so a cold product walks at most
 O(p^2) labels: ``oracle_fuse`` refuses ``p`` above ``_MAX_P``
-before any walk.  Columns are memoized in ``_column`` by
-``(params, kind, s, s_target)``, whatever ``r`` the callers use, in an
-LRU of 4 096 entries; the frontiers are an LRU bounded by the labels
-they hold (``_FRONTIER_LABELS``), so memory stays bounded whatever ``p``
-a process visits.  Every result depends on the arguments alone: a thread
-owns the frontier it takes, and a lock guards only the memo's bookkeeping,
-so concurrent use returns the same values as sequential use.
+before any walk.
+
+The walk runs on integer *codes*, not on labels: a code packs the
+``(kind, r, s)`` of one term into one int (``_encode``), so dict keys hash
+as the ints themselves, and a column's base ``r = 1`` keeps its codes
+small.  Each label's
+``M_{1,2}`` row is read from one table per ``p``, built from
+``_m12_terms`` as the walk first meets the label.  :func:`oracle_fuse`
+sums the columns a product needs in code space and turns codes back into
+labels once, in ``_decode``, which applies the product's ``r`` shift: the
+oracle's one shift.
+
+One store (``_Store``) holds the row tables, the chain frontiers and the
+columns read from them, whatever ``r`` the callers use, as one LRU under
+one budget of labels held (``_LABELS``) and one lock, so memory stays
+bounded whatever ``p`` a process visits.  Every result depends on the
+arguments alone: a thread owns the frontier it takes, and the lock guards
+only the store's bookkeeping, never a walk or a read, so concurrent use
+returns the same values as sequential use.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 from threading import Lock
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .catalog import (
     PROJECTIVE,
@@ -63,7 +75,6 @@ from .catalog import (
     Indecomposable,
     UnsupportedFusion,
     _check_normal_form,
-    _shift,
     composition_factors,
 )
 from .labels import Params
@@ -79,12 +90,25 @@ __all__ = [
 #: (``P_{1,1300} x M_{1,2000}``) takes about 1.4 s and 20 MB on one core.
 _MAX_P = 2000
 
-#: Labels the chain frontiers may hold in all (``len(prev) + len(col)``
-#: summed over chains); a p = 200 frontier holds a few hundred.
-_FRONTIER_LABELS = 1 << 15
+#: Labels the oracle's store may hold in all: a column counts its terms, a
+#: chain frontier the terms of its two columns, a row table its rows.  The
+#: exhaustive fusion suite reads every column of one left factor's chain
+#: before the next, under p^2 / 2 labels (under 28 000 at p = 250); a
+#: benchmark session holds under 10 000.
+_LABELS = 1 << 16
 
-_Column = Dict[Indecomposable, int]
-_Frontier = Tuple[int, _Column, _Column]
+# A code is ``(r - 1) << _R_SHIFT | kind bit | s``: ``s <= _MAX_P < 2**11``
+# and ``r`` is unbounded, so no two labels share a code, and adding
+# ``d << _R_SHIFT`` moves ``r`` by ``d``.  Codes sort by ``(r, kind, s)``.
+_S_BITS = 11
+_S_MASK = (1 << _S_BITS) - 1
+_P_BIT = 1 << _S_BITS
+_R_SHIFT = _S_BITS + 1
+_KINDS = (SIMPLE, PROJECTIVE)
+
+#: ``(code, multiplicity)`` pairs of one column, in label order.
+_Column = Tuple[Tuple[int, int], ...]
+_Frontier = Tuple[int, Dict[int, int], Dict[int, int]]
 
 
 class NegativeMultiplicityError(ArithmeticError):
@@ -160,75 +184,170 @@ def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
     return FormalSum(acc)
 
 
-class _Frontiers:
-    """The chain frontiers ``(params, kind, s) -> (t, prev, col)``, an LRU
-    bounded by the labels they hold.
+def _encode(x: Indecomposable) -> int:
+    """The code of an ``M`` or ``P`` label."""
+    return (x.r - 1) << _R_SHIFT | (_P_BIT if x.kind == PROJECTIVE else 0) | x.s
 
-    :meth:`take` removes a frontier, so the thread that walks a chain owns
-    it; :meth:`keep` puts it back as the most recent and evicts the least
-    recent chains while more than ``_FRONTIER_LABELS`` labels are held.  The
-    lock guards this bookkeeping only, never a walk.  Frontier dicts are
-    never changed once kept: each step builds a new column.
+
+def _label(code: int) -> Indecomposable:
+    """The label a code stands for."""
+    return Indecomposable(_KINDS[code >> _S_BITS & 1], (code >> _R_SHIFT) + 1, code & _S_MASK)
+
+
+def _label_order(pairs: Sequence[Tuple[int, int]]) -> _Column:
+    """``(code, multiplicity)`` pairs sorted by code, put in label order.
+
+    Labels sort by ``(kind, r, s)`` and codes by ``(r, kind, s)``, so the
+    ``M`` codes come first, then the ``P`` codes, each in the order given.
+    """
+    simples = [cm for cm in pairs if not cm[0] & _P_BIT]
+    return tuple(simples + [cm for cm in pairs if cm[0] & _P_BIT])
+
+
+def _decode(column: _Column, delta: int) -> FormalSum:
+    """The sum of a column in label order, ``r`` shifted by ``delta``.
+
+    The oracle's one shift: every product leaves the store through here.
+    """
+    new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
+    base = delta + 1
+    terms = [
+        (new(Indecomposable, (_KINDS[c >> _S_BITS & 1], (c >> _R_SHIFT) + base, c & _S_MASK, 1)), m)
+        for c, m in column
+    ]
+    return FormalSum._from_sorted(tuple(terms))
+
+
+def _row(params: Params, code: int) -> Tuple[int, ...]:
+    """The ``M_{1,2}`` row of one code, read from :func:`_m12_terms`."""
+    return tuple([_encode(term) for term in _m12_terms(params, _label(code))])
+
+
+class _Store:
+    """The oracle's one memo: an LRU of row tables, chain frontiers and
+    columns, bounded by the labels they hold.
+
+    Keys are ``(p,)`` for the row table of ``p`` (code -> row), ``(p, kind,
+    s)`` for the frontier ``(t, prev, col)`` of chain ``kind_{1,s}`` and
+    ``(p, kind, s, t)`` for its column ``t``; each entry is ``(labels held,
+    value)``.  :meth:`take` removes a frontier, so the thread that walks a
+    chain owns it; :meth:`keep` puts it back with the column it reached, as
+    the most recent entries, and evicts the least recent while more than
+    ``_LABELS`` labels are held.  A walk adds rows to its row table outside
+    the lock; :meth:`keep` counts them.  The lock guards :meth:`take` and
+    :meth:`keep`, never a walk or a read.  Frontier dicts are never changed
+    once kept: each step builds a new column.
     """
 
     def __init__(self) -> None:
-        self.chains: Dict[Tuple[Params, str, int], _Frontier] = {}
+        self.entries: "OrderedDict[tuple, Tuple[int, object]]" = OrderedDict()
         self.labels = 0
         self.lock = Lock()
 
-    def take(self, key: Tuple[Params, str, int], s_target: int) -> Optional[_Frontier]:
-        """The frontier of chain ``key`` if it has not passed ``s_target``; dropped if it has."""
-        with self.lock:
-            frontier = self.chains.pop(key, None)
-            if frontier is not None:
-                self.labels -= len(frontier[1]) + len(frontier[2])
-        if frontier is None or frontier[0] > s_target:
+    def column(self, key: Tuple[int, str, int, int]) -> Optional[_Column]:
+        """The kept column ``key``, made the most recent, or ``None``.
+
+        No lock: the read and the move are one step each, and a column that
+        another thread evicts between them is still the right column.
+        """
+        entry = self.entries.get(key)
+        if entry is None:
             return None
-        return frontier
+        try:
+            self.entries.move_to_end(key)
+        except KeyError:  # evicted meanwhile
+            pass
+        return entry[1]
 
-    def keep(self, key: Tuple[Params, str, int], frontier: _Frontier) -> None:
+    def take(
+        self, p: int, key: Tuple[int, str, int], s_target: int
+    ) -> Tuple[Dict[int, Tuple[int, ...]], Optional[_Frontier]]:
+        """The row table of ``p`` and the frontier of chain ``key``, if it
+        has not passed ``s_target``; the frontier leaves the store."""
         with self.lock:
-            old = self.chains.pop(key, None)
-            if old is not None:
-                self.labels -= len(old[1]) + len(old[2])
-            self.chains[key] = frontier
-            self.labels += len(frontier[1]) + len(frontier[2])
-            while self.labels > _FRONTIER_LABELS:
-                _, prev, col = self.chains.pop(next(iter(self.chains)))
-                self.labels -= len(prev) + len(col)
+            rows = self.entries.get((p,))
+            if rows is None:
+                rows = self.entries[(p,)] = (0, {})
+            else:
+                self.entries.move_to_end((p,))
+            entry = self.entries.pop(key, None)
+            if entry is not None:
+                self.labels -= entry[0]
+        if entry is None or entry[1][0] > s_target:
+            return rows[1], None
+        return rows[1], entry[1]
+
+    def _put(self, key: tuple, labels: int, value: object) -> None:
+        old = self.entries.pop(key, None)
+        if old is not None:
+            self.labels -= old[0]
+        self.entries[key] = (labels, value)
+        self.labels += labels
+
+    def keep(
+        self,
+        p: int,
+        key: Tuple[int, str, int],
+        rows: Dict[int, Tuple[int, ...]],
+        frontier: _Frontier,
+        column: _Column,
+    ) -> None:
+        with self.lock:
+            entry = self.entries.get((p,))
+            if entry is None or entry[1] is rows:
+                self._put((p,), len(rows), rows)
+            self._put(key + (frontier[0],), len(column), column)
+            self._put(key, len(frontier[1]) + len(frontier[2]), frontier)
+            while self.labels > _LABELS:
+                self.labels -= self.entries.popitem(last=False)[1][0]
 
 
-_frontiers = _Frontiers()
+_store = _Store()
 
 
-@lru_cache(maxsize=4096)
-def _column(params: Params, kind: str, s: int, s_target: int) -> FormalSum:
-    """``X x M_{1,s_target}`` for ``X = kind_{1,s}``, one column per step.
+def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
+    """``X x M_{1,s_target}`` for ``X = kind_{1,s}`` in codes, one column per step.
 
     The chain starts from ``X x M_{1,0} = 0`` and ``X x M_{1,1} = X``, or
     resumes from its kept frontier; callers check the labels.  Each step
-    costs O(labels in the column), and each label's ``M_{1,2}`` row is
-    built once per walk.
+    costs O(labels in the column); a label's row is built once per row
+    table.  A failed subtraction is reported in labels.
     """
-    key = (params, kind, s)
-    frontier = _frontiers.take(key, s_target)
+    p = params.p
+    key = (p, kind, s)
+    rows, frontier = _store.take(p, key, s_target)
     if frontier is None:
-        t, prev, col = 1, {}, {Indecomposable(kind, 1, s): 1}
+        t, prev, col = 1, {}, {_encode(Indecomposable(kind, 1, s)): 1}
     else:
         t, prev, col = frontier
-    rows: Dict[Indecomposable, Tuple[Indecomposable, ...]] = {}
+    row_of = rows.get
     while t < s_target:
-        acc: _Column = {}
-        for label, mult in col.items():
-            row = rows.get(label)
+        acc: Dict[int, int] = {}
+        add = acc.get
+        for code, mult in col.items():
+            row = row_of(code)
             if row is None:
-                row = rows[label] = _m12_terms(params, label)
+                row = rows[code] = _row(params, code)
             for term in row:
-                acc[term] = acc.get(term, 0) + mult
-        _subtract(acc, prev.items())
+                acc[term] = add(term, 0) + mult
+        try:
+            _subtract(acc, prev.items())
+        except NegativeMultiplicityError as err:
+            raise NegativeMultiplicityError(
+                _decode(_label_order(err.minuend._key), 0),
+                _decode(_label_order(err.subtrahend._key), 0),
+                _label(err.label),
+            ) from None
         prev, col, t = col, acc, t + 1
-    _frontiers.keep(key, (t, prev, col))
-    return FormalSum(col)
+    column = _label_order(sorted(col.items()))
+    _store.keep(p, key, rows, (t, prev, col), column)
+    return column
+
+
+def _column(params: Params, kind: str, s: int, s_target: int) -> _Column:
+    """The kept column ``kind_{1,s} x M_{1,s_target}``, or a walk to it."""
+    column = _store.column((params.p, kind, s, s_target))
+    return _walk(params, kind, s, s_target) if column is None else column
 
 
 def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:
@@ -238,10 +357,12 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
     projective whenever ``b`` is.  A simple ``b = M_{r',s'}`` reads the
     column ``a_{1,s} x M_{1,s'}`` shifted by ``(r-1) + (r'-1)``; a
     projective ``b`` sums such columns over its composition factors (the
-    split reduction in the module docstring), read in ascending ``s'`` so
-    that one walk of ``a``'s chain serves them all.  ``p`` above
-    ``_MAX_P`` raises ``ValueError`` before any walk; a label not in normal
-    form raises :class:`~.catalog.NotNormalForm`; any other kind raises
+    split reduction in the module docstring) in code space, each moved by
+    its factor's ``r`` relative to ``b``'s, and shifts the sum once.  The
+    factors are read in ascending ``s'``, so that one walk of ``a``'s chain
+    serves them all.  ``p`` above ``_MAX_P`` raises ``ValueError`` before
+    any walk; a label not in normal form raises
+    :class:`~.catalog.NotNormalForm`; any other kind raises
     :class:`UnsupportedFusion`.
     """
     if params.p > _MAX_P:
@@ -257,10 +378,13 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
         raise UnsupportedFusion(
             f"the recursion oracle covers M/P labels only, got {a} x {b}"
         )
+    shift = a.r + b.r - 2
     if b.kind == SIMPLE:
-        return _shift(_column(params, a.kind, a.s, b.s), a.r + b.r - 2)
-    factors = sorted(composition_factors(params, b)._key, key=lambda ym: ym[0].s)
-    return FormalSum.combine(
-        (mult, _shift(_column(params, a.kind, a.s, y.s), a.r + y.r - 2))
-        for y, mult in factors
-    )
+        return _decode(_column(params, a.kind, a.s, b.s), shift)
+    acc: Dict[int, int] = {}
+    for y, mult in sorted(composition_factors(params, b)._key, key=lambda ym: ym[0].s):
+        up = (y.r - b.r) << _R_SHIFT
+        for code, k in _column(params, a.kind, a.s, y.s):
+            code += up
+            acc[code] = acc.get(code, 0) + mult * k
+    return _decode(_label_order(sorted(acc.items())), shift)

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +258,38 @@ def test_table_unwritable_out_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("singlet-fusion: ") and str(target) in err
     assert not target.exists()
+
+
+def _child(argv, **kwargs):
+    """``python -m singlet_fusion argv`` in a child that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "singlet_fusion", *argv]
+    return subprocess.Popen(cmd, stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def test_stdout_closed_after_the_first_line_exits_141_quietly():
+    # table ... | head -1: the 504 KB table outgrows the pipe, so the reader
+    # leaves while rows are still being written; that is not a usage failure
+    argv = ["table", "--p", "6", "--rmin", "-4", "--rmax", "4"]
+    with _child(argv, stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"left\tright\tresult\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_PIPE, b"")
+
+
+def test_stdout_closed_before_the_final_flush_exits_141_quietly():
+    # a one-line report fits in the buffer, so its write fails only at the
+    # flush; the pipe's read end is closed before the child starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(["fuse", "--p", "3", "M:1,2", "M:1,2"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    with proc:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_PIPE, b"")
 
 
 def test_cli_rejects_bad_p(capsys):

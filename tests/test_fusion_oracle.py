@@ -107,11 +107,26 @@ def _reference_column(params, kind, s, s_target):
 
 
 def _fresh_memos(monkeypatch):
-    """Cold column LRU and empty frontiers for this test; returns the frontiers."""
-    oracle_mod._column.cache_clear()
-    frontiers = oracle_mod._Frontiers()
-    monkeypatch.setattr(oracle_mod, "_frontiers", frontiers)
-    return frontiers
+    """An empty oracle store for this test: no rows, frontiers or columns; returns it."""
+    store = oracle_mod._Store()
+    monkeypatch.setattr(oracle_mod, "_store", store)
+    return store
+
+
+def _chains(store):
+    """The ``(p, kind, s)`` keys of the chain frontiers the store holds."""
+    return {key for key in store.entries if len(key) == 3}
+
+
+def _held(store):
+    """Labels the store's entries hold, counted afresh from their values."""
+    held = 0
+    for key, (_, value) in store.entries.items():
+        if len(key) == 3:
+            held += len(value[1]) + len(value[2])
+        else:  # a row table or a column
+            held += len(value)
+    return held
 
 
 def _column_requests(params):
@@ -124,12 +139,15 @@ def _column_requests(params):
 def test_chain_order_independence(monkeypatch, budget):
     # every (kind, s, t) column at p = 2..9 equals the rebuild-from-s = 1
     # reference, whether asked cold, ascending, descending or shuffled, with
-    # the chains interleaved; the walk is called past the column LRU
+    # the chains interleaved; the walk is called past the column memo
     import random
 
     if budget is not None:
-        monkeypatch.setattr(oracle_mod, "_FRONTIER_LABELS", budget)
-    walk = oracle_mod._column.__wrapped__
+        monkeypatch.setattr(oracle_mod, "_LABELS", budget)
+
+    def walk(params, kind, s, t):
+        return oracle_mod._decode(oracle_mod._walk(params, kind, s, t), 0)
+
     rng = random.Random(28)
     for p in range(2, 10):
         params = Params(p)
@@ -141,13 +159,13 @@ def test_chain_order_independence(monkeypatch, budget):
         by_t = sorted(requests, key=lambda req: (req[2], req[:2]))
         shuffled = rng.sample(requests, len(requests))
         for order in (by_t, by_t[::-1], shuffled):
-            frontiers = _fresh_memos(monkeypatch)
+            store = _fresh_memos(monkeypatch)
             evicted = False
             for req in order:
-                others = set(frontiers.chains) - {(params, *req[:2])}
+                others = _chains(store) - {(p, *req[:2])}
                 assert walk(params, *req) == want[req], req
-                evicted |= not others <= set(frontiers.chains)
-                assert frontiers.labels <= oracle_mod._FRONTIER_LABELS
+                evicted |= not others <= _chains(store)
+                assert _held(store) == store.labels <= oracle_mod._LABELS
         if budget is not None and p >= 5:
             assert evicted, p
 
@@ -156,15 +174,15 @@ def test_projective_right_factor_walks_one_chain(monkeypatch):
     # P_{0,2} at p = 7 has composition factors M_{-1,5} + 2 M_{0,2} + M_{1,5};
     # they are read in ascending s', not in label order, so the walk to 5
     # resumes from the frontier at 2 instead of restarting from 1
-    frontiers = _fresh_memos(monkeypatch)
-    take, taken = frontiers.take, []
+    store = _fresh_memos(monkeypatch)
+    take, taken = store.take, []
 
-    def spy(key, s_target):
-        frontier = take(key, s_target)
+    def spy(p, key, s_target):
+        rows, frontier = take(p, key, s_target)
         taken.append((s_target, None if frontier is None else frontier[0]))
-        return frontier
+        return rows, frontier
 
-    monkeypatch.setattr(frontiers, "take", spy)
+    monkeypatch.setattr(store, "take", spy)
     params = Params(7)
     a, b = projective(params, 1, 3), projective(params, 0, 2)
     assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
@@ -364,37 +382,54 @@ def test_oracle_p_bound_boundary(monkeypatch, capsys):
 
 
 def test_both_memos_are_bounded(monkeypatch):
-    # the column LRU keeps its 4 096 entries; the frontiers are bounded by the
-    # labels they hold: walking every chain of p = 20, 28, ..., 76 to its end
-    # would hold about 41 000 labels, more than the budget
-    assert oracle_mod._column.cache_info().maxsize == 4096
-    frontiers = _fresh_memos(monkeypatch)
-    budget = oracle_mod._FRONTIER_LABELS
+    # rows, frontiers and columns share one budget of labels held: walking
+    # every chain of p = 20, 28, ..., 76 to its end would hold about 65 000
+    # labels, more than a budget of 32 768
+    store = _fresh_memos(monkeypatch)
+    budget = 1 << 15
+    monkeypatch.setattr(oracle_mod, "_LABELS", budget)
     for p in range(20, 80, 8):
         params = Params(p)
         top = simple(params, 1, p)
         for a in verify.label_window(params, 1, 1):
             oracle_fuse(params, a, top)
-            assert frontiers.labels <= budget
-    held = sum(len(prev) + len(col) for _, prev, col in frontiers.chains.values())
-    assert held == frontiers.labels > budget // 2
-    # the least recent chains went first: p = 20's are gone, p = 76's are all kept
-    kept = [params.p for params, _, _ in frontiers.chains]
-    assert 20 not in kept and kept.count(76) == 2 * 76 - 1
-    assert oracle_mod._column.cache_info().currsize <= 4096
+            assert store.labels <= budget
+    assert _held(store) == store.labels > budget // 2
+    # the least recent entries went first: p = 20's are gone, p = 76's are all
+    # kept, its row table, chains and columns alike
+    kept = [key[0] for key in store.entries]
+    assert 20 not in kept
+    assert kept.count(76) == 1 + 2 * (2 * 76 - 1)
+    assert [p for p, _, _ in _chains(store)].count(76) == 2 * 76 - 1
 
 
 @pytest.mark.parametrize("left, right", [(simple, simple), (projective, simple), (projective, projective)])
-def test_column_memo_does_not_grow_with_r(left, right):
+def test_column_memo_does_not_grow_with_r(monkeypatch, left, right):
+    store = _fresh_memos(monkeypatch)
     params = Params(5)
-    oracle_mod._column.cache_clear()
     b = right(params, 1, 3)
     oracle_fuse(params, left(params, 1, 2), b)
-    size = oracle_mod._column.cache_info().currsize
+    size = (len(store.entries), store.labels)
     for r in range(-50, 50):
         a = left(params, r, 2)
         assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
-    assert oracle_mod._column.cache_info().currsize == size
+    assert (len(store.entries), store.labels) == size
+
+
+@pytest.mark.parametrize("p", [2, 2000])
+def test_codes_never_alias(p):
+    # columns are walked at r = 1 and shifted once, at decode: labels at
+    # r = +-10^12 and the largest s the cap admits come back exact for every
+    # M/P kind pair, p = 2's own P rule included
+    params = Params(p)
+    labels = [
+        build(params, r, s)
+        for r in (10**12, -(10**12))
+        for build, s in ((simple, p), (projective, p - 1), (simple, 1))
+    ]
+    for a in labels:
+        for b in labels:
+            assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b), (a, b)
 
 
 @given(params_st, st.data())
@@ -429,7 +464,6 @@ def test_oracle_never_touches_closed_forms(monkeypatch):
     assert got.total() > 0
     got_mm = oracle_fuse(P2, simple(P2, 1, 2), simple(P2, 1, 2))
     assert got_mm == FormalSum.of(projective(P2, 1, 1))
-    oracle_mod._column.cache_clear()
 
 
 def _package_imports():
@@ -502,29 +536,36 @@ def test_import_graph_keeps_the_routes_independent():
 
 
 def test_concurrent_calls_match_serial_results(monkeypatch):
-    # threads resume, restart and evict the same chains; a thread owns the
-    # frontier it takes, so every answer is the serial one
+    # threads resume, restart and evict the same chains and row tables; a
+    # thread owns the frontier it takes, so every answer is the serial one
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     params = Params(5)
     pairs = [
-        (x(params, ra, sa), simple(params, rb, sb))
+        (x(params, ra, sa), y(params, rb, sb))
         for x in (simple, projective)
+        for y in (simple, projective)
         for ra in (-1, 0, 2)
         for rb in (-2, 1)
         for sa in range(1, 5)
-        for sb in range(5, 0, -1)
+        for sb in range(4, 0, -1)
     ]
     _fresh_memos(monkeypatch)
     serial = [oracle_fuse(params, a, b) for a, b in pairs]
-    frontiers = _fresh_memos(monkeypatch)
-    monkeypatch.setattr(oracle_mod, "_FRONTIER_LABELS", 12)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda ab: oracle_fuse(params, *ab), pairs))
+    store = _fresh_memos(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "_LABELS", 12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, inside walks and reads
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda ab: oracle_fuse(params, *ab), pairs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert serial == parallel
-    # two threads may keep the same chain; the count of labels held stays exact
-    held = sum(len(prev) + len(col) for _, prev, col in frontiers.chains.values())
-    assert held == frontiers.labels <= 12
+    # two threads may keep the same chain or grow the same row table; the
+    # count of labels held stays exact
+    assert _held(store) == store.labels <= 12
 
 
 def test_memo_consistency_between_orders(monkeypatch):

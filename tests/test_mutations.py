@@ -16,20 +16,23 @@ from singlet_fusion import catalog, fusion_closed, fusion_oracle, verify
 from singlet_fusion.catalog import FormalSum, Indecomposable
 from singlet_fusion.labels import Params
 
-#: The memos a mutation could otherwise leak into, or read stale answers from.
-MEMOS = (fusion_closed._template, fusion_oracle._column)
+#: The closed forms' memo, which a mutation could otherwise leak into, or read
+#: stale answers from; held here because a case may patch the module's name.
+TEMPLATE = fusion_closed._template
+
+
+def _cold_store(monkeypatch):
+    # the oracle's rows, frontiers and columns go to a store of their own,
+    # which the monkeypatch undo drops
+    monkeypatch.setattr(fusion_oracle, "_store", fusion_oracle._Store())
 
 
 @pytest.fixture(autouse=True)
 def _cold_memos(monkeypatch):
-    # a mutant's chain frontiers go to a store of their own, which the
-    # monkeypatch undo drops
-    monkeypatch.setattr(fusion_oracle, "_frontiers", fusion_oracle._Frontiers())
-    for memo in MEMOS:
-        memo.cache_clear()
+    _cold_store(monkeypatch)
+    TEMPLATE.cache_clear()
     yield
-    for memo in MEMOS:
-        memo.cache_clear()
+    TEMPLATE.cache_clear()
 
 
 def _top_simple_dropped_from_mm(right):
@@ -110,7 +113,7 @@ CASES = {
         fusion_closed, "_shift", _shift_off_by_one, _CLOSED, ("fusion", "triplet")
     ),
     "shift off by one in the oracle": (
-        fusion_oracle, "_shift", _shift_off_by_one, _ORACLE, ("fusion",)
+        fusion_oracle, "_decode", _shift_off_by_one, _ORACLE, ("fusion",)
     ),
     "wrong _m12_terms row": (
         fusion_oracle, "_m12_terms", _p0_read_as_two_copies, _ORACLE, ("fusion",)
@@ -125,9 +128,8 @@ def test_verify_all_catches_the_mutation(case, monkeypatch):
     labels = verify.label_window(params, -1, 1)
     before = probe(params, labels)
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    monkeypatch.setattr(fusion_oracle, "_frontiers", fusion_oracle._Frontiers())
-    for memo in MEMOS:
-        memo.cache_clear()
+    _cold_store(monkeypatch)
+    TEMPLATE.cache_clear()
     assert probe(params, labels) != before, "the mutation changes no answer"
     report = verify.run_suites(list(verify.SUITES), range(2, 7), rwin=2)
     failing = {suite for suite, per_p in report.items() if any(f for _, f in per_p.values())}

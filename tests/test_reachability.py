@@ -2,7 +2,7 @@
 
 One subprocess runs the commands below through ``cli`` under ``sys.settrace``
 and reports every code object it entered.  A fresh interpreter starts with
-cold memos (``_column``, ``_template``, ``bpz._frobenius``), so a function
+cold memos (the oracle's store, ``_template``, ``bpz._frobenius``), so a function
 reached only on a memo miss still counts, and the tracers of pytest and
 hypothesis are left alone.  Every ``def`` in the ``src`` AST, methods and
 nested functions included, that no command enters must be on ``ALLOWLIST``,
