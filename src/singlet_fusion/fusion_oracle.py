@@ -58,7 +58,7 @@ columns read from them, whatever ``r`` the callers use, as one LRU under
 one budget of labels held (``_LABELS``) and one lock, so memory stays
 bounded whatever ``p`` a process visits.  Every result depends on the
 arguments alone: a thread owns the frontier it takes, and the lock guards
-only the store's bookkeeping, never a walk or a read, so concurrent use
+only the store's bookkeeping, never a walk, so concurrent use
 returns the same values as sequential use.
 """
 
@@ -97,10 +97,10 @@ _MAX_P = 2000
 #: benchmark session holds under 10 000.
 _LABELS = 1 << 16
 
-# A code is ``(r - 1) << _R_SHIFT | kind bit | s``: ``s <= _MAX_P < 2**11``
-# and ``r`` is unbounded, so no two labels share a code, and adding
-# ``d << _R_SHIFT`` moves ``r`` by ``d``.  Codes sort by ``(r, kind, s)``.
-_S_BITS = 11
+# A code is ``(r - 1) << _R_SHIFT | kind bit | s``: ``s <= _MAX_P <
+# 2**_S_BITS`` and ``r`` is unbounded, so no two labels share a code, and
+# adding ``d << _R_SHIFT`` moves ``r`` by ``d``.  Codes sort by ``(r, kind, s)``.
+_S_BITS = _MAX_P.bit_length()
 _S_MASK = (1 << _S_BITS) - 1
 _P_BIT = 1 << _S_BITS
 _R_SHIFT = _S_BITS + 1
@@ -189,9 +189,11 @@ def _encode(x: Indecomposable) -> int:
     return (x.r - 1) << _R_SHIFT | (_P_BIT if x.kind == PROJECTIVE else 0) | x.s
 
 
-def _label(code: int) -> Indecomposable:
-    """The label a code stands for."""
-    return Indecomposable(_KINDS[code >> _S_BITS & 1], (code >> _R_SHIFT) + 1, code & _S_MASK)
+def _label(code: int, base: int = 1) -> Indecomposable:
+    """The label a code stands for, its ``r`` moved by ``base - 1``."""
+    r = (code >> _R_SHIFT) + base
+    # Indecomposable(...) without its Python-level __new__
+    return tuple.__new__(Indecomposable, (_KINDS[code >> _S_BITS & 1], r, code & _S_MASK, 1))
 
 
 def _label_order(pairs: Sequence[Tuple[int, int]]) -> _Column:
@@ -209,13 +211,8 @@ def _decode(column: _Column, delta: int) -> FormalSum:
 
     The oracle's one shift: every product leaves the store through here.
     """
-    new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
     base = delta + 1
-    terms = [
-        (new(Indecomposable, (_KINDS[c >> _S_BITS & 1], (c >> _R_SHIFT) + base, c & _S_MASK, 1)), m)
-        for c, m in column
-    ]
-    return FormalSum._from_sorted(tuple(terms))
+    return FormalSum._from_sorted(tuple([(_label(c, base), m) for c, m in column]))
 
 
 def _row(params: Params, code: int) -> Tuple[int, ...]:
@@ -234,9 +231,9 @@ class _Store:
     chain owns it; :meth:`keep` puts it back with the column it reached, as
     the most recent entries, and evicts the least recent while more than
     ``_LABELS`` labels are held.  A walk adds rows to its row table outside
-    the lock; :meth:`keep` counts them.  The lock guards :meth:`take` and
-    :meth:`keep`, never a walk or a read.  Frontier dicts are never changed
-    once kept: each step builds a new column.
+    the lock; :meth:`keep` counts them.  Every bookkeeping step runs under
+    the lock, never a walk.  Frontier dicts are never changed once kept:
+    each step builds a new column.
     """
 
     def __init__(self) -> None:
@@ -245,18 +242,12 @@ class _Store:
         self.lock = Lock()
 
     def column(self, key: Tuple[int, str, int, int]) -> Optional[_Column]:
-        """The kept column ``key``, made the most recent, or ``None``.
-
-        No lock: the read and the move are one step each, and a column that
-        another thread evicts between them is still the right column.
-        """
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        try:
+        """The kept column ``key``, made the most recent, or ``None``."""
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                return None
             self.entries.move_to_end(key)
-        except KeyError:  # evicted meanwhile
-            pass
         return entry[1]
 
     def take(

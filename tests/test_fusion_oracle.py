@@ -416,7 +416,7 @@ def test_column_memo_does_not_grow_with_r(monkeypatch, left, right):
     assert (len(store.entries), store.labels) == size
 
 
-@pytest.mark.parametrize("p", [2, 2000])
+@pytest.mark.parametrize("p", [2, oracle_mod._MAX_P])
 def test_codes_never_alias(p):
     # columns are walked at r = 1 and shifted once, at decode: labels at
     # r = +-10^12 and the largest s the cap admits come back exact for every
@@ -549,7 +549,7 @@ def test_concurrent_calls_match_serial_results(monkeypatch):
         for ra in (-1, 0, 2)
         for rb in (-2, 1)
         for sa in range(1, 5)
-        for sb in range(4, 0, -1)
+        for sb in range(5, 0, -1)  # P_{rb,5} normalizes to M_{rb,5}: the chain's top
     ]
     _fresh_memos(monkeypatch)
     serial = [oracle_fuse(params, a, b) for a, b in pairs]
