@@ -43,7 +43,6 @@ from .catalog import (
 from .fusion_closed import fuse
 from .fusion_oracle import (
     NegativeMultiplicityError,
-    ks_subtract,
     oracle_fuse,
 )
 from .labels import (
@@ -86,7 +85,6 @@ __all__ = [
     "rbar",
     "weight_coset_diff",
     "fuse",
-    "ks_subtract",
     "oracle_fuse",
     "induce",
     "induce_sum",

@@ -21,9 +21,9 @@ and :func:`normalize` are each one call to one private rule.  It raises
 ``M``, ``P`` or ``F`` too), and repairs nothing.  Every other public function
 rejects a label not in normal form (one built with :class:`Indecomposable`
 directly) with a :class:`NotNormalForm`, or a ``TypeError`` for an index that
-is not exactly ``int``.  Both fusion routes shift their ``r = 1`` products
-with the private ``_shift``, which checks nothing: it only ever sees terms
-built from labels an entry point has already checked.
+is not exactly ``int``.  Each fusion route shifts its ``r = 1`` products
+itself and checks nothing per term: it only ever sees terms built from
+labels its entry point has already checked.
 
 Each module is described by its composition factors
 (:func:`composition_factors`, of a label or of a formal sum) and, for
@@ -287,24 +287,6 @@ class FormalSum:
 
     def __repr__(self) -> str:
         return f"FormalSum({self._key!r})"
-
-
-def _shift(x: FormalSum, delta: int) -> FormalSum:
-    """Relabel ``r -> r + delta`` on every term of ``x``; ``x`` itself for ``delta = 0``.
-
-    The shift of the ``r = 1`` products in both fusion routes.  The caller
-    passes normal-form terms and an int ``delta``; nothing is checked.
-    Normal form does not depend on ``r``, so the shifted terms stay in
-    normal form and in sorted order.
-    """
-    if not delta:
-        return x
-    new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
-    # a list, not a generator: tuple() of a generator over-allocates its
-    # result, and callers keep the shifted sums
-    return FormalSum._from_sorted(
-        tuple([(new(Indecomposable, (k, r + delta, s, n)), m) for (k, r, s, n), m in x._key])
-    )
 
 
 # ---------------------------------------------------------------------------

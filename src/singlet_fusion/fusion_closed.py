@@ -48,7 +48,6 @@ from .catalog import (
     _check_normal_form,
     _label,
     _pairs,
-    _shift,
     _SumLike,
 )
 from .labels import Params
@@ -129,6 +128,24 @@ def _template(params: Params, kinds: Tuple[str, str], s: int, t: int) -> FormalS
         for kind, ells, rs in _windows(params.p, kinds, s, t)
         for ell in ells
         for r in rs
+    )
+
+
+def _shift(x: FormalSum, delta: int) -> FormalSum:
+    """Relabel ``r -> r + delta`` on every term of ``x``; ``x`` itself for ``delta = 0``.
+
+    The shift of the ``r = 1`` templates and of the Fock products.  The
+    caller passes normal-form terms and an int ``delta``; nothing is checked.
+    Normal form does not depend on ``r``, so the shifted terms stay in
+    normal form and in sorted order.
+    """
+    if not delta:
+        return x
+    new = tuple.__new__  # Indecomposable(...) without its Python-level __new__
+    # a list, not a generator: tuple() of a generator over-allocates its
+    # result, and callers keep the shifted sums
+    return FormalSum._from_sorted(
+        tuple([(new(Indecomposable, (k, r + delta, s, n)), m) for (k, r, s, n), m in x])
     )
 
 

@@ -9,9 +9,9 @@ Products are rebuilt from scratch with only three ingredients:
    ``X x M_{1,s+1} = M_{1,2} x (X x M_{1,s})  -  X x M_{1,s-1}``,
    which follows from ``M_{1,2} x M_{1,s} = M_{1,s-1} + M_{1,s+1}`` by
    associativity, and
-3. Krull-Schmidt cancellation (:func:`ks_subtract`, one in-place dict
-   subtraction in the walk): decompositions into indecomposables are
-   unique, so the subtraction in (2) is well defined.
+3. Krull-Schmidt cancellation (one in-place subtraction in the walk):
+   decompositions into indecomposables are unique, so the subtraction in
+   (2) is well defined.
    A subtraction that would go negative raises
    :class:`NegativeMultiplicityError`, whose fields ``minuend``,
    ``subtrahend`` and ``label`` record the failed step.
@@ -35,13 +35,13 @@ takes this route.  This module imports only :mod:`.catalog` and
 consulted, so agreement between the two routes is a genuine cross-check.
 
 Each left factor ``kind_{1,s}`` has one *chain*: the loop that walks its
-columns ``s_target = 1, 2, ...`` keeping only the last two, so it has no
-depth limit.  The chain's frontier ``(t, prev, col)`` is kept, so a later
-request for a larger ``s_target`` resumes the walk where the last one
-stopped; a smaller one restarts from ``s_target = 1``.  One step costs
-O(labels in the column), at most O(p), so a cold product walks at most
-O(p^2) labels: ``oracle_fuse`` refuses ``p`` above ``_MAX_P``
-before any walk.
+columns ``t = 1, 2, ...`` keeping only the last two, so it has no depth
+limit.  A walk leaves its last two columns in the store, so a later walk
+to ``s_target`` resumes from the highest ``t < s_target`` whose columns
+``t - 1`` and ``t`` are both kept, and starts from ``t = 1`` when no such
+pair is.  One step costs O(labels in the column), at most O(p), so a cold
+product walks at most O(p^2) labels: ``oracle_fuse`` refuses ``p`` above
+``_MAX_P`` before any walk.
 
 The walk runs on integer *codes*, not on labels: a code packs the
 ``(kind, r, s)`` of one term into one int (``_encode``), so dict keys hash
@@ -53,20 +53,20 @@ sums the columns a product needs in code space and turns codes back into
 labels once, in ``_decode``, which applies the product's ``r`` shift: the
 oracle's one shift.
 
-One store (``_Store``) holds the row tables, the chain frontiers and the
-columns read from them, whatever ``r`` the callers use, as one LRU under
-one budget of labels held (``_LABELS``) and one lock, so memory stays
-bounded whatever ``p`` a process visits.  Every result depends on the
-arguments alone: a thread owns the frontier it takes, and the lock guards
-only the store's bookkeeping, never a walk, so concurrent use
-returns the same values as sequential use.
+One store (``_Store``) holds the row tables and the columns, whatever
+``r`` the callers use, as one LRU under one budget of labels held
+(``_LABELS``) and one lock, so memory stays bounded whatever ``p`` a
+process visits.  Every result depends on the arguments alone: a kept
+column never changes, so two threads that walk one chain compute and keep
+the same values, and the lock guards only the store's bookkeeping, never a
+walk, so concurrent use returns the same values as sequential use.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from threading import Lock
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NoReturn, Optional, Sequence, Tuple
 
 from .catalog import (
     PROJECTIVE,
@@ -81,20 +81,20 @@ from .labels import Params
 
 __all__ = [
     "NegativeMultiplicityError",
-    "ks_subtract",
     "oracle_fuse",
 ]
 
 #: Largest ``p`` :func:`oracle_fuse` accepts.  A cold product walks at most
 #: ``p`` columns of at most O(p) labels each; at p = 2000 the costliest
-#: (``P_{1,1300} x M_{1,2000}``) takes about 1.4 s and 20 MB on one core.
+#: (``P_{1,1300} x M_{1,2000}``) takes 0.6-0.9 s and 20 MB peak RSS as a
+#: ``fuse --engine both`` process (CPython 3.11, one core of a shared 2-CPU
+#: Xeon host).
 _MAX_P = 2000
 
 #: Labels the oracle's store may hold in all: a column counts its terms, a
-#: chain frontier the terms of its two columns, a row table its rows.  The
-#: exhaustive fusion suite reads every column of one left factor's chain
-#: before the next, under p^2 / 2 labels (under 28 000 at p = 250); a
-#: benchmark session holds under 10 000.
+#: row table its rows.  The exhaustive fusion suite reads every column of one
+#: left factor's chain before the next, under p^2 / 2 labels (under 28 000 at
+#: p = 250); a benchmark session holds under 8 100.
 _LABELS = 1 << 16
 
 # A code is ``(r - 1) << _R_SHIFT | kind bit | s``: ``s <= _MAX_P <
@@ -108,7 +108,6 @@ _KINDS = (SIMPLE, PROJECTIVE)
 
 #: ``(code, multiplicity)`` pairs of one column, in label order.
 _Column = Tuple[Tuple[int, int], ...]
-_Frontier = Tuple[int, Dict[int, int], Dict[int, int]]
 
 
 class NegativeMultiplicityError(ArithmeticError):
@@ -156,34 +155,6 @@ def _m12_terms(params: Params, x: Indecomposable) -> Tuple[Indecomposable, ...]:
     return (Indecomposable(SIMPLE, r + 1, p), Indecomposable(SIMPLE, r - 1, p)) + upper
 
 
-def _subtract(acc: Dict[object, int], sub: Iterable[Tuple[object, int]]) -> None:
-    """``acc -= sub`` in place, zeros dropped; requires ``sub <= acc`` termwise.
-
-    ``sub`` holds distinct labels with positive multiplicities and can be
-    iterated twice.  A term that would go negative restores ``acc`` and raises
-    :class:`NegativeMultiplicityError` with both operands as sums.
-    """
-    for label, mult in sub:
-        left = acc.get(label, 0) - mult
-        if left > 0:
-            acc[label] = left
-        elif not left:
-            del acc[label]
-        else:
-            for done, back in sub:
-                if done == label:
-                    break
-                acc[done] = acc.get(done, 0) + back
-            raise NegativeMultiplicityError(FormalSum(acc), FormalSum(sub), label)
-
-
-def ks_subtract(a: FormalSum, b: FormalSum) -> FormalSum:
-    """Exact multiset difference ``a - b``; requires ``b <= a`` termwise."""
-    acc = dict(a._key)
-    _subtract(acc, b._key)
-    return FormalSum(acc)
-
-
 def _encode(x: Indecomposable) -> int:
     """The code of an ``M`` or ``P`` label."""
     return (x.r - 1) << _R_SHIFT | (_P_BIT if x.kind == PROJECTIVE else 0) | x.s
@@ -221,19 +192,18 @@ def _row(params: Params, code: int) -> Tuple[int, ...]:
 
 
 class _Store:
-    """The oracle's one memo: an LRU of row tables, chain frontiers and
-    columns, bounded by the labels they hold.
+    """The oracle's one memo: an LRU of row tables and columns, bounded by
+    the labels they hold.
 
-    Keys are ``(p,)`` for the row table of ``p`` (code -> row), ``(p, kind,
-    s)`` for the frontier ``(t, prev, col)`` of chain ``kind_{1,s}`` and
-    ``(p, kind, s, t)`` for its column ``t``; each entry is ``(labels held,
-    value)``.  :meth:`take` removes a frontier, so the thread that walks a
-    chain owns it; :meth:`keep` puts it back with the column it reached, as
-    the most recent entries, and evicts the least recent while more than
-    ``_LABELS`` labels are held.  A walk adds rows to its row table outside
-    the lock; :meth:`keep` counts them.  Every bookkeeping step runs under
-    the lock, never a walk.  Frontier dicts are never changed once kept:
-    each step builds a new column.
+    Keys are ``(p,)`` for the row table of ``p`` (code -> row) and ``(p,
+    kind, s, t)`` for column ``t`` of chain ``kind_{1,s}``; each entry is
+    ``(labels held, value)``.  A kept column is a tuple and never changes, so
+    two threads that walk one chain keep the same values and no walk owns
+    an entry.  :meth:`keep` puts a walk's last two columns in as the most
+    recent entries and evicts the least recent while more than ``_LABELS``
+    labels are held.  A walk adds rows to its row table outside the lock;
+    :meth:`keep` counts them.  Every bookkeeping step runs under the lock,
+    never a walk.
     """
 
     def __init__(self) -> None:
@@ -250,23 +220,29 @@ class _Store:
             self.entries.move_to_end(key)
         return entry[1]
 
-    def take(
-        self, p: int, key: Tuple[int, str, int], s_target: int
-    ) -> Tuple[Dict[int, Tuple[int, ...]], Optional[_Frontier]]:
-        """The row table of ``p`` and the frontier of chain ``key``, if it
-        has not passed ``s_target``; the frontier leaves the store."""
+    def resume(
+        self, p: int, chain: Tuple[int, str, int], s_target: int
+    ) -> Tuple[Dict[int, Tuple[int, ...]], Optional[Tuple[int, _Column, _Column]]]:
+        """The row table of ``p`` and ``(t, column t - 1, column t)`` for the
+        highest ``t < s_target`` whose two columns are kept, or ``None``."""
+        entries = self.entries
         with self.lock:
-            rows = self.entries.get((p,))
+            rows = entries.get((p,))
             if rows is None:
-                rows = self.entries[(p,)] = (0, {})
+                rows = entries[(p,)] = (0, {})
             else:
-                self.entries.move_to_end((p,))
-            entry = self.entries.pop(key, None)
-            if entry is not None:
-                self.labels -= entry[0]
-        if entry is None or entry[1][0] > s_target:
-            return rows[1], None
-        return rows[1], entry[1]
+                entries.move_to_end((p,))
+            # at most one lookup per step the walk then saves
+            for t in range(s_target - 1, 1, -1):
+                col = entries.get(chain + (t,))
+                if col is None:
+                    continue
+                prev = entries.get(chain + (t - 1,))
+                if prev is not None:
+                    entries.move_to_end(chain + (t - 1,))
+                    entries.move_to_end(chain + (t,))
+                    return rows[1], (t, prev[1], col[1])
+        return rows[1], None
 
     def _put(self, key: tuple, labels: int, value: object) -> None:
         old = self.entries.pop(key, None)
@@ -278,17 +254,20 @@ class _Store:
     def keep(
         self,
         p: int,
-        key: Tuple[int, str, int],
         rows: Dict[int, Tuple[int, ...]],
-        frontier: _Frontier,
-        column: _Column,
+        chain: Tuple[int, str, int],
+        t: int,
+        prev: _Column,
+        col: _Column,
     ) -> None:
+        """Keep columns ``t - 1`` (if ``t > 1``) and ``t`` of ``chain``."""
         with self.lock:
             entry = self.entries.get((p,))
             if entry is None or entry[1] is rows:
                 self._put((p,), len(rows), rows)
-            self._put(key + (frontier[0],), len(column), column)
-            self._put(key, len(frontier[1]) + len(frontier[2]), frontier)
+            if t > 1:
+                self._put(chain + (t - 1,), len(prev), prev)
+            self._put(chain + (t,), len(col), col)
             while self.labels > _LABELS:
                 self.labels -= self.entries.popitem(last=False)[1][0]
 
@@ -296,42 +275,55 @@ class _Store:
 _store = _Store()
 
 
+def _raise_negative(acc: Dict[int, int], prev: Iterable[Tuple[int, int]], code: int) -> NoReturn:
+    """Put back the terms of ``prev`` that ``acc`` lost before ``code``, and
+    raise :class:`NegativeMultiplicityError` for ``acc - prev`` in labels."""
+    for done, mult in prev:
+        if done == code:
+            break
+        acc[done] = acc.get(done, 0) + mult
+    raise NegativeMultiplicityError(
+        _decode(_label_order(sorted(acc.items())), 0),
+        _decode(_label_order(sorted(prev)), 0),
+        _label(code),
+    )
+
+
 def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
     """``X x M_{1,s_target}`` for ``X = kind_{1,s}`` in codes, one column per step.
 
     The chain starts from ``X x M_{1,0} = 0`` and ``X x M_{1,1} = X``, or
-    resumes from its kept frontier; callers check the labels.  Each step
-    costs O(labels in the column); a label's row is built once per row
-    table.  A failed subtraction is reported in labels.
+    resumes from its highest kept pair of columns below ``s_target``; callers
+    check the labels.  Each step costs O(labels in the column); a label's
+    row is built once per row table.
     """
     p = params.p
-    key = (p, kind, s)
-    rows, frontier = _store.take(p, key, s_target)
-    if frontier is None:
-        t, prev, col = 1, {}, {_encode(Indecomposable(kind, 1, s)): 1}
-    else:
-        t, prev, col = frontier
+    chain = (p, kind, s)
+    rows, start = _store.resume(p, chain, s_target)
+    # prev and col iterate as (code, multiplicity) pairs: kept tuples at the
+    # start, then the items of the dicts the steps build
+    t, prev, col = start or (1, (), ((_encode(Indecomposable(kind, 1, s)), 1),))
     row_of = rows.get
     while t < s_target:
         acc: Dict[int, int] = {}
         add = acc.get
-        for code, mult in col.items():
+        for code, mult in col:
             row = row_of(code)
             if row is None:
                 row = rows[code] = _row(params, code)
             for term in row:
                 acc[term] = add(term, 0) + mult
-        try:
-            _subtract(acc, prev.items())
-        except NegativeMultiplicityError as err:
-            raise NegativeMultiplicityError(
-                _decode(_label_order(err.minuend._key), 0),
-                _decode(_label_order(err.subtrahend._key), 0),
-                _label(err.label),
-            ) from None
-        prev, col, t = col, acc, t + 1
-    column = _label_order(sorted(col.items()))
-    _store.keep(p, key, rows, (t, prev, col), column)
+        for code, mult in prev:  # Krull-Schmidt: acc -= prev
+            left = add(code, 0) - mult
+            if left > 0:
+                acc[code] = left
+            elif not left:
+                del acc[code]
+            else:
+                _raise_negative(acc, prev, code)
+        prev, col, t = col, acc.items(), t + 1
+    column = _label_order(sorted(col))
+    _store.keep(p, rows, chain, t, _label_order(sorted(prev)), column)
     return column
 
 
@@ -373,7 +365,7 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
     if b.kind == SIMPLE:
         return _decode(_column(params, a.kind, a.s, b.s), shift)
     acc: Dict[int, int] = {}
-    for y, mult in sorted(composition_factors(params, b)._key, key=lambda ym: ym[0].s):
+    for y, mult in sorted(composition_factors(params, b), key=lambda ym: ym[0].s):
         up = (y.r - b.r) << _R_SHIFT
         for code, k in _column(params, a.kind, a.s, y.s):
             code += up

@@ -118,6 +118,7 @@ def induce(params: Params, x: Indecomposable) -> TripletIndec:
     ``P_{r,s} -> R_{rbar,s}``.  Jordan Fock modules induce to non-local
     objects and are rejected, as is a label not in normal form.  A normal
     form induces to a valid triplet label, so nothing more is checked.
+    Cost: O(1).
     """
     _check_normal_form(params, x, "induce")
     kind = _INDUCED.get(x.kind)

@@ -48,8 +48,10 @@ Result = Tuple[int, List[str]]
 #: W/R label pairs, whatever ``rwin`` is, take time about as p^2.7 (17 s at
 #: p = 80); the window's ``(2 rwin + 1)(2p - 1)`` labels would run for days
 #: (``labels`` took 2.4 s at p = 6, ``--rwin 2000``).  At p = 6, 245 025 table
-#: rows took 5 s and 178 MB peak RSS.  The largest benchmarked window has
-#: 3 025 pairs, the largest benchmarked table 9 801 rows.
+#: rows took 2.9 s of CPU and 17.4 MB peak RSS as TSV, which streams its rows,
+#: and 2.2 s and 129 MB as JSON, which holds them all (closed engine, CPython
+#: 3.11, one core of a shared 2-CPU Xeon host).  The largest benchmarked window
+#: has 3 025 pairs, the largest benchmarked table 9 801 rows.
 MAX_FUSION_PAIRS = 250_000
 
 #: Largest p the bpz suite runs at.  Its residuals multiply f'' by p, so the
@@ -345,6 +347,10 @@ def catalog_suite(params: Params, rwin: int) -> Result:
                 catalog.composition_factors(params, x).total() == 4,
                 lambda: f"projective length != 4 at {x}",
             )
+    # Cost: these eight Jordan calls grow about as p^2.3 and dominate at large
+    # p.  At p = 125 000, the largest p the label cap admits at rwin 0, the
+    # suite took 50 s (49 s of it here) and 17.6 MB peak RSS (CPython 3.11, one
+    # core of a shared 2-CPU Xeon host), so the label cap bounds this suite too
     p = params.p
     for r in (-1, 0, 1, 2):
         for n in (2, 3):

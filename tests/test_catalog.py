@@ -260,13 +260,13 @@ def test_formal_sum_hashable():
 
 def test_shift_r_moves_every_term_and_composes():
     x = FormalSum([(simple(P3, 1, 3), 2), (projective(P3, 0, 1), 1), (fock(P3, 2, 2), 1)])
-    shifted = catalog._shift(x, 3)
+    shifted = fusion_closed._shift(x, 3)
     assert shifted == FormalSum(
         [(simple(P3, 4, 3), 2), (projective(P3, 3, 1), 1), (fock(P3, 5, 2), 1)]
     )
-    assert catalog._shift(shifted, -3) == x
-    assert catalog._shift(x, 0) == x
-    assert not catalog._shift(FormalSum(), 5)
+    assert fusion_closed._shift(shifted, -3) == x
+    assert fusion_closed._shift(x, 0) == x
+    assert not fusion_closed._shift(FormalSum(), 5)
 
 
 def _old_shift_r(params, x, delta):
@@ -290,7 +290,7 @@ def _normal_sums(draw):
 @given(_normal_sums(), st.integers(min_value=-10**6, max_value=10**6))
 def test_shift_r_on_normal_forms_matches_the_relabelling(case, delta):
     params, x = case
-    got = catalog._shift(x, delta)
+    got = fusion_closed._shift(x, delta)
     assert got == _old_shift_r(params, x, delta)
     assert list(got) == sorted(got)
     assert got.total() == x.total()
@@ -345,7 +345,7 @@ def test_label_consumers_reject_raw_labels(raw, consumer):
 
 def test_shift_r_by_zero_returns_the_sum_itself():
     x = FormalSum([(simple(P3, 1, 3), 2), (projective(P3, 0, 1), 1)])
-    assert catalog._shift(x, 0) is x
+    assert fusion_closed._shift(x, 0) is x
 
 
 def test_from_sorted_equals_the_checked_sum():

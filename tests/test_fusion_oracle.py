@@ -22,11 +22,7 @@ from singlet_fusion.catalog import (
     projective,
     simple,
 )
-from singlet_fusion.fusion_oracle import (
-    NegativeMultiplicityError,
-    ks_subtract,
-    oracle_fuse,
-)
+from singlet_fusion.fusion_oracle import NegativeMultiplicityError, oracle_fuse
 from singlet_fusion.labels import Params
 
 P2 = Params(2)
@@ -34,45 +30,6 @@ P3 = Params(3)
 
 params_st = st.integers(min_value=2, max_value=6).map(Params)
 r_st = st.integers(min_value=-3, max_value=3)
-
-
-# --- Krull-Schmidt subtraction ------------------------------------------------
-
-
-def test_ks_subtract_examples():
-    a = FormalSum([(simple(P3, 1, 1), 1), (simple(P3, 1, 3), 2)])
-    b = FormalSum.of(simple(P3, 1, 3))
-    assert ks_subtract(a, b) == FormalSum.of(simple(P3, 1, 1), simple(P3, 1, 3))
-    assert ks_subtract(a, a) == FormalSum()
-    assert not ks_subtract(a, a)
-
-
-def test_ks_subtract_raises_and_reports():
-    a = FormalSum.of(simple(P3, 1, 1))
-    b = FormalSum.of(simple(P3, 2, 1))
-    with pytest.raises(NegativeMultiplicityError) as err:
-        ks_subtract(a, b)
-    assert err.value.minuend == a
-    assert err.value.subtrahend == b
-    assert err.value.label == simple(P3, 2, 1)
-    # a term already subtracted before the failing one is put back, so the
-    # error reports the minuend as it was
-    a = FormalSum([(simple(P3, 1, 1), 1), (simple(P3, 1, 3), 2)])
-    b = FormalSum([(simple(P3, 1, 1), 1), (simple(P3, 1, 3), 1), (simple(P3, 2, 1), 1)])
-    with pytest.raises(NegativeMultiplicityError) as err:
-        ks_subtract(a, b)
-    assert (err.value.minuend, err.value.subtrahend) == (a, b)
-    assert err.value.label == simple(P3, 2, 1)
-
-
-@given(params_st, st.data())
-def test_ks_subtract_roundtrip(params, data):
-    labels = st.tuples(r_st, st.integers(min_value=1, max_value=params.p)).map(
-        lambda t: simple(params, *t)
-    )
-    a = FormalSum(data.draw(st.lists(st.tuples(labels, st.integers(1, 3)), max_size=5)))
-    b = FormalSum(data.draw(st.lists(st.tuples(labels, st.integers(1, 3)), max_size=5)))
-    assert ks_subtract(FormalSum.combine([(1, a), (1, b)]), b) == a
 
 
 # --- column recursion ------------------------------------------------------------
@@ -95,38 +52,33 @@ def test_column_examples():
 
 def _reference_column(params, kind, s, s_target):
     """The column loop as it was before chains resumed: every column rebuilt
-    from s = 1 on ``FormalSum`` values, through :func:`ks_subtract`."""
+    from s = 1 on ``FormalSum`` values, subtracting through ``combine``."""
     prev, col = FormalSum(), FormalSum.of(Indecomposable(kind, 1, s))
     for _ in range(1, s_target):
         acc = {}
         for label, mult in col:
             for term in oracle_mod._m12_terms(params, label):
                 acc[term] = acc.get(term, 0) + mult
-        prev, col = col, ks_subtract(FormalSum(acc), prev)
+        prev, col = col, FormalSum.combine([(1, FormalSum(acc)), (-1, prev)])
     return col
 
 
 def _fresh_memos(monkeypatch):
-    """An empty oracle store for this test: no rows, frontiers or columns; returns it."""
+    """An empty oracle store for this test: no rows or columns; returns it."""
     store = oracle_mod._Store()
     monkeypatch.setattr(oracle_mod, "_store", store)
     return store
 
 
 def _chains(store):
-    """The ``(p, kind, s)`` keys of the chain frontiers the store holds."""
-    return {key for key in store.entries if len(key) == 3}
+    """The ``(p, kind, s)`` chains the store keeps a column of."""
+    return {key[:3] for key in store.entries if len(key) == 4}
 
 
 def _held(store):
-    """Labels the store's entries hold, counted afresh from their values."""
-    held = 0
-    for key, (_, value) in store.entries.items():
-        if len(key) == 3:
-            held += len(value[1]) + len(value[2])
-        else:  # a row table or a column
-            held += len(value)
-    return held
+    """Labels the store's entries hold, counted afresh from their values:
+    a row table counts its rows, a column its terms."""
+    return sum(len(value) for _, value in store.entries.values())
 
 
 def _column_requests(params):
@@ -173,20 +125,44 @@ def test_chain_order_independence(monkeypatch, budget):
 def test_projective_right_factor_walks_one_chain(monkeypatch):
     # P_{0,2} at p = 7 has composition factors M_{-1,5} + 2 M_{0,2} + M_{1,5};
     # they are read in ascending s', not in label order, so the walk to 5
-    # resumes from the frontier at 2 instead of restarting from 1
+    # resumes from the columns 1 and 2 kept by the walk to 2, and the second
+    # factor at 5 reads the kept column
     store = _fresh_memos(monkeypatch)
-    take, taken = store.take, []
+    resume, started = store.resume, []
 
-    def spy(p, key, s_target):
-        rows, frontier = take(p, key, s_target)
-        taken.append((s_target, None if frontier is None else frontier[0]))
-        return rows, frontier
+    def spy(p, chain, s_target):
+        rows, start = resume(p, chain, s_target)
+        started.append((s_target, 1 if start is None else start[0]))
+        return rows, start
 
-    monkeypatch.setattr(store, "take", spy)
+    monkeypatch.setattr(store, "resume", spy)
     params = Params(7)
     a, b = projective(params, 1, 3), projective(params, 0, 2)
     assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
-    assert taken == [(2, None), (5, 2)]
+    assert started == [(2, 1), (5, 2)]
+
+
+def test_lower_target_resumes_from_an_older_kept_pair(monkeypatch):
+    # the unit's chain has one label per column, M_{1,t}, so each step reads
+    # one row.  A walk to 5 keeps columns 4 and 5, one to 10 keeps 9 and 10;
+    # a walk to 8 then resumes from 4 and 5 (3 steps), not from 1 (7 steps)
+    store = _fresh_memos(monkeypatch)
+    reads = []
+
+    class Rows(dict):
+        def get(self, code, default=None):
+            reads.append(code)
+            return super().get(code, default)
+
+    params = Params(12)
+    store.entries[(12,)] = (0, Rows())
+    unit = simple(params, 1, 1)
+    for t, steps in ((5, 4), (10, 5), (8, 3)):
+        reads.clear()
+        assert oracle_fuse(params, unit, simple(params, 1, t)) == FormalSum.of(simple(params, 1, t))
+        assert len(reads) == steps, t
+    assert sorted(key[3] for key in store.entries if len(key) == 4) == [4, 5, 7, 8, 9, 10]
+    assert _held(store) == store.labels <= oracle_mod._LABELS
 
 
 def test_dropped_m12_summand_raises_with_formal_sum_fields(monkeypatch):
@@ -207,6 +183,27 @@ def test_dropped_m12_summand_raises_with_formal_sum_fields(monkeypatch):
     assert err.value.minuend == FormalSum()
     assert err.value.subtrahend == FormalSum.of(simple(params, 1, 2))
     assert err.value.label == simple(params, 1, 2)
+
+
+def test_walk_error_reports_the_minuend_before_subtraction(monkeypatch):
+    # M_{1,2} x M_{1,5} loses its one summand P_{1,4} at p = 5.  The chain of
+    # M_{1,3} then reads M_{1,1} + M_{1,3} + M_{1,5} at t = 3 and M_{1,2} at
+    # t = 4, so the step to t = 5 subtracts M_{1,1} and M_{1,3} from
+    # M_{1,1} + M_{1,3} before M_{1,5} goes negative; both are put back
+    right = oracle_mod._m12_terms
+
+    def dropped(params, x):
+        return () if x.kind == SIMPLE and x.s == params.p else right(params, x)
+
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "_m12_terms", dropped)
+    params = Params(5)
+    m = {s: simple(params, 1, s) for s in (1, 3, 5)}
+    with pytest.raises(NegativeMultiplicityError) as err:
+        oracle_fuse(params, m[3], m[5])
+    assert err.value.minuend == FormalSum.of(m[1], m[3])
+    assert err.value.subtrahend == FormalSum.of(m[1], m[3], m[5])
+    assert err.value.label == m[5]
 
 
 def test_column_validates_inputs():
@@ -382,9 +379,9 @@ def test_oracle_p_bound_boundary(monkeypatch, capsys):
 
 
 def test_both_memos_are_bounded(monkeypatch):
-    # rows, frontiers and columns share one budget of labels held: walking
-    # every chain of p = 20, 28, ..., 76 to its end would hold about 65 000
-    # labels, more than a budget of 32 768
+    # rows and columns share one budget of labels held: walking every chain
+    # of p = 20, 28, ..., 76 to its end would hold about 44 000 labels, more
+    # than a budget of 32 768
     store = _fresh_memos(monkeypatch)
     budget = 1 << 15
     monkeypatch.setattr(oracle_mod, "_LABELS", budget)
@@ -396,7 +393,7 @@ def test_both_memos_are_bounded(monkeypatch):
             assert store.labels <= budget
     assert _held(store) == store.labels > budget // 2
     # the least recent entries went first: p = 20's are gone, p = 76's are all
-    # kept, its row table, chains and columns alike
+    # kept, its row table and the last two columns of each chain
     kept = [key[0] for key in store.entries]
     assert 20 not in kept
     assert kept.count(76) == 1 + 2 * (2 * 76 - 1)
@@ -536,8 +533,8 @@ def test_import_graph_keeps_the_routes_independent():
 
 
 def test_concurrent_calls_match_serial_results(monkeypatch):
-    # threads resume, restart and evict the same chains and row tables; a
-    # thread owns the frontier it takes, so every answer is the serial one
+    # threads resume, restart and evict the same chains and row tables; kept
+    # columns never change, so every answer is the serial one
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -563,7 +560,7 @@ def test_concurrent_calls_match_serial_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert serial == parallel
-    # two threads may keep the same chain or grow the same row table; the
+    # two threads may keep the same columns or grow the same row table; the
     # count of labels held stays exact
     assert _held(store) == store.labels <= 12
 

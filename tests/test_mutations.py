@@ -22,7 +22,7 @@ TEMPLATE = fusion_closed._template
 
 
 def _cold_store(monkeypatch):
-    # the oracle's rows, frontiers and columns go to a store of their own,
+    # the oracle's rows and columns go to a store of their own,
     # which the monkeypatch undo drops
     monkeypatch.setattr(fusion_oracle, "_store", fusion_oracle._Store())
 

@@ -57,4 +57,4 @@ def test_each_fusion_engine_has_one_product_entry_point():
     from singlet_fusion import fusion_closed, fusion_oracle
 
     assert fusion_closed.__all__ == ["fuse"]
-    assert fusion_oracle.__all__ == ["NegativeMultiplicityError", "ks_subtract", "oracle_fuse"]
+    assert fusion_oracle.__all__ == ["NegativeMultiplicityError", "oracle_fuse"]

@@ -39,15 +39,14 @@ COMMANDS = [
 # ``file:qualified name`` of each function no command enters -> the test that reaches it
 ALLOWLIST = {
     "catalog.py:FormalSum.__hash__": "test_catalog.py::test_formal_sum_hashable",
-    "catalog.py:FormalSum.__len__": "test_catalog.py::test_formal_sum_basics",
     "catalog.py:FormalSum.__repr__": "test_catalog.py::test_formal_sum_basics",
     "triplet.py:TripletIndec.__str__": "test_triplet.py::test_mixed_sum_order_and_str",
-    # the chain walk subtracts through the private dict helper; the public
-    # FormalSum wrapper is for library callers
-    "fusion_oracle.py:ks_subtract": "test_fusion_oracle.py::test_ks_subtract_examples",
-    # error path: no consistent input drives a subtraction negative
+    # error path: no consistent input drives a walk's subtraction negative
+    "fusion_oracle.py:_raise_negative": (
+        "test_fusion_oracle.py::test_walk_error_reports_the_minuend_before_subtraction"
+    ),
     "fusion_oracle.py:NegativeMultiplicityError.__init__": (
-        "test_fusion_oracle.py::test_ks_subtract_raises_and_reports"
+        "test_fusion_oracle.py::test_walk_error_reports_the_minuend_before_subtraction"
     ),
     # no suite reads the Virasoro content until the character route wires it
     # (ROADMAP item 4)
