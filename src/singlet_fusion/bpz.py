@@ -435,15 +435,12 @@ def rigidity_coefficient(params: Params) -> float:
     ``(0, 1)``, ``1/pi`` in closed form.  For ``p = 3`` entry ``(0, 1)``
     vanishes and the argument instead needs ``psi_1, psi_2`` linearly
     independent, so the returned witness is the absolute Wronskian
-    ``|psi_1 psi_2' - psi_1' psi_2|`` at ``x = 0.6``.  Positive, and well
-    above the ``1e-10`` nondegeneracy floor, whenever the bases are right.
+    ``|psi_1 psi_2' - psi_1' psi_2|`` at ``MATCH_POINTS[0] = 0.6``.  Positive,
+    and well above the ``1e-10`` nondegeneracy floor, whenever the bases are right.
     """
     p = params.p
     if p == 3:
-        psi1, psi2 = _frobenius(p).psi
-        x = 0.6
-        f0, f1, _ = psi1.derivatives(x)
-        g0, g1, _ = psi2.derivatives(x)
+        (f0, f1, _), (g0, g1, _) = (psi[0] for psi in _frobenius(p).at_match[1])
         return abs(f0 * g1 - f1 * g0)
     row = connection_numeric(params).matrix[0]
     return abs(row[1] if p == 2 else row[0])

@@ -13,13 +13,13 @@ of ``r``.  So each formula is written once at ``r = r' = 1`` (a private
 template), and every other product is that template shifted by
 ``r + r' - 2``.  :func:`fuse` is the one entry point: it checks each
 operand once, reads ``M x P`` as ``P x M``, and shifts the template of the
-pair once, with no check per term.  The templates are memoized
-in ``_template`` by ``(params, kind pair, s, s')``, with ``s <= s'`` for the
-symmetric ``M x M`` and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever
-``r`` the callers use.  The memo holds at most 1 024 templates (LRU), each
-of at most ``3p/2 + 2`` distinct terms, so it stays bounded when a caller
-sweeps large ``p`` (``2p^2 - p`` is already 79 800 at ``p = 200``).  A
-product has O(p) terms, so :func:`fuse` refuses ``p`` above ``_MAX_P``.
+pair once, with no check per term.  ``_template`` memoizes the templates
+by ``(p, kind pair, s, s')``, with ``s <= s'`` for the symmetric ``M x M``
+and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever ``r`` the callers
+use.  The memo (``_templates``) is a :class:`.catalog._Memo` of its own,
+bounded by the labels its templates hold, so it stays bounded when a caller
+sweeps large ``p``, where one template has up to ``3p/2 + 2`` distinct terms.
+A product has O(p) terms, so :func:`fuse` refuses ``p`` above ``_MAX_P``.
 
 The recursion oracle in :mod:`.fusion_oracle` rebuilds every product from
 the generator rules alone: the simple currents shift ``r``, and its
@@ -34,7 +34,6 @@ route.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Tuple
 
 from .catalog import (
@@ -47,6 +46,7 @@ from .catalog import (
     UnsupportedFusion,
     _check_normal_form,
     _label,
+    _Memo,
     _pairs,
     _SumLike,
 )
@@ -120,15 +120,22 @@ def _windows(p: int, kinds: Tuple[str, str], s: int, t: int) -> List[_Window]:
     ]
 
 
-@lru_cache(maxsize=1024)
+_templates = _Memo()
+
+
 def _template(params: Params, kinds: Tuple[str, str], s: int, t: int) -> FormalSum:
     """The product of the two ``r = 1`` labels of ``kinds`` with ``s`` and ``t``."""
-    return FormalSum(
-        (_label(params, kind, r, ell), 1)
-        for kind, ells, rs in _windows(params.p, kinds, s, t)
-        for ell in ells
-        for r in rs
-    )
+    key = (params.p, kinds, s, t)
+    template = _templates.get(key)
+    if template is None:
+        template = FormalSum(
+            (_label(params, kind, r, ell), 1)
+            for kind, ells, rs in _windows(params.p, kinds, s, t)
+            for ell in ells
+            for r in rs
+        )
+        _templates.put(key, template)
+    return template
 
 
 def _shift(x: FormalSum, delta: int) -> FormalSum:

@@ -53,19 +53,18 @@ sums the columns a product needs in code space and turns codes back into
 labels once, in ``_decode``, which applies the product's ``r`` shift: the
 oracle's one shift.
 
-One store (``_Store``) holds the row tables and the columns, whatever
-``r`` the callers use, as one LRU under one budget of labels held
-(``_LABELS``) and one lock, so memory stays bounded whatever ``p`` a
-process visits.  Every result depends on the arguments alone: a kept
-column never changes, so two threads that walk one chain compute and keep
-the same values, and the lock guards only the store's bookkeeping, never a
-walk, so concurrent use returns the same values as sequential use.
+One store (``_store``, a :class:`.catalog._Memo` of its own) holds the
+row tables and the columns, whatever ``r`` the callers use, under one
+budget of labels held and one lock, so memory stays bounded whatever ``p``
+a process visits.  Every result depends on the arguments alone: a kept
+column never changes and rows are pure, so two threads that walk one chain
+compute and keep the same values, and the lock guards only the store's
+bookkeeping, never a walk, so concurrent use returns the same values as
+sequential use.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from threading import Lock
 from typing import Dict, Iterable, NoReturn, Optional, Sequence, Tuple
 
 from .catalog import (
@@ -75,6 +74,7 @@ from .catalog import (
     Indecomposable,
     UnsupportedFusion,
     _check_normal_form,
+    _Memo,
     composition_factors,
 )
 from .labels import Params
@@ -90,12 +90,6 @@ __all__ = [
 #: ``fuse --engine both`` process (CPython 3.11, one core of a shared 2-CPU
 #: Xeon host).
 _MAX_P = 2000
-
-#: Labels the oracle's store may hold in all: a column counts its terms, a
-#: row table its rows.  The exhaustive fusion suite reads every column of one
-#: left factor's chain before the next, under p^2 / 2 labels (under 28 000 at
-#: p = 250); a benchmark session holds under 8 100.
-_LABELS = 1 << 16
 
 # A code is ``(r - 1) << _R_SHIFT | kind bit | s``: ``s <= _MAX_P <
 # 2**_S_BITS`` and ``r`` is unbounded, so no two labels share a code, and
@@ -191,48 +185,19 @@ def _row(params: Params, code: int) -> Tuple[int, ...]:
     return tuple([_encode(term) for term in _m12_terms(params, _label(code))])
 
 
-class _Store:
-    """The oracle's one memo: an LRU of row tables and columns, bounded by
-    the labels they hold.
-
-    Keys are ``(p,)`` for the row table of ``p`` (code -> row) and ``(p,
-    kind, s, t)`` for column ``t`` of chain ``kind_{1,s}``; each entry is
-    ``(labels held, value)``.  A kept column is a tuple and never changes, so
-    two threads that walk one chain keep the same values and no walk owns
-    an entry.  :meth:`keep` puts a walk's last two columns in as the most
-    recent entries and evicts the least recent while more than ``_LABELS``
-    labels are held.  A walk adds rows to its row table outside the lock;
-    :meth:`keep` counts them.  Every bookkeeping step runs under the lock,
-    never a walk.
-    """
-
-    def __init__(self) -> None:
-        self.entries: "OrderedDict[tuple, Tuple[int, object]]" = OrderedDict()
-        self.labels = 0
-        self.lock = Lock()
-
-    def column(self, key: Tuple[int, str, int, int]) -> Optional[_Column]:
-        """The kept column ``key``, made the most recent, or ``None``."""
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is None:
-                return None
-            self.entries.move_to_end(key)
-        return entry[1]
+class _Store(_Memo):
+    """The oracle's memo: row tables ``(p,)`` (code -> row) and columns
+    ``(p, kind, s, t)`` of chain ``kind_{1,s}``.  A walk adds rows to its
+    table outside the lock, then puts it back and its last two columns."""
 
     def resume(
-        self, p: int, chain: Tuple[int, str, int], s_target: int
-    ) -> Tuple[Dict[int, Tuple[int, ...]], Optional[Tuple[int, _Column, _Column]]]:
-        """The row table of ``p`` and ``(t, column t - 1, column t)`` for the
-        highest ``t < s_target`` whose two columns are kept, or ``None``."""
+        self, chain: Tuple[int, str, int], s_target: int
+    ) -> Optional[Tuple[int, _Column, _Column]]:
+        """``(t, column t - 1, column t)`` for the highest ``t < s_target``
+        whose two columns are kept, made the most recent, or ``None``."""
         entries = self.entries
+        # one lock for the scan, at most one lookup per step the walk saves
         with self.lock:
-            rows = entries.get((p,))
-            if rows is None:
-                rows = entries[(p,)] = (0, {})
-            else:
-                entries.move_to_end((p,))
-            # at most one lookup per step the walk then saves
             for t in range(s_target - 1, 1, -1):
                 col = entries.get(chain + (t,))
                 if col is None:
@@ -241,35 +206,8 @@ class _Store:
                 if prev is not None:
                     entries.move_to_end(chain + (t - 1,))
                     entries.move_to_end(chain + (t,))
-                    return rows[1], (t, prev[1], col[1])
-        return rows[1], None
-
-    def _put(self, key: tuple, labels: int, value: object) -> None:
-        old = self.entries.pop(key, None)
-        if old is not None:
-            self.labels -= old[0]
-        self.entries[key] = (labels, value)
-        self.labels += labels
-
-    def keep(
-        self,
-        p: int,
-        rows: Dict[int, Tuple[int, ...]],
-        chain: Tuple[int, str, int],
-        t: int,
-        prev: _Column,
-        col: _Column,
-    ) -> None:
-        """Keep columns ``t - 1`` (if ``t > 1``) and ``t`` of ``chain``."""
-        with self.lock:
-            entry = self.entries.get((p,))
-            if entry is None or entry[1] is rows:
-                self._put((p,), len(rows), rows)
-            if t > 1:
-                self._put(chain + (t - 1,), len(prev), prev)
-            self._put(chain + (t,), len(col), col)
-            while self.labels > _LABELS:
-                self.labels -= self.entries.popitem(last=False)[1][0]
+                    return t, prev[1], col[1]
+        return None
 
 
 _store = _Store()
@@ -299,9 +237,12 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
     """
     p = params.p
     chain = (p, kind, s)
-    rows, start = _store.resume(p, chain, s_target)
+    rows = _store.get((p,))
+    if rows is None:
+        rows = {}
     # prev and col iterate as (code, multiplicity) pairs: kept tuples at the
     # start, then the items of the dicts the steps build
+    start = _store.resume(chain, s_target)
     t, prev, col = start or (1, (), ((_encode(Indecomposable(kind, 1, s)), 1),))
     row_of = rows.get
     while t < s_target:
@@ -323,13 +264,16 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
                 _raise_negative(acc, prev, code)
         prev, col, t = col, acc.items(), t + 1
     column = _label_order(sorted(col))
-    _store.keep(p, rows, chain, t, _label_order(sorted(prev)), column)
+    _store.put((p,), rows)
+    if t > 1:
+        _store.put(chain + (t - 1,), _label_order(sorted(prev)))
+    _store.put(chain + (t,), column)
     return column
 
 
 def _column(params: Params, kind: str, s: int, s_target: int) -> _Column:
     """The kept column ``kind_{1,s} x M_{1,s_target}``, or a walk to it."""
-    column = _store.column((params.p, kind, s, s_target))
+    column = _store.get((params.p, kind, s, s_target))
     return _walk(params, kind, s, s_target) if column is None else column
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlet_fusion import cli, fusion_closed, verify
+from singlet_fusion import catalog, cli, fusion_closed, verify
 from singlet_fusion.catalog import (
     PROJECTIVE,
     SIMPLE,
@@ -347,32 +347,64 @@ def _all_products(params, rs):
             fuse(params, a, b)
 
 
-def test_template_memo_does_not_grow_with_r():
+def _fresh_templates(monkeypatch):
+    """An empty template memo for this test; returns it."""
+    memo = catalog._Memo()
+    monkeypatch.setattr(fusion_closed, "_templates", memo)
+    return memo
+
+
+def _held(memo):
+    """Labels the memo's templates hold, counted afresh: one per distinct term."""
+    return sum(len(template) for _, template in memo.entries.values())
+
+
+def test_template_memo_does_not_grow_with_r(monkeypatch):
     params = Params(4)
-    fusion_closed._template.cache_clear()
+    memo = _fresh_templates(monkeypatch)
     _all_products(params, [1])
     # canonical keys: s <= t for M x M and P x P, both orders for P x M
-    assert fusion_closed._template.cache_info().currsize == 10 + 12 + 6
+    assert len(memo.entries) == 10 + 12 + 6
+    held = memo.labels
     _all_products(params, range(-50, 51))
-    assert fusion_closed._template.cache_info().currsize == 10 + 12 + 6
-    fusion_closed._template.cache_clear()
+    assert len(memo.entries) == 10 + 12 + 6
+    assert _held(memo) == memo.labels == held <= catalog._LABELS
 
 
 @pytest.mark.parametrize("kind", [simple, projective], ids=["simple-fuse_mm", "projective-fuse_pp"])
-def test_template_shared_by_swapped_factors(kind):
+def test_template_shared_by_swapped_factors(monkeypatch, kind):
     params = Params(5)
-    fusion_closed._template.cache_clear()
+    memo = _fresh_templates(monkeypatch)
+    put, builds = memo.put, []
+
+    def counted(key, template):
+        builds.append(key)
+        put(key, template)
+
+    monkeypatch.setattr(memo, "put", counted)
     a, b = kind(params, 3, 1), kind(params, -2, 4)
     ab = fuse(params, a, b)
-    assert fusion_closed._template.cache_info().currsize == 1
+    assert len(memo.entries) == len(builds) == 1
     assert fuse(params, b, a) == ab
-    info = fusion_closed._template.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
-    fusion_closed._template.cache_clear()
+    assert len(memo.entries) == len(builds) == 1
+    assert _held(memo) == memo.labels <= catalog._LABELS
 
 
-def test_template_memo_is_bounded():
-    assert fusion_closed._template.cache_info().maxsize == 1024
+def test_template_memo_is_bounded_by_labels(monkeypatch):
+    # P_{1,s} x P_{1,s} at p = 2 000 has 3 000 distinct terms for s <= p/2,
+    # so twelve distinct products would hold 36 000 labels; under a budget of
+    # 10 000 the least recent go first, and the three most recent are kept
+    memo = _fresh_templates(monkeypatch)
+    budget = 10_000
+    monkeypatch.setattr(catalog, "_LABELS", budget)
+    params = Params(2000)
+    keys = []
+    for s in range(1, 13):
+        a = projective(params, 1, s)
+        fuse(params, a, a)
+        keys.append((2000, PP, s, s))
+        assert _held(memo) == memo.labels <= budget
+    assert list(memo.entries) == keys[-3:]
 
 
 def test_closed_p_bound_boundary(monkeypatch, capsys):
@@ -443,12 +475,12 @@ def test_memo_cannot_hide_a_broken_formula(monkeypatch):
         *head, (kind, ells, rs) = windows
         return head + [(kind, ells[:-1], rs)]
 
-    fusion_closed._template.cache_clear()
+    _fresh_templates(monkeypatch)
     assert verify.fusion_suite(Params(4), 1)[1] == []
     monkeypatch.setattr(fusion_closed, "_windows", wrong)
-    fusion_closed._template.cache_clear()
+    memo = _fresh_templates(monkeypatch)
     checks, failures = verify.fusion_suite(Params(4), 1)
-    fusion_closed._template.cache_clear()
+    assert _held(memo) == memo.labels <= catalog._LABELS
     assert failures
     assert any(msg.startswith("oracle mismatch at M:") for msg in failures)
 
@@ -534,10 +566,10 @@ def _pp_pairs(params, s, t):
 
 
 @pytest.mark.parametrize("p", range(2, 21))
-def test_templates_equal_the_window_loops(p):
+def test_templates_equal_the_window_loops(monkeypatch, p):
     # every key, both orders for M x M and P x P, against the loops above
     params = Params(p)
-    fusion_closed._template.cache_clear()
+    memo = _fresh_templates(monkeypatch)
     for s in range(1, p + 1):
         for t in range(1, p + 1):
             assert fusion_closed._template(params, MM, s, t) == FormalSum.of(
@@ -551,4 +583,4 @@ def test_templates_equal_the_window_loops(p):
                     assert fusion_closed._template(params, PP, s, t) == FormalSum(
                         _pp_pairs(params, s, t)
                     ), (s, t)
-    fusion_closed._template.cache_clear()
+    assert _held(memo) == memo.labels <= catalog._LABELS

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlet_fusion import cli, fusion_closed, verify
+from singlet_fusion import catalog, cli, fusion_closed, verify
 from singlet_fusion import fusion_oracle as oracle_mod
 from singlet_fusion.catalog import (
     FOCK,
@@ -95,7 +95,7 @@ def test_chain_order_independence(monkeypatch, budget):
     import random
 
     if budget is not None:
-        monkeypatch.setattr(oracle_mod, "_LABELS", budget)
+        monkeypatch.setattr(catalog, "_LABELS", budget)
 
     def walk(params, kind, s, t):
         return oracle_mod._decode(oracle_mod._walk(params, kind, s, t), 0)
@@ -117,7 +117,7 @@ def test_chain_order_independence(monkeypatch, budget):
                 others = _chains(store) - {(p, *req[:2])}
                 assert walk(params, *req) == want[req], req
                 evicted |= not others <= _chains(store)
-                assert _held(store) == store.labels <= oracle_mod._LABELS
+                assert _held(store) == store.labels <= catalog._LABELS
         if budget is not None and p >= 5:
             assert evicted, p
 
@@ -130,10 +130,10 @@ def test_projective_right_factor_walks_one_chain(monkeypatch):
     store = _fresh_memos(monkeypatch)
     resume, started = store.resume, []
 
-    def spy(p, chain, s_target):
-        rows, start = resume(p, chain, s_target)
+    def spy(chain, s_target):
+        start = resume(chain, s_target)
         started.append((s_target, 1 if start is None else start[0]))
-        return rows, start
+        return start
 
     monkeypatch.setattr(store, "resume", spy)
     params = Params(7)
@@ -162,7 +162,7 @@ def test_lower_target_resumes_from_an_older_kept_pair(monkeypatch):
         assert oracle_fuse(params, unit, simple(params, 1, t)) == FormalSum.of(simple(params, 1, t))
         assert len(reads) == steps, t
     assert sorted(key[3] for key in store.entries if len(key) == 4) == [4, 5, 7, 8, 9, 10]
-    assert _held(store) == store.labels <= oracle_mod._LABELS
+    assert _held(store) == store.labels <= catalog._LABELS
 
 
 def test_dropped_m12_summand_raises_with_formal_sum_fields(monkeypatch):
@@ -384,7 +384,7 @@ def test_both_memos_are_bounded(monkeypatch):
     # than a budget of 32 768
     store = _fresh_memos(monkeypatch)
     budget = 1 << 15
-    monkeypatch.setattr(oracle_mod, "_LABELS", budget)
+    monkeypatch.setattr(catalog, "_LABELS", budget)
     for p in range(20, 80, 8):
         params = Params(p)
         top = simple(params, 1, p)
@@ -533,8 +533,9 @@ def test_import_graph_keeps_the_routes_independent():
 
 
 def test_concurrent_calls_match_serial_results(monkeypatch):
-    # threads resume, restart and evict the same chains and row tables; kept
-    # columns never change, so every answer is the serial one
+    # threads resume, restart and evict the same chains, row tables and
+    # closed-form templates; kept values never change, so every answer is
+    # the serial one
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -548,21 +549,28 @@ def test_concurrent_calls_match_serial_results(monkeypatch):
         for sa in range(1, 5)
         for sb in range(5, 0, -1)  # P_{rb,5} normalizes to M_{rb,5}: the chain's top
     ]
+
+    def both(ab):
+        return oracle_fuse(params, *ab), fusion_closed.fuse(params, *ab)
+
     _fresh_memos(monkeypatch)
-    serial = [oracle_fuse(params, a, b) for a, b in pairs]
+    serial = [both(ab) for ab in pairs]
     store = _fresh_memos(monkeypatch)
-    monkeypatch.setattr(oracle_mod, "_LABELS", 12)
+    templates = catalog._Memo()
+    monkeypatch.setattr(fusion_closed, "_templates", templates)
+    monkeypatch.setattr(catalog, "_LABELS", 12)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads switch often, inside walks and reads
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(lambda ab: oracle_fuse(params, *ab), pairs, timeout=60))
+            parallel = list(pool.map(both, pairs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert serial == parallel
-    # two threads may keep the same columns or grow the same row table; the
+    # two threads may keep the same values or grow the same row table; the
     # count of labels held stays exact
     assert _held(store) == store.labels <= 12
+    assert _held(templates) == templates.labels <= 12
 
 
 def test_memo_consistency_between_orders(monkeypatch):

@@ -16,23 +16,16 @@ from singlet_fusion import catalog, fusion_closed, fusion_oracle, verify
 from singlet_fusion.catalog import FormalSum, Indecomposable
 from singlet_fusion.labels import Params
 
-#: The closed forms' memo, which a mutation could otherwise leak into, or read
-#: stale answers from; held here because a case may patch the module's name.
-TEMPLATE = fusion_closed._template
-
-
-def _cold_store(monkeypatch):
-    # the oracle's rows and columns go to a store of their own,
-    # which the monkeypatch undo drops
+def _cold_memos(monkeypatch):
+    # both routes' memos, which a mutation could otherwise leak into or read
+    # stale answers from, start empty; the monkeypatch undo drops them
+    monkeypatch.setattr(fusion_closed, "_templates", catalog._Memo())
     monkeypatch.setattr(fusion_oracle, "_store", fusion_oracle._Store())
 
 
 @pytest.fixture(autouse=True)
-def _cold_memos(monkeypatch):
-    _cold_store(monkeypatch)
-    TEMPLATE.cache_clear()
-    yield
-    TEMPLATE.cache_clear()
+def _cold_memos_around_each_case(monkeypatch):
+    _cold_memos(monkeypatch)
 
 
 def _top_simple_dropped_from_mm(right):
@@ -128,8 +121,7 @@ def test_verify_all_catches_the_mutation(case, monkeypatch):
     labels = verify.label_window(params, -1, 1)
     before = probe(params, labels)
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    _cold_store(monkeypatch)
-    TEMPLATE.cache_clear()
+    _cold_memos(monkeypatch)
     assert probe(params, labels) != before, "the mutation changes no answer"
     report = verify.run_suites(list(verify.SUITES), range(2, 7), rwin=2)
     failing = {suite for suite, per_p in report.items() if any(f for _, f in per_p.values())}
