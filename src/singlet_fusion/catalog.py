@@ -33,13 +33,13 @@ composition-factor classes, as the injective ring map
 :func:`grothendieck_class` into Laurent polynomials, read off the
 composition factors.
 Both fusion routes import this module, so it imports neither of them; each
-keeps its own ``_Memo``, the LRU bounded by labels held that is defined here.
+keeps its own ``_Memo``, the first-in, first-out memo bounded by labels
+held that is defined here.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from collections.abc import Mapping
 from fractions import Fraction
 from threading import Lock
@@ -293,48 +293,52 @@ class FormalSum:
 
 
 #: Labels one memo may hold: a sum or a column counts its terms, a row table
-#: its rows.  The oracle's exhaustive fusion suite reads every column of one
-#: left factor's chain before the next, under p^2 / 2 labels (under 28 000 at
-#: p = 250); a benchmark session holds under 8 100.  All closed-form templates
-#: hold 9 325 labels at p = 20 and 73 350 at p = 40; a value larger than the
-#: budget (a ``P x P`` template at p = 100 000 has 150 000) is not kept.
+#: its rows.  No benchmark workload evicts: the most a session holds is 267
+#: (``table-both``), 553 (``verify-all``) and 4 177 (``large-p``) labels of
+#: closed-form templates, and 189, 412 and 8 052 of oracle rows and columns.
+#: The oracle's exhaustive fusion suite reads every column of one left
+#: factor's chain before the next, under p^2 / 2 labels (under 28 000 at
+#: p = 250).  All closed-form templates hold 9 325 labels at p = 20 and
+#: 73 350 at p = 40; a value larger than the budget (a ``P x P`` template at
+#: p = 100 000 has 150 000) is not kept and evicts nothing.
 _LABELS = 1 << 16
 
 
 class _Memo:
-    """An LRU bounded by the labels its values hold, under one lock.
+    """A first-in, first-out memo bounded by the labels its values hold.
 
-    ``entries`` maps each key to ``(labels, value)``, least recent first, and
-    ``labels`` is their sum.  A value's labels are its ``len``, read under the
-    lock, so a row table grown outside the lock is counted as it is put back.
+    ``entries`` maps each key to ``(labels, value)``, oldest first, and
+    ``labels`` is their sum.  A read reorders nothing and a kept value is
+    never rewritten (a row table only gains rows), so :meth:`get` takes no
+    lock; :meth:`put` runs under the lock, which serializes every write and
+    the tally.  A value's labels are its ``len``, read under the lock, so a
+    row table grown outside the lock is counted as it is put back.
     """
 
     def __init__(self) -> None:
-        self.entries: "OrderedDict[tuple, Tuple[int, Any]]" = OrderedDict()
+        self.entries: Dict[tuple, Tuple[int, Any]] = {}
         self.labels = 0
         self.lock = Lock()
 
     def get(self, key: tuple) -> Any:
-        """The value kept under ``key``, made the most recent, or ``None``."""
-        self.lock.acquire()  # not ``with``: twice the cost on the closed forms' hot path
-        try:
-            entry = self.entries.get(key)
-            if entry is None:
-                return None
-            self.entries.move_to_end(key)
-        finally:
-            self.lock.release()
-        return entry[1]
+        """The value kept under ``key``, or ``None``."""
+        entry = self.entries.get(key)
+        return None if entry is None else entry[1]
 
     def put(self, key: tuple, value: Sized) -> None:
-        """Keep ``value`` under ``key`` as the most recent entry, and evict the
-        least recent while more than ``_LABELS`` labels are held."""
+        """Keep ``value`` under ``key`` as the newest entry, and evict the
+        oldest while more than ``_LABELS`` labels are held.  A value that
+        alone holds more is not kept and evicts nothing."""
         with self.lock:
-            self.labels -= self.entries.pop(key, (0,))[0]
-            self.entries[key] = entry = (len(value), value)
-            self.labels += entry[0]
+            entries = self.entries
+            self.labels -= entries.pop(key, (0,))[0]
+            labels = len(value)
+            if labels > _LABELS:
+                return
+            entries[key] = (labels, value)
+            self.labels += labels
             while self.labels > _LABELS:
-                self.labels -= self.entries.popitem(last=False)[1][0]
+                self.labels -= entries.pop(next(iter(entries)))[0]
 
 
 # ---------------------------------------------------------------------------

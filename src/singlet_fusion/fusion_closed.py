@@ -16,9 +16,10 @@ operand once, reads ``M x P`` as ``P x M``, and shifts the template of the
 pair once, with no check per term.  ``_template`` memoizes the templates
 by ``(p, kind pair, s, s')``, with ``s <= s'`` for the symmetric ``M x M``
 and ``P x P``: ``2p^2 - p`` keys for each ``p``, whatever ``r`` the callers
-use.  The memo (``_templates``) is a :class:`.catalog._Memo` of its own,
-bounded by the labels its templates hold, so it stays bounded when a caller
-sweeps large ``p``, where one template has up to ``3p/2 + 2`` distinct terms.
+use.  The memo (``_templates``) is a first-in, first-out
+:class:`.catalog._Memo` of its own, bounded by the labels its templates
+hold, so it stays bounded when a caller sweeps large ``p``, where one
+template has up to ``3p/2 + 2`` distinct terms; a hit takes no lock.
 A product has O(p) terms, so :func:`fuse` refuses ``p`` above ``_MAX_P``.
 
 The recursion oracle in :mod:`.fusion_oracle` rebuilds every product from

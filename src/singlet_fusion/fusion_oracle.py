@@ -53,14 +53,14 @@ sums the columns a product needs in code space and turns codes back into
 labels once, in ``_decode``, which applies the product's ``r`` shift: the
 oracle's one shift.
 
-One store (``_store``, a :class:`.catalog._Memo` of its own) holds the
-row tables and the columns, whatever ``r`` the callers use, under one
-budget of labels held and one lock, so memory stays bounded whatever ``p``
-a process visits.  Every result depends on the arguments alone: a kept
-column never changes and rows are pure, so two threads that walk one chain
-compute and keep the same values, and the lock guards only the store's
-bookkeeping, never a walk, so concurrent use returns the same values as
-sequential use.
+One store (``_store``, a first-in, first-out :class:`.catalog._Memo` of
+its own) holds the row tables and the columns, whatever ``r`` the callers
+use, under one budget of labels held, so memory stays bounded whatever
+``p`` a process visits.  Every result depends on the arguments alone: a
+kept column never changes and rows are pure, so two threads that walk one
+chain compute and keep the same values.  The store's lock serializes only
+its writes, never a read or a walk, so concurrent use returns the same
+values as sequential use.
 """
 
 from __future__ import annotations
@@ -185,32 +185,23 @@ def _row(params: Params, code: int) -> Tuple[int, ...]:
     return tuple([_encode(term) for term in _m12_terms(params, _label(code))])
 
 
-class _Store(_Memo):
-    """The oracle's memo: row tables ``(p,)`` (code -> row) and columns
-    ``(p, kind, s, t)`` of chain ``kind_{1,s}``.  A walk adds rows to its
-    table outside the lock, then puts it back and its last two columns."""
-
-    def resume(
-        self, chain: Tuple[int, str, int], s_target: int
-    ) -> Optional[Tuple[int, _Column, _Column]]:
-        """``(t, column t - 1, column t)`` for the highest ``t < s_target``
-        whose two columns are kept, made the most recent, or ``None``."""
-        entries = self.entries
-        # one lock for the scan, at most one lookup per step the walk saves
-        with self.lock:
-            for t in range(s_target - 1, 1, -1):
-                col = entries.get(chain + (t,))
-                if col is None:
-                    continue
-                prev = entries.get(chain + (t - 1,))
-                if prev is not None:
-                    entries.move_to_end(chain + (t - 1,))
-                    entries.move_to_end(chain + (t,))
-                    return t, prev[1], col[1]
-        return None
+#: Row tables ``(p,)`` (code -> row) and columns ``(p, kind, s, t)`` of chain
+#: ``kind_{1,s}``.  A walk adds rows to its table outside the lock, then puts
+#: it back and its last two columns.
+_store = _Memo()
 
 
-_store = _Store()
+def _resume(chain: Tuple[int, str, int], s_target: int) -> Optional[Tuple[int, _Column, _Column]]:
+    """``(t, column t - 1, column t)`` for the highest ``t < s_target`` whose
+    two columns are kept, or ``None``; a pair evicted meanwhile is skipped."""
+    get = _store.get
+    for t in range(s_target - 1, 1, -1):
+        col = get(chain + (t,))
+        if col is not None:
+            prev = get(chain + (t - 1,))
+            if prev is not None:
+                return t, prev, col
+    return None
 
 
 def _raise_negative(acc: Dict[int, int], prev: Iterable[Tuple[int, int]], code: int) -> NoReturn:
@@ -242,7 +233,7 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
         rows = {}
     # prev and col iterate as (code, multiplicity) pairs: kept tuples at the
     # start, then the items of the dicts the steps build
-    start = _store.resume(chain, s_target)
+    start = _resume(chain, s_target)
     t, prev, col = start or (1, (), ((_encode(Indecomposable(kind, 1, s)), 1),))
     row_of = rows.get
     while t < s_target:

@@ -693,3 +693,36 @@ def test_grothendieck_class_turns_duality_into_w_to_inverse_w(p):
     for x in simples + projectives:
         flipped = {-e: -c for e, c in grothendieck_class(params, x).items()}
         assert grothendieck_class(params, dual(params, x)) == flipped, x
+
+
+# --- the fusion routes' memo ----------------------------------------------------
+
+
+class _NoLock:
+    """A lock that fails the test when anything takes it."""
+
+    def acquire(self, *args):
+        raise AssertionError("the lock was taken")
+
+    __enter__ = acquire
+
+
+def test_memo_get_takes_no_lock():
+    memo = catalog._Memo()
+    memo.put(("a",), (1, 2))
+    memo.lock = _NoLock()
+    assert memo.get(("a",)) == (1, 2)
+    assert memo.get(("b",)) is None
+
+
+def test_memo_evicts_the_oldest_entry_first(monkeypatch):
+    # a read does not make an entry newer: a, read after b was put, is still
+    # the oldest when c needs room, where an LRU would evict b
+    monkeypatch.setattr(catalog, "_LABELS", 4)
+    memo = catalog._Memo()
+    memo.put(("a",), "xx")
+    memo.put(("b",), "xx")
+    assert memo.get(("a",)) == "xx"
+    memo.put(("c",), "xx")
+    assert list(memo.entries) == [("b",), ("c",)]
+    assert memo.labels == 4

@@ -393,7 +393,7 @@ def test_template_shared_by_swapped_factors(monkeypatch, kind):
 def test_template_memo_is_bounded_by_labels(monkeypatch):
     # P_{1,s} x P_{1,s} at p = 2 000 has 3 000 distinct terms for s <= p/2,
     # so twelve distinct products would hold 36 000 labels; under a budget of
-    # 10 000 the least recent go first, and the three most recent are kept
+    # 10 000 the oldest go first, and the three newest are kept
     memo = _fresh_templates(monkeypatch)
     budget = 10_000
     monkeypatch.setattr(catalog, "_LABELS", budget)
@@ -405,6 +405,24 @@ def test_template_memo_is_bounded_by_labels(monkeypatch):
         keys.append((2000, PP, s, s))
         assert _held(memo) == memo.labels <= budget
     assert list(memo.entries) == keys[-3:]
+
+
+def test_oversize_template_is_not_kept_and_evicts_nothing(monkeypatch):
+    # P_{1,1} x P_{1,1} at p = 20 000 has 30 000 distinct terms, more than a
+    # budget of 10 000: it is answered but not kept, and the small templates
+    # kept before it stay
+    memo = _fresh_templates(monkeypatch)
+    monkeypatch.setattr(catalog, "_LABELS", 10_000)
+    params = Params(20_000)
+    for s in (1, 2, 3):
+        a = simple(params, 1, s)
+        fuse(params, a, a)
+    small = list(memo.entries)
+    assert small == [(20_000, MM, s, s) for s in (1, 2, 3)]
+    a = projective(params, 1, 1)
+    assert len(fuse(params, a, a)) == 30_000
+    assert list(memo.entries) == small
+    assert _held(memo) == memo.labels == 1 + 2 + 3
 
 
 def test_closed_p_bound_boundary(monkeypatch, capsys):

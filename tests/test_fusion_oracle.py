@@ -65,7 +65,7 @@ def _reference_column(params, kind, s, s_target):
 
 def _fresh_memos(monkeypatch):
     """An empty oracle store for this test: no rows or columns; returns it."""
-    store = oracle_mod._Store()
+    store = catalog._Memo()
     monkeypatch.setattr(oracle_mod, "_store", store)
     return store
 
@@ -127,15 +127,15 @@ def test_projective_right_factor_walks_one_chain(monkeypatch):
     # they are read in ascending s', not in label order, so the walk to 5
     # resumes from the columns 1 and 2 kept by the walk to 2, and the second
     # factor at 5 reads the kept column
-    store = _fresh_memos(monkeypatch)
-    resume, started = store.resume, []
+    _fresh_memos(monkeypatch)
+    resume, started = oracle_mod._resume, []
 
     def spy(chain, s_target):
         start = resume(chain, s_target)
         started.append((s_target, 1 if start is None else start[0]))
         return start
 
-    monkeypatch.setattr(store, "resume", spy)
+    monkeypatch.setattr(oracle_mod, "_resume", spy)
     params = Params(7)
     a, b = projective(params, 1, 3), projective(params, 0, 2)
     assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
@@ -392,7 +392,7 @@ def test_both_memos_are_bounded(monkeypatch):
             oracle_fuse(params, a, top)
             assert store.labels <= budget
     assert _held(store) == store.labels > budget // 2
-    # the least recent entries went first: p = 20's are gone, p = 76's are all
+    # the oldest entries went first: p = 20's are gone, p = 76's are all
     # kept, its row table and the last two columns of each chain
     kept = [key[0] for key in store.entries]
     assert 20 not in kept

@@ -20,7 +20,7 @@ def _cold_memos(monkeypatch):
     # both routes' memos, which a mutation could otherwise leak into or read
     # stale answers from, start empty; the monkeypatch undo drops them
     monkeypatch.setattr(fusion_closed, "_templates", catalog._Memo())
-    monkeypatch.setattr(fusion_oracle, "_store", fusion_oracle._Store())
+    monkeypatch.setattr(fusion_oracle, "_store", catalog._Memo())
 
 
 @pytest.fixture(autouse=True)
