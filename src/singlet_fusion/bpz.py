@@ -83,7 +83,6 @@ Three module constants fix the numerics for every caller:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -183,8 +182,7 @@ def _times_power(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Component:
+class _Component(NamedTuple):
     """One additive piece ``u^{e_near} v^{e_far} S(u) (ln u + log_const)^m``.
 
     ``u`` is the local coordinate at the expansion point, ``v = 1 - u`` the
@@ -217,8 +215,7 @@ def _component(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FrobeniusSolution:
+class FrobeniusSolution(NamedTuple):
     """A Frobenius solution of the degenerate-field ODE.
 
     The solution is the sum of its ``components`` around
@@ -239,22 +236,22 @@ class FrobeniusSolution:
         else:
             u, up = 1.0 - x, -1.0
         f = fd1 = fd2 = 0.0
-        for comp in self.components:
+        for e_near, e_far, series, d1, d2, log_const in self.components:
             val, der, der2 = _times_power(
-                comp.e_near,
-                comp.e_far,
+                e_near,
+                e_far,
                 u,
                 up,
-                _poly_eval(comp.series, u),
-                up * _poly_eval(comp.d1, u),  # dS/dx
-                _poly_eval(comp.d2, u),  # d2S/dx2 (up^2 = 1)
+                _poly_eval(series, u),
+                up * _poly_eval(d1, u),  # dS/dx
+                _poly_eval(d2, u),  # d2S/dx2 (up^2 = 1)
             )
-            if comp.log_const is None:
+            if log_const is None:
                 f += val
                 fd1 += der
                 fd2 += der2
             else:
-                lg = math.log(u) + comp.log_const
+                lg = math.log(u) + log_const
                 lg1 = up / u
                 lg2 = -1.0 / u**2
                 f += val * lg
@@ -329,8 +326,7 @@ def residuals(params: Params, f: FrobeniusSolution, x: float) -> Tuple[float, fl
     )
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
+class ConnectionMatrix(NamedTuple):
     """Change of basis between the two solution bases.
 
     ``matrix[i][k]`` is the coefficient of ``psi_{k+1}`` in ``phi_{i+1}``

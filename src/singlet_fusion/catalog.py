@@ -477,6 +477,13 @@ def dual(params: Params, x: Indecomposable) -> Indecomposable:
     raise UnsupportedOperation(f"no dual data for {x}")
 
 
+#: Both ``virasoro_decomposition`` functions refuse ``n_max`` above this: each
+#: term is one exact weight, and at the bound a call takes about 0.06 s at
+#: p = 6 and 0.1 s at p = 100 000, under 18 MB peak RSS (CPython 3.11, one
+#: pinned core of a shared 2-CPU Xeon host; n_max = 200 000 took 2 s).
+_VIRASORO_MAX_N = 10_000
+
+
 def virasoro_decomposition(
     params: Params, x: Indecomposable, n_max: int
 ) -> List[Tuple[Fraction, int]]:
@@ -490,14 +497,12 @@ def virasoro_decomposition(
       entry equals ``lowest_weight_of_simple``).
 
     The singlet algebra itself is ``M_{1,1}``.  Only labels in normal form
-    are accepted.
+    are accepted, and ``n_max`` above ``_VIRASORO_MAX_N`` raises ``ValueError``.
     """
     _check_normal_form(params, x, "virasoro_decomposition")
     if x.kind != SIMPLE:
         raise UnsupportedOperation(f"Virasoro decomposition only for simples, got {x}")
-    _check_ints("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_n_max(n_max)
     if x.r >= 1:
         return [(weight(params, x.r + 2 * n, x.s), 1) for n in range(n_max + 1)]
     return [
@@ -505,11 +510,30 @@ def virasoro_decomposition(
     ]
 
 
+def _check_n_max(n_max: int) -> None:
+    """Reject an ``n_max`` that is not an ``int``, is negative, or is above ``_VIRASORO_MAX_N``."""
+    _check_ints("n_max", n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if n_max > _VIRASORO_MAX_N:
+        raise ValueError(
+            f"virasoro_decomposition needs n_max <= {_VIRASORO_MAX_N}, got n_max={n_max}: "
+            "each term is one exact weight"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Jordan Fock matrices (exact rational linear algebra)
 # ---------------------------------------------------------------------------
 
 RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
+
+#: ``jordan_fock_matrices`` refuses ``n`` above this: it builds three ``n x n``
+#: matrices, so its cost grows as ``n^2`` (n = 400 took 0.76 s and 41 MB at
+#: p = 3).  At the bound a call takes about 0.004 s at p = 3 and 0.5 s at
+#: p = 1 000, under 16 MB peak RSS (CPython 3.11, one pinned core of a shared
+#: 2-CPU Xeon host).  The cost also grows with p, which this bound leaves open.
+_JORDAN_MAX_N = 32
 
 
 def _toeplitz(coeffs: Sequence[Fraction]) -> RationalMatrix:
@@ -583,14 +607,19 @@ def jordan_fock_matrices(
     ``n-2`` for ``n >= 3``); there ``H0`` is the nilpotent nonzero matrix that
     witnesses indecomposability.
 
-    Requires ``n >= 2``.  Cost: ``n^2`` entries of ``O(p log p)`` bits; ``H0``
-    comes from :func:`_binomial`, and one call with ``n = 3`` takes about
-    0.1 s at ``p = 8 000`` and 0.2 s at ``p = 16 000`` (CPython 3.11, one
-    core of a shared 2-CPU Xeon host).
+    Requires ``2 <= n <= _JORDAN_MAX_N``.  Cost: ``n^2`` entries of
+    ``O(p log p)`` bits; ``H0`` comes from :func:`_binomial`, and one call
+    with ``n = 3`` takes about 0.1 s at ``p = 8 000`` and 0.2 s at
+    ``p = 16 000`` (CPython 3.11, one core of a shared 2-CPU Xeon host).
     """
     _check_ints("label index", r, n)
     if n < 2:
         raise ValueError(f"Jordan Fock matrices need n >= 2, got {n}")
+    if n > _JORDAN_MAX_N:
+        raise ValueError(
+            f"jordan_fock_matrices needs n <= {_JORDAN_MAX_N}, got n={n}: "
+            "three n x n rational matrices"
+        )
     p = params.p
     k = alpha_coordinate(params, r, p)
     # A and A^2 as integer polynomials in N, with N^n = 0

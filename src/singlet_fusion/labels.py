@@ -15,7 +15,6 @@ never materialize at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -36,19 +35,44 @@ __all__ = [
 KacLabel = Tuple[int, int]
 
 
-@dataclass(frozen=True)
 class Params:
     """The singlet parameter ``p >= 2``.
 
     Shared by every other object in the package; carries the derived exact
-    constants.
+    constants.  Immutable, equal and hashed by ``p``.  A slot, not a
+    ``NamedTuple`` field, because ``params.p`` is read on every product and
+    a slot read is the cheaper of the two.
     """
+
+    __slots__ = ("p",)
 
     p: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 2:
-            raise ValueError(f"p must be an integer >= 2, got {self.p!r}")
+    def __init__(self, p: int) -> None:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+            raise ValueError(f"p must be an integer >= 2, got {p!r}")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"Params(p={self.p!r})"
+
+    def __reduce__(self) -> Tuple[type, Tuple[int]]:
+        # copy and pickle rebuild through __init__; the default route sets the slot
+        return Params, (self.p,)
 
     @property
     def weight_lower_bound(self) -> Fraction:

@@ -38,7 +38,7 @@ from typing import List, NamedTuple, Tuple
 
 from . import catalog
 from .catalog import FormalSum, Indecomposable, UnsupportedFusion, UnsupportedOperation
-from .catalog import _check_normal_form, _is_normal
+from .catalog import _check_n_max, _check_normal_form, _is_normal
 from .fusion_closed import fuse
 from .labels import Params, _check_ints, rbar, weight
 
@@ -229,14 +229,14 @@ def virasoro_decomposition(
 
     ``W_{rbar,s}`` decomposes with growing multiplicities: the ``n``-th
     entry is ``(h_{rbar+2n, s}, rbar+2n)``.  In particular the lowest weight
-    space is ``rbar``-dimensional.
+    space is ``rbar``-dimensional.  ``n_max`` above
+    ``catalog._VIRASORO_MAX_N`` raises ``ValueError``; the cost at that bound
+    is stated there.
     """
     _check_label(params, t)
     if t.kind != SIMPLE_W:
         raise UnsupportedOperation(f"Virasoro decomposition only for W labels, got {t}")
-    _check_ints("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_n_max(n_max)
     return [
         (weight(params, t.rbar + 2 * n, t.s), t.rbar + 2 * n) for n in range(n_max + 1)
     ]

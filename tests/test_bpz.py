@@ -85,6 +85,27 @@ def test_residuals_reject_the_wrong_equation():
             assert abs(hyp) > 1e-3
 
 
+def test_solution_records_are_read_only():
+    m = ((1.0, 0.0), (0.0, 1.0))
+    assert bpz.ConnectionMatrix(m).condition is None
+    assert bpz.ConnectionMatrix(m, 2.0) == bpz.ConnectionMatrix(matrix=m, condition=2.0)
+    phi1, _ = bpz.phi_basis(Params(3))
+    (comp,) = phi1.components
+    same = bpz.FrobeniusSolution(0, phi1.components)
+    assert (same.expansion_point, same.components) == (0, phi1.components)
+    assert same.derivatives(0.3) == phi1.derivatives(0.3)
+    for record, field in (
+        (bpz.ConnectionMatrix(m), "condition"),
+        (bpz.ConnectionMatrix(m), "matrix"),
+        (phi1, "expansion_point"),
+        (phi1, "components"),
+        (comp, "e_near"),
+        (comp, "log_const"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_residual_input_validation():
     phi1, _ = bpz.phi_basis(Params(2))
     with pytest.raises(ValueError):

@@ -469,6 +469,22 @@ def test_virasoro_rejects_non_simple():
         virasoro_decomposition(P3, projective(P3, 1, 1), 2)
 
 
+def _no_work(*args):
+    raise AssertionError("work started")
+
+
+def test_virasoro_decomposition_n_max_bound(monkeypatch):
+    # the bound is checked before the first weight is computed
+    bound = catalog._VIRASORO_MAX_N
+    monkeypatch.setattr(catalog, "weight", _no_work)
+    for r in (1, 0):
+        with pytest.raises(AssertionError, match="work started"):
+            virasoro_decomposition(P3, simple(P3, r, 1), bound)
+        message = f"virasoro_decomposition needs n_max <= {bound}, got n_max={bound + 1}"
+        with pytest.raises(ValueError, match=message):
+            virasoro_decomposition(P3, simple(P3, r, 1), bound + 1)
+
+
 # --- Jordan Fock matrices -------------------------------------------------------
 
 
@@ -522,6 +538,20 @@ def test_jordan_matrices_r2_not_scalar():
 def test_jordan_matrices_need_n_at_least_2():
     with pytest.raises(ValueError):
         jordan_fock_matrices(P2, 1, 1)
+
+
+def test_jordan_matrices_n_bound(monkeypatch):
+    # the bound is checked before any matrix entry is computed; the catalog
+    # suite asks for n = 2 and 3 only
+    bound = catalog._JORDAN_MAX_N
+    assert bound >= 3
+    monkeypatch.setattr(catalog, "_binomial", _no_work)
+    monkeypatch.setattr(catalog, "_toeplitz", _no_work)
+    with pytest.raises(AssertionError, match="work started"):
+        jordan_fock_matrices(P3, 1, bound)
+    message = f"jordan_fock_matrices needs n <= {bound}, got n={bound + 1}"
+    with pytest.raises(ValueError, match=message):
+        jordan_fock_matrices(P3, 1, bound + 1)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,11 +21,27 @@ r_st = st.integers(min_value=-8, max_value=8)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        Params(1)
-    with pytest.raises(ValueError):
-        Params(0)
+    for bad in (1, 0, True, 2.0):
+        with pytest.raises(ValueError) as info:
+            Params(bad)
+        assert str(info.value) == f"p must be an integer >= 2, got {bad!r}"
     Params(2)
+
+
+def test_params_is_an_immutable_value():
+    six = Params(6)
+    assert six == Params(p=6) and six != Params(7) and six != 6
+    assert hash(six) == hash(Params(6))
+    assert len({six, Params(6), Params(7)}) == 2
+    assert repr(six) == "Params(p=6)"
+    with pytest.raises(AttributeError):
+        six.p = 7
+    with pytest.raises(AttributeError):
+        del six.p
+    with pytest.raises(AttributeError):
+        six.q = 1
+    assert six.p == 6
+    assert copy.copy(six) == six == pickle.loads(pickle.dumps(six))
 
 
 @pytest.mark.parametrize(

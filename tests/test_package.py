@@ -1,5 +1,5 @@
 """Every exported name resolves, every package re-export is its home module's object,
-and importing the package and its CLI loads no numpy."""
+and importing the package and its CLI loads no numpy, ``dataclasses`` or ``inspect``."""
 
 import importlib
 import os
@@ -38,11 +38,10 @@ def test_package_all_reexports_home_objects():
         assert name in home.__all__, name
 
 
-def test_import_leaves_numpy_out():
-    # the runtime depends on the standard library alone
+def _fresh_interpreter(code):
+    """The stripped stdout of ``code`` run in a new interpreter that imports this checkout."""
     src = str(Path(singlet_fusion.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, singlet_fusion, singlet_fusion.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -50,7 +49,23 @@ def test_import_leaves_numpy_out():
         check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_numpy_out():
+    # the runtime depends on the standard library alone
+    code = "import sys, singlet_fusion, singlet_fusion.cli; print('numpy' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # start-up cost: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis``,
+    # ``tokenize`` and more, and each of them is compiled or loaded per process
+    code = (
+        "import sys; bare = set(sys.modules); import singlet_fusion, singlet_fusion.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+    )
+    assert _fresh_interpreter(code) == "[]"
 
 
 def test_each_fusion_engine_has_one_product_entry_point():

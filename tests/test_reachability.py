@@ -48,6 +48,12 @@ ALLOWLIST = {
     "fusion_oracle.py:NegativeMultiplicityError.__init__": (
         "test_fusion_oracle.py::test_walk_error_reports_the_minuend_before_subtraction"
     ),
+    # Params is a slots class: its value semantics are pinned, no command compares,
+    # hashes, prints, copies or assigns one
+    **{
+        f"labels.py:Params.{name}": "test_labels.py::test_params_is_an_immutable_value"
+        for name in ("__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__", "__reduce__")
+    },
     # no suite reads the Virasoro content until the character route wires it
     # (ROADMAP item 4)
     "catalog.py:virasoro_decomposition": (
@@ -56,6 +62,7 @@ ALLOWLIST = {
     "triplet.py:virasoro_decomposition": (
         "test_triplet.py::test_triplet_virasoro_decomposition"
     ),
+    "catalog.py:_check_n_max": "test_catalog.py::test_virasoro_decomposition_n_max_bound",
 }
 
 _TRACE = """

@@ -366,3 +366,19 @@ def test_triplet_virasoro_decomposition():
     assert [m for _, m in got] == [1, 3, 5]
     with pytest.raises(UnsupportedOperation):
         triplet.virasoro_decomposition(P3, triplet.induce(P3, catalog.fock(P3, 1, 1)), 1)
+
+
+def test_triplet_virasoro_decomposition_n_max_bound(monkeypatch):
+    # the singlet side's bound, checked before the first weight is computed
+    bound = catalog._VIRASORO_MAX_N
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(triplet, "weight", no_work)
+    w = triplet.simple_w(P3, 2, 1)
+    with pytest.raises(AssertionError, match="work started"):
+        triplet.virasoro_decomposition(P3, w, bound)
+    message = f"virasoro_decomposition needs n_max <= {bound}, got n_max={bound + 1}"
+    with pytest.raises(ValueError, match=message):
+        triplet.virasoro_decomposition(P3, w, bound + 1)
