@@ -532,8 +532,16 @@ RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
 #: matrices, so its cost grows as ``n^2`` (n = 400 took 0.76 s and 41 MB at
 #: p = 3).  At the bound a call takes about 0.004 s at p = 3 and 0.5 s at
 #: p = 1 000, under 16 MB peak RSS (CPython 3.11, one pinned core of a shared
-#: 2-CPU Xeon host).  The cost also grows with p, which this bound leaves open.
+#: 2-CPU Xeon host).
 _JORDAN_MAX_N = 32
+
+#: ``jordan_fock_matrices`` also refuses ``n^2 p`` above this, since its cost
+#: grows steeply with p too (n = 64 took 97 s at p = 8 000).  The bound admits
+#: n = 3 up to p = 125 000, the catalog suite's label cap, and n = 32 up to
+#: p = 1 098.  At the bound, n = 3 and p = 125 000 took 5.0-5.2 s and n = 32
+#: and p = 1 098 took 0.6 s, each under 16 MB peak RSS (CPython 3.11, one
+#: pinned core of the same host).
+_JORDAN_MAX_WORK = 9 * 125_000
 
 
 def _toeplitz(coeffs: Sequence[Fraction]) -> RationalMatrix:
@@ -607,10 +615,11 @@ def jordan_fock_matrices(
     ``n-2`` for ``n >= 3``); there ``H0`` is the nilpotent nonzero matrix that
     witnesses indecomposability.
 
-    Requires ``2 <= n <= _JORDAN_MAX_N``.  Cost: ``n^2`` entries of
-    ``O(p log p)`` bits; ``H0`` comes from :func:`_binomial`, and one call
-    with ``n = 3`` takes about 0.1 s at ``p = 8 000`` and 0.2 s at
-    ``p = 16 000`` (CPython 3.11, one core of a shared 2-CPU Xeon host).
+    Requires ``2 <= n <= _JORDAN_MAX_N`` and ``n^2 p <= _JORDAN_MAX_WORK``.
+    Cost: ``n^2`` entries of ``O(p log p)`` bits; ``H0`` comes from
+    :func:`_binomial`, and one call with ``n = 3`` takes about 0.1 s at
+    ``p = 8 000`` and 0.2 s at ``p = 16 000`` (CPython 3.11, one core of a
+    shared 2-CPU Xeon host).
     """
     _check_ints("label index", r, n)
     if n < 2:
@@ -621,6 +630,11 @@ def jordan_fock_matrices(
             "three n x n rational matrices"
         )
     p = params.p
+    if n * n * p > _JORDAN_MAX_WORK:
+        raise ValueError(
+            f"jordan_fock_matrices needs n^2 p <= {_JORDAN_MAX_WORK}, got n={n}, p={p}: "
+            "n^2 entries of O(p log p) bits"
+        )
     k = alpha_coordinate(params, r, p)
     # A and A^2 as integer polynomials in N, with N^n = 0
     a = [k, 2] + [0] * (n - 2)

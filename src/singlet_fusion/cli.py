@@ -47,6 +47,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -63,14 +64,20 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
+#: the indices of a label as ``str(label)`` prints them: an optional ``-`` and
+#: ASCII digits each (``int`` alone would also take ``1_0``, `` 1``, ``+1``
+#: and non-ASCII digits)
+_INDICES = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
 
 def parse_label(params: Params, text: str) -> Indecomposable:
     """Parse ``KIND:r,s`` (``FJ:r,s,n`` for Jordan Fock) into a normalized label."""
     kind, _, rest = text.partition(":")
-    try:
-        parts = [int(v) for v in rest.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse label {text!r}: {exc}") from None
+    if not _INDICES.fullmatch(rest):
+        raise ValueError(
+            f"cannot parse label {text!r}: each index is an optional '-' and ASCII digits"
+        )
+    parts = [int(v) for v in rest.split(",")]
     if len(parts) != (3 if kind == catalog.JORDAN_FOCK else 2):
         raise ValueError(f"label {text!r}: expected KIND:r,s or FJ:r,s,n")
     try:

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -552,6 +553,20 @@ def test_jordan_matrices_n_bound(monkeypatch):
     message = f"jordan_fock_matrices needs n <= {bound}, got n={bound + 1}"
     with pytest.raises(ValueError, match=message):
         jordan_fock_matrices(P3, 1, bound + 1)
+
+
+@pytest.mark.parametrize("n, p", [(3, 125_000), (32, 1_098)])
+def test_jordan_matrices_work_bound(monkeypatch, n, p):
+    # n^2 p is bounded before any matrix entry is computed; the bound admits
+    # the catalog suite's n = 3 at its label cap, p = 125 000
+    bound = catalog._JORDAN_MAX_WORK
+    assert n * n * p <= bound < n * n * (p + 1)
+    monkeypatch.setattr(catalog, "_binomial", _no_work)
+    with pytest.raises(AssertionError, match="work started"):
+        jordan_fock_matrices(Params(p), 1, n)
+    message = re.escape(f"jordan_fock_matrices needs n^2 p <= {bound}, got n={n}, p={p + 1}")
+    with pytest.raises(ValueError, match=message):
+        jordan_fock_matrices(Params(p + 1), 1, n)
 
 
 @pytest.mark.parametrize("p", [2, 3])

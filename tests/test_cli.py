@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -26,8 +27,9 @@ def test_parse_label_grammar():
     assert cli.parse_label(p3, "P:-1,2") == projective(p3, -1, 2)
     assert cli.parse_label(p3, "P:1,3") == simple(p3, 1, 3)  # normalized
     assert cli.parse_label(p3, "FJ:1,3,2") == jordan_fock(p3, 1, 2)
-    for bad in ("M:1", "Q:1,1", "M:a,1", "M:1,9", "FJ:1,3", "FJ:1,2,2", "FJ:1,3,0", "FJ:1,3,-2"):
-        with pytest.raises(ValueError, match=repr(bad)):
+    for bad in ("M:1", "Q:1,1", "M:a,1", "M:1,9", "FJ:1,3", "FJ:1,2,2", "FJ:1,3,0", "FJ:1,3,-2",
+                "M:1_0,2", "M:\u0661,2", "M: 1,2", "M:+1,2"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             cli.parse_label(p3, bad)
 
 
