@@ -32,6 +32,10 @@ top first).  The module also holds the Grothendieck ring of
 composition-factor classes, as the injective ring map
 :func:`grothendieck_class` into Laurent polynomials, read off the
 composition factors.
+:func:`label_window` lists every ``M`` and ``P`` label with
+``rmin <= r <= rmax``: the window ``cli`` ``table`` tabulates and the
+``verify`` suites walk.  Both cap it by :data:`MAX_FUSION_PAIRS`, counted
+by ``_window_size`` before any label is built.
 Both fusion routes import this module, so it imports neither of them; each
 keeps its own ``_Memo``, the first-in, first-out memo bounded by labels
 held that is defined here.
@@ -62,6 +66,7 @@ __all__ = [
     "fock",
     "jordan_fock",
     "normalize",
+    "label_window",
     "composition_factors",
     "grothendieck_class",
     "loewy",
@@ -156,6 +161,37 @@ def normalize(params: Params, x: Indecomposable) -> Indecomposable:
     """Normal form of a label by the builders' rule; idempotent, and it
     raises for any label no builder makes (``n != 1`` on ``M``, ``P`` or ``F`` too)."""
     return _label(params, *x)
+
+
+#: Most items one ``verify`` suite walks at one p (``verify._check_window``
+#: says which), and most rows ``cli`` ``table`` builds (one per ordered pair).
+#: Unbounded, the fusion suite's ``((2 rwin + 1)(2p - 1))^2`` ordered pairs
+#: would exhaust memory (4.8e8 at p = 6, ``--rwin 1000``); the triplet suite's
+#: ``(2p + 2)^2`` W/R label pairs, whatever ``rwin`` is, take time about as
+#: p^2.7 (17 s at p = 80); the window's ``(2 rwin + 1)(2p - 1)`` labels would
+#: run for days (``labels`` took 2.4 s at p = 6, ``--rwin 2000``).  At p = 6,
+#: 245 025 table rows took 2.9 s of CPU and 17.4 MB peak RSS as TSV, which
+#: streams its rows, and 2.2 s and 129 MB as JSON, which holds them all (closed
+#: engine, CPython 3.11, one core of a shared 2-CPU Xeon host).  The largest
+#: benchmarked window has 3 025 pairs, the largest benchmarked table 9 801 rows.
+MAX_FUSION_PAIRS = 250_000
+
+
+def _window_size(params: Params, rmin: int, rmax: int) -> int:
+    """How many labels :func:`label_window` lists, counted without building one."""
+    return max(rmax - rmin + 1, 0) * (2 * params.p - 1)
+
+
+def label_window(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
+    """Every simple label, then every projective label, with ``rmin <= r <= rmax``.
+
+    Each kind is listed by ``r``, then ``s``, so the list is sorted in
+    :class:`Indecomposable` order (``M`` before ``P``, then ``r``, then ``s``).
+    """
+    rs = range(rmin, rmax + 1)
+    return [simple(params, r, s) for r in rs for s in range(1, params.p + 1)] + [
+        projective(params, r, s) for r in rs for s in range(1, params.p)
+    ]
 
 
 _KINDS = (SIMPLE, PROJECTIVE, FOCK, JORDAN_FOCK)

@@ -13,11 +13,12 @@ process that calls :func:`main` many times gains: the console script calls
 it once.
 
 Labels are written ``KIND:r,s`` with ``KIND`` in ``{M, P, F, FJ}`` (Jordan
-Fock labels take a third component, ``FJ:r,s,n``).  Output is JSON on
-stdout unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go
-to stderr.  Exit codes: 0 success, 2 usage or validation failure
+Fock labels take a third component, ``FJ:r,s,n``).  Every number, in a
+label, an option or the ``verify --p`` list, is an optional ``-`` and ASCII
+digits.  Output is JSON on stdout unless ``--format tsv`` or ``--out`` says
+otherwise; diagnostics go to stderr.  Exit codes: 0 success, 2 usage or validation failure
 (including an ``--out`` path that cannot be written, a ``table`` with
-``--rmin`` above ``--rmax``, and a request over ``verify.MAX_FUSION_PAIRS``:
+``--rmin`` above ``--rmax``, and a request over ``catalog.MAX_FUSION_PAIRS``:
 ``table`` rows and ``verify`` fusion pairs, the triplet suite's W/R label
 pairs at any ``--rwin`` (from p = 250), and the triplet, catalog and labels
 suites' window labels; bpz has no window cap but refuses p above 10 000 000,
@@ -52,7 +53,7 @@ import sys
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import catalog, fusion_closed, fusion_oracle, triplet, verify
-from .catalog import FormalSum, Indecomposable
+from .catalog import FormalSum, Indecomposable, _window_size
 from .labels import Params
 
 __all__ = ["main", "entrypoint", "parse_label"]
@@ -64,20 +65,32 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
-#: the indices of a label as ``str(label)`` prints them: an optional ``-`` and
-#: ASCII digits each (``int`` alone would also take ``1_0``, `` 1``, ``+1``
-#: and non-ASCII digits)
-_INDICES = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+#: every number on the command line as ``str`` prints it: an optional ``-`` and
+#: ASCII digits (``int`` alone would also take ``1_0``, `` 1``, ``+1`` and
+#: non-ASCII digits); label indices, integer options and the ``verify --p``
+#: list are all read by :func:`_int`
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """``int(text)`` for a :data:`_INT` spelling; ``ValueError`` for any other."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its refusal: "invalid int value"
 
 
 def parse_label(params: Params, text: str) -> Indecomposable:
     """Parse ``KIND:r,s`` (``FJ:r,s,n`` for Jordan Fock) into a normalized label."""
     kind, _, rest = text.partition(":")
-    if not _INDICES.fullmatch(rest):
+    try:
+        parts = [_int(v) for v in rest.split(",")]
+    except ValueError:
         raise ValueError(
             f"cannot parse label {text!r}: each index is an optional '-' and ASCII digits"
-        )
-    parts = [int(v) for v in rest.split(",")]
+        ) from None
     if len(parts) != (3 if kind == catalog.JORDAN_FOCK else 2):
         raise ValueError(f"label {text!r}: expected KIND:r,s or FJ:r,s,n")
     try:
@@ -152,24 +165,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return EXIT_OK if match else EXIT_VERIFY
 
 
-def _table_labels(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
-    """:func:`.verify.label_window`, which is already in label order.
-
-    Raises ``ValueError`` before building any label when ``rmin > rmax`` or
-    the table would have more rows (ordered pairs) than
-    ``verify.MAX_FUSION_PAIRS``.
-    """
-    if rmin > rmax:
-        raise ValueError(f"--rmin {rmin} is greater than --rmax {rmax}")
-    cap = verify.MAX_FUSION_PAIRS
-    count = (rmax - rmin + 1) * (2 * params.p - 1)
-    if count * count > cap:
-        raise ValueError(
-            f"table would have {count * count} rows, more than {cap}; narrow --rmin/--rmax"
-        )
-    return verify.label_window(params, rmin, rmax)
-
-
 def _table_rows(
     params: Params, engine: str, labels: List[Indecomposable]
 ) -> Iterator[Tuple[str, str, str, bool]]:
@@ -187,7 +182,13 @@ def _table_rows(
 
 def _cmd_table(args: argparse.Namespace) -> int:
     params = Params(args.p)
-    labels = _table_labels(params, args.rmin, args.rmax)
+    if args.rmin > args.rmax:
+        raise ValueError(f"--rmin {args.rmin} is greater than --rmax {args.rmax}")
+    count, cap = _window_size(params, args.rmin, args.rmax) ** 2, catalog.MAX_FUSION_PAIRS
+    if count > cap:
+        raise ValueError(f"table would have {count} rows, more than {cap}; narrow --rmin/--rmax")
+    # the window is in label order, so the rows are too
+    labels = catalog.label_window(params, args.rmin, args.rmax)
     both = args.engine == "both"
     columns = ("left", "right", "result", "match")[: 4 if both else 3]
     rows = _table_rows(params, args.engine, labels)
@@ -215,7 +216,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     try:
-        p_values = [int(v) for v in args.p.split(",") if v]
+        p_values = [_int(v) for v in args.p.split(",") if v]
     except ValueError:
         raise ValueError(f"cannot parse p list {args.p!r}")
     report = verify.run_suites(names, p_values, rwin=args.rwin)
@@ -265,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fuse = sub.add_parser("fuse", help="fuse two labels")
-    fuse.add_argument("--p", type=int, required=True)
+    fuse.add_argument("--p", type=_int, required=True)
     fuse.add_argument("--engine", choices=("closed", "oracle", "both"), default="closed")
     fuse.add_argument("--out", default=None)
     fuse.add_argument("left")
@@ -273,9 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse.set_defaults(func=_cmd_fuse)
 
     table = sub.add_parser("table", help="full fusion table over a label window")
-    table.add_argument("--p", type=int, required=True)
-    table.add_argument("--rmin", type=int, default=-1)
-    table.add_argument("--rmax", type=int, default=1)
+    table.add_argument("--p", type=_int, required=True)
+    table.add_argument("--rmin", type=_int, default=-1)
+    table.add_argument("--rmax", type=_int, default=1)
     table.add_argument("--engine", choices=("closed", "oracle", "both"), default="closed")
     table.add_argument("--format", choices=("tsv", "json"), default="tsv")
     table.add_argument("--out", default=None)
@@ -288,12 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     ver.add_argument("--p", default="2,3", help="comma-separated p values")
-    ver.add_argument("--rwin", type=int, default=3)
+    ver.add_argument("--rwin", type=_int, default=3)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=_cmd_verify)
 
     ind = sub.add_parser("induce", help="induce a singlet label to the triplet side")
-    ind.add_argument("--p", type=int, required=True)
+    ind.add_argument("--p", type=_int, required=True)
     ind.add_argument("--out", default=None)
     ind.add_argument("label")
     ind.set_defaults(func=_cmd_induce)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import bpz, catalog, fusion_closed, fusion_oracle, triplet
-from .catalog import FormalSum
+from .catalog import FormalSum, _window_size
 from .labels import (
     Params,
     _check_ints,
@@ -31,7 +31,6 @@ from .labels import (
 __all__ = [
     "SUITES",
     "run_suites",
-    "label_window",
     "fusion_suite",
     "triplet_suite",
     "bpz_suite",
@@ -40,19 +39,6 @@ __all__ = [
 ]
 
 Result = Tuple[int, List[str]]
-
-#: Most items one suite walks at one p (:func:`_check_window` says which),
-#: and most rows ``cli`` ``table`` builds (one per ordered pair).  Unbounded,
-#: the fusion suite's ``((2 rwin + 1)(2p - 1))^2`` ordered pairs would exhaust
-#: memory (4.8e8 at p = 6, ``--rwin 1000``); the triplet suite's ``(2p + 2)^2``
-#: W/R label pairs, whatever ``rwin`` is, take time about as p^2.7 (17 s at
-#: p = 80); the window's ``(2 rwin + 1)(2p - 1)`` labels would run for days
-#: (``labels`` took 2.4 s at p = 6, ``--rwin 2000``).  At p = 6, 245 025 table
-#: rows took 2.9 s of CPU and 17.4 MB peak RSS as TSV, which streams its rows,
-#: and 2.2 s and 129 MB as JSON, which holds them all (closed engine, CPython
-#: 3.11, one core of a shared 2-CPU Xeon host).  The largest benchmarked window
-#: has 3 025 pairs, the largest benchmarked table 9 801 rows.
-MAX_FUSION_PAIRS = 250_000
 
 #: Largest p the bpz suite runs at.  Its residuals multiply f'' by p, so the
 #: float rounding in f'' shows in them as about 3e-16 p: 4.4e-9 at p = 10^7.
@@ -77,10 +63,10 @@ class _Recorder:
 
 
 def _check_window(params: Params, rwin: int, suite: str) -> None:
-    """Reject a non-``int`` or negative ``rwin``, and any ``suite`` over ``MAX_FUSION_PAIRS``,
-    before any label is built: ``fusion`` counts ordered label pairs, ``triplet``
-    its W/R label pairs and then labels, ``catalog`` and ``labels`` labels.
-    ``bpz`` refuses any p above ``_BPZ_MAX_P`` before any series is built."""
+    """Reject a non-``int`` or negative ``rwin``, and any ``suite`` over
+    ``catalog.MAX_FUSION_PAIRS``, before any label is built: ``fusion`` counts ordered label
+    pairs, ``triplet`` its W/R label pairs and then labels, ``catalog`` and ``labels``
+    labels.  ``bpz`` refuses any p above ``_BPZ_MAX_P`` before any series is built."""
     _check_ints("rwin", rwin)
     if rwin < 0:
         raise ValueError(f"rwin must be >= 0 (verify --rwin), got {rwin}")
@@ -92,34 +78,23 @@ def _check_window(params: Params, rwin: int, suite: str) -> None:
                 "rounding in its residuals reaches the 1e-8 gates"
             )
         return
-    if suite == "triplet" and (2 * p + 2) ** 2 > MAX_FUSION_PAIRS:
+    cap = catalog.MAX_FUSION_PAIRS
+    if suite == "triplet" and (2 * p + 2) ** 2 > cap:
         raise ValueError(
             f"triplet suite at p={p} has {(2 * p + 2) ** 2} W/R label pairs, "
-            f"more than {MAX_FUSION_PAIRS}, for any --rwin"
+            f"more than {cap}, for any --rwin"
         )
-    labels = (2 * rwin + 1) * (2 * p - 1)
-    if suite == "fusion" and labels * labels > MAX_FUSION_PAIRS:
+    labels = _window_size(params, -rwin, rwin)
+    if suite == "fusion" and labels * labels > cap:
         raise ValueError(
             f"fusion window at p={p}, rwin={rwin} has {labels * labels} ordered pairs, "
-            f"more than {MAX_FUSION_PAIRS}; narrow --rwin"
+            f"more than {cap}; narrow --rwin"
         )
-    if labels > MAX_FUSION_PAIRS:
+    if labels > cap:
         raise ValueError(
             f"label window at p={p}, rwin={rwin} has {labels} labels, "
-            f"more than {MAX_FUSION_PAIRS}; narrow --rwin"
+            f"more than {cap}; narrow --rwin"
         )
-
-
-def label_window(params: Params, rmin: int, rmax: int) -> List[catalog.Indecomposable]:
-    """Every simple label, then every projective label, with ``rmin <= r <= rmax``.
-
-    Each kind is listed by ``r``, then ``s``, so the list is sorted in
-    :class:`~.catalog.Indecomposable` order (``M`` before ``P``, then ``r``, then ``s``).
-    """
-    rs = range(rmin, rmax + 1)
-    return [catalog.simple(params, r, s) for r in rs for s in range(1, params.p + 1)] + [
-        catalog.projective(params, r, s) for r in rs for s in range(1, params.p)
-    ]
 
 
 def _laurent_product(f: Dict[int, int], g: Dict[int, int]) -> Dict[int, int]:
@@ -164,7 +139,7 @@ def fusion_suite(params: Params, rwin: int) -> Result:
     """
     _check_window(params, rwin, "fusion")
     rec = _Recorder()
-    labels = label_window(params, -rwin, rwin)
+    labels = catalog.label_window(params, -rwin, rwin)
     classes = {x: catalog.grothendieck_class(params, x) for x in labels}
 
     unit = catalog.simple(params, 1, 1)

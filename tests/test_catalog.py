@@ -185,6 +185,35 @@ def test_label_sort_order():
     assert [lab for lab, _ in FormalSum.of(*labels)] == sorted(labels)
 
 
+def test_label_window_lists_simples_then_projectives():
+    params = Params(3)
+    labels = catalog.label_window(params, -1, 2)
+    assert labels == [
+        catalog.simple(params, r, s) for r in range(-1, 3) for s in (1, 2, 3)
+    ] + [catalog.projective(params, r, s) for r in range(-1, 3) for s in (1, 2)]
+    assert catalog.label_window(params, 1, 0) == []
+
+
+def test_label_window_is_sorted():
+    # cli table rows rely on it: the window is its own sort
+    for p in range(2, 13):
+        params = Params(p)
+        for rmin in range(-5, 5):
+            for rmax in range(rmin, 5):
+                labels = catalog.label_window(params, rmin, rmax)
+                assert labels == sorted(labels), (p, rmin, rmax)
+
+
+def test_window_size_counts_what_label_window_builds():
+    # both caps (verify's windows and cli table's rows) count with _window_size
+    for p in range(2, 13):
+        params = Params(p)
+        for rmin in range(-5, 5):
+            for rmax in range(rmin - 1, 5):
+                size = catalog._window_size(params, rmin, rmax)
+                assert len(catalog.label_window(params, rmin, rmax)) == size, (p, rmin, rmax)
+
+
 def test_label_aliases_are_equal_and_hash_equal():
     m = simple(P3, 2, 3)
     for alias in (projective(P3, 2, 3), fock(P3, 2, 3), jordan_fock(P3, 2, 1)):

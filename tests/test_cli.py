@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import json
@@ -145,12 +146,12 @@ def test_table_over_the_row_cap_exits_2_before_any_product(capsys, monkeypatch):
 
 def test_table_row_cap_boundary(capsys, monkeypatch):
     # the table-both benchmark window (9 801 rows) stays far under the cap
-    assert 9801 * 20 < cli.verify.MAX_FUSION_PAIRS
-    monkeypatch.setattr(cli.verify, "MAX_FUSION_PAIRS", 9801)
+    assert 9801 * 20 < cli.catalog.MAX_FUSION_PAIRS
+    monkeypatch.setattr(cli.catalog, "MAX_FUSION_PAIRS", 9801)
     code, out, _ = run(capsys, "table", "--p", "6", "--rmin", "-4", "--rmax", "4")
     assert code == 0
     assert len(out.splitlines()) == 9802
-    monkeypatch.setattr(cli.verify, "MAX_FUSION_PAIRS", 9800)
+    monkeypatch.setattr(cli.catalog, "MAX_FUSION_PAIRS", 9800)
     code, out, err = run(capsys, "table", "--p", "6", "--rmin", "-4", "--rmax", "4")
     assert (code, out) == (2, "")
     assert "table would have 9801 rows, more than 9800" in err
@@ -300,6 +301,25 @@ def test_cli_rejects_bad_p(capsys):
     assert "p must be" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuse", "--p", "1_0", "M:1,2", "M:1,2"],
+        ["verify", "--suite", "labels", "--p", "\u0663,+2", "--rwin", "0"],
+        ["table", "--p", "2", "--rmin", " 0", "--rmax", "+0"],
+        ["verify", "--suite", "labels", "--p", "2", "--rwin", "+0"],
+        ["induce", "--p", "\uff13", "M:1,1"],
+    ],
+)
+def test_every_number_is_an_optional_minus_and_ascii_digits(capsys, argv):
+    # int() alone reads 1_0 as 10, a non-ASCII 3 as 3, and " 0" and +0 as 0
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses an option's value
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (2, "")
+
+
 def test_verify_command(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "fusion", "--p", "2", "--rwin", "2"
@@ -421,6 +441,24 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         f"singlet-fusion {command}" for command in ("fuse", "table", "verify", "induce")
     ]
     cli._build_parser.cache_clear()  # later tests get a parser built without the patch
+
+
+def test_cli_reads_verify_only_on_the_verify_path():
+    # fuse, table and induce run no suite: only _cmd_verify and the parser's
+    # --suite choices read verify
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "verify"
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "verify"
+    }
+    assert "_cmd_verify" in readers
+    assert readers <= {"_cmd_verify", "_build_parser"}
 
 
 def _outcome(capsys, argv, target):

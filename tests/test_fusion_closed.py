@@ -472,7 +472,7 @@ def test_both_engines_return_sorted_normal_forms(p):
     # the r-shift of the r = 1 products checks no term, so the products
     # themselves are checked here: every term a normal form, in sorted order
     params = Params(p)
-    labels = verify.label_window(params, -1, 2)
+    labels = catalog.label_window(params, -1, 2)
     for a in labels:
         for b in labels:
             for product in (fuse(params, a, b), oracle_fuse(params, a, b)):

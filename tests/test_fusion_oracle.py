@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlet_fusion import catalog, cli, fusion_closed, verify
+from singlet_fusion import catalog, cli, fusion_closed
 from singlet_fusion import fusion_oracle as oracle_mod
 from singlet_fusion.catalog import (
     FOCK,
@@ -388,7 +388,7 @@ def test_both_memos_are_bounded(monkeypatch):
     for p in range(20, 80, 8):
         params = Params(p)
         top = simple(params, 1, p)
-        for a in verify.label_window(params, 1, 1):
+        for a in catalog.label_window(params, 1, 1):
             oracle_fuse(params, a, top)
             assert store.labels <= budget
     assert _held(store) == store.labels > budget // 2

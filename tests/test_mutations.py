@@ -118,7 +118,7 @@ CASES = {
 def test_verify_all_catches_the_mutation(case, monkeypatch):
     module, name, mutate, probe, suites = CASES[case]
     params = Params(3)
-    labels = verify.label_window(params, -1, 1)
+    labels = catalog.label_window(params, -1, 1)
     before = probe(params, labels)
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     _cold_memos(monkeypatch)

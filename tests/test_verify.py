@@ -61,7 +61,7 @@ def test_fusion_failure_message_text(monkeypatch):
 def test_fusion_window_cap_boundary(monkeypatch):
     # p = 6 has 11 labels per r: rwin 22 gives 495^2 = 245 025 ordered pairs,
     # rwin 23 gives 517^2 = 267 289
-    assert verify.MAX_FUSION_PAIRS == 250_000
+    assert catalog.MAX_FUSION_PAIRS == 250_000
     verify._check_window(Params(6), 22, "fusion")
 
     def no_labels(*args):
@@ -128,25 +128,6 @@ def test_triplet_pair_cap_boundary(monkeypatch):
 def test_non_int_windows_are_rejected(call):
     with pytest.raises(TypeError, match="rwin .* is not an int"):
         call()
-
-
-def test_label_window_lists_simples_then_projectives():
-    params = Params(3)
-    labels = verify.label_window(params, -1, 2)
-    assert labels == [
-        catalog.simple(params, r, s) for r in range(-1, 3) for s in (1, 2, 3)
-    ] + [catalog.projective(params, r, s) for r in range(-1, 3) for s in (1, 2)]
-    assert verify.label_window(params, 1, 0) == []
-
-
-def test_label_window_is_sorted():
-    # cli table rows rely on it: the window is its own sort
-    for p in range(2, 13):
-        params = Params(p)
-        for rmin in range(-5, 5):
-            for rmax in range(rmin, 5):
-                labels = verify.label_window(params, rmin, rmax)
-                assert labels == sorted(labels), (p, rmin, rmax)
 
 
 def test_run_suites_rejects_a_bad_p_before_any_suite(monkeypatch):
@@ -265,7 +246,7 @@ def test_ring_image_matches_the_whole_answer_class():
     # D once per distinct label: D of the whole answer, then times (w - w^{-1})
     for p in range(2, 7):
         params = Params(p)
-        labels = verify.label_window(params, -2, 2)
+        labels = catalog.label_window(params, -2, 2)
         classes = {x: catalog.grothendieck_class(params, x) for x in labels}
         for a in labels:
             for b in labels:
@@ -289,7 +270,7 @@ def test_fusion_suite_reads_each_class_once_per_call(monkeypatch):
     assert verify.fusion_suite(params, 1)[1] == []
     first = list(asked)
     assert len(first) == len(set(first))
-    assert set(verify.label_window(params, -1, 1)) < set(first)  # answers leave the window
+    assert set(catalog.label_window(params, -1, 1)) < set(first)  # answers leave the window
     assert verify.fusion_suite(params, 1)[1] == []
     assert asked == first + first  # nothing is kept from one call to the next
 
