@@ -15,8 +15,9 @@ it once.
 Labels are written ``KIND:r,s`` with ``KIND`` in ``{M, P, F, FJ}`` (Jordan
 Fock labels take a third component, ``FJ:r,s,n``).  Every number, in a
 label, an option or the ``verify --p`` list, is an optional ``-`` and ASCII
-digits.  Output is JSON on stdout unless ``--format tsv`` or ``--out`` says
-otherwise; diagnostics go to stderr.  Exit codes: 0 success, 2 usage or validation failure
+digits, and no ``verify --p`` entry is empty.  Output is JSON on stdout
+unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go to
+stderr.  Exit codes: 0 success, 2 usage or validation failure
 (including an ``--out`` path that cannot be written, a ``table`` with
 ``--rmin`` above ``--rmax``, and a request over ``catalog.MAX_FUSION_PAIRS``:
 ``table`` rows and ``verify`` fusion pairs, the triplet suite's W/R label
@@ -216,7 +217,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     try:
-        p_values = [_int(v) for v in args.p.split(",") if v]
+        # an empty entry is refused; a list with no entries reaches run_suites
+        p_values = [_int(v) for v in args.p.split(",")] if args.p.strip(",") else []
     except ValueError:
         raise ValueError(f"cannot parse p list {args.p!r}")
     report = verify.run_suites(names, p_values, rwin=args.rwin)

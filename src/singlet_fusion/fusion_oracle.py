@@ -45,8 +45,8 @@ product walks at most O(p^2) labels: ``oracle_fuse`` refuses ``p`` above
 
 The walk runs on integer *codes*, not on labels: a code packs the
 ``(kind, r, s)`` of one term into one int (``_encode``), so dict keys hash
-as the ints themselves, and a column's base ``r = 1`` keeps its codes
-small.  Each label's
+as the ints themselves, and integer order is label order, so a sorted
+column is in label order as it is.  Each label's
 ``M_{1,2}`` row is read from one table per ``p``, built from
 ``_m12_terms`` as the walk first meets the label.  :func:`oracle_fuse`
 sums the columns a product needs in code space and turns codes back into
@@ -65,7 +65,7 @@ values as sequential use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NoReturn, Optional, Tuple
 
 from .catalog import (
     PROJECTIVE,
@@ -91,13 +91,17 @@ __all__ = [
 #: Xeon host).
 _MAX_P = 2000
 
-# A code is ``(r - 1) << _R_SHIFT | kind bit | s``: ``s <= _MAX_P <
-# 2**_S_BITS`` and ``r`` is unbounded, so no two labels share a code, and
-# adding ``d << _R_SHIFT`` moves ``r`` by ``d``.  Codes sort by ``(r, kind, s)``.
+# A code is ``kind bit | (r - 1 + _R_BIAS) << _S_BITS | s``, so codes sort as
+# labels do, by ``(kind, r, s)``, and adding ``d << _S_BITS`` moves ``r`` by
+# ``d``.  Every code has ``|r - 1| <= p``: one ``M_{1,2}`` step moves ``r`` by
+# at most 1 (only ``P_{r,1}`` gives ``M_{r+1,p} + M_{r-1,p}``), a chain takes
+# at most ``p - 1`` steps, and a projective right factor moves a column by at
+# most 1 more.  So ``s <= p <= _MAX_P < _R_BIAS = 2**_S_BITS`` keeps the
+# ``r`` field in ``(0, 2 * _R_BIAS)`` and no two labels share a code.
 _S_BITS = _MAX_P.bit_length()
 _S_MASK = (1 << _S_BITS) - 1
-_P_BIT = 1 << _S_BITS
-_R_SHIFT = _S_BITS + 1
+_R_BIAS = 1 << _S_BITS
+_P_BIT = 2 * _R_BIAS << _S_BITS
 _KINDS = (SIMPLE, PROJECTIVE)
 
 #: ``(code, multiplicity)`` pairs of one column, in label order.
@@ -151,24 +155,14 @@ def _m12_terms(params: Params, x: Indecomposable) -> Tuple[Indecomposable, ...]:
 
 def _encode(x: Indecomposable) -> int:
     """The code of an ``M`` or ``P`` label."""
-    return (x.r - 1) << _R_SHIFT | (_P_BIT if x.kind == PROJECTIVE else 0) | x.s
+    return (_P_BIT if x.kind == PROJECTIVE else 0) | (x.r - 1 + _R_BIAS) << _S_BITS | x.s
 
 
 def _label(code: int, base: int = 1) -> Indecomposable:
     """The label a code stands for, its ``r`` moved by ``base - 1``."""
-    r = (code >> _R_SHIFT) + base
+    r = ((code & (_P_BIT - 1)) >> _S_BITS) - _R_BIAS + base
     # Indecomposable(...) without its Python-level __new__
-    return tuple.__new__(Indecomposable, (_KINDS[code >> _S_BITS & 1], r, code & _S_MASK, 1))
-
-
-def _label_order(pairs: Sequence[Tuple[int, int]]) -> _Column:
-    """``(code, multiplicity)`` pairs sorted by code, put in label order.
-
-    Labels sort by ``(kind, r, s)`` and codes by ``(r, kind, s)``, so the
-    ``M`` codes come first, then the ``P`` codes, each in the order given.
-    """
-    simples = [cm for cm in pairs if not cm[0] & _P_BIT]
-    return tuple(simples + [cm for cm in pairs if cm[0] & _P_BIT])
+    return tuple.__new__(Indecomposable, (_KINDS[code >= _P_BIT], r, code & _S_MASK, 1))
 
 
 def _decode(column: _Column, delta: int) -> FormalSum:
@@ -212,8 +206,8 @@ def _raise_negative(acc: Dict[int, int], prev: Iterable[Tuple[int, int]], code: 
             break
         acc[done] = acc.get(done, 0) + mult
     raise NegativeMultiplicityError(
-        _decode(_label_order(sorted(acc.items())), 0),
-        _decode(_label_order(sorted(prev)), 0),
+        _decode(tuple(sorted(acc.items())), 0),
+        _decode(tuple(sorted(prev)), 0),
         _label(code),
     )
 
@@ -254,10 +248,10 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
             else:
                 _raise_negative(acc, prev, code)
         prev, col, t = col, acc.items(), t + 1
-    column = _label_order(sorted(col))
+    column = tuple(sorted(col))
     _store.put((p,), rows)
     if t > 1:
-        _store.put(chain + (t - 1,), _label_order(sorted(prev)))
+        _store.put(chain + (t - 1,), tuple(sorted(prev)))
     _store.put(chain + (t,), column)
     return column
 
@@ -301,8 +295,8 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
         return _decode(_column(params, a.kind, a.s, b.s), shift)
     acc: Dict[int, int] = {}
     for y, mult in sorted(composition_factors(params, b), key=lambda ym: ym[0].s):
-        up = (y.r - b.r) << _R_SHIFT
+        up = (y.r - b.r) << _S_BITS
         for code, k in _column(params, a.kind, a.s, y.s):
             code += up
             acc[code] = acc.get(code, 0) + mult * k
-    return _decode(_label_order(sorted(acc.items())), shift)
+    return _decode(tuple(sorted(acc.items())), shift)

@@ -343,6 +343,18 @@ def test_verify_bad_p_list(capsys):
     assert "p list" in err
 
 
+@pytest.mark.parametrize(
+    "p_list, refusal",
+    [(v, f"cannot parse p list {v!r}") for v in (",3,,2,", "3,", ",3", "3,,2")]
+    + [(v, "empty p list") for v in (",", ",,", "")],
+)
+def test_verify_refuses_an_empty_p_entry(capsys, p_list, refusal):
+    # a list with no entries at all reaches run_suites, which names it
+    code, out, err = run(capsys, "verify", "--suite", "labels", "--p", p_list, "--rwin", "0")
+    assert (code, out) == (2, "")
+    assert refusal in err
+
+
 def test_verify_rejects_negative_rwin(capsys):
     code, out, err = run(capsys, "verify", "--suite", "fusion", "--p", "3", "--rwin", "-1")
     assert code == 2

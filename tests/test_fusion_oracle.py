@@ -429,6 +429,34 @@ def test_codes_never_alias(p):
             assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b), (a, b)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, oracle_mod._MAX_P])
+def test_codes_sort_as_labels_within_the_walks_bound(p):
+    # every code the oracle makes has |r - 1| <= p; in that range codes sort
+    # as labels do, unpack to the label they pack, and adding d << _S_BITS
+    # moves r by d; at _MAX_P the interior of r and s is sampled
+    if p < 50:
+        rs, ss = range(1 - p, p + 2), range(1, p + 1)
+    else:
+        rs = [1 - p, 2 - p, -1, 0, 1, 2, 3, p // 2, p, p + 1]
+        ss = [1, 2, 3, p // 2, p - 2, p - 1, p]
+    labels = [
+        Indecomposable(kind, r, s)
+        for kind in (SIMPLE, PROJECTIVE)
+        for r in rs
+        for s in ss
+        if s < p or kind == SIMPLE
+    ]
+    encode, label, s_bits = oracle_mod._encode, oracle_mod._label, oracle_mod._S_BITS
+    assert sorted(labels, key=encode) == sorted(labels)
+    for x in labels:
+        code = encode(x)
+        assert label(code) == x
+        lo, hi = 1 - x.r - p, 1 - x.r + p  # the d with |r - 1 + d| <= p
+        for d in range(lo, hi + 1) if p < 50 else (lo, -1, 1, hi):
+            if lo <= d <= hi:
+                assert label(code + (d << s_bits)) == x._replace(r=x.r + d), (x, d)
+
+
 @given(params_st, st.data())
 @settings(max_examples=120)
 def test_oracle_equivalence_sampled(params, data):
@@ -486,21 +514,26 @@ def _package_imports():
     return graph
 
 
-def _private_reads():
-    """Module -> ``alias._name`` reads of another package module's private names.
+def _private_names():
+    """Module -> other package modules' private names it reads, and imports.
 
-    Package modules are those bound by ``from . import x`` or
-    ``from singlet_fusion import x``; dunder names are not private.
+    Reads are ``alias._name``, where ``alias`` is bound by ``from . import x``
+    or ``from singlet_fusion import x``; imports are ``from .x import _name``
+    and ``from singlet_fusion.x import _name``, both given as ``x._name``.
+    Dunder names are not private.
     """
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
     package = Path(fusion_closed.__file__).parent
-    reads = {}
+    reads, imports = {}, {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        froms = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         modules = {
             alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and (node.level and not node.module or node.module == "singlet_fusion")
+            for node in froms
+            if node.level and not node.module or node.module == "singlet_fusion"
             for alias in node.names
         }
         reads[path.stem] = {
@@ -509,15 +542,47 @@ def _private_reads():
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in modules
-            and node.attr.startswith("_")
-            and not node.attr.endswith("__")
+            and private(node.attr)
         }
-    return reads
+        imports[path.stem] = {
+            f"{node.module.rpartition('.')[2]}.{alias.name}"
+            for node in froms
+            if node.module
+            and (node.level or node.module.startswith("singlet_fusion."))
+            for alias in node.names
+            if private(alias.name)
+        }
+    return reads, imports
+
+
+#: every private name one package module imports from another; a new one is
+#: added here on purpose or not at all
+_PRIVATE_IMPORTS = {
+    "catalog": {"labels._check_ints", "labels._check_s"},
+    "cli": {"catalog._window_size"},
+    "fusion_closed": {
+        "catalog._check_normal_form",
+        "catalog._label",
+        "catalog._Memo",
+        "catalog._pairs",
+        "catalog._SumLike",
+    },
+    "fusion_oracle": {"catalog._check_normal_form", "catalog._Memo"},
+    "triplet": {
+        "catalog._check_n_max",
+        "catalog._check_normal_form",
+        "catalog._is_normal",
+        "labels._check_ints",
+    },
+    "verify": {"catalog._window_size", "labels._check_ints"},
+}
 
 
 def test_import_graph_keeps_the_routes_independent():
     graph = _package_imports()
-    assert {m: names for m, names in _private_reads().items() if names} == {}
+    reads, imports = _private_names()
+    assert {m: names for m, names in reads.items() if names} == {}
+    assert {m: names for m, names in imports.items() if names} == _PRIVATE_IMPORTS
     assert "singlet_fusion.fusion_closed" not in graph["fusion_oracle"]
     assert "singlet_fusion.fusion_oracle" not in graph["fusion_closed"]
     internal = {n for n in graph["fusion_oracle"] if n.startswith("singlet_fusion")}
