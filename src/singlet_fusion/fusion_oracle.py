@@ -39,19 +39,27 @@ columns ``t = 1, 2, ...`` keeping only the last two, so it has no depth
 limit.  A walk leaves its last two columns in the store, so a later walk
 to ``s_target`` resumes from the highest ``t < s_target`` whose columns
 ``t - 1`` and ``t`` are both kept, and starts from ``t = 1`` when no such
-pair is.  One step costs O(labels in the column), at most O(p), so a cold
-product walks at most O(p^2) labels: ``oracle_fuse`` refuses ``p`` above
-``_MAX_P`` before any walk.
+pair is.
 
 The walk runs on integer *codes*, not on labels: a code packs the
 ``(kind, r, s)`` of one term into one int (``_encode``), so dict keys hash
 as the ints themselves, and integer order is label order, so a sorted
-column is in label order as it is.  Each label's
-``M_{1,2}`` row is read from one table per ``p``, built from
-``_m12_terms`` as the walk first meets the label.  :func:`oracle_fuse`
-sums the columns a product needs in code space and turns codes back into
-labels once, in ``_decode``, which applies the product's ``r`` shift: the
-oracle's one shift.
+column is in label order as it is.  Within a walk a column is a short list
+of *runs*: stretches of codes of one kind and one ``r``, with ``s`` stepping
+by 2 and one multiplicity.  Most labels ``x`` have the row
+``M_{1,2} x x = x_{s-1} + x_{s+1}``, so ``M_{1,2}`` maps a run to the same
+run shifted down and up by one; a step cuts each run at the few *singular*
+labels whose row is anything else, adds their rows one by one, and so costs
+O(runs), not O(labels).  Every label's ``M_{1,2}`` row is read from one
+table per ``p``, built from ``_m12_terms`` once per block of labels of one
+kind and one ``r``, the first time a walk meets the block; a label is
+singular exactly when its row says so, so a wrong row at any label still
+changes the answer.  A cold product takes at most ``p`` steps, but its
+columns and rows still hold O(p) labels each: ``oracle_fuse`` refuses ``p``
+above ``_MAX_P`` before any walk.  :func:`oracle_fuse` sums the columns a
+product needs in code space and turns codes back into labels once, in
+``_decode``, which applies the product's ``r`` shift: the oracle's one
+shift.
 
 One store (``_store``, a first-in, first-out :class:`.catalog._Memo` of
 its own) holds the row tables and the columns, whatever ``r`` the callers
@@ -65,7 +73,7 @@ values as sequential use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NoReturn, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 from .catalog import (
     PROJECTIVE,
@@ -85,10 +93,11 @@ __all__ = [
 ]
 
 #: Largest ``p`` :func:`oracle_fuse` accepts.  A cold product walks at most
-#: ``p`` columns of at most O(p) labels each; at p = 2000 the costliest
-#: (``P_{1,1300} x M_{1,2000}``) takes 0.6-0.9 s and 20 MB peak RSS as a
-#: ``fuse --engine both`` process (CPython 3.11, one core of a shared 2-CPU
-#: Xeon host).
+#: ``p`` columns of a few runs each, but builds rows for O(p) labels and keeps
+#: columns of O(p) labels; at p = 2000, ``P_{1,1300} x M_{1,2000}`` takes
+#: 0.20-0.25 s and 21 MB peak RSS as a ``fuse --engine both`` process, and
+#: the costliest product found, ``P_{1,500} x P_{1,1}``, 0.26-0.28 s and
+#: 24 MB (CPython 3.11, one core of a shared 2-CPU Xeon host).
 _MAX_P = 2000
 
 # A code is ``kind bit | (r - 1 + _R_BIAS) << _S_BITS | s``, so codes sort as
@@ -106,6 +115,10 @@ _KINDS = (SIMPLE, PROJECTIVE)
 
 #: ``(code, multiplicity)`` pairs of one column, in label order.
 _Column = Tuple[Tuple[int, int], ...]
+
+#: A column as *runs* ``(lo, hi, multiplicity)``: the codes ``lo, lo + 2, ...,
+#: hi`` of one block, each with that multiplicity; maximal, and sorted by ``lo``.
+_Runs = List[Tuple[int, int, int]]
 
 
 class NegativeMultiplicityError(ArithmeticError):
@@ -179,9 +192,74 @@ def _row(params: Params, code: int) -> Tuple[int, ...]:
     return tuple([_encode(term) for term in _m12_terms(params, _label(code))])
 
 
-#: Row tables ``(p,)`` (code -> row) and columns ``(p, kind, s, t)`` of chain
-#: ``kind_{1,s}``.  A walk adds rows to its table outside the lock, then puts
-#: it back and its last two columns.
+def _block(params: Params, rows: Dict[int, Tuple[int, ...]], base: int) -> Tuple[int, ...]:
+    """The singular codes of block ``base``, ascending: the codes of the
+    block whose row is not ``(code - 1, code + 1)``.
+
+    A block is the ``M`` or ``P`` labels of one ``r``, and ``base`` is its
+    code with ``s = 0``, which no label has.  The rows of all the block's
+    labels go into ``rows``, and its singular codes under ``base``, last,
+    so a block found there is whole.
+    """
+    singular = []
+    top = params.p - (base >= _P_BIT)
+    for code in range(base + 1, base + top + 1):
+        row = rows[code] = _row(params, code)
+        if row != (code - 1, code + 1):
+            singular.append(code)
+    rows[base] = singular = tuple(singular)
+    return singular
+
+
+def _runs(column: _Column) -> _Runs:
+    """The runs of a kept column."""
+    runs, last = [], [None, None]  # the run each parity of s had last
+    for code, mult in column:
+        run = last[code & 1]
+        if run is not None and run[1] == code - 2 and run[2] == mult:
+            run[1] = code
+        else:
+            run = last[code & 1] = [code, code, mult]
+            runs.append(run)
+    return [tuple(run) for run in runs]
+
+
+def _expand(runs: _Runs) -> _Column:
+    """The ``(code, multiplicity)`` pairs of a column's runs, in label order."""
+    return tuple(sorted([(code, m) for lo, hi, m in runs for code in range(lo, hi + 1, 2)]))
+
+
+def _sweep(delta: Dict[int, int]) -> _Runs:
+    """The runs a stride-2 difference map describes, negative ones included.
+
+    ``delta`` maps a code to the change of multiplicity there against the
+    code two below it; the two parities of ``s`` are summed apart, so runs
+    of both may interleave.
+    """
+    runs = []
+    even = odd = 0  # the multiplicity since the last change, by parity
+    even_lo = odd_lo = 0  # the code of that change
+    for code in sorted(delta):
+        d = delta[code]
+        if not d:
+            continue
+        if code & 1:
+            if odd:
+                runs.append((odd_lo, code - 2, odd))
+            odd += d
+            odd_lo = code
+        else:
+            if even:
+                runs.append((even_lo, code - 2, even))
+            even += d
+            even_lo = code
+    runs.sort()
+    return runs
+
+
+#: Row tables ``(p,)`` (code -> row, and block code -> singular codes) and
+#: columns ``(p, kind, s, t)`` of chain ``kind_{1,s}``.  A walk adds blocks to
+#: its table outside the lock, then puts it back and its last two columns.
 _store = _Memo()
 
 
@@ -198,17 +276,14 @@ def _resume(chain: Tuple[int, str, int], s_target: int) -> Optional[Tuple[int, _
     return None
 
 
-def _raise_negative(acc: Dict[int, int], prev: Iterable[Tuple[int, int]], code: int) -> NoReturn:
-    """Put back the terms of ``prev`` that ``acc`` lost before ``code``, and
-    raise :class:`NegativeMultiplicityError` for ``acc - prev`` in labels."""
-    for done, mult in prev:
-        if done == code:
-            break
-        acc[done] = acc.get(done, 0) + mult
+def _raise_negative(delta: Dict[int, int], prev: _Runs, code: int) -> NoReturn:
+    """Put ``prev`` back into ``delta``, and raise
+    :class:`NegativeMultiplicityError` for the sum it gives minus ``prev``."""
+    for lo, hi, mult in prev:
+        delta[lo] += mult
+        delta[hi + 2] -= mult
     raise NegativeMultiplicityError(
-        _decode(tuple(sorted(acc.items())), 0),
-        _decode(tuple(sorted(prev)), 0),
-        _label(code),
+        _decode(_expand(_sweep(delta)), 0), _decode(_expand(prev), 0), _label(code)
     )
 
 
@@ -217,41 +292,62 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
 
     The chain starts from ``X x M_{1,0} = 0`` and ``X x M_{1,1} = X``, or
     resumes from its highest kept pair of columns below ``s_target``; callers
-    check the labels.  Each step costs O(labels in the column); a label's
-    row is built once per row table.
+    check the labels.  A step reads and writes runs: it cuts each run of the
+    column at its block's singular codes, adds each singular code's row and
+    each remaining segment shifted down and up by one, subtracts the column
+    before as runs, and sweeps the boundaries into the next column.  So a
+    step costs O(runs), and a block's rows are built once per row table.
     """
     p = params.p
     chain = (p, kind, s)
     rows = _store.get((p,))
     if rows is None:
         rows = {}
-    # prev and col iterate as (code, multiplicity) pairs: kept tuples at the
-    # start, then the items of the dicts the steps build
     start = _resume(chain, s_target)
-    t, prev, col = start or (1, (), ((_encode(Indecomposable(kind, 1, s)), 1),))
-    row_of = rows.get
+    if start is None:
+        code = _encode(Indecomposable(kind, 1, s))
+        t, prev, col, kept = 1, [], [(code, code, 1)], ((code, 1),)
+    else:
+        t, prev, kept = start
+        prev, col = _runs(prev), _runs(kept)
+    first = col  # kept is its expansion: a one-step walk puts kept back as is
+    singular_of, block_bits = rows.get, ~_S_MASK
     while t < s_target:
-        acc: Dict[int, int] = {}
-        add = acc.get
-        for code, mult in col:
-            row = row_of(code)
-            if row is None:
-                row = rows[code] = _row(params, code)
-            for term in row:
-                acc[term] = add(term, 0) + mult
-        for code, mult in prev:  # Krull-Schmidt: acc -= prev
-            left = add(code, 0) - mult
-            if left > 0:
-                acc[code] = left
-            elif not left:
-                del acc[code]
-            else:
-                _raise_negative(acc, prev, code)
-        prev, col, t = col, acc.items(), t + 1
-    column = tuple(sorted(col))
+        # delta: the next column as differences between codes two apart
+        delta: Dict[int, int] = {}
+        get = delta.get
+        for lo, hi, mult in col:
+            singular = singular_of(lo & block_bits)
+            if singular is None:
+                singular = _block(params, rows, lo & block_bits)
+            for code in singular:
+                if lo <= code <= hi and not (code - lo) & 1:
+                    if lo < code:  # the segment lo .. code - 2, down and up by one
+                        delta[lo - 1] = get(lo - 1, 0) + mult
+                        delta[lo + 1] = get(lo + 1, 0) + mult
+                        delta[code - 1] = get(code - 1, 0) - mult
+                        delta[code + 1] = get(code + 1, 0) - mult
+                    for term in rows[code]:
+                        delta[term] = get(term, 0) + mult
+                        delta[term + 2] = get(term + 2, 0) - mult
+                    lo = code + 2
+            if lo <= hi:  # the last segment lo .. hi
+                delta[lo - 1] = get(lo - 1, 0) + mult
+                delta[lo + 1] = get(lo + 1, 0) + mult
+                delta[hi + 1] = get(hi + 1, 0) - mult
+                delta[hi + 3] = get(hi + 3, 0) - mult
+        for lo, hi, mult in prev:  # Krull-Schmidt: subtract prev
+            delta[lo] = get(lo, 0) - mult
+            delta[hi + 2] = get(hi + 2, 0) + mult
+        runs = _sweep(delta)
+        for lo, _, mult in runs:
+            if mult < 0:
+                _raise_negative(delta, prev, lo)
+        prev, col, t = col, runs, t + 1
+    column = _expand(col)
     _store.put((p,), rows)
     if t > 1:
-        _store.put(chain + (t - 1,), tuple(sorted(prev)))
+        _store.put(chain + (t - 1,), kept if prev is first else _expand(prev))
     _store.put(chain + (t,), column)
     return column
 
@@ -280,7 +376,7 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
     if params.p > _MAX_P:
         raise ValueError(
             f"oracle_fuse needs p <= {_MAX_P}, got p={params.p}: "
-            "a cold product walks O(p^2) labels"
+            "a cold product builds rows and columns of O(p) labels"
         )
     _check_normal_form(params, a, "oracle_fuse")
     _check_normal_form(params, b, "oracle_fuse")

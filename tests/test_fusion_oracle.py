@@ -81,33 +81,85 @@ def _held(store):
     return sum(len(value) for _, value in store.entries.values())
 
 
+def _count_steps(monkeypatch):
+    """A list that gains one entry per step of every walk: each step sweeps
+    its boundaries once."""
+    steps, sweep = [], oracle_mod._sweep
+
+    def counted(delta):
+        steps.append(delta)
+        return sweep(delta)
+
+    monkeypatch.setattr(oracle_mod, "_sweep", counted)
+    return steps
+
+
+def _label_columns(params, kind, s, s_target):
+    """Columns ``1 .. s_target`` of chain ``kind_{1,s}`` in codes, walked the
+    way the oracle did before runs: every step reads the row of each label
+    of the column and subtracts the column before label by label.  The list
+    ends before the first step that would go negative."""
+    prev, col = {}, {oracle_mod._encode(Indecomposable(kind, 1, s)): 1}
+    rows, columns = {}, [tuple(sorted(col.items()))]
+    for _ in range(1, s_target):
+        acc = {}
+        for code, mult in col.items():
+            row = rows.get(code)
+            if row is None:
+                row = rows[code] = oracle_mod._row(params, code)
+            for term in row:
+                acc[term] = acc.get(term, 0) + mult
+        for code, mult in prev.items():
+            left = acc.get(code, 0) - mult
+            if left < 0:
+                return columns
+            if left:
+                acc[code] = left
+            else:
+                del acc[code]
+        prev, col = col, acc
+        columns.append(tuple(sorted(col.items())))
+    return columns
+
+
+def _chain_heads(params):
+    """``(kind, s)`` of every chain at ``params``."""
+    return [(SIMPLE, s) for s in range(1, params.p + 1)] + [
+        (PROJECTIVE, s) for s in range(1, params.p)
+    ]
+
+
 def _column_requests(params):
-    left = [(SIMPLE, s) for s in range(1, params.p + 1)]
-    left += [(PROJECTIVE, s) for s in range(1, params.p)]
-    return [(kind, s, t) for kind, s in left for t in range(1, params.p + 1)]
+    return [(kind, s, t) for kind, s in _chain_heads(params) for t in range(1, params.p + 1)]
 
 
 @pytest.mark.parametrize("budget", [None, 12], ids=["default budget", "evicting budget"])
 def test_chain_order_independence(monkeypatch, budget):
-    # every (kind, s, t) column at p = 2..9 equals the rebuild-from-s = 1
-    # reference, whether asked cold, ascending, descending or shuffled, with
-    # the chains interleaved; the walk is called past the column memo
+    # every (kind, s, t) column at p = 2..20 equals the label walk's, whether
+    # asked cold, ascending, descending or shuffled, with the chains
+    # interleaved; the walk is called past the column memo.  Up to p = 9 the
+    # label walk's columns also equal the rebuild-from-s = 1 reference
     import random
 
     if budget is not None:
         monkeypatch.setattr(catalog, "_LABELS", budget)
 
-    def walk(params, kind, s, t):
-        return oracle_mod._decode(oracle_mod._walk(params, kind, s, t), 0)
-
     rng = random.Random(28)
-    for p in range(2, 10):
+    for p in range(2, 21):
         params = Params(p)
         requests = _column_requests(params)
-        want = {req: _reference_column(params, *req) for req in requests}
+        want = {
+            (kind, s, t): column
+            for kind, s in _chain_heads(params)
+            for t, column in enumerate(_label_columns(params, kind, s, p), 1)
+        }
+        assert sorted(want) == sorted(requests)
+        if p < 10:
+            for req in requests:
+                assert oracle_mod._decode(want[req], 0) == _reference_column(params, *req), req
         for req in requests:  # cold
             _fresh_memos(monkeypatch)
-            assert walk(params, *req) == want[req], req
+            assert oracle_mod._walk(params, *req) == want[req], req
         by_t = sorted(requests, key=lambda req: (req[2], req[:2]))
         shuffled = rng.sample(requests, len(requests))
         for order in (by_t, by_t[::-1], shuffled):
@@ -115,7 +167,7 @@ def test_chain_order_independence(monkeypatch, budget):
             evicted = False
             for req in order:
                 others = _chains(store) - {(p, *req[:2])}
-                assert walk(params, *req) == want[req], req
+                assert oracle_mod._walk(params, *req) == want[req], req
                 evicted |= not others <= _chains(store)
                 assert _held(store) == store.labels <= catalog._LABELS
         if budget is not None and p >= 5:
@@ -143,24 +195,17 @@ def test_projective_right_factor_walks_one_chain(monkeypatch):
 
 
 def test_lower_target_resumes_from_an_older_kept_pair(monkeypatch):
-    # the unit's chain has one label per column, M_{1,t}, so each step reads
-    # one row.  A walk to 5 keeps columns 4 and 5, one to 10 keeps 9 and 10;
-    # a walk to 8 then resumes from 4 and 5 (3 steps), not from 1 (7 steps)
+    # each step sweeps once.  A walk to 5 keeps columns 4 and 5, one to 10
+    # keeps 9 and 10; a walk to 8 then resumes from 4 and 5 (3 steps), not
+    # from 1 (7 steps)
     store = _fresh_memos(monkeypatch)
-    reads = []
-
-    class Rows(dict):
-        def get(self, code, default=None):
-            reads.append(code)
-            return super().get(code, default)
-
+    steps = _count_steps(monkeypatch)
     params = Params(12)
-    store.entries[(12,)] = (0, Rows())
     unit = simple(params, 1, 1)
-    for t, steps in ((5, 4), (10, 5), (8, 3)):
-        reads.clear()
+    for t, want in ((5, 4), (10, 5), (8, 3)):
+        steps.clear()
         assert oracle_fuse(params, unit, simple(params, 1, t)) == FormalSum.of(simple(params, 1, t))
-        assert len(reads) == steps, t
+        assert len(steps) == want, t
     assert sorted(key[3] for key in store.entries if len(key) == 4) == [4, 5, 7, 8, 9, 10]
     assert _held(store) == store.labels <= catalog._LABELS
 
@@ -204,6 +249,71 @@ def test_walk_error_reports_the_minuend_before_subtraction(monkeypatch):
     assert err.value.minuend == FormalSum.of(m[1], m[3])
     assert err.value.subtrahend == FormalSum.of(m[1], m[3], m[5])
     assert err.value.label == m[5]
+
+
+def test_error_reports_the_lowest_label_that_goes_negative(monkeypatch):
+    # M_{1,2} x M_{1,2} loses M_{1,3} at p = 7.  The chain of M_{1,4} then
+    # subtracts M_{1,1} + M_{1,5} + M_{1,7} from 2 M_{1,7} + P_{1,5} at
+    # t = 6: M_{1,1} and M_{1,5} both go negative, in two runs
+    right = oracle_mod._m12_terms
+
+    def dropped(params, x):
+        terms = right(params, x)
+        return terms[:1] if x.kind == SIMPLE and x.s == 2 else terms
+
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "_m12_terms", dropped)
+    params = Params(7)
+    m = {s: simple(params, 1, s) for s in range(1, 8)}
+    with pytest.raises(NegativeMultiplicityError) as err:
+        oracle_fuse(params, m[4], m[6])
+    assert err.value.minuend == FormalSum([(m[7], 2), (projective(params, 1, 5), 1)])
+    assert err.value.subtrahend == FormalSum.of(m[1], m[5], m[7])
+    assert err.value.label == m[1]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [lambda m: (m[2],), lambda m: (m[4],), lambda m: (m[2], m[4], m[4])],
+    ids=["drops M_{1,4}", "drops M_{1,2}", "adds M_{1,4}"],
+)
+def test_a_wrong_row_inside_a_run_changes_the_answer(monkeypatch, row):
+    # at p = 7, column 3 of the chain of M_{1,3} is one run,
+    # M_{1,1} + M_{1,3} + M_{1,5}, and column 2 is M_{1,2} + M_{1,4}.  With
+    # both kept and no row table, a walk to 4 takes one step from them; a
+    # wrong row at M_{1,3} alone, inside the run, changes its answer or
+    # raises, and every column of p = 7 still equals the label walk's
+    params = Params(7)
+    m = {s: simple(params, 1, s) for s in range(1, 8)}
+    store = _fresh_memos(monkeypatch)
+    assert oracle_fuse(params, m[3], m[3]) == FormalSum.of(m[1], m[3], m[5])
+    pair = {key: store.get(key) for key in ((7, SIMPLE, 3, 2), (7, SIMPLE, 3, 3))}
+    want = oracle_fuse(params, m[3], m[4])
+    rule = oracle_mod._m12_terms
+
+    def wrong(params, x):
+        return row(m) if x == m[3] else rule(params, x)
+
+    monkeypatch.setattr(oracle_mod, "_m12_terms", wrong)
+    store = _fresh_memos(monkeypatch)
+    for key, column in pair.items():
+        store.put(key, column)
+    steps = _count_steps(monkeypatch)
+    try:
+        got = oracle_fuse(params, m[3], m[4])
+    except NegativeMultiplicityError:
+        got = None
+    assert len(steps) == 1
+    assert got != want
+    for kind, s in _chain_heads(params):
+        columns = _label_columns(params, kind, s, params.p)
+        for t in range(1, params.p + 1):
+            _fresh_memos(monkeypatch)
+            if t <= len(columns):
+                assert oracle_mod._walk(params, kind, s, t) == columns[t - 1], (kind, s, t)
+            else:
+                with pytest.raises(NegativeMultiplicityError):
+                    oracle_mod._walk(params, kind, s, t)
 
 
 def test_column_validates_inputs():
