@@ -188,6 +188,7 @@ def label_window(params: Params, rmin: int, rmax: int) -> List[Indecomposable]:
     Each kind is listed by ``r``, then ``s``, so the list is sorted in
     :class:`Indecomposable` order (``M`` before ``P``, then ``r``, then ``s``).
     """
+    _check_ints("window bound", rmin, rmax)
     rs = range(rmin, rmax + 1)
     return [simple(params, r, s) for r in rs for s in range(1, params.p + 1)] + [
         projective(params, r, s) for r in rs for s in range(1, params.p)
@@ -328,10 +329,11 @@ class FormalSum:
         return f"FormalSum({self._key!r})"
 
 
-#: Labels one memo may hold: a sum or a column counts its terms, a row table
-#: its rows.  No benchmark workload evicts: the most a session holds is 267
-#: (``table-both``), 553 (``verify-all``) and 4 177 (``large-p``) labels of
-#: closed-form templates, and 189, 412 and 8 052 of oracle rows and columns.
+#: Labels one memo may hold: a sum or a column counts its terms, an oracle
+#: block its singular rows.  No benchmark workload evicts: the most a session
+#: holds is 267 (``table-both``), 553 (``verify-all``) and 4 185 (``large-p``,
+#: seed 1, sessions 0-99) labels of closed-form templates, and 182, 404 and
+#: 6 903 of oracle blocks and columns.
 #: The oracle's exhaustive fusion suite reads every column of one left
 #: factor's chain before the next, under p^2 / 2 labels (under 28 000 at
 #: p = 250).  All closed-form templates hold 9 325 labels at p = 20 and
@@ -344,11 +346,10 @@ class _Memo:
     """A first-in, first-out memo bounded by the labels its values hold.
 
     ``entries`` maps each key to ``(labels, value)``, oldest first, and
-    ``labels`` is their sum.  A read reorders nothing and a kept value is
-    never rewritten (a row table only gains rows), so :meth:`get` takes no
-    lock; :meth:`put` runs under the lock, which serializes every write and
-    the tally.  A value's labels are its ``len``, read under the lock, so a
-    row table grown outside the lock is counted as it is put back.
+    ``labels`` is their sum, a value's labels being its ``len``.  A read
+    reorders nothing and a kept value is never rewritten, so :meth:`get`
+    takes no lock; :meth:`put` runs under the lock, which serializes every
+    write and the tally.
     """
 
     def __init__(self) -> None:

@@ -66,11 +66,12 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
-#: every number on the command line as ``str`` prints it: an optional ``-`` and
-#: ASCII digits (``int`` alone would also take ``1_0``, `` 1``, ``+1`` and
-#: non-ASCII digits); label indices, integer options and the ``verify --p``
-#: list are all read by :func:`_int`
-_INT = re.compile(r"-?[0-9]+")
+#: every number on the command line as ``str`` prints it: ``0``, or an optional
+#: ``-`` and ASCII digits that do not start with ``0`` (``int`` alone would also
+#: take ``1_0``, `` 1``, ``+1``, ``-0``, ``01`` and non-ASCII digits); label
+#: indices, integer options and the ``verify --p`` list are all read by
+#: :func:`_int`
+_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _int(text: str) -> int:
@@ -90,7 +91,7 @@ def parse_label(params: Params, text: str) -> Indecomposable:
         parts = [_int(v) for v in rest.split(",")]
     except ValueError:
         raise ValueError(
-            f"cannot parse label {text!r}: each index is an optional '-' and ASCII digits"
+            f"cannot parse label {text!r}: each index is an int as str prints it"
         ) from None
     if len(parts) != (3 if kind == catalog.JORDAN_FOCK else 2):
         raise ValueError(f"label {text!r}: expected KIND:r,s or FJ:r,s,n")

@@ -50,25 +50,24 @@ by 2 and one multiplicity.  Most labels ``x`` have the row
 ``M_{1,2} x x = x_{s-1} + x_{s+1}``, so ``M_{1,2}`` maps a run to the same
 run shifted down and up by one; a step cuts each run at the few *singular*
 labels whose row is anything else, adds their rows one by one, and so costs
-O(runs), not O(labels).  Every label's ``M_{1,2}`` row is read from one
-table per ``p``, built from ``_m12_terms`` once per block of labels of one
-kind and one ``r``, the first time a walk meets the block; a label is
-singular exactly when its row says so, so a wrong row at any label still
-changes the answer.  A cold product takes at most ``p`` steps, but its
-columns and rows still hold O(p) labels each: ``oracle_fuse`` refuses ``p``
-above ``_MAX_P`` before any walk.  :func:`oracle_fuse` sums the columns a
+O(runs), not O(labels).  The first walk at ``p`` to meet a block of labels
+of one kind and one ``r`` reads every label's row there from
+``_m12_terms`` and keeps only the singular ones; a label is singular exactly
+when its row says so, so a wrong row at any label still changes the answer.
+A cold product takes at most ``p`` steps, but it scans O(p) labels per
+block and its columns hold O(p) labels: ``oracle_fuse`` refuses ``p`` above
+``_MAX_P`` before any walk.  :func:`oracle_fuse` sums the columns a
 product needs in code space and turns codes back into labels once, in
 ``_decode``, which applies the product's ``r`` shift: the oracle's one
 shift.
 
 One store (``_store``, a first-in, first-out :class:`.catalog._Memo` of
-its own) holds the row tables and the columns, whatever ``r`` the callers
-use, under one budget of labels held, so memory stays bounded whatever
-``p`` a process visits.  Every result depends on the arguments alone: a
-kept column never changes and rows are pure, so two threads that walk one
-chain compute and keep the same values.  The store's lock serializes only
-its writes, never a read or a walk, so concurrent use returns the same
-values as sequential use.
+its own) holds each block's singular rows and the columns, whatever ``r``
+the callers use, under one budget of labels held, so memory stays bounded
+whatever ``p`` a process visits.  Every value kept depends on its key alone
+and never changes, so two threads that walk one chain compute and keep the
+same values.  The store's lock serializes only its writes, never a read or
+a walk, so concurrent use returns the same values as sequential use.
 """
 
 from __future__ import annotations
@@ -93,11 +92,11 @@ __all__ = [
 ]
 
 #: Largest ``p`` :func:`oracle_fuse` accepts.  A cold product walks at most
-#: ``p`` columns of a few runs each, but builds rows for O(p) labels and keeps
+#: ``p`` columns of a few runs each, but scans O(p) labels per block and keeps
 #: columns of O(p) labels; at p = 2000, ``P_{1,1300} x M_{1,2000}`` takes
-#: 0.20-0.25 s and 21 MB peak RSS as a ``fuse --engine both`` process, and
-#: the costliest product found, ``P_{1,500} x P_{1,1}``, 0.26-0.28 s and
-#: 24 MB (CPython 3.11, one core of a shared 2-CPU Xeon host).
+#: 0.15-0.21 s and 19 MB peak RSS as a ``fuse --engine both`` process, and
+#: the costliest product found, ``P_{1,500} x P_{1,1}``, 0.16-0.23 s and
+#: 22 MB (CPython 3.11, one core of a shared 2-CPU Xeon host).
 _MAX_P = 2000
 
 # A code is ``kind bit | (r - 1 + _R_BIAS) << _S_BITS | s``, so codes sort as
@@ -115,6 +114,9 @@ _KINDS = (SIMPLE, PROJECTIVE)
 
 #: ``(code, multiplicity)`` pairs of one column, in label order.
 _Column = Tuple[Tuple[int, int], ...]
+
+#: The singular rows ``(code, row)`` of one block, ascending.
+_Block = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 #: A column as *runs* ``(lo, hi, multiplicity)``: the codes ``lo, lo + 2, ...,
 #: hi`` of one block, each with that multiplicity; maximal, and sorted by ``lo``.
@@ -192,23 +194,23 @@ def _row(params: Params, code: int) -> Tuple[int, ...]:
     return tuple([_encode(term) for term in _m12_terms(params, _label(code))])
 
 
-def _block(params: Params, rows: Dict[int, Tuple[int, ...]], base: int) -> Tuple[int, ...]:
-    """The singular codes of block ``base``, ascending: the codes of the
-    block whose row is not ``(code - 1, code + 1)``.
+def _block(params: Params, base: int) -> _Block:
+    """The singular rows of block ``base``: ``(code, row)`` for each code of
+    the block whose row is not ``(code - 1, code + 1)``, ascending.
 
     A block is the ``M`` or ``P`` labels of one ``r``, and ``base`` is its
-    code with ``s = 0``, which no label has.  The rows of all the block's
-    labels go into ``rows``, and its singular codes under ``base``, last,
-    so a block found there is whole.
+    code with ``s = 0``, which no label has.  The first read of a block at
+    ``p`` reads the row of every label in it, and the store keeps the
+    singular ones under ``(p, base)``.
     """
-    singular = []
-    top = params.p - (base >= _P_BIT)
-    for code in range(base + 1, base + top + 1):
-        row = rows[code] = _row(params, code)
-        if row != (code - 1, code + 1):
-            singular.append(code)
-    rows[base] = singular = tuple(singular)
-    return singular
+    key = (params.p, base)
+    block = _store.get(key)
+    if block is None:
+        top = params.p - (base >= _P_BIT)
+        rows = [(code, _row(params, code)) for code in range(base + 1, base + top + 1)]
+        block = tuple([(code, row) for code, row in rows if row != (code - 1, code + 1)])
+        _store.put(key, block)
+    return block
 
 
 def _runs(column: _Column) -> _Runs:
@@ -257,9 +259,8 @@ def _sweep(delta: Dict[int, int]) -> _Runs:
     return runs
 
 
-#: Row tables ``(p,)`` (code -> row, and block code -> singular codes) and
-#: columns ``(p, kind, s, t)`` of chain ``kind_{1,s}``.  A walk adds blocks to
-#: its table outside the lock, then puts it back and its last two columns.
+#: The singular rows ``(p, base)`` of each block met, and the columns
+#: ``(p, kind, s, t)`` of chain ``kind_{1,s}``; a walk puts its last two.
 _store = _Memo()
 
 
@@ -296,13 +297,9 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
     column at its block's singular codes, adds each singular code's row and
     each remaining segment shifted down and up by one, subtracts the column
     before as runs, and sweeps the boundaries into the next column.  So a
-    step costs O(runs), and a block's rows are built once per row table.
+    step costs O(runs), and a walk reads each block it meets once.
     """
-    p = params.p
-    chain = (p, kind, s)
-    rows = _store.get((p,))
-    if rows is None:
-        rows = {}
+    chain = (params.p, kind, s)
     start = _resume(chain, s_target)
     if start is None:
         code = _encode(Indecomposable(kind, 1, s))
@@ -311,23 +308,25 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
         t, prev, kept = start
         prev, col = _runs(prev), _runs(kept)
     first = col  # kept is its expansion: a one-step walk puts kept back as is
-    singular_of, block_bits = rows.get, ~_S_MASK
+    blocks: Dict[int, _Block] = {}  # by base: the blocks this walk met
+    block_bits = ~_S_MASK
     while t < s_target:
         # delta: the next column as differences between codes two apart
         delta: Dict[int, int] = {}
         get = delta.get
         for lo, hi, mult in col:
-            singular = singular_of(lo & block_bits)
+            base = lo & block_bits
+            singular = blocks.get(base)
             if singular is None:
-                singular = _block(params, rows, lo & block_bits)
-            for code in singular:
+                singular = blocks[base] = _block(params, base)
+            for code, row in singular:
                 if lo <= code <= hi and not (code - lo) & 1:
                     if lo < code:  # the segment lo .. code - 2, down and up by one
                         delta[lo - 1] = get(lo - 1, 0) + mult
                         delta[lo + 1] = get(lo + 1, 0) + mult
                         delta[code - 1] = get(code - 1, 0) - mult
                         delta[code + 1] = get(code + 1, 0) - mult
-                    for term in rows[code]:
+                    for term in row:
                         delta[term] = get(term, 0) + mult
                         delta[term + 2] = get(term + 2, 0) - mult
                     lo = code + 2
@@ -345,7 +344,6 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
                 _raise_negative(delta, prev, lo)
         prev, col, t = col, runs, t + 1
     column = _expand(col)
-    _store.put((p,), rows)
     if t > 1:
         _store.put(chain + (t - 1,), kept if prev is first else _expand(prev))
     _store.put(chain + (t,), column)

@@ -204,6 +204,12 @@ def test_label_window_is_sorted():
                 assert labels == sorted(labels), (p, rmin, rmax)
 
 
+@pytest.mark.parametrize("rmin, rmax", [(False, True), (0, True), (0.0, 1), (-1, 1.0)])
+def test_label_window_refuses_bounds_that_are_not_int(rmin, rmax):
+    with pytest.raises(TypeError, match="is not an int"):
+        catalog.label_window(Params(3), rmin, rmax)
+
+
 def test_window_size_counts_what_label_window_builds():
     # both caps (verify's windows and cli table's rows) count with _window_size
     for p in range(2, 13):

@@ -29,7 +29,7 @@ def test_parse_label_grammar():
     assert cli.parse_label(p3, "P:1,3") == simple(p3, 1, 3)  # normalized
     assert cli.parse_label(p3, "FJ:1,3,2") == jordan_fock(p3, 1, 2)
     for bad in ("M:1", "Q:1,1", "M:a,1", "M:1,9", "FJ:1,3", "FJ:1,2,2", "FJ:1,3,0", "FJ:1,3,-2",
-                "M:1_0,2", "M:\u0661,2", "M: 1,2", "M:+1,2"):
+                "M:1_0,2", "M:\u0661,2", "M: 1,2", "M:+1,2", "M:-0,1", "M:01,1", "FJ:1,3,02"):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             cli.parse_label(p3, bad)
 
@@ -309,10 +309,14 @@ def test_cli_rejects_bad_p(capsys):
         ["table", "--p", "2", "--rmin", " 0", "--rmax", "+0"],
         ["verify", "--suite", "labels", "--p", "2", "--rwin", "+0"],
         ["induce", "--p", "\uff13", "M:1,1"],
+        ["fuse", "--p", "03", "M:1,2", "M:1,2"],
+        ["verify", "--suite", "labels", "--p", "2", "--rwin", "00"],
+        ["verify", "--suite", "labels", "--p", "2,03", "--rwin", "0"],
     ],
 )
 def test_every_number_is_an_optional_minus_and_ascii_digits(capsys, argv):
-    # int() alone reads 1_0 as 10, a non-ASCII 3 as 3, and " 0" and +0 as 0
+    # int() alone reads 1_0 as 10, a non-ASCII 3 as 3, " 0" and +0 as 0, and
+    # 03 as 3: str never prints any of them
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse refuses an option's value

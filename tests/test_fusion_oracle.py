@@ -64,7 +64,7 @@ def _reference_column(params, kind, s, s_target):
 
 
 def _fresh_memos(monkeypatch):
-    """An empty oracle store for this test: no rows or columns; returns it."""
+    """An empty oracle store for this test: no blocks or columns; returns it."""
     store = catalog._Memo()
     monkeypatch.setattr(oracle_mod, "_store", store)
     return store
@@ -77,7 +77,7 @@ def _chains(store):
 
 def _held(store):
     """Labels the store's entries hold, counted afresh from their values:
-    a row table counts its rows, a column its terms."""
+    a block counts its singular rows, a column its terms."""
     return sum(len(value) for _, value in store.entries.values())
 
 
@@ -210,6 +210,51 @@ def test_lower_target_resumes_from_an_older_kept_pair(monkeypatch):
     assert _held(store) == store.labels <= catalog._LABELS
 
 
+def _reference_block(params, kind, r):
+    """``(label, summands)`` for each label of kind ``kind`` and index ``r``
+    whose ``M_{1,2}`` summands are not its ``s - 1`` and ``s + 1``
+    neighbours, read from the rule label by label."""
+    top = params.p - (kind == PROJECTIVE)
+    singular = []
+    for s in range(1, top + 1):
+        x = Indecomposable(kind, r, s)
+        terms = oracle_mod._m12_terms(params, x)
+        if terms != (Indecomposable(kind, r, s - 1), Indecomposable(kind, r, s + 1)):
+            singular.append((x, terms))
+    return singular
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_the_store_keeps_immutable_blocks_of_singular_rows(monkeypatch, p):
+    # each chain's top walked cold, or every column asked in ascending t so
+    # that each walk past t = 2 resumes: the store keeps tuples only, no
+    # per-p table, and each block entry holds exactly the singular rows of
+    # its block
+    params = Params(p)
+    cold = [(kind, s, p) for kind, s in _chain_heads(params)]
+    resumed = sorted(_column_requests(params), key=lambda req: (req[2], req[:2]))
+    for requests in (cold, resumed):
+        store = _fresh_memos(monkeypatch)
+        for req in requests:
+            oracle_mod._walk(params, *req)
+        assert (p,) not in store.entries
+        blocks = 0
+        for key, (_, value) in store.entries.items():
+            assert type(value) is tuple and all(type(pair) is tuple for pair in value), key
+            if len(key) == 4:
+                continue
+            assert len(key) == 2 and key[0] == p, key
+            blocks += 1
+            x = oracle_mod._label(key[1] + 1)
+            got = [
+                (oracle_mod._label(code), tuple(map(oracle_mod._label, row)))
+                for code, row in value
+            ]
+            assert got == _reference_block(params, x.kind, x.r), key
+            assert all(type(row) is tuple for _, row in value), key
+        assert blocks >= 2
+
+
 def test_dropped_m12_summand_raises_with_formal_sum_fields(monkeypatch):
     # M_{1,2} x M_{1,s} loses M_{1,s+1} for 1 < s < p: the third column of the
     # unit's chain is 0, and the fourth subtracts M_{1,2} from nothing
@@ -280,7 +325,7 @@ def test_error_reports_the_lowest_label_that_goes_negative(monkeypatch):
 def test_a_wrong_row_inside_a_run_changes_the_answer(monkeypatch, row):
     # at p = 7, column 3 of the chain of M_{1,3} is one run,
     # M_{1,1} + M_{1,3} + M_{1,5}, and column 2 is M_{1,2} + M_{1,4}.  With
-    # both kept and no row table, a walk to 4 takes one step from them; a
+    # both kept and no block, a walk to 4 takes one step from them; a
     # wrong row at M_{1,3} alone, inside the run, changes its answer or
     # raises, and every column of p = 7 still equals the label walk's
     params = Params(7)
@@ -503,11 +548,19 @@ def test_both_memos_are_bounded(monkeypatch):
             assert store.labels <= budget
     assert _held(store) == store.labels > budget // 2
     # the oldest entries went first: p = 20's are gone, p = 76's are all
-    # kept, its row table and the last two columns of each chain
+    # kept: the last two columns of each chain, and the singular rows of
+    # each block the walks met, which are the blocks of every column 75
     kept = [key[0] for key in store.entries]
     assert 20 not in kept
-    assert kept.count(76) == 1 + 2 * (2 * 76 - 1)
+    blocks = {key for key in store.entries if len(key) == 2 and key[0] == 76}
+    assert kept.count(76) == len(blocks) + 2 * (2 * 76 - 1)
     assert [p for p, _, _ in _chains(store)].count(76) == 2 * 76 - 1
+    assert blocks == {
+        (76, code & ~oracle_mod._S_MASK)
+        for key, (_, column) in store.entries.items()
+        if key[0] == 76 and key[3:] == (75,)
+        for code, _ in column
+    }
 
 
 @pytest.mark.parametrize("left, right", [(simple, simple), (projective, simple), (projective, projective)])
@@ -708,7 +761,7 @@ def test_import_graph_keeps_the_routes_independent():
 
 
 def test_concurrent_calls_match_serial_results(monkeypatch):
-    # threads resume, restart and evict the same chains, row tables and
+    # threads resume, restart and evict the same chains, blocks and
     # closed-form templates; kept values never change, so every answer is
     # the serial one
     import sys
@@ -742,8 +795,8 @@ def test_concurrent_calls_match_serial_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert serial == parallel
-    # two threads may keep the same values or grow the same row table; the
-    # count of labels held stays exact
+    # two threads may keep the same values; the count of labels held stays
+    # exact
     assert _held(store) == store.labels <= 12
     assert _held(templates) == templates.labels <= 12
 
