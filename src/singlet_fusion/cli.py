@@ -14,11 +14,11 @@ it once.
 
 Labels are written ``KIND:r,s`` with ``KIND`` in ``{M, P, F, FJ}`` (Jordan
 Fock labels take a third component, ``FJ:r,s,n``).  Every number, in a
-label, an option or the ``verify --p`` list, is an optional ``-`` and ASCII
-digits, and no ``verify --p`` entry is empty.  Output is JSON on stdout
-unless ``--format tsv`` or ``--out`` says otherwise; diagnostics go to
-stderr.  Exit codes: 0 success, 2 usage or validation failure
-(including an ``--out`` path that cannot be written, a ``table`` with
+label, an option or the ``verify --p`` list, is spelled as ``str`` prints
+an int (``0|-?[1-9][0-9]*``), and no ``verify --p`` entry is empty.  Output
+is JSON on stdout unless ``--format tsv`` or ``--out`` says otherwise;
+diagnostics go to stderr.  Exit codes: 0 success, 2 usage or validation
+failure (including an ``--out`` path that cannot be written, a ``table`` with
 ``--rmin`` above ``--rmax``, and a request over ``catalog.MAX_FUSION_PAIRS``:
 ``table`` rows and ``verify`` fusion pairs, the triplet suite's W/R label
 pairs at any ``--rwin`` (from p = 250), and the triplet, catalog and labels
@@ -38,8 +38,11 @@ and nothing is randomized.
 
 A TSV ``table`` is written row by row as each product is computed, so its
 memory does not grow with the row count; every refusal above comes before
-its first byte.  A JSON ``table`` still holds its rows, because its sorted
-``"mismatches"`` key comes before ``"rows"``.
+its first byte.  A JSON report is written from text, member by member, and
+the items of a long list (``fuse`` terms, ``table`` rows) one at a time, so
+no string grows with the document.  A JSON ``table`` holds its rows, each as
+its JSON text alone, because its sorted ``"mismatches"`` key comes before
+``"rows"``.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ import json
 import os
 import re
 import sys
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import catalog, fusion_closed, fusion_oracle, triplet, verify
 from .catalog import FormalSum, Indecomposable, _window_size
@@ -101,10 +105,6 @@ def parse_label(params: Params, text: str) -> Indecomposable:
         raise ValueError(f"label {text!r}: {exc}") from None
 
 
-def _term_dict(label: Indecomposable, mult: int) -> Dict[str, object]:
-    return {"kind": label.kind, "r": label.r, "s": label.s, "mult": mult}
-
-
 @contextlib.contextmanager
 def _output(out: Optional[str]) -> Iterator[TextIO]:
     """The file ``out``, opened for writing, or ``sys.stdout`` as it is now."""
@@ -115,20 +115,60 @@ def _output(out: Optional[str]) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
-    """Write ``payload`` and one final newline to ``out``, or to stdout."""
+def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
+    """Write ``pieces`` one by one, then one final newline, to ``out`` or stdout."""
     with _output(out) as fh:
-        print(payload, file=fh)
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
-def _json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+#: the text ``json.dumps(obj, sort_keys=True, separators=(", ", ": "))`` makes,
+#: from one encoder built once (``dumps`` builds one per call)
+_json = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+
+
+class _Rendered(list):
+    """A JSON array whose items are already JSON text, written one at a time."""
+
+
+#: a ``fuse`` term and a ``table`` row as :func:`_json` writes their dicts;
+#: a kind is ASCII letters, and a row takes JSON text in every field
+_TERM = '{"kind": "%s", "mult": %d, "r": %d, "s": %d}'
+_ROW = '{"left": %s, "result": %s, "right": %s}'
+_ROW_MATCH = '{"left": %s, "match": %s, "result": %s, "right": %s}'
+
+
+def _terms(product: FormalSum) -> _Rendered:
+    return _Rendered(_TERM % (label.kind, mult, label.r, label.s) for label, mult in product)
+
+
+def _pieces(doc: Dict[str, object]) -> Iterator[str]:
+    """``doc`` as the text :func:`_json` makes of it, in pieces.
+
+    Members come in sorted-key order.  A plain value is one piece, made by
+    :func:`_json`; each item of a :class:`_Rendered` list is a piece of its
+    own, so no piece grows with the length of a list.
+    """
+    sep = "{"
+    for key in sorted(doc):
+        value = doc[key]
+        yield f"{sep}{encode_basestring_ascii(key)}: "
+        sep = ", "
+        if isinstance(value, _Rendered):
+            items = iter(value)
+            yield "[" + next(items, "")
+            for item in items:
+                yield ", " + item
+            yield "]"
+        else:
+            yield _json(value)
+    yield "}"
 
 
 def _report(args: argparse.Namespace, doc: Dict[str, object]) -> None:
     """Emit ``doc`` as JSON, stamped with the schema and the command."""
     doc.update(schema=SCHEMA, command=args.command)
-    _emit(_json(doc), args.out)
+    _emit(_pieces(doc), args.out)
 
 
 def _products(
@@ -158,10 +198,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         "engine": args.engine,
         "left": str(left),
         "right": str(right),
-        "terms": [_term_dict(lab, mult) for lab, mult in primary],
+        "terms": _terms(primary),
     }
     if args.engine == "both":
-        doc["oracle_terms"] = [_term_dict(lab, mult) for lab, mult in products[-1]]
+        doc["oracle_terms"] = doc["terms"] if match else _terms(products[-1])
         doc["match"] = match
     _report(args, doc)
     return EXIT_OK if match else EXIT_VERIFY
@@ -192,13 +232,20 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # the window is in label order, so the rows are too
     labels = catalog.label_window(params, args.rmin, args.rmax)
     both = args.engine == "both"
-    columns = ("left", "right", "result", "match")[: 4 if both else 3]
     rows = _table_rows(params, args.engine, labels)
     if args.format == "json":
-        # sorted keys put "mismatches" before "rows", so the rows are held
-        table = [dict(zip(columns, row)) for row in rows]
+        # sorted keys put "mismatches" before "rows", so the rows are held,
+        # as their JSON text alone, and counted as they are rendered
+        table, mismatches, text = _Rendered(), 0, encode_basestring_ascii
+        for left, right, result, match in rows:
+            mismatches += not match
+            left, result, right = text(left), text(result), text(right)
+            table.append(
+                _ROW_MATCH % (left, "true" if match else "false", result, right)
+                if both
+                else _ROW % (left, result, right)
+            )
         doc = {"p": args.p, "engine": args.engine, "rows": table}
-        mismatches = sum(not row["match"] for row in table) if both else 0
         if both:
             doc["mismatches"] = mismatches
         _report(args, doc)
@@ -206,6 +253,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # TSV streams: each row is written as it is computed, and the match
     # flag, the only non-text column, reads yes or NO
     flag = ("\tNO", "\tyes") if both else ("", "")
+    columns = ("left", "right", "result", "match")[: 4 if both else 3]
     mismatches = 0
     with _output(args.out) as fh:
         fh.write("\t".join(columns) + "\n")

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from singlet_fusion import cli
-from singlet_fusion.catalog import jordan_fock, projective, simple
+from singlet_fusion import catalog, cli, fusion_closed, fusion_oracle
+from singlet_fusion.catalog import FormalSum, fock, jordan_fock, projective, simple
 from singlet_fusion.labels import Params
 
 
@@ -510,3 +511,154 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert [outcome[0] for outcome in cached] == [2, 2, 0, 0, 0, 0, 0]
     assert cached[3][1] == "" and cached[3][3] == cached[4][1] != ""
     assert cached[6][1].startswith("left\tright\tresult\n")
+
+
+# Reports are written from text.  These tests compare every byte with what one
+# json.dumps(sort_keys=True) of the report's dict form makes, as the CLI once did.
+
+
+def _dumps_report(command, doc):
+    doc = dict(doc, schema=cli.SCHEMA, command=command)
+    return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+
+
+def _term_dicts(product):
+    return [{"kind": x.kind, "r": x.r, "s": x.s, "mult": mult} for x, mult in product]
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def _fuse_pairs(params):
+    """Every ordered pair of the r = -1..1 window, and each Fock label of it
+    with the odd simple currents ``M_{-1,1}``, ``M_{1,1}`` and ``M_{3,1}``."""
+    window = catalog.label_window(params, -1, 1)
+    focks = [fock(params, r, s) for r in (-1, 0, 1) for s in range(1, params.p)]
+    currents = [simple(params, r, 1) for r in (-1, 1, 3)]
+    return (
+        [(a, b) for a in window for b in window]
+        + [(f, c) for f in focks for c in currents]
+        + [(c, f) for f in focks for c in currents]
+    )
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_fuse_bytes_equal_the_dumps_of_the_dict_form(p):
+    params = Params(p)
+    seen = set()
+    for left, right in _fuse_pairs(params):
+        closed = fusion_closed.fuse(params, left, right)
+        engines = ("closed",)
+        if left.kind != catalog.FOCK and right.kind != catalog.FOCK:
+            oracle = fusion_oracle.oracle_fuse(params, left, right)
+            engines += ("oracle", "both")
+        for engine in engines:
+            primary = oracle if engine == "oracle" else closed
+            doc = {
+                "p": p, "engine": engine, "left": str(left), "right": str(right),
+                "terms": _term_dicts(primary),
+            }
+            if engine == "both":
+                doc.update(oracle_terms=_term_dicts(oracle), match=closed == oracle)
+            argv = ["fuse", "--p", str(p), str(left), str(right), "--engine", engine]
+            assert _stdout(argv) == (0, _dumps_report("fuse", doc)), argv
+            seen.update(x.kind for x, _ in primary)
+            seen.update("mult > 1" for _, mult in primary if mult > 1)
+            seen.update("r < 0" for x, _ in primary if x.r < 0)
+    assert seen == {"M", "P", "F", "mult > 1", "r < 0"}
+
+
+@pytest.mark.parametrize("engine", ["closed", "oracle", "both", "both, wrong oracle"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_table_json_bytes_equal_the_dumps_of_the_dict_form(p, engine, monkeypatch):
+    params = Params(p)
+    unit, oracle_fuse = simple(params, 1, 1), fusion_oracle.oracle_fuse
+    if engine == "both, wrong oracle":
+        # the oracle reads a x M_{1,1} as a x a, so every row with M_{1,1} on
+        # the right but the first is a "match": false row
+        engine = "both"
+        monkeypatch.setattr(
+            cli.fusion_oracle, "oracle_fuse", lambda params, a, b: oracle_fuse(params, a, a if b == unit else b)
+        )
+    labels = catalog.label_window(params, -1, 1)
+    rows = []
+    for left in labels:
+        for right in labels:
+            closed = fusion_closed.fuse(params, left, right)
+            oracle = cli.fusion_oracle.oracle_fuse(params, left, right)
+            row = {"left": str(left), "right": str(right)}
+            row["result"] = str(oracle if engine == "oracle" else closed)
+            if engine == "both":
+                row["match"] = closed == oracle
+            rows.append(row)
+    doc = {"p": p, "engine": engine, "rows": rows}
+    if engine == "both":
+        doc["mismatches"] = sum(not row["match"] for row in rows)
+        assert doc["mismatches"] == (0 if cli.fusion_oracle.oracle_fuse is oracle_fuse else len(labels) - 1)
+    argv = ["table", "--p", str(p), "--engine", engine, "--format", "json"]
+    assert _stdout(argv) == (3 if doc.get("mismatches") else 0, _dumps_report("table", doc))
+
+
+def test_fuse_mismatch_bytes_equal_the_dumps_of_the_dict_form(monkeypatch):
+    params = Params(3)
+    left, right = simple(params, 1, 2), projective(params, 1, 1)
+    wrong = FormalSum.of(simple(params, 9, 1), simple(params, 9, 1), projective(params, -2, 2))
+    monkeypatch.setattr(cli.fusion_oracle, "oracle_fuse", lambda params, a, b: wrong)
+    doc = {
+        "p": 3, "engine": "both", "left": "M:1,2", "right": "P:1,1", "match": False,
+        "terms": _term_dicts(fusion_closed.fuse(params, left, right)),
+        "oracle_terms": [
+            {"kind": "M", "r": 9, "s": 1, "mult": 2}, {"kind": "P", "r": -2, "s": 2, "mult": 1},
+        ],
+    }
+    argv = ["fuse", "--p", "3", "M:1,2", "P:1,1", "--engine", "both"]
+    assert _stdout(argv) == (3, _dumps_report("fuse", doc))
+
+
+def test_an_empty_term_list_is_written_as_an_empty_array(monkeypatch):
+    monkeypatch.setattr(cli.fusion_closed, "fuse", lambda params, a, b: FormalSum())
+    doc = {"p": 3, "engine": "closed", "left": "M:1,1", "right": "M:1,2", "terms": []}
+    code, out = _stdout(["fuse", "--p", "3", "M:1,1", "M:1,2"])
+    assert (code, out) == (0, _dumps_report("fuse", doc))
+    assert out.endswith('"terms": []}\n')
+    assert "".join(cli._pieces({"a": cli._Rendered(), "b": 1})) == '{"a": [], "b": 1}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuse", "--p", "7", "P:2,3", "M:-1,5", "--engine", "both"],
+        ["table", "--p", "3", "--engine", "both", "--format", "json"],
+        ["table", "--p", "3", "--engine", "closed"],
+        ["verify", "--suite", "labels", "--p", "2,3", "--rwin", "1"],
+        ["induce", "--p", "3", "M:4,2"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_out_file_bytes_equal_the_stdout_bytes(tmp_path, argv):
+    target = tmp_path / "result"
+    code, out = _stdout(argv)
+    assert _stdout(argv + ["--out", str(target)]) == (code, "")
+    assert code == 0 and target.read_bytes() == out.encode("utf-8") != b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--p", "6", "--rmin", "-4", "--rmax", "4", "--format", "json"],
+        ["fuse", "--p", "100000", "P:1,1", "P:1,1"],
+    ],
+    ids=["json table", "fuse at p = 100000"],
+)
+def test_stdout_closed_mid_report_exits_141_quietly(argv):
+    # ... | head -c 100: a report is written in pieces, so the reader can
+    # leave while the document is half written
+    with _child(argv, stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b'{"command": ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_PIPE, b"")
