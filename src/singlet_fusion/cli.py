@@ -40,9 +40,10 @@ A TSV ``table`` is written row by row as each product is computed, so its
 memory does not grow with the row count; every refusal above comes before
 its first byte.  A JSON report is written from text, member by member, and
 the items of a long list (``fuse`` terms, ``table`` rows) one at a time, so
-no string grows with the document.  A JSON ``table`` holds its rows, each as
-its JSON text alone, because its sorted ``"mismatches"`` key comes before
-``"rows"``.
+no string grows with the document.  ``fuse`` renders each term as it writes
+it, except that ``--engine both`` holds a matching list, which it writes
+twice.  A JSON ``table`` holds its rows, each as its JSON text alone,
+because its sorted ``"mismatches"`` key comes before ``"rows"``.
 """
 
 from __future__ import annotations
@@ -127,8 +128,22 @@ def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
 _json = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 
-class _Rendered(list):
-    """A JSON array whose items are already JSON text, written one at a time."""
+class _Rendered:
+    """A JSON array whose items, JSON text, are written one at a time; it can
+    be iterated, and so written, more than once."""
+
+    def __init__(self, items: Iterable[object] = ()) -> None:
+        self.items = items
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.items)
+
+
+class _Terms(_Rendered):
+    """The terms of a product, each rendered as it is written, so none is held."""
+
+    def __iter__(self) -> Iterator[str]:
+        return (_TERM % (label.kind, mult, label.r, label.s) for label, mult in self.items)
 
 
 #: a ``fuse`` term and a ``table`` row as :func:`_json` writes their dicts;
@@ -138,15 +153,11 @@ _ROW = '{"left": %s, "result": %s, "right": %s}'
 _ROW_MATCH = '{"left": %s, "match": %s, "result": %s, "right": %s}'
 
 
-def _terms(product: FormalSum) -> _Rendered:
-    return _Rendered(_TERM % (label.kind, mult, label.r, label.s) for label, mult in product)
-
-
 def _pieces(doc: Dict[str, object]) -> Iterator[str]:
     """``doc`` as the text :func:`_json` makes of it, in pieces.
 
     Members come in sorted-key order.  A plain value is one piece, made by
-    :func:`_json`; each item of a :class:`_Rendered` list is a piece of its
+    :func:`_json`; each item of a :class:`_Rendered` array is a piece of its
     own, so no piece grows with the length of a list.
     """
     sep = "{"
@@ -198,10 +209,15 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         "engine": args.engine,
         "left": str(left),
         "right": str(right),
-        "terms": _terms(primary),
+        "terms": _Terms(primary),
     }
     if args.engine == "both":
-        doc["oracle_terms"] = doc["terms"] if match else _terms(products[-1])
+        # a matching list is written twice, so it is rendered once and held;
+        # the oracle's p cap keeps it short
+        if match:
+            doc["terms"] = doc["oracle_terms"] = _Rendered(list(doc["terms"]))
+        else:
+            doc["oracle_terms"] = _Terms(products[-1])
         doc["match"] = match
     _report(args, doc)
     return EXIT_OK if match else EXIT_VERIFY
@@ -236,7 +252,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         # sorted keys put "mismatches" before "rows", so the rows are held,
         # as their JSON text alone, and counted as they are rendered
-        table, mismatches, text = _Rendered(), 0, encode_basestring_ascii
+        table, mismatches, text = [], 0, encode_basestring_ascii
         for left, right, result, match in rows:
             mismatches += not match
             left, result, right = text(left), text(result), text(right)
@@ -245,7 +261,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 if both
                 else _ROW % (left, result, right)
             )
-        doc = {"p": args.p, "engine": args.engine, "rows": table}
+        doc = {"p": args.p, "engine": args.engine, "rows": _Rendered(table)}
         if both:
             doc["mismatches"] = mismatches
         _report(args, doc)

@@ -59,7 +59,7 @@ _Window = Tuple[str, range, Tuple[int, ...]]
 
 #: Largest ``p`` :func:`fuse` accepts.  A product has O(p) terms (at most
 #: ``3p/2 + 2`` distinct ones per pair of labels); at p = 100 000 the largest
-#: (``P_{1,1} x P_{1,1}``, 150 000 terms) takes 0.5–0.9 s and 55 MB through
+#: (``P_{1,1} x P_{1,1}``, 150 000 terms) takes 0.5–0.9 s and 45 MB through
 #: ``fuse`` on the command line, on one core (CPython 3.11, x86-64).
 _MAX_P = 100_000
 

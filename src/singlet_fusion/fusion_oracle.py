@@ -20,12 +20,15 @@ The column recursion is valid for any left factor ``X`` (simple or
 projective).  Every irreducible module has a projective cover, so
 ``P x -`` is exact and ``P x Y`` depends only on the composition factors
 of ``Y``.  Every product therefore takes one route: put the projective
-factor (if any) on the left, read its ``r = 1`` column against each
-composition factor ``M_{r',t}`` of the right factor, shift that column
-once by ``(r-1) + (r'-1)`` through the simple currents, and sum.
-Operands are checked before anything is shifted, so the shift checks
-nothing again.  A simple right factor is its own only composition factor;
-a projective ``P_{r',s'}`` gives the split reduction
+factor (if any) on the left, read its ``r = 1`` column ``t`` once for each
+distinct ``t`` among the composition factors ``M_{r',t}`` of the right
+factor, add it at each such factor's ``r``, and shift the sum once by
+``(r-1) + (r'-1)`` through the simple currents.  Operands are checked
+before anything is shifted, so the shift checks nothing again.  A simple
+right factor is its own only composition factor; a projective
+``P_{r',s'}``, whose series :func:`.catalog._factor_pairs` states, gives
+the split reduction, which reads the columns ``s'`` and ``p - s'`` (one
+column when they are equal):
 
     ``P x P_{r',s'} = 2 (P x M_{r',s'}) + (P x M_{r'+1,p-s'}) + (P x M_{r'-1,p-s'})``.
 
@@ -81,8 +84,8 @@ from .catalog import (
     Indecomposable,
     UnsupportedFusion,
     _check_normal_form,
+    _factor_pairs,
     _Memo,
-    composition_factors,
 )
 from .labels import Params
 
@@ -109,7 +112,9 @@ _MAX_P = 2000
 _S_BITS = _MAX_P.bit_length()
 _S_MASK = (1 << _S_BITS) - 1
 _R_BIAS = 1 << _S_BITS
-_P_BIT = 2 * _R_BIAS << _S_BITS
+_R_MASK = 2 * _R_BIAS - 1
+_K_SHIFT = 2 * _S_BITS + 1
+_P_BIT = 1 << _K_SHIFT
 _KINDS = (SIMPLE, PROJECTIVE)
 
 #: ``(code, multiplicity)`` pairs of one column, in label order.
@@ -175,18 +180,23 @@ def _encode(x: Indecomposable) -> int:
 
 def _label(code: int, base: int = 1) -> Indecomposable:
     """The label a code stands for, its ``r`` moved by ``base - 1``."""
-    r = ((code & (_P_BIT - 1)) >> _S_BITS) - _R_BIAS + base
+    r = (code >> _S_BITS & _R_MASK) - _R_BIAS + base
     # Indecomposable(...) without its Python-level __new__
-    return tuple.__new__(Indecomposable, (_KINDS[code >= _P_BIT], r, code & _S_MASK, 1))
+    return tuple.__new__(Indecomposable, (_KINDS[code >> _K_SHIFT], r, code & _S_MASK, 1))
 
 
 def _decode(column: _Column, delta: int) -> FormalSum:
     """The sum of a column in label order, ``r`` shifted by ``delta``.
 
     The oracle's one shift: every product leaves the store through here.
+    Each label is built inline, as :func:`_label` builds one.
     """
-    base = delta + 1
-    return FormalSum._from_sorted(tuple([(_label(c, base), m) for c, m in column]))
+    base, new, kinds = delta + 1 - _R_BIAS, tuple.__new__, _KINDS
+    return FormalSum._from_sorted(tuple([
+        (new(Indecomposable, (kinds[c >> _K_SHIFT], (c >> _S_BITS & _R_MASK) + base,
+                              c & _S_MASK, 1)), m)
+        for c, m in column
+    ]))
 
 
 def _row(params: Params, code: int) -> Tuple[int, ...]:
@@ -362,11 +372,11 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
     ``M x P`` is read as ``P x M``, so the left factor ``a_{r,s}`` is
     projective whenever ``b`` is.  A simple ``b = M_{r',s'}`` reads the
     column ``a_{1,s} x M_{1,s'}`` shifted by ``(r-1) + (r'-1)``; a
-    projective ``b`` sums such columns over its composition factors (the
-    split reduction in the module docstring) in code space, each moved by
-    its factor's ``r`` relative to ``b``'s, and shifts the sum once.  The
-    factors are read in ascending ``s'``, so that one walk of ``a``'s chain
-    serves them all.  ``p`` above ``_MAX_P`` raises ``ValueError`` before
+    projective ``b`` reads the column of each distinct ``s`` among its
+    composition factors once, in ascending ``s`` so that one walk of ``a``'s
+    chain serves them all, adds it in code space at each factor's ``r``
+    relative to ``b``'s (the split reduction in the module docstring), and
+    shifts the sum once.  ``p`` above ``_MAX_P`` raises ``ValueError`` before
     any walk; a label not in normal form raises
     :class:`~.catalog.NotNormalForm`; any other kind raises
     :class:`UnsupportedFusion`.
@@ -387,10 +397,14 @@ def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalS
     shift = a.r + b.r - 2
     if b.kind == SIMPLE:
         return _decode(_column(params, a.kind, a.s, b.s), shift)
+    # (s, r move as a code, multiplicity) per factor, so equal s are adjacent
+    factors = sorted([(y.s, (y.r - b.r) << _S_BITS, m) for y, m in _factor_pairs(params, b)])
     acc: Dict[int, int] = {}
-    for y, mult in sorted(composition_factors(params, b), key=lambda ym: ym[0].s):
-        up = (y.r - b.r) << _S_BITS
-        for code, k in _column(params, a.kind, a.s, y.s):
+    get, last = acc.get, 0
+    for t, up, mult in factors:
+        if t != last:
+            column, last = _column(params, a.kind, a.s, t), t
+        for code, k in column:
             code += up
-            acc[code] = acc.get(code, 0) + mult * k
-    return _decode(tuple(sorted(acc.items())), shift)
+            acc[code] = get(code, 0) + mult * k
+    return _decode(sorted(acc.items()), shift)

@@ -46,6 +46,11 @@ Result = Tuple[int, List[str]]
 #: p = 19 268 750.
 _BPZ_MAX_P = 10_000_000
 
+#: Labels of the answers :func:`fusion_suite` keeps ring images for, so a
+#: large window's memory stays bounded; room for every answer of
+#: ``--p 2..6 --rwin 2`` (2 349 labels at p = 6).
+_IMAGE_LABELS = 4096
+
 
 class _Recorder:
     def __init__(self) -> None:
@@ -135,12 +140,16 @@ def fusion_suite(params: Params, rwin: int) -> Result:
     ``M x P`` (which the oracle reads as ``P x M``), agreement with the oracle.
     ``D`` is read once per distinct label per call, from a dict local to the
     call that starts with the window and gains each answer label as it first
-    appears; the right side is ``sum m (w - w^{-1}) D(label)`` over the answer.
+    appears; the right side is ``sum m (w - w^{-1}) D(label)`` over the answer,
+    summed once per distinct answer until the answers kept hold
+    ``_IMAGE_LABELS`` labels.
     """
     _check_window(params, rwin, "fusion")
     rec = _Recorder()
     labels = catalog.label_window(params, -rwin, rwin)
     classes = {x: catalog.grothendieck_class(params, x) for x in labels}
+    images: Dict[FormalSum, Dict[int, int]] = {}
+    room = _IMAGE_LABELS
 
     unit = catalog.simple(params, 1, 1)
     for x in labels:
@@ -155,8 +164,14 @@ def fusion_suite(params: Params, rwin: int) -> Result:
                 ab == fusion_closed.fuse(params, b, a),
                 lambda: f"commutativity failure at {a} x {b}",
             )
+            image = images.get(ab)
+            if image is None:
+                image = _ring_image(params, ab, classes)
+                if len(ab) <= room:
+                    room -= len(ab)
+                    images[ab] = image
             rec.check(
-                _laurent_product(classes[a], classes[b]) == _ring_image(params, ab, classes),
+                _laurent_product(classes[a], classes[b]) == image,
                 lambda: f"Grothendieck consistency failure at {a} x {b}",
             )
             if a.kind == catalog.SIMPLE and b.kind == catalog.PROJECTIVE:

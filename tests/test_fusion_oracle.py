@@ -194,6 +194,59 @@ def test_projective_right_factor_walks_one_chain(monkeypatch):
     assert started == [(2, 1), (5, 2)]
 
 
+@pytest.mark.parametrize("p", range(2, 8))
+def test_projective_right_factor_equals_the_sum_over_its_composition_factors(p):
+    # the reference reads the projective factor on the left against each
+    # composition factor of the right one, one simple product at a time
+    params = Params(p)
+    lefts = [simple(params, 1, s) for s in range(1, p + 1)]
+    lefts += [projective(params, 1, s) for s in range(1, p)]
+    for a in lefts:
+        for b in (projective(params, r, s) for r in (-1, 0, 1) for s in range(1, p)):
+            left, right = (a, b) if a.kind == PROJECTIVE else (b, a)
+            want = FormalSum.combine(
+                (m, oracle_fuse(params, left, y))
+                for y, m in catalog.composition_factors(params, right)
+            )
+            assert oracle_fuse(params, a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6, 7])
+def test_projective_right_factor_reads_each_column_once(monkeypatch, p):
+    # P_{r',s'} has the factors M_{r',s'} and M_{r'+-1,p-s'}: two distinct
+    # columns, read in ascending order, or one when s' = p - s'
+    params, column, reads = Params(p), oracle_mod._column, []
+
+    def spy(params, kind, s, s_target):
+        reads.append(s_target)
+        return column(params, kind, s, s_target)
+
+    monkeypatch.setattr(oracle_mod, "_column", spy)
+    for s in range(1, p):
+        for b in (projective(params, r, s) for r in (-1, 2)):
+            reads.clear()
+            oracle_fuse(params, projective(params, 3, 1), b)
+            assert len(reads) == (1 if 2 * s == p else 2), (b, reads)
+            assert reads == sorted({s, p - s}), (b, reads)
+
+
+def test_decode_builds_the_labels_that_label_builds():
+    # both kinds, the r field at both ends (r = 2 - _R_BIAS and _R_BIAS), the
+    # s field at both ends, several shifts
+    bias = oracle_mod._R_BIAS
+    codes = sorted(
+        oracle_mod._encode(Indecomposable(kind, r, s))
+        for kind in (SIMPLE, PROJECTIVE)
+        for r in (2 - bias, -1, 0, 1, 2, bias)
+        for s in (1, 2, oracle_mod._MAX_P - 1, oracle_mod._MAX_P)
+    )
+    column = tuple((c, 1 + c % 5) for c in codes)
+    for delta in (0, 1, -3, 10**12, -(10**12)):
+        got = oracle_mod._decode(column, delta)
+        assert list(got) == [(oracle_mod._label(c, delta + 1), m) for c, m in column], delta
+        assert all(type(x) is Indecomposable for x, _ in got)
+
+
 def test_lower_target_resumes_from_an_older_kept_pair(monkeypatch):
     # each step sweeps once.  A walk to 5 keeps columns 4 and 5, one to 10
     # keeps 9 and 10; a walk to 8 then resumes from 4 and 5 (3 steps), not
@@ -730,7 +783,7 @@ _PRIVATE_IMPORTS = {
         "catalog._pairs",
         "catalog._SumLike",
     },
-    "fusion_oracle": {"catalog._check_normal_form", "catalog._Memo"},
+    "fusion_oracle": {"catalog._check_normal_form", "catalog._factor_pairs", "catalog._Memo"},
     "triplet": {
         "catalog._check_n_max",
         "catalog._check_normal_form",

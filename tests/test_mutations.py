@@ -1,6 +1,7 @@
 """Mutation matrix: each wrong rule below must make ``verify --suite all`` fail.
 
-Each case monkeypatches one mutation into the package.  It first shows that
+Each case monkeypatches one mutation into the package, in its own module
+and in every module that imported the name from it.  It first shows that
 the mutation changes at least one answer in the window of the ``verify-all``
 workload (p = 2..6, ``rwin = 2``), so a mutation that changes nothing cannot
 pass, and then that :func:`.verify.run_suites` over that window reports
@@ -77,6 +78,17 @@ def _p0_read_as_two_copies(right):
     return wrong
 
 
+def _one_simple_copy_in_p(right):
+    # P_{r,s}'s composition series with one copy of M_{r,s}, not two
+    def wrong(params, x):
+        out = right(params, x)
+        if x.kind == catalog.PROJECTIVE:
+            return ((out[0][0], 1),) + out[1:]
+        return out
+
+    return wrong
+
+
 def _products(fuse):
     def probe(params, labels):
         return [fuse(params, a, b) for a in labels for b in labels]
@@ -111,6 +123,9 @@ CASES = {
     "wrong _m12_terms row": (
         fusion_oracle, "_m12_terms", _p0_read_as_two_copies, _ORACLE, ("fusion",)
     ),
+    "one copy of M_{r,s} in P_{r,s}'s composition series": (
+        catalog, "_factor_pairs", _one_simple_copy_in_p, _ORACLE, ("fusion",)
+    ),
 }
 
 
@@ -120,7 +135,11 @@ def test_verify_all_catches_the_mutation(case, monkeypatch):
     params = Params(3)
     labels = catalog.label_window(params, -1, 1)
     before = probe(params, labels)
-    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    right = getattr(module, name)
+    wrong = mutate(right)
+    for holder in (catalog, fusion_closed, fusion_oracle, verify):
+        if getattr(holder, name, None) is right:
+            monkeypatch.setattr(holder, name, wrong)
     _cold_memos(monkeypatch)
     assert probe(params, labels) != before, "the mutation changes no answer"
     report = verify.run_suites(list(verify.SUITES), range(2, 7), rwin=2)

@@ -38,7 +38,6 @@ COMMANDS = [
 
 # ``file:qualified name`` of each function no command enters -> the test that reaches it
 ALLOWLIST = {
-    "catalog.py:FormalSum.__hash__": "test_catalog.py::test_formal_sum_hashable",
     "catalog.py:FormalSum.__repr__": "test_catalog.py::test_formal_sum_basics",
     "triplet.py:TripletIndec.__str__": "test_triplet.py::test_mixed_sum_order_and_str",
     # error path: no consistent input drives a walk's subtraction negative

@@ -291,3 +291,37 @@ def test_ring_memo_is_local_to_one_call(monkeypatch):
     assert failures and all(
         m.startswith("Grothendieck consistency failure at ") for m in failures
     )
+
+
+def test_ring_image_is_summed_once_per_distinct_answer(monkeypatch):
+    params = Params(3)
+    ring_image, summed = verify._ring_image, []
+
+    def counting(params, ab, classes):
+        summed.append(ab)
+        return ring_image(params, ab, classes)
+
+    monkeypatch.setattr(verify, "_ring_image", counting)
+    labels = catalog.label_window(params, -1, 1)
+    answers = {fusion_closed.fuse(params, a, b) for a in labels for b in labels}
+    assert verify.fusion_suite(params, 1)[1] == []
+    assert len(summed) == len(answers) < len(labels) ** 2
+    assert sum(map(len, answers)) <= verify._IMAGE_LABELS
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 40])
+def test_ring_images_kept_or_not_give_the_same_result(monkeypatch, budget):
+    # a wrong class outside the window makes failures; keeping no image, or
+    # running out of room part way, gives the same checks, order and messages
+    params = Params(3)
+    grothendieck_class = catalog.grothendieck_class
+
+    def wrong_outside_the_window(params, x):
+        d = grothendieck_class(params, x)
+        return {e: 2 * c for e, c in d.items()} if abs(x.r) > 1 else d
+
+    monkeypatch.setattr(catalog, "grothendieck_class", wrong_outside_the_window)
+    kept = verify.fusion_suite(params, 1)
+    assert kept[1]
+    monkeypatch.setattr(verify, "_IMAGE_LABELS", budget)
+    assert verify.fusion_suite(params, 1) == kept
