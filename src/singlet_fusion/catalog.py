@@ -345,22 +345,18 @@ _LABELS = 1 << 16
 class _Memo:
     """A first-in, first-out memo bounded by the labels its values hold.
 
-    ``entries`` maps each key to ``(labels, value)``, oldest first, and
-    ``labels`` is their sum, a value's labels being its ``len``.  A read
-    reorders nothing and a kept value is never rewritten, so :meth:`get`
-    takes no lock; :meth:`put` runs under the lock, which serializes every
-    write and the tally.
+    ``entries`` maps each key to its value, oldest first, and ``labels`` is
+    the sum of their ``len``.  A read reorders nothing and a kept value never
+    changes, so ``get``, the dict's own bound ``get`` (``None`` when absent),
+    takes no lock and costs one C call; :meth:`put` runs under the lock,
+    which serializes every write and the tally.
     """
 
     def __init__(self) -> None:
-        self.entries: Dict[tuple, Tuple[int, Any]] = {}
+        self.entries: Dict[tuple, Any] = {}
+        self.get = self.entries.get
         self.labels = 0
         self.lock = Lock()
-
-    def get(self, key: tuple) -> Any:
-        """The value kept under ``key``, or ``None``."""
-        entry = self.entries.get(key)
-        return None if entry is None else entry[1]
 
     def put(self, key: tuple, value: Sized) -> None:
         """Keep ``value`` under ``key`` as the newest entry, and evict the
@@ -368,14 +364,14 @@ class _Memo:
         alone holds more is not kept and evicts nothing."""
         with self.lock:
             entries = self.entries
-            self.labels -= entries.pop(key, (0,))[0]
+            self.labels -= len(entries.pop(key, ()))
             labels = len(value)
             if labels > _LABELS:
                 return
-            entries[key] = (labels, value)
+            entries[key] = value
             self.labels += labels
             while self.labels > _LABELS:
-                self.labels -= entries.pop(next(iter(entries)))[0]
+                self.labels -= len(entries.pop(next(iter(entries))))
 
 
 # ---------------------------------------------------------------------------

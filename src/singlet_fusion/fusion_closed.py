@@ -169,10 +169,10 @@ def _fuse_pair(params: Params, x: Indecomposable, y: Indecomposable) -> FormalSu
         return _shift(_template(params, (x.kind, y.kind), s, t), x.r + y.r - 2)
     if JORDAN_FOCK in (x.kind, y.kind):
         raise UnsupportedFusion(f"no fusion data for Jordan Fock labels ({x} x {y})")
-    # exactly one side is a Fock module: the odd simple current M(2n+1, 1)
-    # shifts its r by 2n
+    # f is a Fock module (so is g in F x F, which the test below refuses):
+    # the odd simple current g = M(2n+1, 1) shifts its r by 2n
     g, f = (y, x) if x.kind == FOCK else (x, y)
-    if f.kind == FOCK and g.kind == SIMPLE and g.s == 1 and g.r % 2 == 1:
+    if g.kind == SIMPLE and g.s == 1 and g.r % 2 == 1:
         return _shift(FormalSum.of(f), g.r - 1)
     raise UnsupportedFusion(
         f"{x} x {y}: Fock modules fuse only with the odd simple currents M(2n+1, 1)"

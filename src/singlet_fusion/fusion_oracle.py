@@ -56,13 +56,24 @@ labels whose row is anything else, adds their rows one by one, and so costs
 O(runs), not O(labels).  The first walk at ``p`` to meet a block of labels
 of one kind and one ``r`` reads every label's row there from
 ``_m12_terms`` and keeps only the singular ones; a label is singular exactly
-when its row says so, so a wrong row at any label still changes the answer.
-A cold product takes at most ``p`` steps, but it scans O(p) labels per
-block and its columns hold O(p) labels: ``oracle_fuse`` refuses ``p`` above
-``_MAX_P`` before any walk.  :func:`oracle_fuse` sums the columns a
-product needs in code space and turns codes back into labels once, in
-``_decode``, which applies the product's ``r`` shift: the oracle's one
-shift.
+when its row says so, so a wrong row at any label still changes the answer
+or, if it breaks the grading below, raises.  A cold product scans O(p)
+labels per block and keeps columns of O(p) labels, hence ``_MAX_P``.
+:func:`oracle_fuse` sums the columns a product needs in code space and
+turns codes back into labels once, in ``_decode``, which applies the
+product's ``r`` shift: the oracle's one shift.
+
+The columns are graded: ``g = s + p r`` mod 2, the parity of
+``k = alpha_coordinate(r, s)`` up to a constant (the monodromy grading
+``Q_J = k/2 mod 1`` of ``J = M_{2,1}``), flips under the ``M_{1,2}`` rule.
+Every summand has the ``r`` of its label and ``s +- 1``, whatever its kind,
+but for ``P_{r,1} -> M_{r+-1,p}``, which moves ``g`` by ``2p - 1`` or ``-1``.
+So column ``t`` of ``X``'s chain has grading ``g(X) + t - 1``, and the
+column ``t - 1`` a step subtracts has that of the column ``t + 1`` it
+builds: every column, difference map and kept pair has one parity of ``s``
+per block, and a difference map's keys stay in their block (``s`` from 0 to
+``p + 3`` fits ``_S_BITS``).  So one running multiplicity, 0 at each block
+boundary, sweeps a step, and runs expand in label order.
 
 One store (``_store``, a first-in, first-out :class:`.catalog._Memo` of
 its own) holds each block's singular rows and the columns, whatever ``r``
@@ -124,7 +135,7 @@ _Column = Tuple[Tuple[int, int], ...]
 _Block = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 #: A column as *runs* ``(lo, hi, multiplicity)``: the codes ``lo, lo + 2, ...,
-#: hi`` of one block, each with that multiplicity; maximal, and sorted by ``lo``.
+#: hi`` of one block, each with that multiplicity; maximal, disjoint, by ``lo``.
 _Runs = List[Tuple[int, int, int]]
 
 
@@ -178,19 +189,16 @@ def _encode(x: Indecomposable) -> int:
     return (_P_BIT if x.kind == PROJECTIVE else 0) | (x.r - 1 + _R_BIAS) << _S_BITS | x.s
 
 
-def _label(code: int, base: int = 1) -> Indecomposable:
-    """The label a code stands for, its ``r`` moved by ``base - 1``."""
-    r = (code >> _S_BITS & _R_MASK) - _R_BIAS + base
+def _label(code: int) -> Indecomposable:
+    """The label a code stands for."""
+    r = (code >> _S_BITS & _R_MASK) - _R_BIAS + 1
     # Indecomposable(...) without its Python-level __new__
     return tuple.__new__(Indecomposable, (_KINDS[code >> _K_SHIFT], r, code & _S_MASK, 1))
 
 
 def _decode(column: _Column, delta: int) -> FormalSum:
-    """The sum of a column in label order, ``r`` shifted by ``delta``.
-
-    The oracle's one shift: every product leaves the store through here.
-    Each label is built inline, as :func:`_label` builds one.
-    """
+    """The sum of a column in label order, ``r`` shifted by ``delta``; each
+    label is built inline, as :func:`_label` builds one."""
     base, new, kinds = delta + 1 - _R_BIAS, tuple.__new__, _KINDS
     return FormalSum._from_sorted(tuple([
         (new(Indecomposable, (kinds[c >> _K_SHIFT], (c >> _S_BITS & _R_MASK) + base,
@@ -204,6 +212,11 @@ def _row(params: Params, code: int) -> Tuple[int, ...]:
     return tuple([_encode(term) for term in _m12_terms(params, _label(code))])
 
 
+def _grading(p: int, code: int) -> int:
+    """``s + p (r - 1)`` mod 2 of a code (the ``r`` field has an even bias)."""
+    return (code ^ p & code >> _S_BITS) & 1
+
+
 def _block(params: Params, base: int) -> _Block:
     """The singular rows of block ``base``: ``(code, row)`` for each code of
     the block whose row is not ``(code - 1, code + 1)``, ascending.
@@ -211,61 +224,51 @@ def _block(params: Params, base: int) -> _Block:
     A block is the ``M`` or ``P`` labels of one ``r``, and ``base`` is its
     code with ``s = 0``, which no label has.  The first read of a block at
     ``p`` reads the row of every label in it, and the store keeps the
-    singular ones under ``(p, base)``.
+    singular ones under ``(p, base)``; a term that keeps the grading raises.
     """
-    key = (params.p, base)
-    block = _store.get(key)
+    p = params.p
+    block = _store.get((p, base))
     if block is None:
-        top = params.p - (base >= _P_BIT)
+        top = p - (base >= _P_BIT)
         rows = [(code, _row(params, code)) for code in range(base + 1, base + top + 1)]
         block = tuple([(code, row) for code, row in rows if row != (code - 1, code + 1)])
-        _store.put(key, block)
+        for code, row in block:  # a regular row flips the grading as it stands
+            for term in row:
+                if _grading(p, term) == _grading(p, code):
+                    raise ArithmeticError(f"M_{{1,2}} x {_label(code)} has {_label(term)}, "
+                                          f"which does not flip s + p r mod 2 (p = {p})")
+        _store.put((p, base), block)
     return block
 
 
 def _runs(column: _Column) -> _Runs:
-    """The runs of a kept column."""
-    runs, last = [], [None, None]  # the run each parity of s had last
+    """The runs of a kept column; a block holds one parity of ``s``."""
+    runs, run = [], None  # the open run
     for code, mult in column:
-        run = last[code & 1]
         if run is not None and run[1] == code - 2 and run[2] == mult:
             run[1] = code
         else:
-            run = last[code & 1] = [code, code, mult]
+            run = [code, code, mult]
             runs.append(run)
     return [tuple(run) for run in runs]
 
 
 def _expand(runs: _Runs) -> _Column:
     """The ``(code, multiplicity)`` pairs of a column's runs, in label order."""
-    return tuple(sorted([(code, m) for lo, hi, m in runs for code in range(lo, hi + 1, 2)]))
+    return tuple([(code, m) for lo, hi, m in runs for code in range(lo, hi + 1, 2)])
 
 
 def _sweep(delta: Dict[int, int]) -> _Runs:
-    """The runs a stride-2 difference map describes, negative ones included.
-
-    ``delta`` maps a code to the change of multiplicity there against the
-    code two below it; the two parities of ``s`` are summed apart, so runs
-    of both may interleave.
-    """
-    runs = []
-    even = odd = 0  # the multiplicity since the last change, by parity
-    even_lo = odd_lo = 0  # the code of that change
+    """The runs of ``delta`` (a code's change of multiplicity against the code
+    two below it), negative ones included, read by one running multiplicity."""
+    runs, mult, lo = [], 0, 0  # mult: the multiplicity since the last change, at lo
     for code in sorted(delta):
         d = delta[code]
-        if not d:
-            continue
-        if code & 1:
-            if odd:
-                runs.append((odd_lo, code - 2, odd))
-            odd += d
-            odd_lo = code
-        else:
-            if even:
-                runs.append((even_lo, code - 2, even))
-            even += d
-            even_lo = code
-    runs.sort()
+        if d:
+            if mult:
+                runs.append((lo, code - 2, mult))
+            mult += d
+            lo = code
     return runs
 
 

@@ -8,7 +8,9 @@ the Python versions that run the entry (every version when absent).
 
     python tests/pinned.py
 
-takes no argument, prints one line per failed field and exits 1 if any failed.
+takes no argument, prints each entry's time and peak RSS (with its
+``rss_mb`` bound, if any), one line per failed field, and exits 1 if any
+failed.
 """
 
 import hashlib
@@ -29,11 +31,12 @@ def entries():
     return json.loads(REGISTRY.read_text(encoding="utf-8"))
 
 
-def check(entry):
-    """The failed fields of ``entry``, one line each; ``None`` if this leg skips it."""
+def measure(entry):
+    """The failed fields of ``entry``, one line each, and the child's peak RSS
+    in MB; ``(failed or None, None)`` if this leg skips it."""
     failed = [f"unknown field {name!r}" for name in sorted(set(entry) - FIELDS)]
     if LEG not in entry.get("legs", [LEG]):
-        return failed or None
+        return failed or None, None
     argv = [sys.executable, "-m", "singlet_fusion", *entry["argv"]]
     with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryFile() as out, \
             tempfile.TemporaryFile() as err:
@@ -41,8 +44,13 @@ def check(entry):
         # this child's own peak RSS: RUSAGE_CHILDREN is the maximum over every child
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
+        # hashed in chunks: reading stdout whole would raise this runner's
+        # peak, which Linux charges to the next child it starts
         out.seek(0)
-        digest = hashlib.sha256(out.read()).hexdigest()
+        sha = hashlib.sha256()
+        for chunk in iter(lambda: out.read(1 << 16), b""):
+            sha.update(chunk)
+        digest = sha.hexdigest()
         err.seek(0)
         stderr = err.read().decode("utf-8", "replace")
     if child.returncode != entry["exit"]:
@@ -54,7 +62,12 @@ def check(entry):
     peak_mb = usage.ru_maxrss / 1024
     if peak_mb >= entry.get("rss_mb", float("inf")):
         failed.append(f"peak RSS {peak_mb:.1f} MB, bound {entry['rss_mb']} MB")
-    return failed
+    return failed, peak_mb
+
+
+def check(entry):
+    """The failed fields of ``entry``, one line each; ``None`` if this leg skips it."""
+    return measure(entry)[0]
 
 
 def main():
@@ -63,10 +76,13 @@ def main():
     failures = ran = 0
     for entry in entries():
         start = time.perf_counter()
-        failed = check(entry)
+        failed, peak_mb = measure(entry)
         if failed is not None:
             ran += 1
-            print(f"{time.perf_counter() - start:6.2f} s  {' '.join(entry['argv'])}", flush=True)
+            rss = "      -" if peak_mb is None else f"{peak_mb:7.1f}"
+            bound = f"< {entry['rss_mb']:<4}" if "rss_mb" in entry else " " * 6
+            print(f"{time.perf_counter() - start:6.2f} s {rss} MB {bound} {' '.join(entry['argv'])}",
+                  flush=True)
         for line in failed or ():
             print(f"  FAIL {line}", flush=True)
         failures += len(failed or ())

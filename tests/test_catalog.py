@@ -806,3 +806,20 @@ def test_memo_evicts_the_oldest_entry_first(monkeypatch):
     memo.put(("c",), "xx")
     assert list(memo.entries) == [("b",), ("c",)]
     assert memo.labels == 4
+
+
+def test_memo_keeps_plain_values_and_an_exact_tally(monkeypatch):
+    # a hit is the dict's own bound get: no Python frame, no (labels, value)
+    # pair; the tally is re-read from the values after puts, a re-put that
+    # shrinks an entry, evictions, and a value too large to keep
+    monkeypatch.setattr(catalog, "_LABELS", 6)
+    memo = catalog._Memo()
+    assert memo.get == memo.entries.get and memo.get.__self__ is memo.entries
+    memo.put(("a",), "xxx")
+    memo.put(("b",), "xx")
+    memo.put(("a",), "x")
+    assert memo.get(("a",)) == "x"
+    memo.put(("c",), "xxxx")
+    memo.put(("d",), "xxxxxxx")
+    assert list(memo.entries) == [("a",), ("c",)]
+    assert memo.labels == sum(map(len, memo.entries.values())) == 5

@@ -23,7 +23,7 @@ from singlet_fusion.catalog import (
     simple,
 )
 from singlet_fusion.fusion_oracle import NegativeMultiplicityError, oracle_fuse
-from singlet_fusion.labels import Params
+from singlet_fusion.labels import Params, alpha_coordinate
 
 P2 = Params(2)
 P3 = Params(3)
@@ -78,7 +78,7 @@ def _chains(store):
 def _held(store):
     """Labels the store's entries hold, counted afresh from their values:
     a block counts its singular rows, a column its terms."""
-    return sum(len(value) for _, value in store.entries.values())
+    return sum(len(value) for value in store.entries.values())
 
 
 def _count_steps(monkeypatch):
@@ -243,7 +243,8 @@ def test_decode_builds_the_labels_that_label_builds():
     column = tuple((c, 1 + c % 5) for c in codes)
     for delta in (0, 1, -3, 10**12, -(10**12)):
         got = oracle_mod._decode(column, delta)
-        assert list(got) == [(oracle_mod._label(c, delta + 1), m) for c, m in column], delta
+        labels = [(oracle_mod._label(c), m) for c, m in column]
+        assert list(got) == [(x._replace(r=x.r + delta), m) for x, m in labels], delta
         assert all(type(x) is Indecomposable for x, _ in got)
 
 
@@ -292,7 +293,7 @@ def test_the_store_keeps_immutable_blocks_of_singular_rows(monkeypatch, p):
             oracle_mod._walk(params, *req)
         assert (p,) not in store.entries
         blocks = 0
-        for key, (_, value) in store.entries.items():
+        for key, value in store.entries.items():
             assert type(value) is tuple and all(type(pair) is tuple for pair in value), key
             if len(key) == 4:
                 continue
@@ -412,6 +413,103 @@ def test_a_wrong_row_inside_a_run_changes_the_answer(monkeypatch, row):
             else:
                 with pytest.raises(NegativeMultiplicityError):
                     oracle_mod._walk(params, kind, s, t)
+
+
+# --- the grading ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_the_m12_rule_flips_the_alpha_coordinate_parity(p):
+    # every summand y of M_{1,2} x x has alpha_{y} - alpha_{x} odd: the rule
+    # flips the monodromy grading of J = M_{2,1}, on M and P labels alike
+    params = Params(p)
+    for r in range(-3, 4):
+        labels = [simple(params, r, s) for s in range(1, p + 1)]
+        labels += [projective(params, r, s) for s in range(1, p)]
+        for x in labels:
+            k = alpha_coordinate(params, x.r, x.s)
+            for y in oracle_mod._m12_terms(params, x):
+                assert (alpha_coordinate(params, y.r, y.s) - k) % 2 == 1, (x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, oracle_mod._MAX_P])
+def test_the_code_grading_is_the_alpha_coordinate_parity(p):
+    # _grading reads s + p r mod 2 off a code: it differs from the parity of
+    # alpha_{r,s} by one constant at each p, for both kinds, the r field at
+    # both ends and the s field at both ends
+    params, bias = Params(p), oracle_mod._R_BIAS
+    offsets = set()
+    for kind in (SIMPLE, PROJECTIVE):
+        for r in (2 - bias, 1 - p, -1, 0, 1, 2, 3, p + 1, bias):
+            for s in (1, 2, p - 1, p):
+                code = oracle_mod._encode(Indecomposable(kind, r, s))
+                offsets.add(oracle_mod._grading(p, code) ^ alpha_coordinate(params, r, s) & 1)
+    assert len(offsets) == 1
+
+
+def test_a_row_that_breaks_the_grading_raises_at_its_blocks_first_scan(monkeypatch):
+    # P_{r,1} -> M_{r+-1,p-1} in place of M_{r+-1,p}: g moves by p - 2 +- p,
+    # an even number.  The first walk to read the P block of r = 1 at p = 7
+    # raises, naming the row's label and the term, and keeps no block entry
+    rule = oracle_mod._m12_terms
+
+    def wrong(params, x):
+        terms = rule(params, x)
+        if x.kind == PROJECTIVE and x.s == 1:
+            p = params.p
+            return (simple(params, x.r + 1, p - 1), simple(params, x.r - 1, p - 1)) + terms[2:]
+        return terms
+
+    store = _fresh_memos(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "_m12_terms", wrong)
+    params = Params(7)
+    with pytest.raises(ArithmeticError) as err:
+        oracle_fuse(params, projective(params, 1, 1), simple(params, 1, 3))
+    assert type(err.value) is ArithmeticError
+    assert "P:1,1" in str(err.value) and "M:2,6" in str(err.value)
+    base = oracle_mod._encode(projective(params, 1, 1)) - 1
+    assert (7, base) not in store.entries
+    assert not [key for key in store.entries if len(key) == 2]
+
+
+def _two_parity_sweep(delta):
+    """The runs a stride-2 difference map describes, the two parities of
+    ``s`` summed apart and the runs sorted at the end: the sweep before the
+    grading was the walk's invariant, kept as the reference."""
+    runs = []
+    even = odd = 0
+    even_lo = odd_lo = 0
+    for code in sorted(delta):
+        d = delta[code]
+        if not d:
+            continue
+        if code & 1:
+            if odd:
+                runs.append((odd_lo, code - 2, odd))
+            odd += d
+            odd_lo = code
+        else:
+            if even:
+                runs.append((even_lo, code - 2, even))
+            even += d
+            even_lo = code
+    runs.sort()
+    return runs
+
+
+def test_the_sweep_equals_the_two_parity_sweep_on_every_step(monkeypatch):
+    # every step of every chain at p = 2..20, walked cold to its top: the
+    # one-accumulator sweep gives the runs the two-parity one gives
+    sweep, steps = oracle_mod._sweep, _count_steps(monkeypatch)
+    for p in range(2, 21):
+        params = Params(p)
+        for kind, s in _chain_heads(params):
+            _fresh_memos(monkeypatch)
+            steps.clear()
+            oracle_mod._walk(params, kind, s, p)
+            assert len(steps) == p - 1
+            for delta in steps:
+                assert sweep(delta) == _two_parity_sweep(delta), (p, kind, s)
 
 
 def test_column_validates_inputs():
@@ -610,7 +708,7 @@ def test_both_memos_are_bounded(monkeypatch):
     assert [p for p, _, _ in _chains(store)].count(76) == 2 * 76 - 1
     assert blocks == {
         (76, code & ~oracle_mod._S_MASK)
-        for key, (_, column) in store.entries.items()
+        for key, column in store.entries.items()
         if key[0] == 76 and key[3:] == (75,)
         for code, _ in column
     }
