@@ -38,7 +38,6 @@ from .catalog import (
     normalize,
     projective,
     simple,
-    virasoro_decomposition,
 )
 from .fusion_closed import fuse
 from .fusion_oracle import (
@@ -76,7 +75,6 @@ __all__ = [
     "grothendieck_class",
     "loewy",
     "dual",
-    "virasoro_decomposition",
     "jordan_fock_matrices",
     "weight",
     "lowest_weight_of_simple",

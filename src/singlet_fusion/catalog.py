@@ -49,7 +49,7 @@ from fractions import Fraction
 from threading import Lock
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Sized, Tuple, Union
 
-from .labels import Params, _check_ints, _check_s, alpha_coordinate, weight
+from .labels import Params, _check_ints, _check_s, alpha_coordinate
 
 __all__ = [
     "SIMPLE",
@@ -71,7 +71,6 @@ __all__ = [
     "grothendieck_class",
     "loewy",
     "dual",
-    "virasoro_decomposition",
     "jordan_fock_matrices",
     "RationalMatrix",
 ]
@@ -170,10 +169,11 @@ def normalize(params: Params, x: Indecomposable) -> Indecomposable:
 #: ``(2p + 2)^2`` W/R label pairs, whatever ``rwin`` is, take time about as
 #: p^2.7 (17 s at p = 80); the window's ``(2 rwin + 1)(2p - 1)`` labels would
 #: run for days (``labels`` took 2.4 s at p = 6, ``--rwin 2000``).  At p = 6,
-#: 245 025 table rows took 2.9 s of CPU and 17.4 MB peak RSS as TSV, which
-#: streams its rows, and 2.2 s and 129 MB as JSON, which holds them all (closed
-#: engine, CPython 3.11, one core of a shared 2-CPU Xeon host).  The largest
-#: benchmarked window has 3 025 pairs, the largest benchmarked table 9 801 rows.
+#: 245 025 table rows took 2.1-3.0 s of CPU and 16 MB peak RSS as TSV, which
+#: streams its rows, and 2.2-3.7 s and 53 MB as JSON, which holds each row's
+#: text (closed engine, six runs each, CPython 3.11, pinned to one core of a
+#: shared 2-CPU Xeon host).  The largest benchmarked window has 3 025 pairs,
+#: the largest benchmarked table 9 801 rows.
 MAX_FUSION_PAIRS = 250_000
 
 
@@ -384,24 +384,25 @@ def _factor_pairs(
 ) -> Tuple[Tuple[Indecomposable, int], ...]:
     """``(simple, multiplicity)`` pairs of the composition series of ``x``.
 
-    ``x`` is checked, so every factor is a valid simple as built.
+    The caller checks ``x`` with :func:`_check_normal_form`, so every factor
+    is a valid simple as built, without the Python-level ``__new__``.
     """
-    _check_normal_form(params, x, "composition_factors")
-    kind, r, s = x.kind, x.r, x.s
+    kind, r, s, n = x
     if kind == SIMPLE:
         return ((x, 1),)
+    new, p = tuple.__new__, params.p
     if kind == FOCK:
         return (
-            (Indecomposable(SIMPLE, r, s), 1),
-            (Indecomposable(SIMPLE, r + 1, params.p - s), 1),
+            (new(Indecomposable, (SIMPLE, r, s, 1)), 1),
+            (new(Indecomposable, (SIMPLE, r + 1, p - s, 1)), 1),
         )
     if kind == PROJECTIVE:
         return (
-            (Indecomposable(SIMPLE, r, s), 2),
-            (Indecomposable(SIMPLE, r - 1, params.p - s), 1),
-            (Indecomposable(SIMPLE, r + 1, params.p - s), 1),
+            (new(Indecomposable, (SIMPLE, r, s, 1)), 2),
+            (new(Indecomposable, (SIMPLE, r - 1, p - s, 1)), 1),
+            (new(Indecomposable, (SIMPLE, r + 1, p - s, 1)), 1),
         )
-    return ((Indecomposable(SIMPLE, r, s), x.n),)  # JORDAN_FOCK
+    return ((new(Indecomposable, (SIMPLE, r, s, 1)), n),)  # JORDAN_FOCK
 
 
 _SumLike = Union[FormalSum, Indecomposable]
@@ -415,6 +416,7 @@ def _pairs(x: _SumLike) -> Iterable[Tuple[Indecomposable, int]]:
 def _flat(params: Params, x: _SumLike) -> Dict[Indecomposable, int]:
     acc: Dict[Indecomposable, int] = {}
     for label, m in _pairs(x):
+        _check_normal_form(params, label, "composition_factors")
         for y, k in _factor_pairs(params, label):
             acc[y] = acc.get(y, 0) + m * k
     return acc
@@ -508,51 +510,6 @@ def dual(params: Params, x: Indecomposable) -> Indecomposable:
     if x.kind == PROJECTIVE:
         return projective(params, 2 - x.r, x.s)
     raise UnsupportedOperation(f"no dual data for {x}")
-
-
-#: Both ``virasoro_decomposition`` functions refuse ``n_max`` above this: each
-#: term is one exact weight, and at the bound a call takes about 0.06 s at
-#: p = 6 and 0.1 s at p = 100 000, under 18 MB peak RSS (CPython 3.11, one
-#: pinned core of a shared 2-CPU Xeon host; n_max = 200 000 took 2 s).
-_VIRASORO_MAX_N = 10_000
-
-
-def virasoro_decomposition(
-    params: Params, x: Indecomposable, n_max: int
-) -> List[Tuple[Fraction, int]]:
-    """Leading terms of the Virasoro-irreducible decomposition of a simple.
-
-    ``M_{r,s}`` decomposes as an infinite multiplicity-free direct sum of
-    irreducibles ``L(c_p, h)``; this returns the weights for ``n = 0..n_max``:
-
-    * ``r >= 1``: weights ``h_{r+2n, s}``;
-    * ``r <= 0``: weights ``h_{r-1-2n, p-s}`` (extended labels; the ``n = 0``
-      entry equals ``lowest_weight_of_simple``).
-
-    The singlet algebra itself is ``M_{1,1}``.  Only labels in normal form
-    are accepted, and ``n_max`` above ``_VIRASORO_MAX_N`` raises ``ValueError``.
-    """
-    _check_normal_form(params, x, "virasoro_decomposition")
-    if x.kind != SIMPLE:
-        raise UnsupportedOperation(f"Virasoro decomposition only for simples, got {x}")
-    _check_n_max(n_max)
-    if x.r >= 1:
-        return [(weight(params, x.r + 2 * n, x.s), 1) for n in range(n_max + 1)]
-    return [
-        (weight(params, x.r - 1 - 2 * n, params.p - x.s), 1) for n in range(n_max + 1)
-    ]
-
-
-def _check_n_max(n_max: int) -> None:
-    """Reject an ``n_max`` that is not an ``int``, is negative, or is above ``_VIRASORO_MAX_N``."""
-    _check_ints("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max > _VIRASORO_MAX_N:
-        raise ValueError(
-            f"virasoro_decomposition needs n_max <= {_VIRASORO_MAX_N}, got n_max={n_max}: "
-            "each term is one exact weight"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,13 @@ projectives, and ``Hom(Ind P_{r,s}, W) = Hom(P_{r,s}, Res W)`` leaves
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from . import catalog
 from .catalog import FormalSum, Indecomposable, UnsupportedFusion, UnsupportedOperation
-from .catalog import _check_n_max, _check_normal_form, _is_normal
+from .catalog import _check_normal_form, _is_normal
 from .fusion_closed import fuse
-from .labels import Params, _check_ints, rbar, weight
+from .labels import Params, _check_ints, rbar
 
 __all__ = [
     "SIMPLE_W",
@@ -56,7 +55,6 @@ __all__ = [
     "derived_triplet_fuse",
     "composition_factors",
     "loewy",
-    "virasoro_decomposition",
 ]
 
 SIMPLE_W = "W"
@@ -220,23 +218,3 @@ def loewy(params: Params, t: TripletIndec) -> Tuple[FormalSum, ...]:
     if t.kind == LATTICE_V:
         return FormalSum.of(other), FormalSum.of(own)
     return FormalSum.of(own), FormalSum.of(other, other), FormalSum.of(own)
-
-
-def virasoro_decomposition(
-    params: Params, t: TripletIndec, n_max: int
-) -> List[Tuple[Fraction, int]]:
-    """Leading Virasoro content of a simple triplet module.
-
-    ``W_{rbar,s}`` decomposes with growing multiplicities: the ``n``-th
-    entry is ``(h_{rbar+2n, s}, rbar+2n)``.  In particular the lowest weight
-    space is ``rbar``-dimensional.  ``n_max`` above
-    ``catalog._VIRASORO_MAX_N`` raises ``ValueError``; the cost at that bound
-    is stated there.
-    """
-    _check_label(params, t)
-    if t.kind != SIMPLE_W:
-        raise UnsupportedOperation(f"Virasoro decomposition only for W labels, got {t}")
-    _check_n_max(n_max)
-    return [
-        (weight(params, t.rbar + 2 * n, t.s), t.rbar + 2 * n) for n in range(n_max + 1)
-    ]

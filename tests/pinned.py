@@ -10,12 +10,15 @@ the Python versions that run the entry (every version when absent).
 
 takes no argument, prints each entry's time and peak RSS (with its
 ``rss_mb`` bound, if any), one line per failed field, and exits 1 if any
-failed.
+failed.  The summary line gives this runner's own peak RSS too.  Linux
+charges every child at least its parent's peak RSS, so that is the floor of
+every child's reading, and an ``rss_mb`` bound at or below it can never pass.
 """
 
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -86,7 +89,9 @@ def main():
         for line in failed or ():
             print(f"  FAIL {line}", flush=True)
         failures += len(failed or ())
-    print(f"{ran} entries run on Python {LEG}, {failures} failed checks")
+    floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{ran} entries run on Python {LEG}, {failures} failed checks"
+          f" (runner peak RSS {floor_mb:.1f} MB)")
     sys.exit(1 if failures else 0)
 
 

@@ -23,7 +23,6 @@ from singlet_fusion.catalog import (
     normalize,
     projective,
     simple,
-    virasoro_decomposition,
 )
 from singlet_fusion.labels import (
     Params,
@@ -104,7 +103,6 @@ def test_builders_reject_non_int_indices(bad):
 @pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=repr)
 def test_index_arguments_reject_non_ints(bad):
     # the builders' rule on every other public index argument
-    w11 = triplet.simple_w(P3, 1, 1)
     calls = [
         lambda: weight(P3, bad, 2),
         lambda: weight(P3, 1, bad),
@@ -112,8 +110,6 @@ def test_index_arguments_reject_non_ints(bad):
         lambda: lowest_weight_of_simple(P3, 1, bad),
         lambda: jordan_fock_matrices(P3, bad, 2),
         lambda: jordan_fock_matrices(P3, 1, bad),
-        lambda: virasoro_decomposition(P3, simple(P3, 1, 1), bad),
-        lambda: triplet.virasoro_decomposition(P3, w11, bad),
         lambda: alpha_coordinate(P3, bad, 2),
         lambda: alpha_coordinate(P3, 1, bad),
         lambda: fock_weight(P3, bad),
@@ -352,7 +348,6 @@ _CONSUMERS = {
     "grothendieck_product": lambda x: grothendieck_class(P3, x),
     "loewy": lambda x: loewy(P3, x),
     "dual": lambda x: dual(P3, x),
-    "virasoro_decomposition": lambda x: virasoro_decomposition(P3, x, 2),
     "induce": lambda x: triplet.induce(P3, x),
 }
 
@@ -474,54 +469,11 @@ def test_dual_involution_and_fixed_points(params, r, data):
         assert (d == x) == (x.r == 1)
 
 
-# --- Virasoro decompositions ---------------------------------------------------
-
-
-def test_virasoro_decomposition_positive_r():
-    # h_{2n+1,1} = n((n+1)p - 1): 0, 3, 10 at p = 2
-    got = virasoro_decomposition(P2, simple(P2, 1, 1), 2)
-    assert got == [(0, 1), (3, 1), (10, 1)]
-
-
-def test_virasoro_decomposition_negative_r():
-    got = virasoro_decomposition(P2, simple(P2, 0, 1), 1)
-    assert got == [(Fraction(1), 1), (Fraction(6), 1)]
-    from singlet_fusion.labels import lowest_weight_of_simple
-
-    assert got[0][0] == lowest_weight_of_simple(P2, 0, 1)
-
-
-@given(params_st, r_st, st.data())
-def test_virasoro_truncation_starts_at_lowest_weight(params, r, data):
-    from singlet_fusion.labels import lowest_weight_of_simple
-
-    s = data.draw(st.integers(min_value=1, max_value=params.p))
-    got = virasoro_decomposition(params, simple(params, r, s), 0)
-    assert got == [(lowest_weight_of_simple(params, r, s), 1)]
-
-
-def test_virasoro_rejects_non_simple():
-    with pytest.raises(UnsupportedOperation):
-        virasoro_decomposition(P3, projective(P3, 1, 1), 2)
+# --- Jordan Fock matrices -------------------------------------------------------
 
 
 def _no_work(*args):
     raise AssertionError("work started")
-
-
-def test_virasoro_decomposition_n_max_bound(monkeypatch):
-    # the bound is checked before the first weight is computed
-    bound = catalog._VIRASORO_MAX_N
-    monkeypatch.setattr(catalog, "weight", _no_work)
-    for r in (1, 0):
-        with pytest.raises(AssertionError, match="work started"):
-            virasoro_decomposition(P3, simple(P3, r, 1), bound)
-        message = f"virasoro_decomposition needs n_max <= {bound}, got n_max={bound + 1}"
-        with pytest.raises(ValueError, match=message):
-            virasoro_decomposition(P3, simple(P3, r, 1), bound + 1)
-
-
-# --- Jordan Fock matrices -------------------------------------------------------
 
 
 def _is_scalar(m):

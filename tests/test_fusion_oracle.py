@@ -230,6 +230,23 @@ def test_projective_right_factor_reads_each_column_once(monkeypatch, p):
             assert reads == sorted({s, p - s}), (b, reads)
 
 
+def test_projective_right_factor_is_checked_once(monkeypatch):
+    # oracle_fuse checks both operands; the composition series of the right
+    # factor reads the checked label and checks nothing again
+    params, check, calls = Params(6), catalog._check_normal_form, []
+    a, b = projective(params, 1, 2), projective(params, 0, 3)
+    want = fusion_closed.fuse(params, a, b)
+
+    def spy(params, x, what):
+        calls.append((x, what))
+        check(params, x, what)
+
+    monkeypatch.setattr(catalog, "_check_normal_form", spy)
+    monkeypatch.setattr(oracle_mod, "_check_normal_form", spy)
+    assert oracle_fuse(params, a, b) == want
+    assert calls == [(a, "oracle_fuse"), (b, "oracle_fuse")]
+
+
 def test_decode_builds_the_labels_that_label_builds():
     # both kinds, the r field at both ends (r = 2 - _R_BIAS and _R_BIAS), the
     # s field at both ends, several shifts
@@ -883,7 +900,6 @@ _PRIVATE_IMPORTS = {
     },
     "fusion_oracle": {"catalog._check_normal_form", "catalog._factor_pairs", "catalog._Memo"},
     "triplet": {
-        "catalog._check_n_max",
         "catalog._check_normal_form",
         "catalog._is_normal",
         "labels._check_ints",

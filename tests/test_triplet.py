@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from singlet_fusion import catalog, triplet
 from singlet_fusion.catalog import FormalSum, UnsupportedFusion, UnsupportedOperation
-from singlet_fusion.labels import Params, rbar, weight
+from singlet_fusion.labels import Params, rbar
 
 P2 = Params(2)
 P3 = Params(3)
@@ -52,7 +52,6 @@ def test_public_functions_reject_bad_labels(bad):
         lambda: triplet.derived_triplet_fuse(P3, good, bad),
         lambda: triplet.composition_factors(P3, bad),
         lambda: triplet.loewy(P3, bad),
-        lambda: triplet.virasoro_decomposition(P3, bad, 2),
     ]
     for call in calls:
         # the label check itself, not a later UnsupportedFusion/UnsupportedOperation
@@ -356,29 +355,3 @@ def test_lattice_composition_factors():
     assert triplet.composition_factors(p4, triplet.projective_r(p4, 1, 1)) == FormalSum(
         [(triplet.simple_w(p4, 1, 1), 2), (triplet.simple_w(p4, 2, 3), 2)]
     )
-
-
-def test_triplet_virasoro_decomposition():
-    # multiplicities grow as 2n + rbar; the lowest space is rbar-dimensional
-    got = triplet.virasoro_decomposition(P2, triplet.simple_w(P2, 2, 1), 1)
-    assert got == [(weight(P2, 2, 1), 2), (weight(P2, 4, 1), 4)]
-    got = triplet.virasoro_decomposition(P2, triplet.simple_w(P2, 1, 1), 2)
-    assert [m for _, m in got] == [1, 3, 5]
-    with pytest.raises(UnsupportedOperation):
-        triplet.virasoro_decomposition(P3, triplet.induce(P3, catalog.fock(P3, 1, 1)), 1)
-
-
-def test_triplet_virasoro_decomposition_n_max_bound(monkeypatch):
-    # the singlet side's bound, checked before the first weight is computed
-    bound = catalog._VIRASORO_MAX_N
-
-    def no_work(*args):
-        raise AssertionError("work started")
-
-    monkeypatch.setattr(triplet, "weight", no_work)
-    w = triplet.simple_w(P3, 2, 1)
-    with pytest.raises(AssertionError, match="work started"):
-        triplet.virasoro_decomposition(P3, w, bound)
-    message = f"virasoro_decomposition needs n_max <= {bound}, got n_max={bound + 1}"
-    with pytest.raises(ValueError, match=message):
-        triplet.virasoro_decomposition(P3, w, bound + 1)
