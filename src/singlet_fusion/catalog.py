@@ -330,10 +330,11 @@ class FormalSum:
 
 
 #: Labels one memo may hold: a sum or a column counts its terms, an oracle
-#: block its singular rows.  No benchmark workload evicts: the most a session
-#: holds is 267 (``table-both``), 553 (``verify-all``) and 4 185 (``large-p``,
-#: seed 1, sessions 0-99) labels of closed-form templates, and 182, 404 and
-#: 6 903 of oracle blocks and columns.
+#: block its singular rows, an oracle chain's frontier 3.  No benchmark
+#: workload evicts: the most a session holds is 267 (``table-both``), 553
+#: (``verify-all``) and 4 185 (``large-p``, seed 1, sessions 0-99) labels of
+#: closed-form templates, and 215, 509 and 3 851 of oracle blocks, columns
+#: and frontiers.
 #: The oracle's exhaustive fusion suite reads every column of one left
 #: factor's chain before the next, under p^2 / 2 labels (under 28 000 at
 #: p = 250).  All closed-form templates hold 9 325 labels at p = 20 and

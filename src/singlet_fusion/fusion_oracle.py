@@ -39,10 +39,9 @@ consulted, so agreement between the two routes is a genuine cross-check.
 
 Each left factor ``kind_{1,s}`` has one *chain*: the loop that walks its
 columns ``t = 1, 2, ...`` keeping only the last two, so it has no depth
-limit.  A walk leaves its last two columns in the store, so a later walk
-to ``s_target`` resumes from the highest ``t < s_target`` whose columns
-``t - 1`` and ``t`` are both kept, and starts from ``t = 1`` when no such
-pair is.
+limit.  A walk leaves those two as the chain's *frontier* in the store, so
+a later walk to ``s_target`` resumes from the frontier when its ``t`` is at
+most ``s_target``, and starts from ``t = 1`` otherwise.
 
 The walk runs on integer *codes*, not on labels: a code packs the
 ``(kind, r, s)`` of one term into one int (``_encode``), so dict keys hash
@@ -70,23 +69,24 @@ Every summand has the ``r`` of its label and ``s +- 1``, whatever its kind,
 but for ``P_{r,1} -> M_{r+-1,p}``, which moves ``g`` by ``2p - 1`` or ``-1``.
 So column ``t`` of ``X``'s chain has grading ``g(X) + t - 1``, and the
 column ``t - 1`` a step subtracts has that of the column ``t + 1`` it
-builds: every column, difference map and kept pair has one parity of ``s``
+builds: every column, difference map and frontier has one parity of ``s``
 per block, and a difference map's keys stay in their block (``s`` from 0 to
 ``p + 3`` fits ``_S_BITS``).  So one running multiplicity, 0 at each block
 boundary, sweeps a step, and runs expand in label order.
 
 One store (``_store``, a first-in, first-out :class:`.catalog._Memo` of
-its own) holds each block's singular rows and the columns, whatever ``r``
-the callers use, under one budget of labels held, so memory stays bounded
-whatever ``p`` a process visits.  Every value kept depends on its key alone
-and never changes, so two threads that walk one chain compute and keep the
-same values.  The store's lock serializes only its writes, never a read or
-a walk, so concurrent use returns the same values as sequential use.
+its own) holds each block's singular rows, the columns walks end at and the
+chains' frontiers, whatever ``r`` the callers use, under one budget of
+labels held, so memory stays bounded whatever ``p`` a process visits.  No
+kept value changes (a walk replaces a frontier), and any frontier resumes
+to the same columns, so the store's lock serializes only its writes, never
+a read or a walk, and concurrent use returns the same values as sequential
+use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NoReturn, Optional, Tuple
+from typing import Dict, List, NoReturn, Tuple
 
 from .catalog import (
     PROJECTIVE,
@@ -108,9 +108,9 @@ __all__ = [
 #: Largest ``p`` :func:`oracle_fuse` accepts.  A cold product walks at most
 #: ``p`` columns of a few runs each, but scans O(p) labels per block and keeps
 #: columns of O(p) labels; at p = 2000, ``P_{1,1300} x M_{1,2000}`` takes
-#: 0.15-0.21 s and 19 MB peak RSS as a ``fuse --engine both`` process, and
-#: the costliest product found, ``P_{1,500} x P_{1,1}``, 0.16-0.23 s and
-#: 22 MB (CPython 3.11, one core of a shared 2-CPU Xeon host).
+#: 0.21 s and 16.5 MB peak RSS as a ``fuse --engine both`` process, and the
+#: product with the highest peak found, ``P_{1,500} x P_{1,1}``, 0.13-0.21 s
+#: and 17.0-17.2 MB (CPython 3.11, one core of a shared 2-CPU Xeon host).
 _MAX_P = 2000
 
 # A code is ``kind bit | (r - 1 + _R_BIAS) << _S_BITS | s``, so codes sort as
@@ -136,6 +136,7 @@ _Block = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 #: A column as *runs* ``(lo, hi, multiplicity)``: the codes ``lo, lo + 2, ...,
 #: hi`` of one block, each with that multiplicity; maximal, disjoint, by ``lo``.
+#: A frontier keeps them as a tuple.
 _Runs = List[Tuple[int, int, int]]
 
 
@@ -241,18 +242,6 @@ def _block(params: Params, base: int) -> _Block:
     return block
 
 
-def _runs(column: _Column) -> _Runs:
-    """The runs of a kept column; a block holds one parity of ``s``."""
-    runs, run = [], None  # the open run
-    for code, mult in column:
-        if run is not None and run[1] == code - 2 and run[2] == mult:
-            run[1] = code
-        else:
-            run = [code, code, mult]
-            runs.append(run)
-    return [tuple(run) for run in runs]
-
-
 def _expand(runs: _Runs) -> _Column:
     """The ``(code, multiplicity)`` pairs of a column's runs, in label order."""
     return tuple([(code, m) for lo, hi, m in runs for code in range(lo, hi + 1, 2)])
@@ -272,22 +261,13 @@ def _sweep(delta: Dict[int, int]) -> _Runs:
     return runs
 
 
-#: The singular rows ``(p, base)`` of each block met, and the columns
-#: ``(p, kind, s, t)`` of chain ``kind_{1,s}``; a walk puts its last two.
+#: The singular rows ``(p, base)`` of each block met, the column
+#: ``(p, kind, s, t)`` each walk of chain ``kind_{1,s}`` ends at, and the
+#: chain's frontier ``(t, prev, col)`` under ``(p, kind, s)``: its columns
+#: ``t - 1`` and ``t`` as runs, 3 labels held.  Blocks and columns depend on
+#: their key alone.  A frontier is whichever state of its chain the last walk
+#: left, and any such state resumes to the same columns.
 _store = _Memo()
-
-
-def _resume(chain: Tuple[int, str, int], s_target: int) -> Optional[Tuple[int, _Column, _Column]]:
-    """``(t, column t - 1, column t)`` for the highest ``t < s_target`` whose
-    two columns are kept, or ``None``; a pair evicted meanwhile is skipped."""
-    get = _store.get
-    for t in range(s_target - 1, 1, -1):
-        col = get(chain + (t,))
-        if col is not None:
-            prev = get(chain + (t - 1,))
-            if prev is not None:
-                return t, prev, col
-    return None
 
 
 def _raise_negative(delta: Dict[int, int], prev: _Runs, code: int) -> NoReturn:
@@ -304,23 +284,22 @@ def _raise_negative(delta: Dict[int, int], prev: _Runs, code: int) -> NoReturn:
 def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
     """``X x M_{1,s_target}`` for ``X = kind_{1,s}`` in codes, one column per step.
 
-    The chain starts from ``X x M_{1,0} = 0`` and ``X x M_{1,1} = X``, or
-    resumes from its highest kept pair of columns below ``s_target``; callers
-    check the labels.  A step reads and writes runs: it cuts each run of the
-    column at its block's singular codes, adds each singular code's row and
-    each remaining segment shifted down and up by one, subtracts the column
-    before as runs, and sweeps the boundaries into the next column.  So a
-    step costs O(runs), and a walk reads each block it meets once.
+    The chain resumes from its frontier when the frontier's ``t`` is at most
+    ``s_target``, and otherwise starts from ``X x M_{1,0} = 0`` and
+    ``X x M_{1,1} = X``; callers check the labels.  A step reads and writes
+    runs: it cuts each run of the column at its block's singular codes, adds
+    each singular code's row and each remaining segment shifted down and up
+    by one, subtracts the column before as runs, and sweeps the boundaries
+    into the next column.  So a step costs O(runs), and a walk reads each
+    block it meets once.  The walk puts its frontier and its last column.
     """
     chain = (params.p, kind, s)
-    start = _resume(chain, s_target)
-    if start is None:
-        code = _encode(Indecomposable(kind, 1, s))
-        t, prev, col, kept = 1, [], [(code, code, 1)], ((code, 1),)
+    frontier = _store.get(chain)
+    if frontier is not None and frontier[0] <= s_target:
+        t, prev, col = frontier
     else:
-        t, prev, kept = start
-        prev, col = _runs(prev), _runs(kept)
-    first = col  # kept is its expansion: a one-step walk puts kept back as is
+        code = _encode(Indecomposable(kind, 1, s))
+        t, prev, col = 1, (), ((code, code, 1),)
     blocks: Dict[int, _Block] = {}  # by base: the blocks this walk met
     block_bits = ~_S_MASK
     while t < s_target:
@@ -356,9 +335,8 @@ def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
             if mult < 0:
                 _raise_negative(delta, prev, lo)
         prev, col, t = col, runs, t + 1
+    _store.put(chain, (t, tuple(prev), tuple(col)))
     column = _expand(col)
-    if t > 1:
-        _store.put(chain + (t - 1,), kept if prev is first else _expand(prev))
     _store.put(chain + (t,), column)
     return column
 

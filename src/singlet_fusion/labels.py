@@ -49,7 +49,7 @@ class Params:
     p: int
 
     def __init__(self, p: int) -> None:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        if type(p) is not int or p < 2:
             raise ValueError(f"p must be an integer >= 2, got {p!r}")
         object.__setattr__(self, "p", p)
 

@@ -77,7 +77,7 @@ def _chains(store):
 
 def _held(store):
     """Labels the store's entries hold, counted afresh from their values:
-    a block counts its singular rows, a column its terms."""
+    a block counts its singular rows, a column its terms, a frontier 3."""
     return sum(len(value) for value in store.entries.values())
 
 
@@ -177,21 +177,22 @@ def test_chain_order_independence(monkeypatch, budget):
 def test_projective_right_factor_walks_one_chain(monkeypatch):
     # P_{0,2} at p = 7 has composition factors M_{-1,5} + 2 M_{0,2} + M_{1,5};
     # they are read in ascending s', not in label order, so the walk to 5
-    # resumes from the columns 1 and 2 kept by the walk to 2, and the second
-    # factor at 5 reads the kept column
+    # resumes from the frontier the walk to 2 left (3 steps, not 4), and the
+    # second factor at 5 reads the kept column
     _fresh_memos(monkeypatch)
-    resume, started = oracle_mod._resume, []
+    steps, walk, walks = _count_steps(monkeypatch), oracle_mod._walk, []
 
-    def spy(chain, s_target):
-        start = resume(chain, s_target)
-        started.append((s_target, 1 if start is None else start[0]))
-        return start
+    def spy(params, kind, s, s_target):
+        before = len(steps)
+        column = walk(params, kind, s, s_target)
+        walks.append((s_target, len(steps) - before))
+        return column
 
-    monkeypatch.setattr(oracle_mod, "_resume", spy)
+    monkeypatch.setattr(oracle_mod, "_walk", spy)
     params = Params(7)
     a, b = projective(params, 1, 3), projective(params, 0, 2)
     assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
-    assert started == [(2, 1), (5, 2)]
+    assert walks == [(2, 1), (5, 3)]
 
 
 @pytest.mark.parametrize("p", range(2, 8))
@@ -265,20 +266,40 @@ def test_decode_builds_the_labels_that_label_builds():
         assert all(type(x) is Indecomposable for x, _ in got)
 
 
-def test_lower_target_resumes_from_an_older_kept_pair(monkeypatch):
-    # each step sweeps once.  A walk to 5 keeps columns 4 and 5, one to 10
-    # keeps 9 and 10; a walk to 8 then resumes from 4 and 5 (3 steps), not
-    # from 1 (7 steps)
+def test_a_walk_resumes_from_the_frontier_at_or_below_its_target(monkeypatch):
+    # each step sweeps once.  The walk to 10 resumes from the frontier at 5;
+    # the walk to 8 finds it at 10 and starts from 1 (7 steps); the walk to
+    # 12 resumes from the frontier at 8.  The store keeps the column each
+    # walk ended at and one frontier, at 12
     store = _fresh_memos(monkeypatch)
     steps = _count_steps(monkeypatch)
     params = Params(12)
     unit = simple(params, 1, 1)
-    for t, want in ((5, 4), (10, 5), (8, 3)):
+    for t, want in ((5, 4), (10, 5), (8, 7), (12, 4)):
         steps.clear()
         assert oracle_fuse(params, unit, simple(params, 1, t)) == FormalSum.of(simple(params, 1, t))
         assert len(steps) == want, t
-    assert sorted(key[3] for key in store.entries if len(key) == 4) == [4, 5, 7, 8, 9, 10]
+    assert sorted(key[3] for key in store.entries if len(key) == 4) == [5, 8, 10, 12]
+    frontiers = {key: value for key, value in store.entries.items() if len(key) == 3}
+    assert list(frontiers) == [(12, SIMPLE, 1)]
+    assert frontiers[12, SIMPLE, 1][0] == 12
     assert _held(store) == store.labels <= catalog._LABELS
+
+
+def test_every_frontier_holds_few_runs(monkeypatch):
+    # every column of every chain at p = 2..20, asked in ascending t: each
+    # column of each frontier a walk leaves is at most 12 runs (the bound on
+    # closed products), so a frontier counting as 3 labels keeps the store's
+    # budget honest
+    for p in range(2, 21):
+        params = Params(p)
+        store = _fresh_memos(monkeypatch)
+        for kind, s, t in _column_requests(params):
+            oracle_mod._walk(params, kind, s, t)
+            frontier = store.get((p, kind, s))
+            assert frontier[0] == t
+            assert len(frontier[1]) <= 12 and len(frontier[2]) <= 12, (p, kind, s, t)
+        assert _held(store) == store.labels
 
 
 def _reference_block(params, kind, r):
@@ -298,9 +319,9 @@ def _reference_block(params, kind, r):
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_the_store_keeps_immutable_blocks_of_singular_rows(monkeypatch, p):
     # each chain's top walked cold, or every column asked in ascending t so
-    # that each walk past t = 2 resumes: the store keeps tuples only, no
-    # per-p table, and each block entry holds exactly the singular rows of
-    # its block
+    # that each walk past t = 1 resumes: the store keeps tuples only, no
+    # per-p table, each frontier is (t, runs, runs) and each block entry
+    # holds exactly the singular rows of its block
     params = Params(p)
     cold = [(kind, s, p) for kind, s in _chain_heads(params)]
     resumed = sorted(_column_requests(params), key=lambda req: (req[2], req[:2]))
@@ -311,7 +332,13 @@ def test_the_store_keeps_immutable_blocks_of_singular_rows(monkeypatch, p):
         assert (p,) not in store.entries
         blocks = 0
         for key, value in store.entries.items():
-            assert type(value) is tuple and all(type(pair) is tuple for pair in value), key
+            assert type(value) is tuple, key
+            if len(key) == 3:
+                t, prev, col = value
+                assert key[0] == p and type(t) is int and type(prev) is type(col) is tuple, key
+                assert all(type(run) is tuple for run in prev + col), key
+                continue
+            assert all(type(pair) is tuple for pair in value), key
             if len(key) == 4:
                 continue
             assert len(key) == 2 and key[0] == p, key
@@ -396,14 +423,16 @@ def test_error_reports_the_lowest_label_that_goes_negative(monkeypatch):
 def test_a_wrong_row_inside_a_run_changes_the_answer(monkeypatch, row):
     # at p = 7, column 3 of the chain of M_{1,3} is one run,
     # M_{1,1} + M_{1,3} + M_{1,5}, and column 2 is M_{1,2} + M_{1,4}.  With
-    # both kept and no block, a walk to 4 takes one step from them; a
+    # that frontier and no block kept, a walk to 4 takes one step from it; a
     # wrong row at M_{1,3} alone, inside the run, changes its answer or
     # raises, and every column of p = 7 still equals the label walk's
     params = Params(7)
     m = {s: simple(params, 1, s) for s in range(1, 8)}
+    code = {s: oracle_mod._encode(m[s]) for s in m}
+    frontier = (3, ((code[2], code[4], 1),), ((code[1], code[5], 1),))
     store = _fresh_memos(monkeypatch)
     assert oracle_fuse(params, m[3], m[3]) == FormalSum.of(m[1], m[3], m[5])
-    pair = {key: store.get(key) for key in ((7, SIMPLE, 3, 2), (7, SIMPLE, 3, 3))}
+    assert store.get((7, SIMPLE, 3)) == frontier
     want = oracle_fuse(params, m[3], m[4])
     rule = oracle_mod._m12_terms
 
@@ -411,9 +440,7 @@ def test_a_wrong_row_inside_a_run_changes_the_answer(monkeypatch, row):
         return row(m) if x == m[3] else rule(params, x)
 
     monkeypatch.setattr(oracle_mod, "_m12_terms", wrong)
-    store = _fresh_memos(monkeypatch)
-    for key, column in pair.items():
-        store.put(key, column)
+    _fresh_memos(monkeypatch).put((7, SIMPLE, 3), frontier)
     steps = _count_steps(monkeypatch)
     try:
         got = oracle_fuse(params, m[3], m[4])
@@ -702,11 +729,11 @@ def test_oracle_p_bound_boundary(monkeypatch, capsys):
 
 
 def test_both_memos_are_bounded(monkeypatch):
-    # rows and columns share one budget of labels held: walking every chain
-    # of p = 20, 28, ..., 76 to its end would hold about 44 000 labels, more
-    # than a budget of 32 768
+    # rows, columns and frontiers share one budget of labels held: walking
+    # every chain of p = 20, 28, ..., 76 to its end would hold 23 688 labels,
+    # more than a budget of 16 384
     store = _fresh_memos(monkeypatch)
-    budget = 1 << 15
+    budget = 1 << 14
     monkeypatch.setattr(catalog, "_LABELS", budget)
     for p in range(20, 80, 8):
         params = Params(p)
@@ -716,18 +743,19 @@ def test_both_memos_are_bounded(monkeypatch):
             assert store.labels <= budget
     assert _held(store) == store.labels > budget // 2
     # the oldest entries went first: p = 20's are gone, p = 76's are all
-    # kept: the last two columns of each chain, and the singular rows of
-    # each block the walks met, which are the blocks of every column 75
+    # kept: the last column and the frontier of each chain, and the singular
+    # rows of each block the walks met, which are the blocks of every
+    # frontier's column 75
     kept = [key[0] for key in store.entries]
     assert 20 not in kept
     blocks = {key for key in store.entries if len(key) == 2 and key[0] == 76}
     assert kept.count(76) == len(blocks) + 2 * (2 * 76 - 1)
     assert [p for p, _, _ in _chains(store)].count(76) == 2 * 76 - 1
     assert blocks == {
-        (76, code & ~oracle_mod._S_MASK)
-        for key, column in store.entries.items()
-        if key[0] == 76 and key[3:] == (75,)
-        for code, _ in column
+        (76, lo & ~oracle_mod._S_MASK)
+        for key, value in store.entries.items()
+        if len(key) == 3 and key[0] == 76 and value[0] == 76
+        for lo, _, _ in value[1]
     }
 
 
@@ -929,7 +957,8 @@ def test_import_graph_keeps_the_routes_independent():
 
 def test_concurrent_calls_match_serial_results(monkeypatch):
     # threads resume, restart and evict the same chains, blocks and
-    # closed-form templates; kept values never change, so every answer is
+    # closed-form templates; a block, column or template depends on its key
+    # alone, and a frontier is replaced, never changed, so every answer is
     # the serial one
     import sys
     from concurrent.futures import ThreadPoolExecutor
@@ -966,6 +995,44 @@ def test_concurrent_calls_match_serial_results(monkeypatch):
     # exact
     assert _held(store) == store.labels <= 12
     assert _held(templates) == templates.labels <= 12
+
+
+def test_concurrent_walks_share_one_frontier(monkeypatch):
+    # 8 threads walk the chain of M_{1,3} at p = 7 up and down at once, each
+    # from another target on, so each replaces the frontier under the
+    # others, and a budget of 5 labels evicts it even in serial use; any
+    # frontier resumes to the same columns, so every column is the serial one
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    params = Params(7)
+    targets = [*range(1, 8), *range(7, 0, -1)] * 3
+    want = {}
+    for t in range(1, 8):
+        _fresh_memos(monkeypatch)
+        want[t] = oracle_mod._walk(params, SIMPLE, 3, t)
+    monkeypatch.setattr(catalog, "_LABELS", 5)
+    store, evicted = _fresh_memos(monkeypatch), 0
+    for t in targets:
+        evicted += (7, SIMPLE, 3) not in store.entries
+        assert oracle_mod._walk(params, SIMPLE, 3, t) == want[t], t
+    assert evicted > 1
+    store = _fresh_memos(monkeypatch)
+
+    def walks(i):
+        return [(t, oracle_mod._walk(params, SIMPLE, 3, t)) for t in targets[i:] + targets[:i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, inside walks and puts
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(walks, range(0, 40, 5), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for t, column in result:
+            assert column == want[t], t
+    assert _held(store) == store.labels <= 5
 
 
 def test_memo_consistency_between_orders(monkeypatch):

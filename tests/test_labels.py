@@ -1,5 +1,6 @@
 import copy
 import pickle
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,10 @@ r_st = st.integers(min_value=-8, max_value=8)
 
 
 def test_params_validation():
-    for bad in (1, 0, True, 2.0):
+    # p is exactly an int, the rule labels._check_ints states for every other
+    # integer input: bool and other int subclasses are refused
+    three = IntEnum("Three", {"A": 3}).A
+    for bad in (1, 0, True, 2.0, three):
         with pytest.raises(ValueError) as info:
             Params(bad)
         assert str(info.value) == f"p must be an integer >= 2, got {bad!r}"
