@@ -329,18 +329,20 @@ class FormalSum:
         return f"FormalSum({self._key!r})"
 
 
-#: Labels one memo may hold: a sum or a column counts its terms, an oracle
-#: block its singular rows, an oracle chain's frontier 3.  No benchmark
-#: workload evicts: the most a session holds is 267 (``table-both``), 553
-#: (``verify-all``) and 4 185 (``large-p``, seed 1, sessions 0-99) labels of
-#: closed-form templates, and 215, 509 and 3 851 of oracle blocks, columns
-#: and frontiers.
-#: The oracle's exhaustive fusion suite reads every column of one left
-#: factor's chain before the next, under p^2 / 2 labels (under 28 000 at
-#: p = 250).  All closed-form templates hold 9 325 labels at p = 20 and
-#: 73 350 at p = 40; a value larger than the budget (a ``P x P`` template at
-#: p = 100 000 has 150 000) is not kept and evicts nothing.
-_LABELS = 1 << 16
+#: Labels one memo may hold, and the room ``verify.fusion_suite`` keeps ring
+#: images for: a sum or a column counts its terms, an oracle block its
+#: singular rows, an oracle chain's frontier 3.  It is about twice the most a
+#: benchmark session holds, so no workload evicts: with fresh memos, 267
+#: (``table-both``), 553 (``verify-all``) and 4 186 (``large-p``, seeds 1 and
+#: 424 242, sessions 0-99) labels of closed-form templates, and 215, 509 and
+#: 3 851 of oracle blocks, columns and frontiers.
+#: The exhaustive fusion suite reads most values once: its closed-form
+#: templates hold 9 325 labels at p = 20 and 73 350 at p = 40, and the
+#: columns of one left factor's chain, read before the next chain's, under
+#: p^2 / 2.  There the budget, not p, bounds the memos.  A value larger than
+#: the budget (a ``P x P`` template at p = 100 000 has 150 000) is not kept
+#: and evicts nothing.
+_LABELS = 1 << 13
 
 
 class _Memo:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import bpz, catalog, fusion_closed, fusion_oracle, triplet
-from .catalog import FormalSum, _window_size
+from .catalog import _LABELS, FormalSum, _window_size
 from .labels import (
     Params,
     _check_ints,
@@ -45,11 +45,6 @@ Result = Tuple[int, List[str]]
 #: A sweep of every 1 250th p from 10^6 first fails a 1e-8 gate at
 #: p = 19 268 750.
 _BPZ_MAX_P = 10_000_000
-
-#: Labels of the answers :func:`fusion_suite` keeps ring images for, so a
-#: large window's memory stays bounded; room for every answer of
-#: ``--p 2..6 --rwin 2`` (2 349 labels at p = 6).
-_IMAGE_LABELS = 4096
 
 
 class _Recorder:
@@ -142,14 +137,14 @@ def fusion_suite(params: Params, rwin: int) -> Result:
     call that starts with the window and gains each answer label as it first
     appears; the right side is ``sum m (w - w^{-1}) D(label)`` over the answer,
     summed once per distinct answer until the answers kept hold
-    ``_IMAGE_LABELS`` labels.
+    :data:`.catalog._LABELS` labels.
     """
     _check_window(params, rwin, "fusion")
     rec = _Recorder()
     labels = catalog.label_window(params, -rwin, rwin)
     classes = {x: catalog.grothendieck_class(params, x) for x in labels}
     images: Dict[FormalSum, Dict[int, int]] = {}
-    room = _IMAGE_LABELS
+    room = _LABELS
 
     unit = catalog.simple(params, 1, 1)
     for x in labels:

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -662,3 +663,40 @@ def test_stdout_closed_mid_report_exits_141_quietly(argv):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (cli.EXIT_PIPE, b"")
+
+
+def _workloads():
+    """``perfbench/workloads.py`` of this checkout, read as it stands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "workload, seed, block",
+    [
+        ("table-both", 1, 0),
+        ("verify-all", 1, 0),
+        ("large-p", 1, 81),
+        ("large-p", 424242, 53),
+    ],
+)
+def test_no_benchmark_workload_evicts(monkeypatch, workload, seed, block):
+    # one benchmark session from fresh memos holds the same entries under
+    # the budget as under none; of large-p sessions 0-99 these two blocks
+    # hold the most: 3 851 oracle labels (seed 1) and 4 186 closed-form
+    # template labels (seed 424 242)
+    workloads = _workloads()
+    ops = workloads.session_ops(workloads.load_goldens(), workload, seed, block)
+    held = []
+    for budget in (catalog._LABELS, sys.maxsize):
+        monkeypatch.setattr(catalog, "_LABELS", budget)
+        memos = catalog._Memo(), catalog._Memo()
+        monkeypatch.setattr(fusion_closed, "_templates", memos[0])
+        monkeypatch.setattr(fusion_oracle, "_store", memos[1])
+        for op in ops:
+            assert _stdout(op.argv)[0] == 0, op.argv
+        held.append([(memo.labels, list(memo.entries)) for memo in memos])
+    assert held[0] == held[1]

@@ -932,7 +932,7 @@ _PRIVATE_IMPORTS = {
         "catalog._is_normal",
         "labels._check_ints",
     },
-    "verify": {"catalog._window_size", "labels._check_ints"},
+    "verify": {"catalog._LABELS", "catalog._window_size", "labels._check_ints"},
 }
 
 

@@ -306,7 +306,7 @@ def test_ring_image_is_summed_once_per_distinct_answer(monkeypatch):
     answers = {fusion_closed.fuse(params, a, b) for a in labels for b in labels}
     assert verify.fusion_suite(params, 1)[1] == []
     assert len(summed) == len(answers) < len(labels) ** 2
-    assert sum(map(len, answers)) <= verify._IMAGE_LABELS
+    assert sum(map(len, answers)) <= verify._LABELS
 
 
 @pytest.mark.parametrize("budget", [-1, 0, 40])
@@ -323,5 +323,5 @@ def test_ring_images_kept_or_not_give_the_same_result(monkeypatch, budget):
     monkeypatch.setattr(catalog, "grothendieck_class", wrong_outside_the_window)
     kept = verify.fusion_suite(params, 1)
     assert kept[1]
-    monkeypatch.setattr(verify, "_IMAGE_LABELS", budget)
+    monkeypatch.setattr(verify, "_LABELS", budget)
     assert verify.fusion_suite(params, 1) == kept
