@@ -409,17 +409,18 @@ def run_suites(
 ) -> Dict[str, Dict[int, Result]]:
     """Run several suites over several values of p, each p once.
 
-    Repeated suite names and values of p are dropped, keeping the first of
-    each.  An empty suite or p list, unknown suite names, a bad p, and every
-    window any requested suite would reject are rejected before the first
-    suite runs, so a bad request fails at once.
+    ``all`` reads as every name in :data:`SUITES`, in order.  Repeated suite
+    names and values of p are dropped, keeping the first of each.  An empty
+    suite or p list, unknown suite names, a bad p, and every window any
+    requested suite would reject are rejected before the first suite runs,
+    so a bad request fails at once.
     """
-    names = list(dict.fromkeys(names))
+    names = list(dict.fromkeys(n for name in names for n in (SUITES if name == "all" else [name])))
     if not names:
         raise ValueError("empty suite list")
     for name in names:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
+            raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)}, all)")
     every_p = [Params(p) for p in dict.fromkeys(p_values)]
     if not every_p:
         raise ValueError("empty p list")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from singlet_fusion import catalog, cli, fusion_closed, fusion_oracle
+from singlet_fusion import catalog, cli, fusion_closed, fusion_oracle, verify
 from singlet_fusion.catalog import FormalSum, fock, jordan_fock, projective, simple
 from singlet_fusion.labels import Params
 
@@ -337,7 +337,7 @@ def test_verify_command(capsys):
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setitem(cli.verify.SUITES, "fusion", lambda params, rwin: (1, ["boom"]))
+    monkeypatch.setitem(verify.SUITES, "fusion", lambda params, rwin: (1, ["boom"]))
     code, out, _ = run(capsys, "verify", "--suite", "fusion", "--p", "2")
     assert code == 3
     assert json.loads(out)["total_failures"] == 1
@@ -372,7 +372,7 @@ def test_verify_over_the_pair_cap_exits_2_before_any_label(capsys, monkeypatch):
     def no_labels(*args):
         raise AssertionError("a label was built")
 
-    monkeypatch.setattr(cli.verify.catalog, "simple", no_labels)
+    monkeypatch.setattr(verify.catalog, "simple", no_labels)
     code, out, err = run(capsys, "verify", "--suite", "fusion", "--p", "6", "--rwin", "1000")
     assert (code, out) == (2, "")
     assert f"has {(2001 * 11) ** 2} ordered pairs, more than 250000" in err
@@ -383,7 +383,7 @@ def test_verify_bpz_over_the_p_bound_exits_2(capsys, monkeypatch):
     def no_series(p):
         raise AssertionError("a series was built")
 
-    monkeypatch.setattr(cli.verify.bpz, "_frobenius", no_series)
+    monkeypatch.setattr(verify.bpz, "_frobenius", no_series)
     code, out, err = run(capsys, "verify", "--suite", "bpz", "--p", "1000000000")
     assert (code, out) == (2, "")
     assert "bpz suite needs p <= 10000000, got p=1000000000" in err
@@ -392,15 +392,15 @@ def test_verify_bpz_over_the_p_bound_exits_2(capsys, monkeypatch):
 
 def test_run_suites_rejects_negative_rwin():
     with pytest.raises(ValueError, match="--rwin"):
-        cli.verify.run_suites(["fusion", "triplet"], [3], rwin=-1)
+        verify.run_suites(["fusion", "triplet"], [3], rwin=-1)
 
 
-@pytest.mark.parametrize("name", sorted(cli.verify.SUITES))
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_every_suite_rejects_negative_rwin(name):
     # called directly, not through run_suites: a windowed suite with a
     # negative window would otherwise run an empty or partial window
     with pytest.raises(ValueError, match="--rwin"):
-        cli.verify.SUITES[name](Params(3), -1)
+        verify.SUITES[name](Params(3), -1)
 
 
 @pytest.mark.parametrize("p", ["7", "11", "16"])
@@ -462,21 +462,21 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 
 def test_cli_reads_verify_only_on_the_verify_path():
-    # fuse, table and induce run no suite: only _cmd_verify and the parser's
-    # --suite choices read verify
+    # fuse, table and induce run no suite: only _cmd_verify imports or reads
+    # verify, and the parser keeps no copy of its suite names
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     readers = {
         getattr(top, "name", None)
         for top in tree.body
         for node in ast.walk(top)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "verify"
+        if isinstance(node, ast.Name)
+        and node.id == "verify"
+        or isinstance(node, ast.alias)
+        and node.name == "verify"
         or isinstance(node, ast.ImportFrom)
         and node.module == "verify"
     }
-    assert "_cmd_verify" in readers
-    assert readers <= {"_cmd_verify", "_build_parser"}
+    assert readers == {"_cmd_verify"}
 
 
 def _outcome(capsys, argv, target):

@@ -1,5 +1,6 @@
 """Every exported name resolves, every package re-export is its home module's object,
-and importing the package and its CLI loads no numpy, ``dataclasses`` or ``inspect``."""
+importing the package and its CLI loads no numpy, ``dataclasses`` or ``inspect``, and
+only ``verify`` loads the suites and ``bpz``."""
 
 import importlib
 import os
@@ -66,6 +67,30 @@ def test_import_leaves_dataclasses_and_inspect_out():
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
     )
     assert _fresh_interpreter(code) == "[]"
+
+
+def test_only_verify_loads_verify_and_bpz():
+    # fuse, table and induce run no suite, so they leave the suites and the
+    # float layer unloaded; verify loads both when it runs
+    code = """
+import contextlib, io, sys
+from singlet_fusion import cli
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    loaded = sorted({"singlet_fusion.verify", "singlet_fusion.bpz"} & set(sys.modules))
+    print(argv[0], code, loaded)
+run("fuse", "--p", "3", "M:1,2", "M:1,2", "--engine", "both")
+run("table", "--p", "3")
+run("induce", "--p", "3", "M:4,2")
+run("verify", "--suite", "labels", "--p", "2", "--rwin", "0")
+"""
+    assert _fresh_interpreter(code).splitlines() == [
+        "fuse 0 []",
+        "table 0 []",
+        "induce 0 []",
+        "verify 0 ['singlet_fusion.bpz', 'singlet_fusion.verify']",
+    ]
 
 
 def test_each_fusion_engine_has_one_product_entry_point():

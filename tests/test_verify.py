@@ -224,6 +224,34 @@ def test_run_suites_rejects_unknown_names_before_any_suite(monkeypatch):
         verify.run_suites(["labels", "nope"], [2], rwin=0)
 
 
+def test_suite_registry_is_pinned():
+    # the one list of suite names; ``all`` is every one of them, in this order
+    assert tuple(verify.SUITES) == ("fusion", "triplet", "bpz", "catalog", "labels")
+
+
+def test_all_runs_every_suite_in_registry_order():
+    report = verify.run_suites(["all"], [2], 0)
+    assert tuple(report) == tuple(verify.SUITES)
+    assert report == verify.run_suites(list(verify.SUITES), [2], 0)
+
+
+def test_all_and_a_suite_it_holds_run_that_suite_once(monkeypatch):
+    runs = []
+    for name in list(verify.SUITES):
+        monkeypatch.setitem(
+            verify.SUITES, name, lambda params, rwin, name=name: runs.append(name) or (1, [])
+        )
+    verify.run_suites(["all", "labels"], [2], 0)
+    assert runs == list(verify.SUITES)
+
+
+def test_unknown_suite_refusal_names_every_suite_and_all():
+    with pytest.raises(ValueError) as refusal:
+        verify.run_suites(["nope"], [2], 0)
+    message = str(refusal.value)
+    assert all(name in message for name in [*verify.SUITES, "all"])
+
+
 def _catalog_suite_peak(rwin):
     # a cyclic collection that falls due inside the traced call moves its
     # peak, so every measurement starts with the collector's counts at zero
