@@ -9,7 +9,7 @@ Products are rebuilt from scratch with only three ingredients:
    ``X x M_{1,s+1} = M_{1,2} x (X x M_{1,s})  -  X x M_{1,s-1}``,
    which follows from ``M_{1,2} x M_{1,s} = M_{1,s-1} + M_{1,s+1}`` by
    associativity, and
-3. Krull-Schmidt cancellation (one in-place subtraction in the walk):
+3. Krull-Schmidt cancellation (one subtraction, in ``_step``):
    decompositions into indecomposables are unique, so the subtraction in
    (2) is well defined.
    A subtraction that would go negative raises
@@ -37,11 +37,13 @@ takes this route.  This module imports only :mod:`.catalog` and
 :mod:`.labels`: the closed forms in :mod:`.fusion_closed` are never
 consulted, so agreement between the two routes is a genuine cross-check.
 
-Each left factor ``kind_{1,s}`` has one *chain*: the loop that walks its
-columns ``t = 1, 2, ...`` keeping only the last two, so it has no depth
-limit.  A walk leaves those two as the chain's *frontier* in the store, so
-a later walk to ``s_target`` resumes from the frontier when its ``t`` is at
-most ``s_target``, and starts from ``t = 1`` otherwise.
+Each left factor ``kind_{1,s}`` has one *chain*: its columns ``t = 1, 2,
+...``, each built from the two before it by one ``_step``, the recursion's
+one statement.  ``_column`` walks a chain in a loop keeping only the last
+two columns, so it has no depth limit, and leaves them as the chain's
+*frontier* in the store; a later walk to ``s_target`` resumes from the
+frontier when its ``t`` is at most ``s_target``, and starts from ``t = 1``
+otherwise.
 
 The walk runs on integer *codes*, not on labels: a code packs the
 ``(kind, r, s)`` of one term into one int (``_encode``), so dict keys hash
@@ -52,12 +54,13 @@ by 2 and one multiplicity.  Most labels ``x`` have the row
 ``M_{1,2} x x = x_{s-1} + x_{s+1}``, so ``M_{1,2}`` maps a run to the same
 run shifted down and up by one; a step cuts each run at the few *singular*
 labels whose row is anything else, adds their rows one by one, and so costs
-O(runs), not O(labels).  The first walk at ``p`` to meet a block of labels
-of one kind and one ``r`` reads every label's row there from
-``_m12_terms`` and keeps only the singular ones; a label is singular exactly
-when its row says so, so a wrong row at any label still changes the answer
-or, if it breaks the grading below, raises.  A cold product scans O(p)
-labels per block and keeps columns of O(p) labels, hence ``_MAX_P``.
+O(runs), not O(labels).  Each step reads a block of labels of one kind and
+one ``r`` from the store; the first read at ``p`` (or the first after the
+block is evicted) reads every label's row there from ``_m12_terms`` and
+keeps only the singular ones; a label is singular exactly when its row says
+so, so a wrong row at any label still changes the answer or, if it breaks
+the grading below, raises.  A cold product scans O(p) labels per block and
+keeps columns of O(p) labels, hence ``_MAX_P``.
 :func:`oracle_fuse` sums the columns a product needs in code space and
 turns codes back into labels once, in ``_decode``, which applies the
 product's ``r`` shift: the oracle's one shift.
@@ -86,7 +89,7 @@ use.
 
 from __future__ import annotations
 
-from typing import Dict, List, NoReturn, Tuple
+from typing import Dict, List, Tuple
 
 from .catalog import (
     PROJECTIVE,
@@ -270,81 +273,76 @@ def _sweep(delta: Dict[int, int]) -> _Runs:
 _store = _Memo()
 
 
-def _raise_negative(delta: Dict[int, int], prev: _Runs, code: int) -> NoReturn:
-    """Put ``prev`` back into ``delta``, and raise
-    :class:`NegativeMultiplicityError` for the sum it gives minus ``prev``."""
-    for lo, hi, mult in prev:
-        delta[lo] += mult
-        delta[hi + 2] -= mult
-    raise NegativeMultiplicityError(
-        _decode(_expand(_sweep(delta)), 0), _decode(_expand(prev), 0), _label(code)
-    )
+def _step(params: Params, col: _Runs, prev: _Runs) -> _Runs:
+    """``M_{1,2} x col - prev`` as runs: column ``t + 1`` of a chain from its
+    columns ``t`` and ``t - 1``.
 
-
-def _walk(params: Params, kind: str, s: int, s_target: int) -> _Column:
-    """``X x M_{1,s_target}`` for ``X = kind_{1,s}`` in codes, one column per step.
-
-    The chain resumes from its frontier when the frontier's ``t`` is at most
-    ``s_target``, and otherwise starts from ``X x M_{1,0} = 0`` and
-    ``X x M_{1,1} = X``; callers check the labels.  A step reads and writes
-    runs: it cuts each run of the column at its block's singular codes, adds
-    each singular code's row and each remaining segment shifted down and up
-    by one, subtracts the column before as runs, and sweeps the boundaries
-    into the next column.  So a step costs O(runs), and a walk reads each
-    block it meets once.  The walk puts its frontier and its last column.
+    The step cuts each run of ``col`` at its block's singular codes (read
+    through :func:`_block`), adds each singular code's row and each
+    remaining segment shifted down and up by one, subtracts ``prev`` as runs
+    (Krull-Schmidt), and sweeps the boundaries into runs, so it costs
+    O(runs).  A label that goes negative raises
+    :class:`NegativeMultiplicityError`, whose minuend is this step with
+    nothing subtracted.
     """
-    chain = (params.p, kind, s)
+    # delta: the next column as differences between codes two apart
+    delta: Dict[int, int] = {}
+    get = delta.get
+    for lo, hi, mult in col:
+        for code, row in _block(params, lo & ~_S_MASK):
+            if lo <= code <= hi and not (code - lo) & 1:
+                if lo < code:  # the segment lo .. code - 2, down and up by one
+                    delta[lo - 1] = get(lo - 1, 0) + mult
+                    delta[lo + 1] = get(lo + 1, 0) + mult
+                    delta[code - 1] = get(code - 1, 0) - mult
+                    delta[code + 1] = get(code + 1, 0) - mult
+                for term in row:
+                    delta[term] = get(term, 0) + mult
+                    delta[term + 2] = get(term + 2, 0) - mult
+                lo = code + 2
+        if lo <= hi:  # the last segment lo .. hi
+            delta[lo - 1] = get(lo - 1, 0) + mult
+            delta[lo + 1] = get(lo + 1, 0) + mult
+            delta[hi + 1] = get(hi + 1, 0) - mult
+            delta[hi + 3] = get(hi + 3, 0) - mult
+    for lo, hi, mult in prev:  # Krull-Schmidt: subtract prev
+        delta[lo] = get(lo, 0) - mult
+        delta[hi + 2] = get(hi + 2, 0) + mult
+    runs = _sweep(delta)
+    for lo, _, mult in runs:
+        if mult < 0:
+            raise NegativeMultiplicityError(
+                _decode(_expand(_step(params, col, ())), 0), _decode(_expand(prev), 0), _label(lo)
+            )
+    return runs
+
+
+def _column(params: Params, kind: str, s: int, s_target: int) -> _Column:
+    """``X x M_{1,s_target}`` for ``X = kind_{1,s}`` in codes: the kept
+    column, or a walk of the chain to it, one :func:`_step` per column.
+
+    A walk resumes from the chain's frontier when the frontier's ``t`` is at
+    most ``s_target``, and otherwise starts from ``X x M_{1,0} = 0`` and
+    ``X x M_{1,1} = X``; callers check the labels.  It puts its frontier and
+    its last column.
+    """
+    p = params.p
+    column = _store.get((p, kind, s, s_target))
+    if column is not None:
+        return column
+    chain = (p, kind, s)
     frontier = _store.get(chain)
     if frontier is not None and frontier[0] <= s_target:
         t, prev, col = frontier
     else:
         code = _encode(Indecomposable(kind, 1, s))
         t, prev, col = 1, (), ((code, code, 1),)
-    blocks: Dict[int, _Block] = {}  # by base: the blocks this walk met
-    block_bits = ~_S_MASK
     while t < s_target:
-        # delta: the next column as differences between codes two apart
-        delta: Dict[int, int] = {}
-        get = delta.get
-        for lo, hi, mult in col:
-            base = lo & block_bits
-            singular = blocks.get(base)
-            if singular is None:
-                singular = blocks[base] = _block(params, base)
-            for code, row in singular:
-                if lo <= code <= hi and not (code - lo) & 1:
-                    if lo < code:  # the segment lo .. code - 2, down and up by one
-                        delta[lo - 1] = get(lo - 1, 0) + mult
-                        delta[lo + 1] = get(lo + 1, 0) + mult
-                        delta[code - 1] = get(code - 1, 0) - mult
-                        delta[code + 1] = get(code + 1, 0) - mult
-                    for term in row:
-                        delta[term] = get(term, 0) + mult
-                        delta[term + 2] = get(term + 2, 0) - mult
-                    lo = code + 2
-            if lo <= hi:  # the last segment lo .. hi
-                delta[lo - 1] = get(lo - 1, 0) + mult
-                delta[lo + 1] = get(lo + 1, 0) + mult
-                delta[hi + 1] = get(hi + 1, 0) - mult
-                delta[hi + 3] = get(hi + 3, 0) - mult
-        for lo, hi, mult in prev:  # Krull-Schmidt: subtract prev
-            delta[lo] = get(lo, 0) - mult
-            delta[hi + 2] = get(hi + 2, 0) + mult
-        runs = _sweep(delta)
-        for lo, _, mult in runs:
-            if mult < 0:
-                _raise_negative(delta, prev, lo)
-        prev, col, t = col, runs, t + 1
+        prev, col, t = col, _step(params, col, prev), t + 1
     _store.put(chain, (t, tuple(prev), tuple(col)))
     column = _expand(col)
     _store.put(chain + (t,), column)
     return column
-
-
-def _column(params: Params, kind: str, s: int, s_target: int) -> _Column:
-    """The kept column ``kind_{1,s} x M_{1,s_target}``, or a walk to it."""
-    column = _store.get((params.p, kind, s, s_target))
-    return _walk(params, kind, s, s_target) if column is None else column
 
 
 def oracle_fuse(params: Params, a: Indecomposable, b: Indecomposable) -> FormalSum:

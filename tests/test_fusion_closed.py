@@ -15,13 +15,14 @@ from singlet_fusion.catalog import (
     fock,
     grothendieck_class,
     jordan_fock,
+    label_window,
     normalize,
     projective,
     simple,
 )
 from singlet_fusion.fusion_closed import fuse
 from singlet_fusion.fusion_oracle import oracle_fuse
-from singlet_fusion.labels import Params
+from singlet_fusion.labels import Params, alpha_coordinate
 
 P2 = Params(2)
 P3 = Params(3)
@@ -240,6 +241,26 @@ def test_associativity_simples_small_window(p):
         left = fuse(params, fuse(params, a, b), c)
         right = fuse(params, a, fuse(params, b, c))
         assert left == right, (a, b, c)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_fuse_answers_keep_the_monodromy_grading(p):
+    # the monodromy grading Q_J = k/2 mod 1 of J = M_{2,1}, k the alpha
+    # coordinate, adds under fusion: every summand y of a x b has
+    # k(y) - k(a) - k(b) even, for every ordered M/P pair of the r window
+    # -2..2 and for each odd simple current M_{2n+1,1} with a Fock module,
+    # either way round
+    params = Params(p)
+
+    def k(x):
+        return alpha_coordinate(params, x.r, x.s)
+
+    pairs = list(itertools.product(label_window(params, -2, 2), repeat=2))
+    currents = [simple(params, 2 * n + 1, 1) for n in range(-2, 3)]
+    focks = [fock(params, r, s) for r in range(-2, 3) for s in range(1, p)]
+    pairs += [(g, f) for g in currents for f in focks] + [(f, g) for g in currents for f in focks]
+    off = [(a, b, y) for a, b in pairs for y, _ in fuse(params, a, b) if (k(y) - k(a) - k(b)) % 2]
+    assert off == []
 
 
 _W = {1: 1, -1: -1}  # w - 1/w

@@ -83,7 +83,8 @@ def _held(store):
 
 def _count_steps(monkeypatch):
     """A list that gains one entry per step of every walk: each step sweeps
-    its boundaries once."""
+    its boundaries once, and a step that raises sweeps twice, since its
+    error's minuend is the same step with nothing subtracted."""
     steps, sweep = [], oracle_mod._sweep
 
     def counted(delta):
@@ -137,8 +138,9 @@ def _column_requests(params):
 def test_chain_order_independence(monkeypatch, budget):
     # every (kind, s, t) column at p = 2..20 equals the label walk's, whether
     # asked cold, ascending, descending or shuffled, with the chains
-    # interleaved; the walk is called past the column memo.  Up to p = 9 the
-    # label walk's columns also equal the rebuild-from-s = 1 reference
+    # interleaved; no request repeats within a store, so each one walks.  Up
+    # to p = 9 the label walk's columns also equal the rebuild-from-s = 1
+    # reference
     import random
 
     if budget is not None:
@@ -159,7 +161,7 @@ def test_chain_order_independence(monkeypatch, budget):
                 assert oracle_mod._decode(want[req], 0) == _reference_column(params, *req), req
         for req in requests:  # cold
             _fresh_memos(monkeypatch)
-            assert oracle_mod._walk(params, *req) == want[req], req
+            assert oracle_mod._column(params, *req) == want[req], req
         by_t = sorted(requests, key=lambda req: (req[2], req[:2]))
         shuffled = rng.sample(requests, len(requests))
         for order in (by_t, by_t[::-1], shuffled):
@@ -167,7 +169,7 @@ def test_chain_order_independence(monkeypatch, budget):
             evicted = False
             for req in order:
                 others = _chains(store) - {(p, *req[:2])}
-                assert oracle_mod._walk(params, *req) == want[req], req
+                assert oracle_mod._column(params, *req) == want[req], req
                 evicted |= not others <= _chains(store)
                 assert _held(store) == store.labels <= catalog._LABELS
         if budget is not None and p >= 5:
@@ -180,15 +182,15 @@ def test_projective_right_factor_walks_one_chain(monkeypatch):
     # resumes from the frontier the walk to 2 left (3 steps, not 4), and the
     # second factor at 5 reads the kept column
     _fresh_memos(monkeypatch)
-    steps, walk, walks = _count_steps(monkeypatch), oracle_mod._walk, []
+    steps, column, walks = _count_steps(monkeypatch), oracle_mod._column, []
 
     def spy(params, kind, s, s_target):
         before = len(steps)
-        column = walk(params, kind, s, s_target)
+        got = column(params, kind, s, s_target)
         walks.append((s_target, len(steps) - before))
-        return column
+        return got
 
-    monkeypatch.setattr(oracle_mod, "_walk", spy)
+    monkeypatch.setattr(oracle_mod, "_column", spy)
     params = Params(7)
     a, b = projective(params, 1, 3), projective(params, 0, 2)
     assert oracle_fuse(params, a, b) == fusion_closed.fuse(params, a, b)
@@ -295,11 +297,46 @@ def test_every_frontier_holds_few_runs(monkeypatch):
         params = Params(p)
         store = _fresh_memos(monkeypatch)
         for kind, s, t in _column_requests(params):
-            oracle_mod._walk(params, kind, s, t)
+            oracle_mod._column(params, kind, s, t)
             frontier = store.get((p, kind, s))
             assert frontier[0] == t
             assert len(frontier[1]) <= 12 and len(frontier[2]) <= 12, (p, kind, s, t)
         assert _held(store) == store.labels
+
+
+def _runs_of(column):
+    """The maximal runs ``(lo, hi, multiplicity)`` of a ``(code, multiplicity)``
+    column in label order: codes two apart with one multiplicity join."""
+    runs = []
+    for code, mult in column:
+        if runs and runs[-1][1] + 2 == code and runs[-1][2] == mult:
+            runs[-1] = (runs[-1][0], code, mult)
+        else:
+            runs.append((code, code, mult))
+    return runs
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_step_builds_the_next_column_from_the_frontier(monkeypatch, p):
+    # for every chain and t < p, _step on the frontier a walk to t leaves
+    # gives the runs of column t + 1, and with nothing subtracted it gives
+    # M_{1,2} x column t, summed label by label from the rule: the minuend
+    # its error reports
+    params = Params(p)
+    for kind, s in _chain_heads(params):
+        columns = _label_columns(params, kind, s, p)
+        for t in range(1, p):
+            store = _fresh_memos(monkeypatch)
+            oracle_mod._column(params, kind, s, t)
+            t_front, prev, col = store.get((p, kind, s))
+            assert t_front == t
+            assert oracle_mod._step(params, col, prev) == _runs_of(columns[t]), (kind, s, t)
+            acc = {}
+            for x, mult in oracle_mod._decode(columns[t - 1], 0):
+                for y in oracle_mod._m12_terms(params, x):
+                    acc[y] = acc.get(y, 0) + mult
+            minuend = oracle_mod._decode(oracle_mod._expand(oracle_mod._step(params, col, ())), 0)
+            assert minuend == FormalSum(acc), (kind, s, t)
 
 
 def _reference_block(params, kind, r):
@@ -328,7 +365,7 @@ def test_the_store_keeps_immutable_blocks_of_singular_rows(monkeypatch, p):
     for requests in (cold, resumed):
         store = _fresh_memos(monkeypatch)
         for req in requests:
-            oracle_mod._walk(params, *req)
+            oracle_mod._column(params, *req)
         assert (p,) not in store.entries
         blocks = 0
         for key, value in store.entries.items():
@@ -377,7 +414,8 @@ def test_walk_error_reports_the_minuend_before_subtraction(monkeypatch):
     # M_{1,2} x M_{1,5} loses its one summand P_{1,4} at p = 5.  The chain of
     # M_{1,3} then reads M_{1,1} + M_{1,3} + M_{1,5} at t = 3 and M_{1,2} at
     # t = 4, so the step to t = 5 subtracts M_{1,1} and M_{1,3} from
-    # M_{1,1} + M_{1,3} before M_{1,5} goes negative; both are put back
+    # M_{1,1} + M_{1,3} before M_{1,5} goes negative; the minuend is the
+    # same step with nothing subtracted
     right = oracle_mod._m12_terms
 
     def dropped(params, x):
@@ -453,10 +491,10 @@ def test_a_wrong_row_inside_a_run_changes_the_answer(monkeypatch, row):
         for t in range(1, params.p + 1):
             _fresh_memos(monkeypatch)
             if t <= len(columns):
-                assert oracle_mod._walk(params, kind, s, t) == columns[t - 1], (kind, s, t)
+                assert oracle_mod._column(params, kind, s, t) == columns[t - 1], (kind, s, t)
             else:
                 with pytest.raises(NegativeMultiplicityError):
-                    oracle_mod._walk(params, kind, s, t)
+                    oracle_mod._column(params, kind, s, t)
 
 
 # --- the grading ----------------------------------------------------------------
@@ -550,7 +588,7 @@ def test_the_sweep_equals_the_two_parity_sweep_on_every_step(monkeypatch):
         for kind, s in _chain_heads(params):
             _fresh_memos(monkeypatch)
             steps.clear()
-            oracle_mod._walk(params, kind, s, p)
+            oracle_mod._column(params, kind, s, p)
             assert len(steps) == p - 1
             for delta in steps:
                 assert sweep(delta) == _two_parity_sweep(delta), (p, kind, s)
@@ -1000,8 +1038,9 @@ def test_concurrent_calls_match_serial_results(monkeypatch):
 def test_concurrent_walks_share_one_frontier(monkeypatch):
     # 8 threads walk the chain of M_{1,3} at p = 7 up and down at once, each
     # from another target on, so each replaces the frontier under the
-    # others, and a budget of 5 labels evicts it even in serial use; any
-    # frontier resumes to the same columns, so every column is the serial one
+    # others, and a budget of 5 labels evicts it and the blocks even in
+    # serial use; any frontier resumes to the same columns, so every column is
+    # the serial one
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -1010,17 +1049,28 @@ def test_concurrent_walks_share_one_frontier(monkeypatch):
     want = {}
     for t in range(1, 8):
         _fresh_memos(monkeypatch)
-        want[t] = oracle_mod._walk(params, SIMPLE, 3, t)
+        want[t] = oracle_mod._column(params, SIMPLE, 3, t)
     monkeypatch.setattr(catalog, "_LABELS", 5)
-    store, evicted = _fresh_memos(monkeypatch), 0
+    store, evicted, rows, row = _fresh_memos(monkeypatch), 0, [], oracle_mod._row
+
+    def counted(params, code):
+        rows.append(code)
+        return row(params, code)
+
+    monkeypatch.setattr(oracle_mod, "_row", counted)
     for t in targets:
         evicted += (7, SIMPLE, 3) not in store.entries
-        assert oracle_mod._walk(params, SIMPLE, 3, t) == want[t], t
+        assert oracle_mod._column(params, SIMPLE, 3, t) == want[t], t
     assert evicted > 1
+    # each step reads its blocks from the store, so a block the budget
+    # evicts is scanned again (a scan reads every row of its block, s = 1
+    # first)
+    scans = [code & ~oracle_mod._S_MASK for code in rows if code & oracle_mod._S_MASK == 1]
+    assert len(scans) > len(set(scans)), scans
     store = _fresh_memos(monkeypatch)
 
     def walks(i):
-        return [(t, oracle_mod._walk(params, SIMPLE, 3, t)) for t in targets[i:] + targets[:i]]
+        return [(t, oracle_mod._column(params, SIMPLE, 3, t)) for t in targets[i:] + targets[:i]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads switch often, inside walks and puts

@@ -8,9 +8,9 @@ hypothesis are left alone.  Every ``def`` in the ``src`` AST, methods and
 nested functions included, that no command enters must be on ``ALLOWLIST``,
 and every allowlisted function must be one that no command enters: the two
 sets are compared for equality.  The allowlist holds only dunder methods that
-no command calls, plus the one error path that no consistent input reaches
-(``fusion_oracle._raise_negative``).  A new function therefore comes with a
-command in ``COMMANDS`` that reaches it; a dead one is deleted.
+no command calls: an error path lives inside a function that commands enter.
+A new function therefore comes with a command in ``COMMANDS`` that reaches
+it; a dead one is deleted.
 """
 
 import ast
@@ -41,10 +41,7 @@ COMMANDS = [
 ALLOWLIST = {
     "catalog.py:FormalSum.__repr__": "test_catalog.py::test_formal_sum_basics",
     "triplet.py:TripletIndec.__str__": "test_triplet.py::test_mixed_sum_order_and_str",
-    # error path: no consistent input drives a walk's subtraction negative
-    "fusion_oracle.py:_raise_negative": (
-        "test_fusion_oracle.py::test_walk_error_reports_the_minuend_before_subtraction"
-    ),
+    # error path: no consistent input drives a step's subtraction negative
     "fusion_oracle.py:NegativeMultiplicityError.__init__": (
         "test_fusion_oracle.py::test_walk_error_reports_the_minuend_before_subtraction"
     ),
@@ -55,9 +52,6 @@ ALLOWLIST = {
         for name in ("__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__", "__reduce__")
     },
 }
-
-# the one allowlisted function that is not a dunder method
-_ERROR_PATHS = {"fusion_oracle.py:_raise_negative"}
 
 _TRACE = """
 import contextlib, io, json, os, sys
@@ -169,8 +163,8 @@ def _is_dunder_method(name):
     return bool(owner) and method.startswith("__") and method.endswith("__")
 
 
-def test_allowlist_holds_only_dunder_methods_and_the_error_path():
+def test_allowlist_holds_only_dunder_methods():
     # a function that no command reaches is deleted or wired to a command,
     # never parked here
-    parked = [n for n in ALLOWLIST if not _is_dunder_method(n) and n not in _ERROR_PATHS]
+    parked = [n for n in ALLOWLIST if not _is_dunder_method(n)]
     assert parked == []
